@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .network import (
+    NEP_REL_TOL,
     Instance,
     Strategy,
     StrategyProfile,
@@ -36,8 +37,6 @@ __all__ = [
     "naive_expected_rate",
 ]
 
-NEP_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class DrmNepReport:
@@ -47,6 +46,33 @@ class DrmNepReport:
     violating_user: Optional[int] = None
     improving_channels: Optional[tuple[int, ...]] = None
     rate_gain: float = 0.0
+
+
+def channel_scores(
+    user: int,
+    profile: StrategyProfile,
+    instance: Instance,
+    success_estimates: Optional[Sequence[float]] = None,
+) -> dict[int, float]:
+    """Utility times clearance probability for each of the user's allowed channels.
+
+    Clearance is the exact closed form, or success_estimates[k] when given.
+    """
+    utils = instance.utilities[user]
+    if success_estimates is None:
+        return {
+            k: utils[k] * success_probability(user, k, profile, instance.graph)
+            for k in instance.allowed_channels(user)
+        }
+    return {
+        k: utils[k] * float(success_estimates[k]) for k in instance.allowed_channels(user)
+    }
+
+
+def top_channels(scores: dict[int, float], count: int) -> tuple[int, ...]:
+    """The `count` best-scoring channels, ties toward the lowest index, ascending."""
+    ranked = sorted(scores, key=lambda k: (-scores[k], k))
+    return tuple(sorted(ranked[:count]))
 
 
 def best_response_drm(
@@ -62,23 +88,10 @@ def best_response_drm(
     channel index. Pass success_estimates (one clearance value per channel) to
     decide from measured estimates instead of the exact closed form.
     """
-    candidates = instance.allowed_channels(user)
-    if len(candidates) < instance.channels_per_user:
-        raise ValueError(
-            f"user {user} has fewer than channels_per_user allowed channels"
-        )
-    utils = instance.utilities[user]
-    if success_estimates is None:
-        scores = {
-            k: utils[k] * success_probability(user, k, profile, instance.graph)
-            for k in candidates
-        }
-    else:
-        if len(success_estimates) != instance.num_channels:
-            raise ValueError("success_estimates must have one entry per channel")
-        scores = {k: utils[k] * float(success_estimates[k]) for k in candidates}
-    ranked = sorted(candidates, key=lambda k: (-scores[k], k))
-    return tuple(sorted(ranked[: instance.channels_per_user]))
+    if success_estimates is not None and len(success_estimates) != instance.num_channels:
+        raise ValueError("success_estimates must have one entry per channel")
+    scores = channel_scores(user, profile, instance, success_estimates)
+    return top_channels(scores, instance.channels_per_user)
 
 
 def br_potential(profile: StrategyProfile, instance: Instance) -> float:

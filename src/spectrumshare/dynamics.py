@@ -13,8 +13,7 @@ neighbors' strategies.
 
 from __future__ import annotations
 
-import bisect
-import math
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,28 +21,32 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .drm import NEP_REL_TOL, best_response_drm, br_potential, is_nep_drm
+from .drm import br_potential, channel_scores, is_nep_drm, top_channels
 from .errors import DegenerateInstanceError, EstimationError
 from .fairness import (
     CoolingSchedule,
     FairnessAction,
+    allocation_profile,
+    best_fair_action,
     cooperative_utility,
+    cumulative_table,
+    draw_action,
     exact_potential,
     is_nep_fairness,
     noisy_br_distribution,
-    optimal_attempt_probability,
-    sample_noisy_br,
 )
+from .fairness import sample_noisy_br  # unused; perfbench/tracing.py patches it
 from .network import (
+    NEP_REL_TOL,
     Instance,
     InterferenceGraph,
     Strategy,
     StrategyProfile,
     replace_strategy,
-    success_probability,
     total_expected_rate,
     validate_profile,
 )
+from .network import success_probability  # unused; perfbench/tracing.py patches it
 
 __all__ = [
     "UpdateMechanism",
@@ -102,8 +105,6 @@ class UpdateMechanism:
 
     @classmethod
     def probabilistic(cls, update_probs: Union[float, Sequence[float]] = 0.5) -> "UpdateMechanism":
-        if not isinstance(update_probs, (int, float)):
-            update_probs = tuple(float(q) for q in update_probs)
         return cls("probabilistic", update_probs=update_probs)
 
     @classmethod
@@ -326,22 +327,30 @@ def _sorted_events(events: Sequence[PopulationEvent], start: Instance) -> list[P
     return ordered
 
 
+def _begin_run(
+    instance: Instance,
+    initial_profile: StrategyProfile,
+    potential_fn: Callable[[StrategyProfile, Instance], float],
+    events: Sequence[PopulationEvent] = (),
+) -> tuple[list[PopulationEvent], _Recorder, StrategyProfile]:
+    """Order the population events, check the start, and record entry 0."""
+    pending = _sorted_events(events, instance)
+    validate_profile(initial_profile, instance)
+    recorder = _Recorder(potential_fn)
+    profile = recorder.canonical(initial_profile)
+    recorder.record((), profile, instance)
+    return pending, recorder, profile
+
+
 def drm_initial_profile(instance: Instance) -> StrategyProfile:
     """Each user claims its highest-utility allowed channels at its cap."""
     strategies = []
     for n in range(instance.num_users):
         utils = instance.utilities[n]
-        ranked = sorted(instance.allowed_channels(n), key=lambda k: (-utils[k], k))
-        chans = tuple(sorted(ranked[: instance.channels_per_user]))
+        by_utility = {k: utils[k] for k in instance.allowed_channels(n)}
+        chans = top_channels(by_utility, instance.channels_per_user)
         strategies.append(Strategy(chans, instance.caps[n]))
     return tuple(strategies)
-
-
-def _extend_profile_drm(
-    profile: StrategyProfile, instance: Instance
-) -> StrategyProfile:
-    fresh = drm_initial_profile(instance)
-    return profile + fresh[len(profile) :]
 
 
 def nbrf_initial_profile(instance: Instance) -> StrategyProfile:
@@ -351,15 +360,7 @@ def nbrf_initial_profile(instance: Instance) -> StrategyProfile:
     attempt probability to 1/(count+1) from the same-channel neighbor counts
     that those picks produce.
     """
-    picks = []
-    for n in range(instance.num_users):
-        utils = instance.utilities[n]
-        picks.append(min(range(instance.num_channels), key=lambda k: (-utils[k], k)))
-    strategies = []
-    for n in range(instance.num_users):
-        count = sum(1 for i in instance.graph.adjacency[n] if picks[i] == picks[n])
-        strategies.append(Strategy((picks[n],), optimal_attempt_probability(count)))
-    return tuple(strategies)
+    return _extend_profile_nbrf((), instance)
 
 
 def _extend_profile_nbrf(
@@ -370,26 +371,7 @@ def _extend_profile_nbrf(
     for n in range(keep, instance.num_users):
         utils = instance.utilities[n]
         picks.append(min(range(instance.num_channels), key=lambda k: (-utils[k], k)))
-    extended = list(profile)
-    for n in range(keep, instance.num_users):
-        count = sum(1 for i in instance.graph.adjacency[n] if picks[i] == picks[n])
-        extended.append(Strategy((picks[n],), optimal_attempt_probability(count)))
-    return tuple(extended)
-
-
-def _channel_scores(
-    user: int,
-    profile: StrategyProfile,
-    instance: Instance,
-    estimates: Optional[Sequence[float]],
-) -> dict[int, float]:
-    utils = instance.utilities[user]
-    if estimates is None:
-        return {
-            k: utils[k] * success_probability(user, k, profile, instance.graph)
-            for k in instance.allowed_channels(user)
-        }
-    return {k: utils[k] * float(estimates[k]) for k in instance.allowed_channels(user)}
+    return profile + allocation_profile(picks, instance)[keep:]
 
 
 def run_br_drm(
@@ -417,29 +399,24 @@ def run_br_drm(
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     rng = rng if rng is not None else np.random.default_rng(0)
-    pending = _sorted_events(events, instance)
-    if initial_profile is not None:
-        validate_profile(initial_profile, instance)
-        profile = initial_profile
-    else:
-        profile = drm_initial_profile(instance)
-    recorder = _Recorder(br_potential)
-    profile = recorder.canonical(profile)
-    recorder.record((), profile, instance)
+    if initial_profile is None:
+        initial_profile = drm_initial_profile(instance)
+    pending, recorder, profile = _begin_run(
+        instance, initial_profile, br_potential, events
+    )
 
-    window: deque[tuple[int, SlotOutcome]] = deque(
+    window: deque[SlotOutcome] = deque(
         maxlen=estimator_config.window if estimator_config else 1
     )
     valid_from = [0] * instance.num_users
     slot_counter = 0
     quiet_run = 0
-    converged_at: Optional[int] = None
-    termination = "max-iters"
 
     for t in range(1, max_iters + 1):
         while pending and pending[0].at_iter == t:
             event = pending.pop(0)
-            profile = recorder.canonical(_extend_profile_drm(profile, event.instance))
+            fresh = drm_initial_profile(event.instance)[len(profile) :]
+            profile = recorder.canonical(profile + fresh)
             instance = event.instance
             recorder.reset_instance_caches()
             window.clear()
@@ -448,20 +425,24 @@ def run_br_drm(
             quiet_run = 0
         if estimator_config is not None:
             for _ in range(estimator_config.slots_per_update):
-                window.append((slot_counter, simulate_slot(profile, instance, rng)))
-                slot_counter += 1
+                window.append(simulate_slot(profile, instance, rng))
+            slot_counter += estimator_config.slots_per_update
         active = select_active(mechanism, instance.graph, rng, step=t - 1)
         switches: dict[int, tuple[int, ...]] = {}
         for n in active:
             estimates = None
             if estimator_config is not None:
+                # slots are numbered consecutively, so the user's valid ones
+                # (simulated since valid_from[n]) are the newest of the window
+                since_flush = slot_counter - valid_from[n]
+                start = max(0, len(window) - since_flush)
+                valid = list(itertools.islice(window, start, None))
                 estimates = [
-                    _estimate_from_window(window, n, k, valid_from[n])
+                    estimate_success_probability(n, k, valid)
                     for k in range(instance.num_channels)
                 ]
-            scores = _channel_scores(n, profile, instance, estimates)
-            ranked = sorted(scores, key=lambda k: (-scores[k], k))
-            br_set = tuple(sorted(ranked[: instance.channels_per_user]))
+            scores = channel_scores(n, profile, instance, estimates)
+            br_set = top_channels(scores, instance.channels_per_user)
             if br_set == profile[n].channels:
                 continue
             current_score = sum(scores[k] for k in profile[n].channels if k in scores)
@@ -481,33 +462,10 @@ def run_br_drm(
             quiet_run += 1
         recorder.record(active, profile, instance)
         if quiet_run >= instance.num_users and not pending:
-            if estimator_config is None:
-                if is_nep_drm(profile, instance, rel_tol).is_nep:
-                    converged_at = t
-                    termination = "converged"
-                    break
-                quiet_run = 0
-            else:
-                converged_at = t
-                termination = "converged"
-                break
-    return recorder.build(converged_at, termination)
-
-
-def _estimate_from_window(
-    window: deque, user: int, channel: int, valid_from: int
-) -> float:
-    total = 0
-    idle = 0
-    for slot_id, outcome in window:
-        if slot_id < valid_from:
-            continue
-        total += 1
-        if not outcome.neighbor_busy[user, channel]:
-            idle += 1
-    if total == 0:
-        raise EstimationError(f"no valid window slots for user {user}")
-    return idle / total
+            if estimator_config is not None or is_nep_drm(profile, instance, rel_tol).is_nep:
+                return recorder.build(t, "converged")
+            quiet_run = 0
+    return recorder.build(None, "max-iters")
 
 
 def run_better_response_replay(
@@ -522,10 +480,7 @@ def run_better_response_replay(
     move raises with the offending step index. The replay stops early when a
     profile repeats, reporting the cycle length.
     """
-    validate_profile(initial_profile, instance)
-    recorder = _Recorder(br_potential)
-    profile = recorder.canonical(initial_profile)
-    recorder.record((), profile, instance)
+    _, recorder, profile = _begin_run(instance, initial_profile, br_potential)
     seen = {profile: 0}
     for step_index, (user, new_channels) in enumerate(move_sequence, start=1):
         if not 0 <= user < instance.num_users:
@@ -552,15 +507,6 @@ def run_better_response_replay(
     return recorder.build(None, "max-iters")
 
 
-def _neighbor_state_key(
-    user: int, profile: StrategyProfile, instance: Instance
-) -> tuple:
-    return tuple(
-        (profile[i].channels, profile[i].attempt_prob)
-        for i in instance.graph.adjacency[user]
-    )
-
-
 def _sticky_best_action(
     user: int,
     profile: StrategyProfile,
@@ -568,19 +514,10 @@ def _sticky_best_action(
     rel_tol: float,
 ) -> FairnessAction:
     current = FairnessAction(profile[user].channels[0], profile[user].attempt_prob)
-    current_value = cooperative_utility(user, current, profile, instance)
-    best_value = -math.inf
-    best_action = current
-    degree = instance.graph.degree(user)
-    for k in range(instance.num_channels):
-        for r in range(1, degree + 2):
-            action = FairnessAction(k, 1.0 / r)
-            value = cooperative_utility(user, action, profile, instance)
-            if value > best_value:
-                best_value = value
-                best_action = action
-    if best_value == -math.inf:
+    best_action, best_value = best_fair_action(user, profile, instance)
+    if best_action is None:
         return current
+    current_value = cooperative_utility(user, current, profile, instance)
     if current_value >= best_value - rel_tol * max(1.0, abs(best_value)):
         return current
     return best_action
@@ -610,24 +547,19 @@ def run_nbrf(
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     rng = rng if rng is not None else np.random.default_rng(0)
-    pending = _sorted_events(events, instance)
-    if initial_profile is not None:
-        validate_profile(initial_profile, instance)
-        profile = initial_profile
-    else:
-        profile = nbrf_initial_profile(instance)
-    recorder = _Recorder(exact_potential)
-    profile = recorder.canonical(profile)
-    recorder.record((), profile, instance)
+    if initial_profile is None:
+        initial_profile = nbrf_initial_profile(instance)
+    pending, recorder, profile = _begin_run(
+        instance, initial_profile, exact_potential, events
+    )
 
-    # Conditional draw distributions depend only on the neighbors' strategies,
-    # so at fixed beta they are cached per (user, neighbor state).
-    fixed_beta = schedule.kind == "fixed-beta"
+    # Conditional draw distributions depend only on beta and the neighbors'
+    # strategies, so they are memoized per (user, neighbor state) while beta(t)
+    # holds still.
     conditional_cache: dict[tuple, tuple[list[FairnessAction], list[float]]] = {}
+    cache_beta: Optional[float] = None
 
     quiet_run = 0
-    converged_at: Optional[int] = None
-    termination = "max-iters"
 
     for t in range(1, max_iters + 1):
         while pending and pending[0].at_iter == t:
@@ -638,6 +570,9 @@ def run_nbrf(
             conditional_cache.clear()
             quiet_run = 0
         beta_t = schedule.beta(t)
+        if beta_t != cache_beta:
+            conditional_cache.clear()
+            cache_beta = beta_t
         frozen = freeze_beta is not None and beta_t >= freeze_beta
         active = select_active(mechanism, instance.graph, rng, step=t - 1)
         replacements: dict[int, FairnessAction] = {}
@@ -646,20 +581,15 @@ def run_nbrf(
             # user can land on attempt probability 1.0 next to a neighbor and
             # leave some third user with no finite-value action at all.  Such
             # a user cannot rank its options this step; it keeps its current
-            # strategy until a neighbor moves away.  Both samplers raise
+            # strategy until a neighbor moves away.  The sampler raises
             # before consuming rng draws, so the stream stays reproducible.
             if frozen:
                 action = _sticky_best_action(n, profile, instance, rel_tol)
-            elif fixed_beta:
+            else:
                 try:
                     action = _sample_cached(
                         n, profile, instance, beta_t, rng, conditional_cache
                     )
-                except DegenerateInstanceError:
-                    continue
-            else:
-                try:
-                    action = sample_noisy_br(n, profile, instance, beta_t, rng)
                 except DegenerateInstanceError:
                     continue
             strat = profile[n]
@@ -681,10 +611,8 @@ def run_nbrf(
             and not pending
             and is_nep_fairness(profile, instance, rel_tol).is_nep
         ):
-            converged_at = t
-            termination = "converged"
-            break
-    return recorder.build(converged_at, termination)
+            return recorder.build(t, "converged")
+    return recorder.build(None, "max-iters")
 
 
 def _sample_cached(
@@ -695,27 +623,22 @@ def _sample_cached(
     rng: np.random.Generator,
     cache: dict,
 ) -> FairnessAction:
-    key = (user, _neighbor_state_key(user, profile, instance))
-    entry = cache.get(key)
-    if entry is None:
+    """sample_noisy_br with its cumulative table memoized in `cache`.
+
+    The key omits beta: the caller clears the cache whenever beta changes.
+    """
+    key = (
+        user,
+        tuple(
+            (profile[i].channels, profile[i].attempt_prob)
+            for i in instance.graph.adjacency[user]
+        ),
+    )
+    table = cache.get(key)
+    if table is None:
         dist = noisy_br_distribution(user, profile, instance, beta)
-        actions: list[FairnessAction] = []
-        cumulative: list[float] = []
-        running = 0.0
-        for action, prob in dist.items():
-            if prob <= 0.0:
-                continue
-            running += prob
-            actions.append(action)
-            cumulative.append(running)
-        entry = (actions, cumulative)
-        cache[key] = entry
-    actions, cumulative = entry
-    draw = rng.random()
-    idx = bisect.bisect_right(cumulative, draw)
-    if idx >= len(actions):
-        idx = len(actions) - 1
-    return actions[idx]
+        table = cache[key] = cumulative_table(dist)
+    return draw_action(table, rng)
 
 
 @lru_cache(maxsize=64)
@@ -759,10 +682,21 @@ def simulate_slot(
     member, probs = _profile_arrays(profile, instance)
     adj, _ = _graph_arrays(instance.graph)
     transmitted = rng.random(instance.num_users) < probs
-    on_air = member & transmitted[:, None]
-    busy = (adj @ on_air.astype(np.float32)) > 0.5
-    success = on_air & ~busy
+    success, busy = _slot_kernel(member, adj, transmitted)
     return SlotOutcome(transmitted, success, busy)
+
+
+def _slot_kernel(
+    member: np.ndarray, adj: np.ndarray, transmitted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Success and neighbor-busy masks, shaped (..., users, channels).
+
+    transmitted holds the transmit coins, shaped (..., users). Busy counts are
+    sums of at most num_users ones in float32, so they are exact.
+    """
+    on_air = member & transmitted[..., None]
+    busy = np.matmul(adj, on_air.astype(np.float32)) > 0.5
+    return on_air & ~busy, busy
 
 
 def simulate_slots(
@@ -784,9 +718,8 @@ def simulate_slots(
     while done < num_slots:
         size = min(batch, num_slots - done)
         transmitted = rng.random((size, n_users)) < probs
-        on_air = member[None, :, :] & transmitted[:, :, None]
-        busy = np.einsum("ui,sik->suk", adj, on_air.astype(np.float32)) > 0.5
-        success_counts += (on_air & ~busy).sum(axis=0)
+        success, busy = _slot_kernel(member, adj, transmitted)
+        success_counts += success.sum(axis=0)
         busy_counts += busy.sum(axis=0)
         done += size
     return success_counts, busy_counts

@@ -11,15 +11,17 @@ long-run profile distribution is the Gibbs measure of the objective.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DegenerateInstanceError
 from .network import (
+    NEP_REL_TOL,
     Instance,
     StrategyProfile,
     Strategy,
@@ -35,6 +37,7 @@ __all__ = [
     "cooperative_utility",
     "exact_potential",
     "optimal_attempt_probability",
+    "allocation_profile",
     "noisy_br_distribution",
     "sample_noisy_br",
     "is_nep_fairness",
@@ -43,7 +46,6 @@ __all__ = [
     "delta_lower_bound",
 ]
 
-NEP_REL_TOL = 1e-9
 GIBBS_CAPACITY = 10**6
 
 
@@ -129,6 +131,24 @@ def optimal_attempt_probability(neighbor_count_on_channel: int) -> float:
     return 1.0 / (neighbor_count_on_channel + 1)
 
 
+def allocation_profile(alloc: Sequence[int], instance: Instance) -> StrategyProfile:
+    """Profile for a channel allocation with best-reply attempt probabilities.
+
+    User n plays alloc[n] at 1/(count+1), count being its neighbors that the
+    allocation puts on the same channel.
+    """
+    adjacency = instance.graph.adjacency
+    return tuple(
+        Strategy(
+            (int(alloc[n]),),
+            optimal_attempt_probability(
+                sum(1 for i in adjacency[n] if alloc[i] == alloc[n])
+            ),
+        )
+        for n in range(instance.num_users)
+    )
+
+
 def _action_grid(user: int, instance: Instance) -> list[FairnessAction]:
     degree = instance.graph.degree(user)
     return [
@@ -136,6 +156,23 @@ def _action_grid(user: int, instance: Instance) -> list[FairnessAction]:
         for k in range(instance.num_channels)
         for r in range(1, degree + 2)
     ]
+
+
+def best_fair_action(
+    user: int, profile: StrategyProfile, instance: Instance
+) -> tuple[Optional[FairnessAction], float]:
+    """First grid action of highest cooperative utility, and that utility.
+
+    (None, -inf) when every grid action is worthless.
+    """
+    best_value = -math.inf
+    best_action = None
+    for action in _action_grid(user, instance):
+        value = cooperative_utility(user, action, profile, instance)
+        if value > best_value:
+            best_value = value
+            best_action = action
+    return best_action, best_value
 
 
 def noisy_br_distribution(
@@ -153,20 +190,54 @@ def noisy_br_distribution(
         raise ValueError("beta must be nonnegative")
     actions = _action_grid(user, instance)
     values = [cooperative_utility(user, a, profile, instance) for a in actions]
+    if beta == 0.0 and any(v > -math.inf for v in values):
+        return dict.fromkeys(actions, 1.0 / len(actions))
+    return _softmax(
+        actions, values, beta, f"user {user} has utility -inf for every available action"
+    )
+
+
+def _softmax(keys: list, values: list[float], beta: float, degenerate: str) -> dict:
+    """Weights exp(beta * value), max-shifted and normalized; -inf gets weight 0.
+
+    Raises DegenerateInstanceError with the given message when every value is
+    -inf.
+    """
     finite = [v for v in values if v > -math.inf]
     if not finite:
-        raise DegenerateInstanceError(
-            f"user {user} has utility -inf for every available action"
-        )
-    if beta == 0.0:
-        weight = 1.0 / len(actions)
-        return {a: weight for a in actions}
+        raise DegenerateInstanceError(degenerate)
     shift = max(finite)
     weights = [
         math.exp(beta * (v - shift)) if v > -math.inf else 0.0 for v in values
     ]
     total = sum(weights)
-    return {a: w / total for a, w in zip(actions, weights)}
+    return {key: w / total for key, w in zip(keys, weights)}
+
+
+def cumulative_table(
+    dist: dict[FairnessAction, float]
+) -> tuple[list[FairnessAction], list[float]]:
+    """The supported actions of a distribution and their running probability sums."""
+    actions: list[FairnessAction] = []
+    cumulative: list[float] = []
+    running = 0.0
+    for action, prob in dist.items():
+        if prob <= 0.0:
+            continue
+        running += prob
+        actions.append(action)
+        cumulative.append(running)
+    return actions, cumulative
+
+
+def draw_action(
+    table: tuple[list[FairnessAction], list[float]], rng: np.random.Generator
+) -> FairnessAction:
+    """Single inverse-CDF draw from a cumulative_table."""
+    actions, cumulative = table
+    idx = bisect.bisect_right(cumulative, rng.random())
+    # rounding fallthrough lands on the final atom
+    return actions[min(idx, len(actions) - 1)]
 
 
 def sample_noisy_br(
@@ -177,18 +248,9 @@ def sample_noisy_br(
     rng: np.random.Generator,
 ) -> FairnessAction:
     """Single inverse-CDF draw from noisy_br_distribution."""
-    dist = noisy_br_distribution(user, profile, instance, beta)
-    draw = rng.random()
-    cumulative = 0.0
-    last_supported = None
-    for action, prob in dist.items():
-        if prob <= 0.0:
-            continue
-        last_supported = action
-        cumulative += prob
-        if draw < cumulative:
-            return action
-    return last_supported  # rounding fallthrough lands on the final atom
+    return draw_action(
+        cumulative_table(noisy_br_distribution(user, profile, instance, beta)), rng
+    )
 
 
 def is_nep_fairness(
@@ -196,9 +258,9 @@ def is_nep_fairness(
 ) -> FairnessNepReport:
     """Check that no user can improve its fair utility unilaterally.
 
-    Candidates per channel are the grid probabilities plus the closed-form
-    optimum 1/(count+1) for that channel (always itself on the grid). The
-    first user able to gain more than the relative tolerance is reported.
+    Candidates are the user's action grid, which holds the closed-form optimum
+    1/(count+1) of every channel. The first user able to gain more than the
+    relative tolerance is reported.
     """
     _require_single_channel(instance)
     for n in range(instance.num_users):
@@ -206,19 +268,8 @@ def is_nep_fairness(
         current = cooperative_utility(
             n, FairnessAction(strat.channels[0], strat.attempt_prob), profile, instance
         )
-        best_value = -math.inf
-        best_action = None
-        degree = instance.graph.degree(n)
-        for k in range(instance.num_channels):
-            count = len(neighbors_on_channel(n, k, profile, instance.graph))
-            candidates = [1.0 / (count + 1)] + [1.0 / r for r in range(1, degree + 2)]
-            for p in candidates:
-                action = FairnessAction(k, p)
-                value = cooperative_utility(n, action, profile, instance)
-                if value > best_value:
-                    best_value = value
-                    best_action = action
-        if best_value == -math.inf:
+        best_action, best_value = best_fair_action(n, profile, instance)
+        if best_action is None:
             continue  # nothing the user does matters; cannot improve
         if current == -math.inf:
             return FairnessNepReport(False, n, best_action, math.inf)
@@ -272,15 +323,7 @@ def gibbs_stationary(
         prof = tuple(Strategy((a.channel,), a.attempt_prob) for a in combo)
         profiles.append(prof)
         values.append(exact_potential(prof, instance))
-    finite = [v for v in values if v > -math.inf]
-    if not finite:
-        raise DegenerateInstanceError("every joint profile has objective -inf")
-    shift = max(finite)
-    weights = [
-        math.exp(beta * (v - shift)) if v > -math.inf else 0.0 for v in values
-    ]
-    total = sum(weights)
-    return {prof: w / total for prof, w in zip(profiles, weights)}
+    return _softmax(profiles, values, beta, "every joint profile has objective -inf")
 
 
 def delta_lower_bound(instance: Instance) -> float:

@@ -31,14 +31,14 @@ from .dynamics import (
     run_nbrf,
     simulate_naive_policy,
 )
-from .errors import CapacityError, ConfigError
+from .errors import ConfigError
 from .fairness import CoolingSchedule, delta_lower_bound, gibbs_stationary, is_nep_fairness
 from .network import (
     Instance,
     InterferenceGraph,
-    Strategy,
     StrategyProfile,
     build_regular_graph,
+    drop_in_disc,
     graph_from_positions,
     make_profile,
 )
@@ -138,6 +138,8 @@ class ExperimentConfig:
             raise ConfigError("config.schedule is required for the nbrf algorithm")
         if algorithm == "nbrf" and estimator is not None:
             raise ConfigError("config.estimator applies only to br-drm")
+        if algorithm != "br-drm" and instance_spec.get("allowed") is not None:
+            raise ConfigError("config.instance.allowed applies only to br-drm")
         if algorithm == "better-response-replay":
             if replay_spec is None:
                 raise ConfigError("config.replay is required for better-response-replay")
@@ -178,7 +180,12 @@ def build_mechanism(spec: dict) -> UpdateMechanism:
                     raise ConfigError(
                         "config.mechanism.update_probs must be a nonempty list"
                     )
-                return UpdateMechanism.probabilistic([float(q) for q in probs])
+                return UpdateMechanism.probabilistic(
+                    [
+                        _as_float(q, f"config.mechanism.update_probs[{i}]")
+                        for i, q in enumerate(probs)
+                    ]
+                )
             return UpdateMechanism.probabilistic(
                 _as_float(spec.get("update_prob", 0.5), "config.mechanism.update_prob")
             )
@@ -330,9 +337,7 @@ def build_instance_and_events(
         )
         if region <= 0 or reach <= 0:
             raise ConfigError(f"{path} radii must be positive")
-        radii = region * np.sqrt(rng.random(final_users))
-        angles = 2.0 * math.pi * rng.random(final_users)
-        positions = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+        positions = drop_in_disc(rng, final_users, region)
 
         def stage_graph(n: int) -> InterferenceGraph:
             return graph_from_positions(positions[:n], reach)
@@ -341,10 +346,7 @@ def build_instance_and_events(
         degree = _as_int(_require(instance_spec, "degree", path), f"{path}.degree", 0)
 
         def stage_graph(n: int) -> InterferenceGraph:
-            try:
-                return build_regular_graph(n, degree)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
+            return build_regular_graph(n, degree)
 
     elif kind == "explicit":
         edges_raw = instance_spec.get("edges", [])
@@ -356,10 +358,7 @@ def build_instance_and_events(
             raise ConfigError(f"{path}.edges must be a list of pairs") from exc
 
         def stage_graph(n: int) -> InterferenceGraph:
-            try:
-                return InterferenceGraph.from_edges(n, edges)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
+            return InterferenceGraph.from_edges(n, edges)
 
     else:
         raise ConfigError(f"{path}.kind {kind!r} is not recognized")
@@ -368,14 +367,24 @@ def build_instance_and_events(
         _require(instance_spec, "utilities", path), final_users, num_channels, rng
     )
     caps = _build_caps(_require(instance_spec, "caps", path), final_users)
-    allowed_raw = instance_spec.get("allowed")
-    allowed = None
-    if allowed_raw is not None:
-        if not isinstance(allowed_raw, list) or len(allowed_raw) != final_users:
-            raise ConfigError(f"{path}.allowed must list {final_users} channel lists")
-        allowed = tuple(tuple(int(k) for k in row) for row in allowed_raw)
+    allowed = instance_spec.get("allowed")
+    if allowed is not None and (
+        not isinstance(allowed, list)
+        or len(allowed) != final_users
+        or any(
+            not isinstance(row, list)
+            or len(row) != num_channels
+            or any(type(b) not in (bool, int) or b not in (0, 1) for b in row)
+            for row in allowed
+        )
+    ):
+        raise ConfigError(
+            f"{path}.allowed must be a {final_users} x {num_channels} "
+            "mask of true/false or 0/1 entries"
+        )
 
     def stage_instance(n: int) -> Instance:
+        # graph builders and Instance both report bad specs as ValueError
         try:
             return Instance(
                 graph=stage_graph(n),
@@ -408,6 +417,7 @@ def _build_replay(
         probs = list(instance.caps)
     if (
         not isinstance(sets, list)
+        or not isinstance(probs, list)
         or len(sets) != instance.num_users
         or len(probs) != instance.num_users
     ):
@@ -456,6 +466,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _sum_log_rate(rates: Sequence[float]) -> float:
+    return sum(math.log(r) if r > 0 else -math.inf for r in rates)
+
+
 def _channel_set_str(channels: Sequence[int]) -> str:
     return "|".join(str(k) for k in channels)
 
@@ -485,6 +499,38 @@ def _naive_trial_rates(
     )
 
 
+def _run_trial(
+    config: ExperimentConfig,
+    instance: Instance,
+    events: tuple[PopulationEvent, ...],
+    rng: np.random.Generator,
+) -> Trajectory:
+    if config.algorithm == "better-response-replay":
+        profile, moves = _build_replay(config.replay_spec, instance)
+        try:
+            return run_better_response_replay(instance, profile, moves)
+        except ValueError as exc:
+            raise ConfigError(f"config.replay: {exc}") from exc
+    if config.algorithm == "br-drm":
+        return run_br_drm(
+            instance,
+            config.mechanism,
+            config.estimator,
+            config.max_iters,
+            rng,
+            events=events,
+        )
+    return run_nbrf(
+        instance,
+        config.mechanism,
+        config.schedule,
+        config.max_iters,
+        rng,
+        freeze_beta=config.freeze_beta,
+        events=events,
+    )
+
+
 def _is_nep_for(profile: StrategyProfile, instance: Instance, algorithm: str) -> bool:
     if algorithm == "nbrf":
         return is_nep_fairness(profile, instance).is_nep
@@ -507,9 +553,7 @@ def _aggregate(
             idx = min(it, len(traj) - 1)
             rates = traj.rates[idx]
             rate_means.append(sum(rates) / len(rates))
-            sum_logs.append(
-                sum(math.log(r) if r > 0 else -math.inf for r in rates)
-            )
+            sum_logs.append(_sum_log_rate(rates))
             profile = traj.profiles[idx]
             instance = traj.instances[idx]
             key = (profile, id(instance))
@@ -542,48 +586,16 @@ def run_experiment(
         config.instance_spec, config.events_spec
     )
     trajectories: list[Optional[Trajectory]] = []
-    naive_rates: Optional[list[tuple[float, ...]]] = None
-
-    if config.algorithm == "better-response-replay":
-        profile, moves = _build_replay(config.replay_spec, instance)
-        try:
-            traj = run_better_response_replay(instance, profile, moves)
-        except ValueError as exc:
-            raise ConfigError(f"config.replay: {exc}") from exc
-        trajectories.append(traj)
-    elif config.algorithm == "naive":
-        naive_rates = []
-        for trial in range(config.trials):
-            rng = _trial_rng(config.seed, trial)
+    naive_rates: Optional[list[tuple[float, ...]]] = (
+        [] if config.algorithm == "naive" else None
+    )
+    for trial in range(config.trials):
+        rng = _trial_rng(config.seed, trial)
+        if naive_rates is not None:
             naive_rates.append(_naive_trial_rates(config, instance, rng))
             trajectories.append(None)
-    elif config.algorithm == "br-drm":
-        for trial in range(config.trials):
-            rng = _trial_rng(config.seed, trial)
-            trajectories.append(
-                run_br_drm(
-                    instance,
-                    config.mechanism,
-                    config.estimator,
-                    config.max_iters,
-                    rng,
-                    events=events,
-                )
-            )
-    else:
-        for trial in range(config.trials):
-            rng = _trial_rng(config.seed, trial)
-            trajectories.append(
-                run_nbrf(
-                    instance,
-                    config.mechanism,
-                    config.schedule,
-                    config.max_iters,
-                    rng,
-                    freeze_beta=config.freeze_beta,
-                    events=events,
-                )
-            )
+        else:
+            trajectories.append(_run_trial(config, instance, events, rng))
 
     oracle_ref: Optional[OracleResult] = None
     if config.oracle_reference:
@@ -598,10 +610,7 @@ def run_experiment(
                 "iter": 0,
                 "mean_rate": sum(mean_rates) / len(mean_rates),
                 "mean_sum_log_rate": (
-                    sum(
-                        sum(math.log(r) if r > 0 else -math.inf for r in rates)
-                        for rates in naive_rates
-                    )
+                    sum(_sum_log_rate(rates) for rates in naive_rates)
                     / len(naive_rates)
                 ),
                 "frac_at_nep": math.nan,
@@ -642,10 +651,6 @@ def _build_manifest(
         if traj is None:
             assert naive_rates is not None
             rates = naive_rates[trial]
-            entry["final_mean_rate"] = sum(rates) / len(rates)
-            entry["final_sum_log_rate"] = sum(
-                math.log(r) if r > 0 else -math.inf for r in rates
-            )
         else:
             rates = traj.rates[-1]
             entry.update(
@@ -654,12 +659,10 @@ def _build_manifest(
                     "termination": traj.termination,
                     "converged_at": traj.converged_at,
                     "cycle_length": traj.cycle_length,
-                    "final_mean_rate": sum(rates) / len(rates),
-                    "final_sum_log_rate": sum(
-                        math.log(r) if r > 0 else -math.inf for r in rates
-                    ),
                 }
             )
+        entry["final_mean_rate"] = sum(rates) / len(rates)
+        entry["final_sum_log_rate"] = _sum_log_rate(rates)
         per_trial.append(entry)
     delta_mode = None
     if config.algorithm == "nbrf" and config.schedule is not None:

@@ -36,6 +36,10 @@ __all__ = [
     "build_regular_graph",
 ]
 
+# Relative slack below which a unilateral improvement does not count, in the
+# equilibrium checks and switching rules of both games.
+NEP_REL_TOL = 1e-9
+
 
 def _neg_log1m(p: float) -> float:
     # log(1/(1-p)); +inf once p reaches 1 (a neighbor that always transmits).
@@ -315,10 +319,17 @@ def build_geometric_graph(
         raise ValueError("num_users must be at least 1")
     if region_radius <= 0 or interference_radius < 0:
         raise ValueError("radii must be positive (interference radius may be 0)")
+    positions = drop_in_disc(rng, num_users, region_radius)
+    return graph_from_positions(positions, interference_radius), positions
+
+
+def drop_in_disc(
+    rng: np.random.Generator, num_users: int, region_radius: float
+) -> np.ndarray:
+    """(num_users, 2) positions drawn uniformly in a disc centered at the origin."""
     radii = region_radius * np.sqrt(rng.random(num_users))
     angles = 2.0 * math.pi * rng.random(num_users)
-    positions = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    return graph_from_positions(positions, interference_radius), positions
+    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
 
 
 def graph_from_positions(

@@ -11,12 +11,19 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .drm import NEP_REL_TOL, is_nep_drm
+from .drm import is_nep_drm
 from .errors import CapacityError, DegenerateInstanceError
-from .fairness import is_nep_fairness, optimal_attempt_probability
-from .network import Instance, Strategy, StrategyProfile, total_expected_rate
+from .fairness import _action_grid, is_nep_fairness
+from .network import (
+    NEP_REL_TOL,
+    Instance,
+    Strategy,
+    StrategyProfile,
+    replace_strategy,
+    total_expected_rate,
+)
 
 __all__ = [
     "OracleResult",
@@ -107,18 +114,6 @@ def exhaustive_sum_log_rate(
     return OracleResult(best_value, tuple(a for a, _ in best), total)
 
 
-def allocation_profile(alloc: Sequence[int], instance: Instance) -> StrategyProfile:
-    """Profile for a channel allocation with best-reply attempt probabilities."""
-    adjacency = instance.graph.adjacency
-    strategies = []
-    for n in range(instance.num_users):
-        count = sum(1 for i in adjacency[n] if alloc[i] == alloc[n])
-        strategies.append(
-            Strategy((int(alloc[n]),), optimal_attempt_probability(count))
-        )
-    return tuple(strategies)
-
-
 def exhaustive_drm_nep_enumeration(
     instance: Instance,
     capacity: int = ORACLE_CAPACITY,
@@ -165,11 +160,8 @@ def exhaustive_fairness_nep_enumeration(
     per_user: list[list[Strategy]] = []
     total = 1
     for n in range(instance.num_users):
-        degree = instance.graph.degree(n)
         options = [
-            Strategy((k,), 1.0 / r)
-            for k in range(instance.num_channels)
-            for r in range(1, degree + 2)
+            Strategy((a.channel,), a.attempt_prob) for a in _action_grid(n, instance)
         ]
         per_user.append(options)
         total *= len(options)
@@ -198,10 +190,8 @@ def brute_force_best_response(
     for combo in itertools.combinations(
         instance.allowed_channels(user), instance.channels_per_user
     ):
-        candidate = (
-            profile[:user]
-            + (Strategy(tuple(combo), profile[user].attempt_prob),)
-            + profile[user + 1 :]
+        candidate = replace_strategy(
+            profile, user, Strategy(combo, profile[user].attempt_prob)
         )
         rate = total_expected_rate(user, candidate, instance)
         if rate > best_rate:

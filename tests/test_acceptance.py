@@ -5,9 +5,12 @@ where the guarantee includes a time budget, asserts the wall clock too.
 Seeds are pinned so every run checks the same ground.
 """
 
+import hashlib
+import json
 import math
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -338,7 +341,11 @@ def test_slot_simulator_tracks_expected_rates():
 
 def test_presets_reproduce_byte_identical_outputs(tmp_path):
     """Rerunning any preset with its stored seed writes byte-identical
-    trajectory, aggregate, and manifest files."""
+    trajectory, aggregate, and manifest files, and their SHA-256 digests
+    match the ones recorded in preset_digests.json. A change that means to
+    alter a preset's outputs records the new digests there."""
+    golden = json.loads((Path(__file__).parent / "preset_digests.json").read_text())
+    assert sorted(golden) == list_presets()
     for name in list_presets():
         config = load_config(name)
         dir_a = tmp_path / name / "a"
@@ -346,7 +353,9 @@ def test_presets_reproduce_byte_identical_outputs(tmp_path):
         run_experiment(config, out_dir=dir_a)
         run_experiment(config, out_dir=dir_b)
         for fname in ("trajectory.csv", "aggregate.csv", "manifest.json"):
-            assert (dir_a / fname).read_bytes() == (dir_b / fname).read_bytes(), (
+            data = (dir_a / fname).read_bytes()
+            assert data == (dir_b / fname).read_bytes(), (name, fname)
+            assert hashlib.sha256(data).hexdigest() == golden[name][fname], (
                 name,
                 fname,
             )

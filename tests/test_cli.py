@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+from spectrumshare import load_preset
 from spectrumshare.cli import main
 
 
@@ -53,6 +54,16 @@ def test_run_invalid_config_file_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(bad)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+    probs = load_preset("fig5-small-nbrf")
+    probs["mechanism"] = {"kind": "probabilistic", "update_probs": [None, 0.5]}
+    replay = load_preset("cycle-demo")
+    replay["replay"]["initial_attempt_probs"] = 0.5
+    for raw in (probs, replay):
+        bad.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(bad)])
+        assert code == 2
+        assert "error: config" in capsys.readouterr().err
 
 
 def test_run_negative_seed_exits_2(capsys):

@@ -70,6 +70,38 @@ def test_config_rejections():
         )
     with pytest.raises(ConfigError):
         cfg(algorithm="better-response-replay")  # replay missing
+    with pytest.raises(ConfigError, match=r"update_probs\[0\]"):
+        cfg(mechanism={"kind": "probabilistic", "update_probs": [None, 0.5]})
+    replay = load_preset("cycle-demo")
+    replay["replay"]["initial_attempt_probs"] = 0.5
+    with pytest.raises(ConfigError, match="config.replay"):
+        run_experiment(ExperimentConfig.from_dict(replay))
+
+
+def test_allowed_mask_parsing_and_scope():
+    instance = dict(BASE["instance"], allowed=[[0, 1], [True, False]])
+    inst, _ = build_instance_and_events(instance)
+    assert inst.allowed == ((False, True), (True, False))
+    for bad in (
+        [[0, 1], [2, 0]],  # not 0/1
+        [[0, 1], [1.0, 0]],  # floats are not mask entries
+        [[0, 1], ["1", 0]],
+        [[0, 1], [1]],  # one entry per channel
+        [[0, 1], 1],
+        [[0, 1]],  # one row per user
+    ):
+        with pytest.raises(ConfigError, match="0/1"):
+            build_instance_and_events(dict(instance, allowed=bad))
+    assert cfg(instance=instance).instance_spec["allowed"] == [[0, 1], [True, False]]
+    # the fairness game and the baselines ignore the mask, so they reject it
+    with pytest.raises(ConfigError, match="allowed applies only to br-drm"):
+        cfg(
+            algorithm="nbrf",
+            schedule={"kind": "logarithmic", "delta": 1.0},
+            instance=instance,
+        )
+    with pytest.raises(ConfigError, match="allowed applies only to br-drm"):
+        cfg(algorithm="naive", instance=instance)
 
 
 def test_build_mechanism_and_schedule_and_estimator():
