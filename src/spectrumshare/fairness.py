@@ -115,8 +115,15 @@ def cooperative_utility(
 def exact_potential(profile: StrategyProfile, instance: Instance) -> float:
     """Sum of log expected rates; -inf if any user's rate is zero."""
     _require_single_channel(instance)
+    return _log_rate_sum(range(instance.num_users), profile, instance)
+
+
+def _log_rate_sum(
+    users: Sequence[int], profile: StrategyProfile, instance: Instance
+) -> float:
+    """Sum of the users' log expected rates; -inf as soon as one rate is zero."""
     total = 0.0
-    for n in range(instance.num_users):
+    for n in users:
         rate = total_expected_rate(n, profile, instance)
         if rate <= 0.0:
             return -math.inf
@@ -286,14 +293,8 @@ def per_channel_sum_log_rate(
     _require_single_channel(instance)
     if not 0 <= channel < instance.num_channels:
         raise ValueError(f"channel index {channel} out of range")
-    total = 0.0
-    for n, strat in enumerate(profile):
-        if channel in strat.channels:
-            rate = total_expected_rate(n, profile, instance)
-            if rate <= 0.0:
-                return -math.inf
-            total += math.log(rate)
-    return total
+    users = [n for n, strat in enumerate(profile) if channel in strat.channels]
+    return _log_rate_sum(users, profile, instance)
 
 
 def gibbs_stationary(

@@ -11,7 +11,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .drm import is_nep_drm
 from .errors import CapacityError, DegenerateInstanceError
@@ -114,6 +114,19 @@ def exhaustive_sum_log_rate(
     return OracleResult(best_value, tuple(a for a, _ in best), total)
 
 
+def _enumerate_equilibria(
+    per_user: list[list[Strategy]],
+    capacity: int,
+    is_nep: Callable[[StrategyProfile], bool],
+) -> tuple[StrategyProfile, ...]:
+    total = math.prod(len(options) for options in per_user)
+    if total > capacity:
+        raise CapacityError(
+            f"{total} profiles exceed the enumeration capacity of {capacity}"
+        )
+    return tuple(p for p in itertools.product(*per_user) if is_nep(p))
+
+
 def exhaustive_drm_nep_enumeration(
     instance: Instance,
     capacity: int = ORACLE_CAPACITY,
@@ -124,29 +137,18 @@ def exhaustive_drm_nep_enumeration(
     Attempt probabilities are pinned at the caps; the search runs over every
     combination of per-user channel sets.
     """
-    per_user: list[list[tuple[int, ...]]] = []
-    total = 1
-    for n in range(instance.num_users):
-        options = [
-            tuple(c)
-            for c in itertools.combinations(
+    per_user = [
+        [
+            Strategy(chans, instance.caps[n])
+            for chans in itertools.combinations(
                 instance.allowed_channels(n), instance.channels_per_user
             )
         ]
-        per_user.append(options)
-        total *= len(options)
-        if total > capacity:
-            raise CapacityError(
-                f"profile space exceeds the oracle capacity of {capacity}"
-            )
-    results = []
-    for combo in itertools.product(*per_user):
-        profile = tuple(
-            Strategy(chans, instance.caps[n]) for n, chans in enumerate(combo)
-        )
-        if is_nep_drm(profile, instance, rel_tol).is_nep:
-            results.append(profile)
-    return tuple(results)
+        for n in range(instance.num_users)
+    ]
+    return _enumerate_equilibria(
+        per_user, capacity, lambda p: is_nep_drm(p, instance, rel_tol).is_nep
+    )
 
 
 def exhaustive_fairness_nep_enumeration(
@@ -157,23 +159,13 @@ def exhaustive_fairness_nep_enumeration(
     """All pure equilibria of the fairness game over the discrete action grid."""
     if instance.channels_per_user != 1:
         raise ValueError("fairness enumeration requires single-channel selection")
-    per_user: list[list[Strategy]] = []
-    total = 1
-    for n in range(instance.num_users):
-        options = [
-            Strategy((a.channel,), a.attempt_prob) for a in _action_grid(n, instance)
-        ]
-        per_user.append(options)
-        total *= len(options)
-        if total > capacity:
-            raise CapacityError(
-                f"action space exceeds the enumeration capacity of {capacity}"
-            )
-    results = []
-    for combo in itertools.product(*per_user):
-        if is_nep_fairness(combo, instance, rel_tol).is_nep:
-            results.append(combo)
-    return tuple(results)
+    per_user = [
+        [Strategy((a.channel,), a.attempt_prob) for a in _action_grid(n, instance)]
+        for n in range(instance.num_users)
+    ]
+    return _enumerate_equilibria(
+        per_user, capacity, lambda p: is_nep_fairness(p, instance, rel_tol).is_nep
+    )
 
 
 def brute_force_best_response(
