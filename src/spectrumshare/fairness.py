@@ -244,7 +244,7 @@ def draw_action(
     actions, cumulative = table
     idx = bisect.bisect_right(cumulative, rng.random())
     # rounding fallthrough lands on the final atom
-    return actions[min(idx, len(actions) - 1)]
+    return actions[idx] if idx < len(actions) else actions[-1]
 
 
 def sample_noisy_br(
