@@ -1,5 +1,6 @@
 """Update mechanisms, trajectories, replay, annealing, slot simulation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from spectrumshare import (
     total_expected_rate,
 )
 from spectrumshare.errors import EstimationError
+from spectrumshare.harness import build_instance_and_events
 
 from conftest import random_drm_instance, random_graph
 
@@ -302,6 +304,39 @@ def test_estimator_driven_run_settles_on_equilibrium():
     # estimation noise keeps strict convergence claims off the table; the
     # final profile should still be an exact equilibrium here
     assert is_nep_drm(traj.profiles[-1], inst).is_nep
+
+
+# Every preset runs window == slots_per_update == 100 with flushing, so the
+# preset digests miss partial windows, windows shorter than one batch, and
+# windows that outlive a neighbor's switch. These digests pin those runs.
+WINDOW_SHAPE_DIGESTS = {
+    (70, 30, True): "1ea3c223cab437abde91cc1ba36a18a3b95d89a87c6ed6fa8a5ccb06758a9154",
+    (50, 80, True): "99bddcda36f62475e9d1fb4e939157c151d2f7f775484e3586220542252a50c3",
+    (100, 100, False): "ade165e7b0416f75dc53b3a88b9d99ae18b31259b541e63ee83a20e679e9fa0f",
+}
+
+
+@pytest.mark.parametrize("window,slots,flush", sorted(WINDOW_SHAPE_DIGESTS))
+def test_estimator_window_shapes_reproduce_recorded_trajectories(window, slots, flush):
+    spec = {
+        "kind": "geometric", "num_users": 14, "num_channels": 4,
+        "channels_per_user": 2, "region_radius": 4.0, "interference_radius": 2.0,
+        "graph_seed": 3,
+        "utilities": {"kind": "uniform", "low": 50.0, "high": 150.0},
+        "caps": {"kind": "explicit", "values": [0.7, 0.3] * 9},
+    }
+    inst, events = build_instance_and_events(spec, [{"at_iter": 25, "num_users": 18}])
+    traj = run_br_drm(
+        inst, UpdateMechanism.backoff(),
+        EstimatorConfig(window, slots, flush_on_neighbor_update=flush),
+        max_iters=60, rng=np.random.default_rng(11), events=events,
+    )
+    digest = hashlib.sha256()
+    for profile, potential in zip(traj.profiles, traj.potentials):
+        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
+        digest.update(potential.hex().encode())
+    assert len(traj) == 61 and traj.instances[-1].num_users == 18
+    assert digest.hexdigest() == WINDOW_SHAPE_DIGESTS[(window, slots, flush)]
 
 
 def test_estimate_success_probability_counts_idle_slots():
