@@ -13,8 +13,6 @@ neighbors' strategies.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -405,9 +403,7 @@ def run_br_drm(
         instance, initial_profile, br_potential, events
     )
 
-    window: deque[SlotOutcome] = deque(
-        maxlen=estimator_config.window if estimator_config else 1
-    )
+    window: Optional[np.ndarray] = None  # busy masks, (slots, users, channels)
     valid_from = [0] * instance.num_users
     slot_counter = 0
     quiet_run = 0
@@ -419,13 +415,15 @@ def run_br_drm(
             profile = recorder.canonical(profile + fresh)
             instance = event.instance
             recorder.reset_instance_caches()
-            window.clear()
+            window = None
             valid_from = [0] * instance.num_users
             slot_counter = 0
             quiet_run = 0
         if estimator_config is not None:
-            for _ in range(estimator_config.slots_per_update):
-                window.append(simulate_slot(profile, instance, rng))
+            busy = _draw_slots(profile, instance, estimator_config.slots_per_update, rng)[2]
+            if window is not None:
+                busy = np.concatenate((window, busy))
+            window = busy[-estimator_config.window :]
             slot_counter += estimator_config.slots_per_update
         active = select_active(mechanism, instance.graph, rng, step=t - 1)
         switches: dict[int, tuple[int, ...]] = {}
@@ -434,13 +432,8 @@ def run_br_drm(
             if estimator_config is not None:
                 # slots are numbered consecutively, so the user's valid ones
                 # (simulated since valid_from[n]) are the newest of the window
-                since_flush = slot_counter - valid_from[n]
-                start = max(0, len(window) - since_flush)
-                valid = list(itertools.islice(window, start, None))
-                estimates = [
-                    estimate_success_probability(n, k, valid)
-                    for k in range(instance.num_channels)
-                ]
+                valid = min(len(window), slot_counter - valid_from[n])
+                estimates = estimate_success_probability(n, window[len(window) - valid :])
             scores = channel_scores(n, profile, instance, estimates)
             br_set = top_channels(scores, instance.channels_per_user)
             if br_set == profile[n].channels:
@@ -648,16 +641,30 @@ def _graph_arrays(graph: InterferenceGraph) -> tuple[np.ndarray, tuple[np.ndarra
     return mat, nbr_arrays
 
 
-def _profile_arrays(
-    profile: StrategyProfile, instance: Instance
-) -> tuple[np.ndarray, np.ndarray]:
+def _draw_slots(
+    profile: StrategyProfile,
+    instance: Instance,
+    num_slots: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transmit, success and neighbor-busy masks for num_slots slots.
+
+    Shapes are (slots, users) and (slots, users, channels). One transmit coin
+    per user and slot covers all its channels; one rng.random((S, N)) call
+    draws the same stream as S calls of rng.random(N). Busy counts are sums of
+    at most num_users ones in float32, so they are exact.
+    """
     n_users = instance.num_users
     member = np.zeros((n_users, instance.num_channels), dtype=bool)
     probs = np.empty(n_users)
     for n, strat in enumerate(profile):
         member[n, list(strat.channels)] = True
         probs[n] = strat.attempt_prob
-    return member, probs
+    adj, _ = _graph_arrays(instance.graph)
+    transmitted = rng.random((num_slots, n_users)) < probs
+    on_air = member & transmitted[..., None]
+    busy = np.matmul(adj, on_air.astype(np.float32)) > 0.5
+    return transmitted, on_air & ~busy, busy
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,24 +686,8 @@ def simulate_slot(
     profile: StrategyProfile, instance: Instance, rng: np.random.Generator
 ) -> SlotOutcome:
     """Simulate one slot: a single transmit coin per user covers all its channels."""
-    member, probs = _profile_arrays(profile, instance)
-    adj, _ = _graph_arrays(instance.graph)
-    transmitted = rng.random(instance.num_users) < probs
-    success, busy = _slot_kernel(member, adj, transmitted)
-    return SlotOutcome(transmitted, success, busy)
-
-
-def _slot_kernel(
-    member: np.ndarray, adj: np.ndarray, transmitted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Success and neighbor-busy masks, shaped (..., users, channels).
-
-    transmitted holds the transmit coins, shaped (..., users). Busy counts are
-    sums of at most num_users ones in float32, so they are exact.
-    """
-    on_air = member & transmitted[..., None]
-    busy = np.matmul(adj, on_air.astype(np.float32)) > 0.5
-    return on_air & ~busy, busy
+    transmitted, success, busy = _draw_slots(profile, instance, 1, rng)
+    return SlotOutcome(transmitted[0], success[0], busy[0])
 
 
 def simulate_slots(
@@ -708,20 +699,15 @@ def simulate_slots(
     """Vectorized slot batch; returns per-(user, channel) success and busy counts."""
     if num_slots < 0:
         raise ValueError("num_slots must be nonnegative")
-    member, probs = _profile_arrays(profile, instance)
-    adj, _ = _graph_arrays(instance.graph)
-    n_users, n_channels = member.shape
+    n_users, n_channels = instance.num_users, instance.num_channels
     success_counts = np.zeros((n_users, n_channels), dtype=np.int64)
     busy_counts = np.zeros((n_users, n_channels), dtype=np.int64)
     batch = max(1, min(num_slots, 4_000_000 // max(1, n_users * n_channels)))
-    done = 0
-    while done < num_slots:
-        size = min(batch, num_slots - done)
-        transmitted = rng.random((size, n_users)) < probs
-        success, busy = _slot_kernel(member, adj, transmitted)
+    for start in range(0, num_slots, batch):
+        size = min(batch, num_slots - start)
+        _, success, busy = _draw_slots(profile, instance, size, rng)
         success_counts += success.sum(axis=0)
         busy_counts += busy.sum(axis=0)
-        done += size
     return success_counts, busy_counts
 
 
@@ -761,11 +747,13 @@ def simulate_naive_policy(
     return successes
 
 
-def estimate_success_probability(
-    user: int, channel: int, window: Sequence[SlotOutcome]
-) -> float:
-    """Fraction of window slots in which no neighbor transmitted on the channel."""
-    if len(window) == 0:
+def estimate_success_probability(user: int, busy: np.ndarray) -> np.ndarray:
+    """Per-channel fraction of slots in which no neighbor of `user` transmitted.
+
+    busy holds neighbor-busy masks shaped (slots, users, channels), as
+    SlotOutcome.neighbor_busy stacks; the result has one entry per channel.
+    """
+    slots = len(busy)
+    if slots == 0:
         raise EstimationError("cannot estimate from an empty window")
-    idle = sum(1 for outcome in window if not outcome.neighbor_busy[user, channel])
-    return idle / len(window)
+    return (slots - np.count_nonzero(busy[:, user], axis=0)) / slots

@@ -61,7 +61,14 @@ __all__ = [
     "list_presets",
 ]
 
-ALGORITHMS = ("br-drm", "nbrf", "naive", "better-response-replay")
+# The optional config keys each algorithm reads. It would silently ignore the
+# others, so it rejects them instead.
+ALGORITHM_KEYS = {
+    "br-drm": ("estimator", "events", "instance.allowed", "mechanism"),
+    "nbrf": ("events", "mechanism", "schedule", "freeze_beta"),
+    "naive": ("naive",),
+    "better-response-replay": ("replay",),
+}
 
 
 def _require(mapping: dict, key: str, path: str) -> Any:
@@ -109,9 +116,9 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         algorithm = _require(raw, "algorithm", "config")
-        if algorithm not in ALGORITHMS:
+        if algorithm not in ALGORITHM_KEYS:
             raise ConfigError(
-                f"config.algorithm must be one of {', '.join(ALGORITHMS)}"
+                f"config.algorithm must be one of {', '.join(ALGORITHM_KEYS)}"
             )
         trials = _as_int(raw.get("trials", 1), "config.trials", minimum=1)
         max_iters = _as_int(raw.get("max_iters", 200), "config.max_iters", minimum=0)
@@ -136,10 +143,11 @@ class ExperimentConfig:
         naive_spec = raw.get("naive")
         if algorithm == "nbrf" and schedule is None:
             raise ConfigError("config.schedule is required for the nbrf algorithm")
-        if algorithm == "nbrf" and estimator is not None:
-            raise ConfigError("config.estimator applies only to br-drm")
-        if algorithm != "br-drm" and instance_spec.get("allowed") is not None:
-            raise ConfigError("config.instance.allowed applies only to br-drm")
+        for key in sorted(set().union(*ALGORITHM_KEYS.values())):
+            value = instance_spec.get("allowed") if key == "instance.allowed" else raw.get(key)
+            if value not in (None, []) and key not in ALGORITHM_KEYS[algorithm]:
+                readers = [a for a, keys in ALGORITHM_KEYS.items() if key in keys]
+                raise ConfigError(f"config.{key} applies only to {' and '.join(readers)}")
         if algorithm == "better-response-replay":
             if replay_spec is None:
                 raise ConfigError("config.replay is required for better-response-replay")

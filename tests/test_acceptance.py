@@ -328,11 +328,13 @@ def test_slot_simulator_tracks_expected_rates():
     sums: dict[tuple[int, int], float] = {}
     n_windows = 500
     for _ in range(n_windows):
-        window = [simulate_slot(profile, instance, wrng) for _ in range(100)]
+        window = np.stack(
+            [simulate_slot(profile, instance, wrng).neighbor_busy for _ in range(100)]
+        )
         for n in range(instance.num_users):
+            est = estimate_success_probability(n, window)
             for k in profile[n].channels:
-                est = estimate_success_probability(n, k, window)
-                sums[(n, k)] = sums.get((n, k), 0.0) + est
+                sums[(n, k)] = sums.get((n, k), 0.0) + est[k]
     for (n, k), total in sums.items():
         truth = success_probability(n, k, profile, instance.graph)
         assert abs(total / n_windows - truth) < 0.01

@@ -34,6 +34,7 @@ from spectrumshare import (
     success_probability,
     total_expected_rate,
 )
+from spectrumshare.dynamics import _draw_slots
 from spectrumshare.errors import EstimationError
 from spectrumshare.harness import build_instance_and_events
 
@@ -340,17 +341,25 @@ def test_estimator_window_shapes_reproduce_recorded_trajectories(window, slots, 
 
 
 def test_estimate_success_probability_counts_idle_slots():
-    class Outcome:
-        def __init__(self, busy):
-            self.neighbor_busy = busy
-
-    busy = np.zeros((2, 2), dtype=bool)
-    busy[0, 1] = True
-    window = [Outcome(busy), Outcome(np.zeros((2, 2), dtype=bool))]
-    assert estimate_success_probability(0, 1, window) == 0.5
-    assert estimate_success_probability(0, 0, window) == 1.0
+    busy = np.zeros((2, 2, 2), dtype=bool)  # (slots, users, channels)
+    busy[0, 0, 1] = True
+    estimates = estimate_success_probability(0, busy)
+    assert estimates[1] == 0.5
+    assert estimates[0] == 1.0
     with pytest.raises(EstimationError):
-        estimate_success_probability(0, 0, [])
+        estimate_success_probability(0, busy[:0])
+
+
+def test_draw_slots_matches_slot_by_slot_stream():
+    inst = cycle_instance()
+    prof = make_profile([[0, 1], [1, 2]], [0.6, 0.4])
+    batch_rng, slot_rng = np.random.default_rng(50), np.random.default_rng(50)
+    transmitted, success, busy = _draw_slots(prof, inst, 64, batch_rng)
+    outcomes = [simulate_slot(prof, inst, slot_rng) for _ in range(64)]
+    np.testing.assert_array_equal(transmitted, [o.transmitted for o in outcomes])
+    np.testing.assert_array_equal(success, [o.success for o in outcomes])
+    np.testing.assert_array_equal(busy, [o.neighbor_busy for o in outcomes])
+    assert batch_rng.bit_generator.state == slot_rng.bit_generator.state
 
 
 def test_simulate_slot_success_requires_clear_air():

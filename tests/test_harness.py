@@ -72,6 +72,26 @@ def test_config_rejections():
         cfg(algorithm="better-response-replay")  # replay missing
     with pytest.raises(ConfigError, match=r"update_probs\[0\]"):
         cfg(mechanism={"kind": "probabilistic", "update_probs": [None, 0.5]})
+    # keys the chosen algorithm would silently ignore are rejected
+    events = [{"at_iter": 5, "num_users": 3}]
+    with pytest.raises(ConfigError, match="events applies only to br-drm and nbrf"):
+        cfg(algorithm="naive", events=events)
+    with pytest.raises(ConfigError, match="estimator applies only to br-drm"):
+        cfg(algorithm="naive", estimator={"kind": "windowed"})
+    for key, value in (("events", events), ("estimator", {"kind": "windowed"})):
+        with pytest.raises(ConfigError, match=f"{key} applies only to br-drm"):
+            ExperimentConfig.from_dict(dict(load_preset("cycle-demo"), **{key: value}))
+    with pytest.raises(ConfigError, match="schedule applies only to nbrf"):
+        cfg(schedule={"kind": "logarithmic", "delta": 1.0})
+    with pytest.raises(ConfigError, match="freeze_beta applies only to nbrf"):
+        cfg(freeze_beta=5.5)
+    with pytest.raises(ConfigError, match="mechanism applies only to br-drm and nbrf"):
+        cfg(algorithm="naive", mechanism={"kind": "sweep-sequential"})
+    with pytest.raises(ConfigError, match="naive applies only to naive"):
+        cfg(naive={"num_slots": 100})
+    with pytest.raises(ConfigError, match="replay applies only to better-response-replay"):
+        cfg(algorithm="naive", replay=load_preset("cycle-demo")["replay"])
+    assert cfg(algorithm="naive", events=[]).events_spec == ()
     replay = load_preset("cycle-demo")
     replay["replay"]["initial_attempt_probs"] = 0.5
     with pytest.raises(ConfigError, match="config.replay"):
