@@ -16,11 +16,14 @@ from spectrumshare import (
     br_potential_upper_bound,
     efficiency_bound,
     is_nep_drm,
+    log_interference,
     make_profile,
     naive_expected_rate,
     replace_strategy,
+    success_probability,
     total_expected_rate,
 )
+from spectrumshare.drm import channel_scores
 
 from conftest import random_drm_instance, random_drm_profile
 
@@ -143,6 +146,41 @@ def test_nep_reports_match_exhaustive_deviation_scan():
             if improvable:
                 break
         assert report.is_nep == (not improvable)
+
+
+def test_scores_potential_and_nep_gain_equal_their_scalar_formulas():
+    # Exact equality, not approx: the per-user scans must reproduce the
+    # per-channel closed forms bit for bit.
+    rng = np.random.default_rng(41)
+    violations = 0
+    for _ in range(60):
+        inst = random_drm_instance(rng)
+        prof = random_drm_profile(inst, rng)
+        for n in range(inst.num_users):
+            assert channel_scores(n, prof, inst) == {
+                k: inst.utilities[n][k] * success_probability(n, k, prof, inst.graph)
+                for k in range(inst.num_channels)
+            }
+        want = 0.0
+        for n, strat in enumerate(prof):
+            inner = 0.0
+            for k in strat.channels:
+                inner += math.log(inst.utilities[n][k]) - 0.5 * log_interference(
+                    n, k, prof, inst.graph
+                )
+            want += -math.log1p(-inst.caps[n]) * inner
+        assert br_potential(prof, inst) == want
+        report = is_nep_drm(prof, inst)
+        if not report.is_nep:
+            violations += 1
+            n = report.violating_user
+            switched = replace_strategy(
+                prof, n, Strategy(report.improving_channels, prof[n].attempt_prob)
+            )
+            assert report.rate_gain == total_expected_rate(
+                n, switched, inst
+            ) - total_expected_rate(n, prof, inst)
+    assert violations > 10
 
 
 def test_efficiency_bound_values():

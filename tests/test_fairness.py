@@ -25,6 +25,7 @@ from spectrumshare import (
     sample_noisy_br,
 )
 from spectrumshare.errors import DegenerateInstanceError
+from spectrumshare.fairness import _action_grid, best_fair_action
 
 from conftest import random_fairness_instance, random_fairness_profile
 
@@ -175,6 +176,50 @@ def test_is_nep_fairness_accepts_balanced_split():
     report = is_nep_fairness(prof, inst)
     assert not report.is_nep
     assert report.best_action.channel == 1
+
+
+def _reference_softmax(actions, values, beta):
+    finite = [v for v in values if v > -math.inf]
+    if not finite:
+        return None
+    if beta == 0.0:
+        return dict.fromkeys(actions, 1.0 / len(actions))
+    shift = max(finite)
+    weights = [math.exp(beta * (v - shift)) if v > -math.inf else 0.0 for v in values]
+    total = 0.0
+    for w in weights:
+        total += w
+    return {a: w / total for a, w in zip(actions, weights)}
+
+
+def test_grid_scans_equal_scalar_cooperative_utility():
+    # Exact equality, not approx: the per-user grid scans must reproduce
+    # cooperative_utility action by action, bit for bit.
+    rng = np.random.default_rng(43)
+    for trial in range(40):
+        inst = random_fairness_instance(rng)
+        prof = random_fairness_profile(inst, rng, continuous=trial % 2 == 1)
+        for n in range(inst.num_users):
+            grid = _action_grid(n, inst)
+            values = [cooperative_utility(n, a, prof, inst) for a in grid]
+            best = max(values)
+            first = grid[values.index(best)] if best > -math.inf else None
+            assert best_fair_action(n, prof, inst) == (first, best)
+            for beta in (0.0, 0.7, 3.0):
+                want = _reference_softmax(grid, values, beta)
+                if want is None:
+                    with pytest.raises(DegenerateInstanceError):
+                        noisy_br_distribution(n, prof, inst, beta)
+                else:
+                    assert noisy_br_distribution(n, prof, inst, beta) == want
+        report = is_nep_fairness(prof, inst)
+        if not report.is_nep and report.utility_gain < math.inf:
+            n = report.violating_user
+            strat = prof[n]
+            current = FairnessAction(strat.channels[0], strat.attempt_prob)
+            assert report.utility_gain == best_fair_action(n, prof, inst)[
+                1
+            ] - cooperative_utility(n, current, prof, inst)
 
 
 def test_gibbs_stationary_ratio_law():
