@@ -17,15 +17,15 @@ from typing import Optional, Sequence
 
 from .network import (
     NEP_REL_TOL,
+    NO_LOAD,
     Instance,
-    Strategy,
     StrategyProfile,
     _neg_log1m,
-    log_interference,
-    replace_strategy,
-    success_probability,
-    total_expected_rate,
+    channel_load,
+    rate_from_load,
 )
+# unused; perfbench/tracing.py patches them
+from .network import log_interference, success_probability
 
 __all__ = [
     "DrmNepReport",
@@ -60,9 +60,9 @@ def channel_scores(
     """
     utils = instance.utilities[user]
     if success_estimates is None:
+        load = channel_load(user, profile, instance.graph)
         return {
-            k: utils[k] * success_probability(user, k, profile, instance.graph)
-            for k in instance.allowed_channels(user)
+            k: utils[k] * load.get(k, NO_LOAD)[1] for k in instance.allowed_channels(user)
         }
     return {
         k: utils[k] * float(success_estimates[k]) for k in instance.allowed_channels(user)
@@ -107,11 +107,12 @@ def br_potential(profile: StrategyProfile, instance: Instance) -> float:
     total = 0.0
     for n, strat in enumerate(profile):
         mult = _neg_log1m(instance.caps[n])
+        load = channel_load(n, profile, instance.graph)
         inner = 0.0
         for k in strat.channels:
             u = instance.utilities[n][k]
             log_u = math.log(u) if u > 0.0 else -math.inf
-            inner += log_u - 0.5 * log_interference(n, k, profile, instance.graph)
+            inner += log_u - 0.5 * load.get(k, NO_LOAD)[2]
         if mult == math.inf and inner == 0.0:
             continue  # 0 * inf: treat the user as contributing nothing
         total += mult * inner
@@ -137,26 +138,24 @@ def br_potential_upper_bound(instance: Instance) -> float:
     return total
 
 
-def is_nep_drm(
-    profile: StrategyProfile, instance: Instance, rel_tol: float = NEP_REL_TOL
-) -> DrmNepReport:
+def is_nep_drm(profile: StrategyProfile, instance: Instance) -> DrmNepReport:
     """Check that no user can improve its rate by switching channel sets.
 
-    Assumes every user plays at its cap. Improvements within rel_tol (relative
-    to the larger rate) do not count as violations; the first violating user
-    found is reported with its best-response set and the rate gain.
+    Assumes every user plays at its cap. Improvements within NEP_REL_TOL
+    (relative to the larger rate) do not count as violations; the first
+    violating user found is reported with its best-response set and the rate
+    gain, both sets priced from one channel_load.
     """
-    for n in range(instance.num_users):
-        current = total_expected_rate(n, profile, instance)
-        br_set = best_response_drm(n, profile, instance)
-        if br_set == profile[n].channels:
+    for n, strat in enumerate(profile):
+        load = channel_load(n, profile, instance.graph)
+        clearances = [load.get(k, NO_LOAD)[1] for k in range(instance.num_channels)]
+        br_set = best_response_drm(n, profile, instance, clearances)
+        if br_set == strat.channels:
             continue
-        candidate = replace_strategy(
-            profile, n, Strategy(br_set, profile[n].attempt_prob)
-        )
-        best = total_expected_rate(n, candidate, instance)
+        current = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
+        best = rate_from_load(strat.attempt_prob, instance.utilities[n], br_set, load)
         gain = best - current
-        if gain > rel_tol * max(best, current):
+        if gain > NEP_REL_TOL * max(best, current):
             return DrmNepReport(False, n, br_set, gain)
     return DrmNepReport(True)
 

@@ -40,6 +40,7 @@ from .network import (
     InterferenceGraph,
     Strategy,
     StrategyProfile,
+    left_sum,
     replace_strategy,
     total_expected_rate,
     validate_profile,
@@ -72,27 +73,23 @@ class UpdateMechanism:
     is active iff its draw beats every neighbor's (ties toward the lower
     index), so the active set is independent in the interference graph.
     kind "probabilistic": each user is active independently with its entry of
-    update_probs (scalar or per-user); neighbors may both be active.
+    update_probs (one shared, or per user of the final population, each stage
+    using its prefix); neighbors may both be active.
     kind "sweep-sequential": exactly one user per updating time, round robin.
     """
 
     kind: str
     backoff_bound: float = 1.0
-    update_probs: Union[float, tuple[float, ...]] = 0.5
+    update_probs: tuple[float, ...] = (0.5,)
 
     def __post_init__(self) -> None:
         if self.kind not in ("backoff", "probabilistic", "sweep-sequential"):
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         if self.kind == "backoff" and not self.backoff_bound > 0:
             raise ValueError("backoff_bound must be positive")
+        object.__setattr__(self, "update_probs", tuple(float(q) for q in self.update_probs))
         if self.kind == "probabilistic":
-            probs = self.update_probs
-            if isinstance(probs, (int, float)):
-                probs_seq = (float(probs),)
-            else:
-                probs_seq = tuple(float(q) for q in probs)
-                object.__setattr__(self, "update_probs", probs_seq)
-            for q in probs_seq:
+            for q in self.update_probs:
                 # q = 1 is the everyone-updates-every-time chain
                 if not 0.0 < q <= 1.0:
                     raise ValueError("update probabilities must lie in (0, 1]")
@@ -103,7 +100,7 @@ class UpdateMechanism:
 
     @classmethod
     def probabilistic(cls, update_probs: Union[float, Sequence[float]] = 0.5) -> "UpdateMechanism":
-        return cls("probabilistic", update_probs=update_probs)
+        return cls("probabilistic", update_probs=np.atleast_1d(update_probs))
 
     @classmethod
     def sweep_sequential(cls) -> "UpdateMechanism":
@@ -122,12 +119,9 @@ def select_active(
         return (step % n_users,)
     if mechanism.kind == "probabilistic":
         probs = mechanism.update_probs
-        if isinstance(probs, tuple) and len(probs) > 1:
-            if len(probs) != n_users:
-                raise ValueError("per-user update_probs length must equal num_users")
-            q = np.array(probs)
-        else:
-            q = float(probs[0]) if isinstance(probs, tuple) else float(probs)
+        if not (len(probs) == 1 or len(probs) >= n_users):
+            raise ValueError("per-user update_probs must cover every user")
+        q = probs[0] if len(probs) == 1 else np.array(probs[:n_users])
         draws = rng.random(n_users)
         return tuple(int(n) for n in np.flatnonzero(draws < q))
     draws = rng.random(n_users) * mechanism.backoff_bound
@@ -381,14 +375,13 @@ def run_br_drm(
     *,
     initial_profile: Optional[StrategyProfile] = None,
     events: Sequence[PopulationEvent] = (),
-    rel_tol: float = NEP_REL_TOL,
 ) -> Trajectory:
     """Best-response play for the rate-maximization game.
 
     Active users simultaneously recompute their best channel sets against the
     pre-step profile, using exact clearance probabilities or windowed
     estimates per estimator_config. A user switches only on a strict score
-    improvement (beyond rel_tol), so exact-mode runs cannot oscillate between
+    improvement (beyond NEP_REL_TOL), so exact-mode runs cannot oscillate between
     tied sets. Convergence is declared after a full quiet pass (num_users
     consecutive updating times without a change), confirmed by an equilibrium
     check in exact mode; estimator mode treats the quiet pass itself as
@@ -438,9 +431,9 @@ def run_br_drm(
             br_set = top_channels(scores, instance.channels_per_user)
             if br_set == profile[n].channels:
                 continue
-            current_score = sum(scores[k] for k in profile[n].channels if k in scores)
-            br_score = sum(scores[k] for k in br_set)
-            if br_score - current_score > rel_tol * max(br_score, current_score):
+            current_score = left_sum(scores[k] for k in profile[n].channels if k in scores)
+            br_score = left_sum(scores[k] for k in br_set)
+            if br_score - current_score > NEP_REL_TOL * max(br_score, current_score):
                 switches[n] = br_set
         if switches:
             for n, chans in switches.items():
@@ -455,7 +448,7 @@ def run_br_drm(
             quiet_run += 1
         recorder.record(active, profile, instance)
         if quiet_run >= instance.num_users and not pending:
-            if estimator_config is not None or is_nep_drm(profile, instance, rel_tol).is_nep:
+            if estimator_config is not None or is_nep_drm(profile, instance).is_nep:
                 return recorder.build(t, "converged")
             quiet_run = 0
     return recorder.build(None, "max-iters")
@@ -500,18 +493,13 @@ def run_better_response_replay(
     return recorder.build(None, "max-iters")
 
 
-def _sticky_best_action(
-    user: int,
-    profile: StrategyProfile,
-    instance: Instance,
-    rel_tol: float,
-) -> FairnessAction:
+def _sticky_best_action(user: int, profile: StrategyProfile, instance: Instance) -> FairnessAction:
     current = FairnessAction(profile[user].channels[0], profile[user].attempt_prob)
     best_action, best_value = best_fair_action(user, profile, instance)
     if best_action is None:
         return current
     current_value = cooperative_utility(user, current, profile, instance)
-    if current_value >= best_value - rel_tol * max(1.0, abs(best_value)):
+    if current_value >= best_value - NEP_REL_TOL * max(1.0, abs(best_value)):
         return current
     return best_action
 
@@ -526,7 +514,6 @@ def run_nbrf(
     freeze_beta: Optional[float] = None,
     initial_profile: Optional[StrategyProfile] = None,
     events: Sequence[PopulationEvent] = (),
-    rel_tol: float = NEP_REL_TOL,
 ) -> Trajectory:
     """Noisy best response for the fairness game under a cooling schedule.
 
@@ -577,7 +564,7 @@ def run_nbrf(
             # strategy until a neighbor moves away.  The sampler raises
             # before consuming rng draws, so the stream stays reproducible.
             if frozen:
-                action = _sticky_best_action(n, profile, instance, rel_tol)
+                action = _sticky_best_action(n, profile, instance)
             else:
                 try:
                     action = _sample_cached(
@@ -602,7 +589,7 @@ def run_nbrf(
             frozen
             and quiet_run >= instance.num_users
             and not pending
-            and is_nep_fairness(profile, instance, rel_tol).is_nep
+            and is_nep_fairness(profile, instance).is_nep
         ):
             return recorder.build(t, "converged")
     return recorder.build(None, "max-iters")

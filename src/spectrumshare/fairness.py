@@ -22,13 +22,15 @@ import numpy as np
 from .errors import CapacityError, DegenerateInstanceError
 from .network import (
     NEP_REL_TOL,
+    NO_LOAD,
     Instance,
     StrategyProfile,
     Strategy,
-    log_interference,
-    neighbors_on_channel,
+    channel_load,
+    left_sum,
     total_expected_rate,
 )
+from .network import log_interference  # unused; perfbench/tracing.py patches it
 
 __all__ = [
     "FairnessAction",
@@ -99,14 +101,14 @@ def cooperative_utility(
     k = action.channel
     if k >= instance.num_channels:
         raise ValueError(f"channel index {k} out of range")
-    p = action.attempt_prob
-    u = instance.utilities[user][k]
-    if p <= 0.0 or u <= 0.0:
+    count, _, suffered = channel_load(user, profile, instance.graph).get(k, NO_LOAD)
+    return _fair_utility(instance.utilities[user][k], action.attempt_prob, count, suffered)
+
+
+def _fair_utility(u: float, p: float, count: int, suffered: float) -> float:
+    """cooperative_utility from u, p, same-channel neighbor count and log-interference."""
+    if p <= 0.0 or u <= 0.0 or suffered == math.inf:
         return -math.inf
-    suffered = log_interference(user, k, profile, instance.graph)
-    if suffered == math.inf:
-        return -math.inf
-    count = len(neighbors_on_channel(user, k, profile, instance.graph))
     if p >= 1.0:
         return math.log(u) - suffered if count == 0 else -math.inf
     return math.log(u * p) - suffered + count * math.log1p(-p)
@@ -165,6 +167,22 @@ def _action_grid(user: int, instance: Instance) -> list[FairnessAction]:
     ]
 
 
+def _grid_utilities(user: int, load: dict, instance: Instance) -> tuple[list, list[float]]:
+    """The user's action grid and each action's fair utility under `load`."""
+    utils = instance.utilities[user]
+    actions = _action_grid(user, instance)
+    values = []
+    for a in actions:
+        count, _, suffered = load.get(a.channel, NO_LOAD)
+        values.append(_fair_utility(utils[a.channel], a.attempt_prob, count, suffered))
+    return actions, values
+
+
+def _first_best(actions: list, values: list[float]) -> tuple[Optional[FairnessAction], float]:
+    i = max(range(len(values)), key=values.__getitem__)  # first of equal maxima
+    return (actions[i], values[i]) if values[i] > -math.inf else (None, -math.inf)
+
+
 def best_fair_action(
     user: int, profile: StrategyProfile, instance: Instance
 ) -> tuple[Optional[FairnessAction], float]:
@@ -172,14 +190,8 @@ def best_fair_action(
 
     (None, -inf) when every grid action is worthless.
     """
-    best_value = -math.inf
-    best_action = None
-    for action in _action_grid(user, instance):
-        value = cooperative_utility(user, action, profile, instance)
-        if value > best_value:
-            best_value = value
-            best_action = action
-    return best_action, best_value
+    load = channel_load(user, profile, instance.graph)
+    return _first_best(*_grid_utilities(user, load, instance))
 
 
 def noisy_br_distribution(
@@ -195,8 +207,7 @@ def noisy_br_distribution(
     _require_single_channel(instance)
     if not beta >= 0.0:
         raise ValueError("beta must be nonnegative")
-    actions = _action_grid(user, instance)
-    values = [cooperative_utility(user, a, profile, instance) for a in actions]
+    actions, values = _grid_utilities(user, channel_load(user, profile, instance.graph), instance)
     if beta == 0.0 and any(v > -math.inf for v in values):
         return dict.fromkeys(actions, 1.0 / len(actions))
     return _softmax(
@@ -217,7 +228,7 @@ def _softmax(keys: list, values: list[float], beta: float, degenerate: str) -> d
     weights = [
         math.exp(beta * (v - shift)) if v > -math.inf else 0.0 for v in values
     ]
-    total = sum(weights)
+    total = left_sum(weights)
     return {key: w / total for key, w in zip(keys, weights)}
 
 
@@ -260,28 +271,26 @@ def sample_noisy_br(
     )
 
 
-def is_nep_fairness(
-    profile: StrategyProfile, instance: Instance, rel_tol: float = NEP_REL_TOL
-) -> FairnessNepReport:
+def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> FairnessNepReport:
     """Check that no user can improve its fair utility unilaterally.
 
     Candidates are the user's action grid, which holds the closed-form optimum
-    1/(count+1) of every channel. The first user able to gain more than the
-    relative tolerance is reported.
+    1/(count+1) of every channel. The first user able to gain more than
+    NEP_REL_TOL (relative) is reported.
     """
     _require_single_channel(instance)
     for n in range(instance.num_users):
-        strat = profile[n]
-        current = cooperative_utility(
-            n, FairnessAction(strat.channels[0], strat.attempt_prob), profile, instance
-        )
-        best_action, best_value = best_fair_action(n, profile, instance)
+        load = channel_load(n, profile, instance.graph)
+        k, p = profile[n].channels[0], profile[n].attempt_prob
+        count, _, suffered = load.get(k, NO_LOAD)
+        current = _fair_utility(instance.utilities[n][k], p, count, suffered)
+        best_action, best_value = _first_best(*_grid_utilities(n, load, instance))
         if best_action is None:
             continue  # nothing the user does matters; cannot improve
         if current == -math.inf:
             return FairnessNepReport(False, n, best_action, math.inf)
         gain = best_value - current
-        if gain > rel_tol * max(1.0, abs(best_value), abs(current)):
+        if gain > NEP_REL_TOL * max(1.0, abs(best_value), abs(current)):
             return FairnessNepReport(False, n, best_action, gain)
     return FairnessNepReport(True)
 

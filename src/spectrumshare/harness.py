@@ -40,6 +40,7 @@ from .network import (
     build_regular_graph,
     drop_in_disc,
     graph_from_positions,
+    left_sum,
     make_profile,
 )
 from .oracle import (
@@ -475,7 +476,7 @@ def _fmt(x: float) -> str:
 
 
 def _sum_log_rate(rates: Sequence[float]) -> float:
-    return sum(math.log(r) if r > 0 else -math.inf for r in rates)
+    return left_sum(math.log(r) if r > 0 else -math.inf for r in rates)
 
 
 def _channel_set_str(channels: Sequence[int]) -> str:
@@ -560,7 +561,7 @@ def _aggregate(
         for traj in trajectories:
             idx = min(it, len(traj) - 1)
             rates = traj.rates[idx]
-            rate_means.append(sum(rates) / len(rates))
+            rate_means.append(left_sum(rates) / len(rates))
             sum_logs.append(_sum_log_rate(rates))
             profile = traj.profiles[idx]
             instance = traj.instances[idx]
@@ -573,8 +574,8 @@ def _aggregate(
         rows.append(
             {
                 "iter": it,
-                "mean_rate": sum(rate_means) / len(rate_means),
-                "mean_sum_log_rate": sum(sum_logs) / len(sum_logs),
+                "mean_rate": left_sum(rate_means) / len(rate_means),
+                "mean_sum_log_rate": left_sum(sum_logs) / len(sum_logs),
                 "frac_at_nep": sum(nep_flags) / len(nep_flags),
             }
         )
@@ -593,6 +594,9 @@ def run_experiment(
     instance, events = build_instance_and_events(
         config.instance_spec, config.events_spec
     )
+    final_users = (events[-1].instance if events else instance).num_users
+    if len(config.mechanism.update_probs) not in (1, final_users):
+        raise ConfigError(f"config.mechanism.update_probs must list 1 or {final_users} entries")
     trajectories: list[Optional[Trajectory]] = []
     naive_rates: Optional[list[tuple[float, ...]]] = (
         [] if config.algorithm == "naive" else None
@@ -612,13 +616,13 @@ def run_experiment(
     if config.algorithm == "naive":
         assert naive_rates is not None
         rate_matrix = list(zip(*naive_rates))
-        mean_rates = [sum(col) / len(col) for col in rate_matrix]
+        mean_rates = [left_sum(col) / len(col) for col in rate_matrix]
         aggregate_rows = [
             {
                 "iter": 0,
-                "mean_rate": sum(mean_rates) / len(mean_rates),
+                "mean_rate": left_sum(mean_rates) / len(mean_rates),
                 "mean_sum_log_rate": (
-                    sum(_sum_log_rate(rates) for rates in naive_rates)
+                    left_sum(_sum_log_rate(rates) for rates in naive_rates)
                     / len(naive_rates)
                 ),
                 "frac_at_nep": math.nan,
@@ -669,7 +673,7 @@ def _build_manifest(
                     "cycle_length": traj.cycle_length,
                 }
             )
-        entry["final_mean_rate"] = sum(rates) / len(rates)
+        entry["final_mean_rate"] = left_sum(rates) / len(rates)
         entry["final_sum_log_rate"] = _sum_log_rate(rates)
         per_trial.append(entry)
     delta_mode = None
@@ -785,7 +789,7 @@ def gibbs_check(
     empirical = empirical_visit_distribution(trajectory, burn_in=burn_in + 1)
     stationary = gibbs_stationary(instance, beta)
     support = set(empirical) | set(stationary)
-    tv = 0.5 * sum(
+    tv = 0.5 * left_sum(
         abs(empirical.get(p, 0.0) - stationary.get(p, 0.0)) for p in support
     )
     return GibbsCheckReport(tv, beta, num_steps, burn_in, empirical, stationary)
@@ -865,7 +869,7 @@ def efficiency_sweep(
                 ratios.extend(r / naive for r in traj.rates[-1])
             row["eta"] = eta
             row["min_ratio"] = min(ratios)
-            row["mean_ratio"] = sum(ratios) / len(ratios)
+            row["mean_ratio"] = left_sum(ratios) / len(ratios)
             rows.append(row)
     return rows
 

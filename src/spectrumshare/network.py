@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ __all__ = [
     "log_interference",
     "expected_rate_on_channel",
     "total_expected_rate",
-    "neighbors_on_channel",
+    "channel_load",
     "graph_from_positions",
     "build_geometric_graph",
     "build_regular_graph",
@@ -39,6 +41,14 @@ __all__ = [
 # Relative slack below which a unilateral improvement does not count, in the
 # equilibrium checks and switching rules of both games.
 NEP_REL_TOL = 1e-9
+
+# channel_load's (count, clearance, log-interference) for an unused channel
+NO_LOAD = (0, 1.0, 0.0)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Left-to-right float total; the built-in sum() compensates from Python 3.12 on."""
+    return reduce(add, values, 0.0)
 
 
 def _neg_log1m(p: float) -> float:
@@ -231,14 +241,27 @@ def validate_profile(profile: StrategyProfile, instance: Instance) -> None:
                 raise ValueError(f"user {n} selects out-of-range channel {k}")
 
 
-def _check_user(graph: InterferenceGraph, user: int) -> None:
+def channel_load(user: int, profile: StrategyProfile, graph: InterferenceGraph) -> dict:
+    """What the neighbors of `user` put on each channel, in one adjacency pass.
+
+    Maps every channel some neighbor selects to (neighbor count, clearance
+    product of (1 - p), log-interference sum of log(1/(1 - p))), accumulated in
+    adjacency order; other channels read as NO_LOAD. Membership is
+    structural: a neighbor counts even with attempt_prob 0. The user's own
+    strategy never enters.
+    """
     if not 0 <= user < graph.num_users:
         raise ValueError(f"user index {user} out of range")
-
-
-def _check_channel(channel: int, num_channels: int) -> None:
-    if not 0 <= channel < num_channels:
-        raise ValueError(f"channel index {channel} out of range")
+    load: dict[int, tuple[int, float, float]] = {}
+    for i in graph.adjacency[user]:
+        strat = profile[i]
+        p = strat.attempt_prob
+        clear = 1.0 - p
+        log_term = -math.log1p(-p) if p < 1.0 else math.inf  # _neg_log1m; a hot loop
+        for k in strat.channels:
+            count, clearance, suffered = load.get(k, NO_LOAD)
+            load[k] = (count + 1, clearance * clear, suffered + log_term)
+    return load
 
 
 def success_probability(
@@ -249,60 +272,40 @@ def success_probability(
     Product of (1 - p_i) over neighbors i that selected the channel; the empty
     product is 1. The user's own strategy never enters.
     """
-    _check_user(graph, user)
     if channel < 0:
         raise ValueError(f"channel index {channel} out of range")
-    prob = 1.0
-    for i in graph.adjacency[user]:
-        strat = profile[i]
-        if channel in strat.channels:
-            prob *= 1.0 - strat.attempt_prob
-    return prob
+    return channel_load(user, profile, graph).get(channel, NO_LOAD)[1]
 
 
 def log_interference(
     user: int, channel: int, profile: StrategyProfile, graph: InterferenceGraph
 ) -> float:
     """Negative log of success_probability; +inf if a neighbor has p = 1."""
-    _check_user(graph, user)
     if channel < 0:
         raise ValueError(f"channel index {channel} out of range")
-    total = 0.0
-    for i in graph.adjacency[user]:
-        strat = profile[i]
-        if channel in strat.channels:
-            total += _neg_log1m(strat.attempt_prob)
-    return total
+    return channel_load(user, profile, graph).get(channel, NO_LOAD)[2]
 
 
 def expected_rate_on_channel(
     user: int, channel: int, profile: StrategyProfile, instance: Instance
 ) -> float:
     """Expected throughput of `user` on one channel: p * u * clearance."""
-    _check_channel(channel, instance.num_channels)
-    v = success_probability(user, channel, profile, instance.graph)
-    return profile[user].attempt_prob * instance.utilities[user][channel] * v
+    if not 0 <= channel < instance.num_channels:
+        raise ValueError(f"channel index {channel} out of range")
+    load = channel_load(user, profile, instance.graph)
+    return rate_from_load(profile[user].attempt_prob, instance.utilities[user], (channel,), load)
 
 
 def total_expected_rate(user: int, profile: StrategyProfile, instance: Instance) -> float:
     """Expected throughput of `user` summed over its selected channels."""
-    return sum(
-        expected_rate_on_channel(user, k, profile, instance)
-        for k in profile[user].channels
-    )
+    strat = profile[user]
+    load = channel_load(user, profile, instance.graph)
+    return rate_from_load(strat.attempt_prob, instance.utilities[user], strat.channels, load)
 
 
-def neighbors_on_channel(
-    user: int, channel: int, profile: StrategyProfile, graph: InterferenceGraph
-) -> tuple[int, ...]:
-    """Neighbors of `user` whose channel set contains `channel`.
-
-    Membership is structural: a neighbor counts even with attempt_prob 0.
-    """
-    _check_user(graph, user)
-    return tuple(
-        i for i in graph.adjacency[user] if channel in profile[i].channels
-    )
+def rate_from_load(attempt_prob: float, utilities: Sequence[float], channels, load: dict) -> float:
+    """Expected rate p * u_k * clearance_k summed over `channels`, given a channel_load."""
+    return left_sum(attempt_prob * utilities[k] * load.get(k, NO_LOAD)[1] for k in channels)
 
 
 def build_geometric_graph(

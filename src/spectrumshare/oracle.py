@@ -17,7 +17,6 @@ from .drm import is_nep_drm
 from .errors import CapacityError, DegenerateInstanceError
 from .fairness import _action_grid, is_nep_fairness
 from .network import (
-    NEP_REL_TOL,
     Instance,
     Strategy,
     StrategyProfile,
@@ -130,7 +129,6 @@ def _enumerate_equilibria(
 def exhaustive_drm_nep_enumeration(
     instance: Instance,
     capacity: int = ORACLE_CAPACITY,
-    rel_tol: float = NEP_REL_TOL,
 ) -> tuple[StrategyProfile, ...]:
     """All pure equilibria of the rate-maximization game, by full enumeration.
 
@@ -147,14 +145,13 @@ def exhaustive_drm_nep_enumeration(
         for n in range(instance.num_users)
     ]
     return _enumerate_equilibria(
-        per_user, capacity, lambda p: is_nep_drm(p, instance, rel_tol).is_nep
+        per_user, capacity, lambda p: is_nep_drm(p, instance).is_nep
     )
 
 
 def exhaustive_fairness_nep_enumeration(
     instance: Instance,
     capacity: int = 10**6,
-    rel_tol: float = NEP_REL_TOL,
 ) -> tuple[StrategyProfile, ...]:
     """All pure equilibria of the fairness game over the discrete action grid."""
     if instance.channels_per_user != 1:
@@ -164,7 +161,7 @@ def exhaustive_fairness_nep_enumeration(
         for n in range(instance.num_users)
     ]
     return _enumerate_equilibria(
-        per_user, capacity, lambda p: is_nep_fairness(p, instance, rel_tol).is_nep
+        per_user, capacity, lambda p: is_nep_fairness(p, instance).is_nep
     )
 
 

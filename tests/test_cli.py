@@ -59,7 +59,9 @@ def test_run_invalid_config_file_exits_2(tmp_path, capsys):
     probs["mechanism"] = {"kind": "probabilistic", "update_probs": [None, 0.5]}
     replay = load_preset("cycle-demo")
     replay["replay"]["initial_attempt_probs"] = 0.5
-    for raw in (probs, replay):
+    short = load_preset("fig6-dynamic-nbrf")
+    short["mechanism"] = {"kind": "probabilistic", "update_probs": [0.5] * 40}
+    for raw in (probs, replay, short):
         bad.write_text(json.dumps(raw))
         code = main(["run", "--config", str(bad)])
         assert code == 2

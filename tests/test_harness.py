@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,10 @@ def test_config_rejections():
         cfg(algorithm="better-response-replay")  # replay missing
     with pytest.raises(ConfigError, match=r"update_probs\[0\]"):
         cfg(mechanism={"kind": "probabilistic", "update_probs": [None, 0.5]})
+    # a per-user list must cover the final population, before any trial runs
+    for probs in ([0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]):
+        with pytest.raises(ConfigError, match="update_probs must list 1 or 2 entries"):
+            run_experiment(cfg(mechanism={"kind": "probabilistic", "update_probs": probs}))
     # keys the chosen algorithm would silently ignore are rejected
     events = [{"at_iter": 5, "num_users": 3}]
     with pytest.raises(ConfigError, match="events applies only to br-drm and nbrf"):
@@ -186,6 +191,80 @@ def test_dynamic_stage_specs_validated():
             spec,
             [{"at_iter": 20, "num_users": 8}, {"at_iter": 10, "num_users": 9}],
         )
+
+
+def test_per_user_update_probs_cover_the_final_population():
+    raw = {
+        "algorithm": "br-drm",
+        "max_iters": 30,
+        "instance": {
+            "kind": "geometric",
+            "num_users": 5,
+            "num_channels": 2,
+            "region_radius": 4.0,
+            "interference_radius": 3.0,
+            "graph_seed": 2,
+            "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+            "caps": {"kind": "constant", "value": 0.5},
+        },
+        "events": [{"at_iter": 6, "num_users": 9}],
+        # the first five users update every time; each stage uses its prefix
+        "mechanism": {"kind": "probabilistic", "update_probs": [1.0] * 5 + [0.5] * 4},
+    }
+    traj = run_experiment(ExperimentConfig.from_dict(raw)).trajectories[0]
+    assert len(traj) > 7
+    assert [len(p) for p in traj.profiles[5:7]] == [5, 9]
+    for step in range(1, len(traj)):
+        active = traj.active_sets[step]
+        assert set(range(5)) <= set(active)
+        assert max(active) < (5 if step < 6 else 9)
+    assert any(max(a) >= 5 for a in traj.active_sets[6:])
+    for probs in ([1.0] * 5, [1.0] * 10):
+        raw["mechanism"]["update_probs"] = probs
+        with pytest.raises(ConfigError, match="update_probs must list 1 or 9 entries"):
+            run_experiment(ExperimentConfig.from_dict(raw))
+
+
+def _compensated_sum(values, start=0):
+    """Python 3.12's sum(): exact for integers, Neumaier-compensated for floats."""
+    items = list(values)
+    if not items or not all(isinstance(v, float) for v in items):
+        return sum(items, start)
+    total, comp = float(start), 0.0
+    for v in items:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def _float_sum_outputs(tmp_path):
+    naive = json.loads(json.dumps(BASE))
+    naive.update(algorithm="naive", trials=3, naive={"num_slots": 500})
+    naive["instance"]["utilities"] = {"kind": "explicit", "values": [[2.0, 2.0], [4.0, 4.0]]}
+    configs = {name: load_preset(name) for name in list_presets()}
+    configs["naive"] = naive
+    outputs = []
+    for name, raw in configs.items():
+        if raw["algorithm"] != "better-response-replay":
+            raw.update(trials=2, max_iters=min(raw.get("max_iters", 200), 120))
+        out = tmp_path / name
+        run_experiment(ExperimentConfig.from_dict(raw), out_dir=out)
+        files = ("trajectory.csv", "aggregate.csv", "manifest.json")
+        outputs.append({f: (out / f).read_bytes() for f in files})
+    outputs.append(gibbs_check(default_gibbs_instance(), 1.0, 600, 100, seed=3).tv_distance)
+    outputs.append(efficiency_sweep([2], [3], trials=2, seed=0, max_iters=100))
+    return outputs
+
+
+def test_outputs_do_not_depend_on_the_interpreters_float_sum(tmp_path, monkeypatch):
+    """Outputs stay byte-identical when sum() compensates float rounding, as
+    it does from Python 3.12 on."""
+    plain = _float_sum_outputs(tmp_path / "plain")
+    for name, module in list(sys.modules.items()):
+        if name == "spectrumshare" or name.startswith("spectrumshare."):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert _float_sum_outputs(tmp_path / "compensated") == plain
 
 
 def test_trial_rng_rule():

@@ -11,11 +11,11 @@ from spectrumshare import (
     Strategy,
     build_geometric_graph,
     build_regular_graph,
+    channel_load,
     expected_rate_on_channel,
     graph_from_positions,
     log_interference,
     make_profile,
-    neighbors_on_channel,
     replace_strategy,
     success_probability,
     total_expected_rate,
@@ -100,7 +100,10 @@ def test_success_probability_hand_value():
     assert expected_rate_on_channel(0, 0, prof, inst) == pytest.approx(
         1.0 * 0.6 * 0.7, rel=1e-15
     )
-    assert neighbors_on_channel(0, 0, prof, g) == (1,)
+    assert channel_load(0, prof, g) == {
+        0: (1, 1.0 - 0.3, -math.log1p(-0.3)),
+        1: (1, 1.0 - 0.5, -math.log1p(-0.5)),
+    }
     assert total_expected_rate(0, prof, inst) == pytest.approx(0.42, rel=1e-15)
 
 
@@ -133,14 +136,20 @@ def test_log_interference_additive_over_neighbors():
         inst = random_drm_instance(rng)
         prof = random_drm_profile(inst, rng)
         for user in range(inst.num_users):
+            load = channel_load(user, prof, inst.graph)
             for chan in range(inst.num_channels):
-                total = 0.0
+                count, clear, total = 0, 1.0, 0.0
                 for r in inst.graph.adjacency[user]:
                     if chan in prof[r].channels:
+                        count += 1
+                        clear *= 1.0 - prof[r].attempt_prob
                         total += -math.log1p(-prof[r].attempt_prob)
                 assert log_interference(user, chan, prof, inst.graph) == pytest.approx(
                     total, abs=1e-12
                 )
+                # one adjacency pass gives every channel's scalar loop, bit for bit
+                assert load.get(chan, (0, 1.0, 0.0)) == (count, clear, total)
+            assert set(load) <= set(range(inst.num_channels))
 
 
 def test_geometric_graph_matches_pairwise_distances():
