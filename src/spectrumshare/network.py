@@ -257,7 +257,7 @@ def channel_load(user: int, profile: StrategyProfile, graph: InterferenceGraph) 
         strat = profile[i]
         p = strat.attempt_prob
         clear = 1.0 - p
-        log_term = -math.log1p(-p) if p < 1.0 else math.inf  # _neg_log1m; a hot loop
+        log_term = -math.log1p(-p) if p < 1.0 else math.inf  # inlined _neg_log1m: hot loop
         for k in strat.channels:
             count, clearance, suffered = load.get(k, NO_LOAD)
             load[k] = (count + 1, clearance * clear, suffered + log_term)
