@@ -89,6 +89,50 @@ def test_backoff_activates_every_local_minimum():
     assert seen_both_ends  # non-adjacent users do fire together
 
 
+def _scalar_backoff_winners(graph, draws):
+    """The backoff rule user by user: beat every neighbor, ties to the lower index."""
+    active = []
+    for n in range(graph.num_users):
+        if all(
+            not (draws[r] < draws[n] or (draws[r] == draws[n] and r < n))
+            for r in graph.adjacency[n]
+        ):
+            active.append(n)
+    return tuple(active)
+
+
+class _FixedDraws:
+    """Stands in for a Generator: random(n) returns the next queued array."""
+
+    def __init__(self, arrays):
+        self.arrays = list(arrays)
+
+    def random(self, size):
+        draws = self.arrays.pop(0)
+        assert len(draws) == size
+        return draws.copy()
+
+
+def test_backoff_selection_equals_the_scalar_rule():
+    rng = np.random.default_rng(47)
+    graphs = [InterferenceGraph(1, ((),)), InterferenceGraph(3, ((), (), ()))]
+    graphs += [random_graph(rng, int(rng.integers(2, 16)), 0.25) for _ in range(60)]
+    for graph in graphs:
+        mech = UpdateMechanism.backoff(float(rng.choice([1.0, 0.3, 7.0])))
+        n = graph.num_users
+        # few distinct values, so neighbors tie often; all ties, too
+        for draws in (rng.integers(0, 3, n) / 4.0, np.full(n, 0.5), rng.random(n)):
+            active = select_active(mech, graph, _FixedDraws([draws]))
+            assert active == _scalar_backoff_winners(graph, draws * mech.backoff_bound)
+            assert all(type(u) is int for u in active)
+        real, oracle = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(5):
+            active = select_active(mech, graph, real)
+            draws = oracle.random(n) * mech.backoff_bound
+            assert active == _scalar_backoff_winners(graph, draws)
+        assert real.bit_generator.state == oracle.bit_generator.state
+
+
 def test_sweep_mechanism_round_robin():
     graph = InterferenceGraph(3, ((), (), ()))
     mech = UpdateMechanism.sweep_sequential()
@@ -338,6 +382,58 @@ def test_estimator_window_shapes_reproduce_recorded_trajectories(window, slots, 
         digest.update(potential.hex().encode())
     assert len(traj) == 61 and traj.instances[-1].num_users == 18
     assert digest.hexdigest() == WINDOW_SHAPE_DIGESTS[(window, slots, flush)]
+
+
+# Exact-mode runs in which settled users are active again and again: users
+# with no improving switch under backoff, neighbors that switch together under
+# probabilistic 0.9, a round-robin sweep, and a mid-run population event with
+# two channels per user and a channel mask. The digests pin these runs.
+def _exact_case(name):
+    spec = {
+        "kind": "geometric", "num_users": 40, "num_channels": 5,
+        "channels_per_user": 1, "region_radius": 6.0, "interference_radius": 2.0,
+        "graph_seed": 5,
+        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+    }
+    events_spec = []
+    mechanism = {
+        "backoff": UpdateMechanism.backoff(),
+        "probabilistic": UpdateMechanism.probabilistic(0.9),
+        "sweep": UpdateMechanism.sweep_sequential(),
+        "event-masked": UpdateMechanism.backoff(),
+    }[name]
+    if name == "event-masked":
+        spec.update(num_users=30, num_channels=4, channels_per_user=2)
+        spec["allowed"] = [[(n + k) % 3 != 0 for k in range(4)] for n in range(42)]
+        events_spec = [{"at_iter": 40, "num_users": 42}]
+    final = events_spec[-1]["num_users"] if events_spec else spec["num_users"]
+    spec["caps"] = {"kind": "explicit", "values": [(0.6, 0.3, 0.45)[n % 3] for n in range(final)]}
+    inst, events = build_instance_and_events(spec, events_spec)
+    return inst, events, mechanism
+
+
+EXACT_RUN_DIGESTS = {
+    "backoff": "768ad26e65e84161601aa3f83af71fa2c69d9118791664a134c90cd4ed5b20ad",
+    "probabilistic": "74d426e02ae20f6dd1eedf51d04c1747bc4a1124210c41eeb9e8ae11cfdf84c8",
+    "sweep": "f27bb5a6582c220a6ba426bc5ecb78027f914b359d5c72872ed6908c310159e7",
+    "event-masked": "d11d6a55087f31230632321428255ad2a1864488dcceb6043618ac81e3c5aec1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_RUN_DIGESTS))
+def test_exact_runs_reproduce_recorded_trajectories(name):
+    inst, events, mechanism = _exact_case(name)
+    traj = run_br_drm(
+        inst, mechanism, max_iters=150, rng=np.random.default_rng(17), events=events
+    )
+    digest = hashlib.sha256(f"{traj.termination} {traj.converged_at}".encode())
+    for profile, potential, rates in zip(traj.profiles, traj.potentials, traj.rates):
+        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
+        digest.update(potential.hex().encode())
+        digest.update(repr([r.hex() for r in rates]).encode())
+    assert traj.termination == "converged"
+    assert traj.instances[-1].num_users == (42 if events else 40)
+    assert digest.hexdigest() == EXACT_RUN_DIGESTS[name]
 
 
 def test_estimate_success_probability_counts_idle_slots():

@@ -1,6 +1,7 @@
 """Config validation, experiment runner, output files, presets."""
 
 import csv
+import io
 import json
 import math
 import sys
@@ -396,6 +397,64 @@ def test_run_experiment_naive_baseline(tmp_path):
     want = 100.0 * 0.5 * 0.75 ** 3
     assert float(rows[1][1]) == pytest.approx(want, rel=0.05)
     assert result.naive_rates is not None
+
+
+def _csv_writer_trajectory(result):
+    """trajectory.csv as one csv.writer row per (trial, step, user): the reference."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["trial", "iter", "user", "channel_set", "attempt_prob", "expected_rate"])
+    if result.naive_rates is not None:
+        for trial, rates in enumerate(result.naive_rates):
+            for user, rate in enumerate(rates):
+                writer.writerow([trial, 0, user, "", "", f"{rate:.17g}"])
+        return out.getvalue()
+    for trial, traj in enumerate(result.trajectories):
+        for step in traj.steps():
+            for user, strat in enumerate(step.profile):
+                writer.writerow([
+                    trial, step.index, user, "|".join(str(k) for k in strat.channels),
+                    f"{strat.attempt_prob:.17g}", f"{step.rates[user]:.17g}",
+                ])
+    return out.getvalue()
+
+
+def test_trajectory_csv_equals_the_csv_writer_rows(tmp_path):
+    grown = {
+        "algorithm": "br-drm", "trials": 2, "max_iters": 40, "seed": 3,
+        "instance": {
+            "kind": "geometric", "num_users": 12, "num_channels": 4,
+            "channels_per_user": 2, "region_radius": 4.0, "interference_radius": 2.0,
+            "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+            "caps": {"kind": "constant", "value": 0.4},
+        },
+        "events": [{"at_iter": 10, "num_users": 16}],
+    }
+    fair = load_preset("fig5-small-nbrf")
+    fair.update(trials=2, max_iters=60, oracle_reference=False)
+    naive = {
+        "algorithm": "naive", "trials": 2,
+        "instance": {
+            "kind": "regular", "num_users": 6, "degree": 2, "num_channels": 3,
+            "utilities": {"kind": "constant", "value": 10.0},
+            "caps": {"kind": "constant", "value": 0.5},
+        },
+        "naive": {"num_slots": 500},
+    }
+    results = []
+    for i, raw in enumerate((grown, fair, naive)):
+        results.append(run_experiment(ExperimentConfig.from_dict(raw), out_dir=tmp_path / str(i)))
+        written = (tmp_path / str(i) / "trajectory.csv").read_bytes()
+        assert written == _csv_writer_trajectory(results[-1]).encode()
+    traj = results[0].trajectories[1]
+    # the population grows mid-trial, and a user keeps its Strategy object
+    # while its rate moves because a neighbor switched
+    assert len(traj.profiles[0]) == 12 and len(traj.profiles[-1]) == 16
+    assert any(
+        before[n] is after[n] and r0[n] != r1[n]
+        for before, after, r0, r1 in zip(traj.profiles, traj.profiles[1:], traj.rates, traj.rates[1:])
+        for n in range(len(before))
+    )
 
 
 def test_byte_identical_reruns_quick(tmp_path):

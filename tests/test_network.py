@@ -21,6 +21,7 @@ from spectrumshare import (
     total_expected_rate,
     validate_profile,
 )
+from spectrumshare.network import drop_in_disc
 
 from conftest import random_drm_instance, random_drm_profile
 
@@ -170,6 +171,40 @@ def test_graph_from_positions_threshold():
     assert g.edges() == ((0, 1),)
     g = graph_from_positions(pos, 5.0)
     assert g.edges() == ((0, 1), (0, 2))
+
+
+def _scalar_position_graph(positions, radius):
+    """One np.hypot per pair: the reference for graph_from_positions."""
+    edges = []
+    for a in range(len(positions)):
+        for b in range(a + 1, len(positions)):
+            if float(np.hypot(*(positions[a] - positions[b]))) <= radius:
+                edges.append((a, b))
+    return InterferenceGraph.from_edges(len(positions), edges)
+
+
+def test_graph_from_positions_equals_the_pair_loop():
+    rng = np.random.default_rng(8)
+    cases = [
+        (np.array([[1.5, -2.0]]), 2.0),  # a single user
+        (np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [3.0, 4.0]]), 5.0),  # exactly r apart
+        (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), 0.0),  # duplicates, r = 0
+    ]
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        radius = float(rng.choice([0.0, 0.5, 2.0, 30.0]))
+        positions = drop_in_disc(rng, n, 5.0)
+        if n > 2:
+            # duplicate a point, and put a point about `radius` from another
+            positions[1] = positions[0]
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            positions[2] = positions[0] + radius * np.array([math.cos(angle), math.sin(angle)])
+        cases.append((positions, radius))
+    for positions, radius in cases:
+        graph = graph_from_positions(positions, radius)
+        assert graph == _scalar_position_graph(positions, radius)
+    assert graph_from_positions(cases[1][0], 5.0).edges() == ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert graph_from_positions(cases[2][0], 0.0).edges() == ((0, 1), (2, 3))
 
 
 def test_regular_graph_degrees():
