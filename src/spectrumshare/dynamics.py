@@ -14,7 +14,8 @@ neighbors' strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -123,20 +124,15 @@ def select_active(
             raise ValueError("per-user update_probs must cover every user")
         q = probs[0] if len(probs) == 1 else np.array(probs[:n_users])
         draws = rng.random(n_users)
-        return tuple(int(n) for n in np.flatnonzero(draws < q))
+        return tuple(np.flatnonzero(draws < q).tolist())
     draws = rng.random(n_users) * mechanism.backoff_bound
-    active = []
-    for n in range(n_users):
-        mine = draws[n]
-        wins = True
-        for r in graph.adjacency[n]:
-            theirs = draws[r]
-            if theirs < mine or (theirs == mine and r < n):
-                wins = False
-                break
-        if wins:
-            active.append(n)
-    return tuple(active)
+    # a user loses to any neighbor with a lower draw, or an equal draw and a
+    # lower index; the winners are the users that lose to none
+    src, dst, dst_first = _graph_arrays(graph).edges
+    theirs, mine = draws[dst], draws[src]
+    lost = np.zeros(n_users, dtype=bool)
+    lost[src[(theirs < mine) | ((theirs == mine) & dst_first)]] = True
+    return tuple(np.flatnonzero(~lost).tolist())
 
 
 @dataclass(frozen=True)
@@ -273,20 +269,39 @@ class _Recorder:
     def record(
         self, active: tuple[int, ...], profile: StrategyProfile, instance: Instance
     ) -> None:
-        derived = self._derived.get(profile)
+        same_instance = bool(self.instances) and instance is self.instances[-1]
+        if same_instance and profile is self.profiles[-1]:
+            # an unchanged step: skip hashing all N strategies for the lookup
+            derived = (self.potentials[-1], self.rates[-1])
+        else:
+            derived = self._derived.get(profile)
         if derived is None:
             potential = self._potential_fn(profile, instance)
-            rates = tuple(
-                total_expected_rate(n, profile, instance)
-                for n in range(instance.num_users)
-            )
-            derived = (potential, rates)
+            derived = (potential, self._rates(profile, instance, same_instance))
             self._derived[profile] = derived
         self.active_sets.append(self._active_interned.setdefault(active, active))
         self.profiles.append(profile)
         self.potentials.append(derived[0])
         self.rates.append(derived[1])
         self.instances.append(instance)
+
+    def _rates(
+        self, profile: StrategyProfile, instance: Instance, same_instance: bool
+    ) -> tuple[float, ...]:
+        """Every user's expected rate.
+
+        On an unchanged instance only the users whose own or neighbors'
+        Strategy objects changed are repriced; a rate reads nothing else.
+        """
+        if not same_instance:
+            return tuple(total_expected_rate(n, profile, instance) for n in range(instance.num_users))
+        last = self.profiles[-1]
+        rates = list(self.rates[-1])
+        moved = [n for n in range(instance.num_users) if profile[n] is not last[n]]
+        touched = set(moved).union(*(instance.graph.adjacency[n] for n in moved))
+        for n in touched:
+            rates[n] = total_expected_rate(n, profile, instance)
+        return tuple(rates)
 
     def build(
         self,
@@ -386,6 +401,13 @@ def run_br_drm(
     consecutive updating times without a change), confirmed by an equilibrium
     check in exact mode; estimator mode treats the quiet pass itself as
     convergence. Scheduled population events enlarge the instance mid-run.
+
+    In exact mode a user's decision reads no rng and depends only on its own
+    channel set and its neighbors' strategies, so a user whose last
+    evaluation found no improving switch is settled: it is skipped when
+    active until a neighbor switches or a population event arrives, and the
+    run stays exactly the same. Estimator mode evaluates every active user,
+    since its estimates move with every slot batch.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -400,6 +422,7 @@ def run_br_drm(
     valid_from = [0] * instance.num_users
     slot_counter = 0
     quiet_run = 0
+    settled: set[int] = set()  # exact mode: users whose last evaluation kept them
 
     for t in range(1, max_iters + 1):
         while pending and pending[0].at_iter == t:
@@ -412,6 +435,7 @@ def run_br_drm(
             valid_from = [0] * instance.num_users
             slot_counter = 0
             quiet_run = 0
+            settled.clear()
         if estimator_config is not None:
             busy = _draw_slots(profile, instance, estimator_config.slots_per_update, rng)[2]
             if window is not None:
@@ -421,6 +445,8 @@ def run_br_drm(
         active = select_active(mechanism, instance.graph, rng, step=t - 1)
         switches: dict[int, tuple[int, ...]] = {}
         for n in active:
+            if n in settled:
+                continue
             estimates = None
             if estimator_config is not None:
                 # slots are numbered consecutively, so the user's valid ones
@@ -429,15 +455,18 @@ def run_br_drm(
                 estimates = estimate_success_probability(n, window[len(window) - valid :])
             scores = channel_scores(n, profile, instance, estimates)
             br_set = top_channels(scores, instance.channels_per_user)
-            if br_set == profile[n].channels:
-                continue
-            current_score = left_sum(scores[k] for k in profile[n].channels if k in scores)
-            br_score = left_sum(scores[k] for k in br_set)
-            if br_score - current_score > NEP_REL_TOL * max(br_score, current_score):
-                switches[n] = br_set
+            if br_set != profile[n].channels:
+                current_score = left_sum(scores[k] for k in profile[n].channels if k in scores)
+                br_score = left_sum(scores[k] for k in br_set)
+                if br_score - current_score > NEP_REL_TOL * max(br_score, current_score):
+                    switches[n] = br_set
+                    continue
+            if estimator_config is None:
+                settled.add(n)
         if switches:
             for n, chans in switches.items():
                 profile = replace_strategy(profile, n, Strategy(chans, instance.caps[n]))
+                settled.difference_update(instance.graph.adjacency[n])
             profile = recorder.canonical(profile)
             if estimator_config is not None and estimator_config.flush_on_neighbor_update:
                 for n in switches:
@@ -621,11 +650,34 @@ def _sample_cached(
     return draw_action(table, rng)
 
 
+class _GraphArrays:
+    """Arrays derived from one interference graph, each built on first use."""
+
+    def __init__(self, graph: InterferenceGraph):
+        self._graph = graph
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """(N, N) float32 adjacency, for the slot simulator's matmul."""
+        return self._graph.adjacency_matrix().astype(np.float32)
+
+    @cached_property
+    def neighbors(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.array(nbrs, dtype=np.intp) for nbrs in self._graph.adjacency)
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Directed edges (src, dst), both ways, and whether dst < src."""
+        adjacency = self._graph.adjacency
+        degrees = [len(nbrs) for nbrs in adjacency]
+        src = np.repeat(np.arange(len(adjacency), dtype=np.intp), degrees)
+        dst = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=len(src))
+        return src, dst, dst < src
+
+
 @lru_cache(maxsize=64)
-def _graph_arrays(graph: InterferenceGraph) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    mat = graph.adjacency_matrix().astype(np.float32)
-    nbr_arrays = tuple(np.array(nbrs, dtype=np.intp) for nbrs in graph.adjacency)
-    return mat, nbr_arrays
+def _graph_arrays(graph: InterferenceGraph) -> _GraphArrays:
+    return _GraphArrays(graph)
 
 
 def _draw_slots(
@@ -647,7 +699,7 @@ def _draw_slots(
     for n, strat in enumerate(profile):
         member[n, list(strat.channels)] = True
         probs[n] = strat.attempt_prob
-    adj, _ = _graph_arrays(instance.graph)
+    adj = _graph_arrays(instance.graph).dense
     transmitted = rng.random((num_slots, n_users)) < probs
     on_air = member & transmitted[..., None]
     busy = np.matmul(adj, on_air.astype(np.float32)) > 0.5
@@ -712,7 +764,7 @@ def simulate_naive_policy(
     """
     if not 0.0 <= attempt_prob <= 1.0:
         raise ValueError("attempt_prob must lie in [0, 1]")
-    _, nbr_arrays = _graph_arrays(instance.graph)
+    nbr_arrays = _graph_arrays(instance.graph).neighbors
     n_users = instance.num_users
     successes = np.zeros(n_users, dtype=np.int64)
     batch = max(1, min(num_slots, 2_000_000 // max(1, n_users)))

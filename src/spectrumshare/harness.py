@@ -552,24 +552,37 @@ def _aggregate(
 ) -> list[dict]:
     """Per-iteration means across trials; shorter trials hold their final state."""
     num_iters = max(len(t) for t in trajectories)
+    # A trajectory interns its profiles, holds every profile and instance it
+    # recorded, and repeats one rates tuple while its profile stands still, so
+    # each step is looked up by object identity; only a profile object not
+    # seen before is hashed, to share its check with equal profiles of other
+    # trials.
+    nep_by_id: dict[tuple[int, int], bool] = {}
     nep_cache: dict[tuple[StrategyProfile, int], bool] = {}
+    last_rates: list[Optional[tuple[float, ...]]] = [None] * len(trajectories)
+    last_terms: list[tuple[float, float]] = [(0.0, 0.0)] * len(trajectories)
     rows = []
     for it in range(num_iters):
         rate_means = []
         sum_logs = []
         nep_flags = []
-        for traj in trajectories:
+        for j, traj in enumerate(trajectories):
             idx = min(it, len(traj) - 1)
             rates = traj.rates[idx]
-            rate_means.append(left_sum(rates) / len(rates))
-            sum_logs.append(_sum_log_rate(rates))
+            if rates is not last_rates[j]:
+                last_rates[j] = rates
+                last_terms[j] = (left_sum(rates) / len(rates), _sum_log_rate(rates))
+            rate_means.append(last_terms[j][0])
+            sum_logs.append(last_terms[j][1])
             profile = traj.profiles[idx]
             instance = traj.instances[idx]
-            key = (profile, id(instance))
-            flag = nep_cache.get(key)
+            flag = nep_by_id.get((id(profile), id(instance)))
             if flag is None:
-                flag = _is_nep_for(profile, instance, config.algorithm)
-                nep_cache[key] = flag
+                key = (profile, id(instance))
+                flag = nep_cache.get(key)
+                if flag is None:
+                    flag = nep_cache[key] = _is_nep_for(profile, instance, config.algorithm)
+                nep_by_id[id(profile), id(instance)] = flag
             nep_flags.append(flag)
         rows.append(
             {
@@ -709,34 +722,55 @@ def _build_manifest(
     return manifest
 
 
+def _write_step(fh, head: str, tails: list[str]) -> None:
+    fh.write(head + ("\n" + head).join(tails) + "\n")
+
+
+def _write_trajectory(fh, trial: int, traj: Trajectory) -> None:
+    """One trial's rows: `trial,iter,` then a per-user tail.
+
+    A user's tail `user,channel_set,attempt_prob,rate` is reformatted only
+    when its Strategy object or its rate differs from the previous step. No
+    field holds a comma, quote or newline, so these are csv.writer's bytes.
+    """
+    tails: list[str] = []
+    last_profile: StrategyProfile = ()
+    last_rates: tuple[float, ...] = ()
+    for index, (profile, rates) in enumerate(zip(traj.profiles, traj.rates)):
+        if profile is not last_profile or rates is not last_rates:
+            for user, strat in enumerate(profile):
+                if (
+                    user < len(last_profile)
+                    and strat is last_profile[user]
+                    and rates[user] == last_rates[user]
+                ):
+                    continue
+                tail = (
+                    f"{user},{_channel_set_str(strat.channels)},"
+                    f"{_fmt(strat.attempt_prob)},{_fmt(rates[user])}"
+                )
+                if user < len(tails):
+                    tails[user] = tail
+                else:
+                    tails.append(tail)
+            last_profile, last_rates = profile, rates
+        _write_step(fh, f"{trial},{index},", tails)
+
+
 def _write_outputs(result: ExperimentResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = result.config
     with open(out_dir / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["trial", "iter", "user", "channel_set", "attempt_prob", "expected_rate"]
-        )
+        fh.write("trial,iter,user,channel_set,attempt_prob,expected_rate\n")
         if config.algorithm == "naive":
             assert result.naive_rates is not None
             for trial, rates in enumerate(result.naive_rates):
-                for user, rate in enumerate(rates):
-                    writer.writerow([trial, 0, user, "", "", _fmt(rate)])
+                tails = [f"{user},,,{_fmt(rate)}" for user, rate in enumerate(rates)]
+                _write_step(fh, f"{trial},0,", tails)
         else:
             for trial, traj in enumerate(result.trajectories):
                 assert traj is not None
-                for step in traj.steps():
-                    for user, strat in enumerate(step.profile):
-                        writer.writerow(
-                            [
-                                trial,
-                                step.index,
-                                user,
-                                _channel_set_str(strat.channels),
-                                _fmt(strat.attempt_prob),
-                                _fmt(step.rates[user]),
-                            ]
-                        )
+                _write_trajectory(fh, trial, traj)
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iter", "mean_rate", "mean_sum_log_rate", "frac_at_nep"])

@@ -85,6 +85,11 @@ class InterferenceGraph:
                     raise ValueError(f"user {n} listed as its own neighbor")
                 if n not in self.adjacency[r]:
                     raise ValueError(f"asymmetric edge ({n}, {r})")
+        # per-graph caches look graphs up every updating time; hash them once
+        object.__setattr__(self, "_hash", hash((self.num_users, self.adjacency)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_edges(cls, num_users: int, edges: Iterable[tuple[int, int]]) -> "InterferenceGraph":
@@ -338,17 +343,21 @@ def drop_in_disc(
 def graph_from_positions(
     positions: np.ndarray, interference_radius: float
 ) -> InterferenceGraph:
-    """Link every pair of points within interference range of each other."""
+    """Link every pair of points within interference range of each other.
+
+    Each row compares point a with every later point through one np.hypot
+    call, which gives the same distances as one call per pair.
+    """
     num_users = len(positions)
     if num_users < 1:
         raise ValueError("need at least one position")
     if interference_radius < 0:
         raise ValueError("interference_radius must be nonnegative")
     edges = []
-    for a in range(num_users):
-        for b in range(a + 1, num_users):
-            if float(np.hypot(*(positions[a] - positions[b]))) <= interference_radius:
-                edges.append((a, b))
+    for a in range(num_users - 1):
+        offsets = positions[a] - positions[a + 1 :]
+        close = np.hypot(offsets[:, 0], offsets[:, 1]) <= interference_radius
+        edges.extend((a, b) for b in (np.flatnonzero(close) + (a + 1)).tolist())
     return InterferenceGraph.from_edges(num_users, edges)
 
 
