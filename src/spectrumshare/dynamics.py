@@ -258,7 +258,9 @@ class _Recorder:
         self.instances: list[Instance] = []
         self._interned: dict[StrategyProfile, StrategyProfile] = {}
         self._active_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._derived: dict[StrategyProfile, tuple[float, tuple[float, ...]]] = {}
+        # keyed by id: recorded profiles stay alive in self.profiles, and
+        # interned ones are equal exactly when they are the same object
+        self._derived: dict[int, tuple[float, tuple[float, ...]]] = {}
 
     def reset_instance_caches(self) -> None:
         self._derived.clear()
@@ -269,31 +271,25 @@ class _Recorder:
     def record(
         self, active: tuple[int, ...], profile: StrategyProfile, instance: Instance
     ) -> None:
-        same_instance = bool(self.instances) and instance is self.instances[-1]
-        if same_instance and profile is self.profiles[-1]:
-            # an unchanged step: skip hashing all N strategies for the lookup
-            derived = (self.potentials[-1], self.rates[-1])
-        else:
-            derived = self._derived.get(profile)
+        derived = self._derived.get(id(profile))
         if derived is None:
             potential = self._potential_fn(profile, instance)
-            derived = (potential, self._rates(profile, instance, same_instance))
-            self._derived[profile] = derived
+            derived = (potential, self._rates(profile, instance))
+            self._derived[id(profile)] = derived
         self.active_sets.append(self._active_interned.setdefault(active, active))
         self.profiles.append(profile)
         self.potentials.append(derived[0])
         self.rates.append(derived[1])
         self.instances.append(instance)
 
-    def _rates(
-        self, profile: StrategyProfile, instance: Instance, same_instance: bool
-    ) -> tuple[float, ...]:
+    def _rates(self, profile: StrategyProfile, instance: Instance) -> tuple[float, ...]:
         """Every user's expected rate.
 
-        On an unchanged instance only the users whose own or neighbors'
-        Strategy objects changed are repriced; a rate reads nothing else.
+        On the previous snapshot's instance only the users whose own or
+        neighbors' Strategy objects changed are repriced; a rate reads
+        nothing else.
         """
-        if not same_instance:
+        if not self.instances or instance is not self.instances[-1]:
             return tuple(total_expected_rate(n, profile, instance) for n in range(instance.num_users))
         last = self.profiles[-1]
         rates = list(self.rates[-1])

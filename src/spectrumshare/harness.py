@@ -552,13 +552,10 @@ def _aggregate(
 ) -> list[dict]:
     """Per-iteration means across trials; shorter trials hold their final state."""
     num_iters = max(len(t) for t in trajectories)
-    # A trajectory interns its profiles, holds every profile and instance it
-    # recorded, and repeats one rates tuple while its profile stands still, so
-    # each step is looked up by object identity; only a profile object not
-    # seen before is hashed, to share its check with equal profiles of other
-    # trials.
-    nep_by_id: dict[tuple[int, int], bool] = {}
-    nep_cache: dict[tuple[StrategyProfile, int], bool] = {}
+    # Keyed by object identity, which hashes no strategy: a trajectory interns
+    # its profiles, holds every profile and instance it recorded, and repeats
+    # one rates tuple while its profile stands still.
+    nep_cache: dict[tuple[int, int], bool] = {}
     last_rates: list[Optional[tuple[float, ...]]] = [None] * len(trajectories)
     last_terms: list[tuple[float, float]] = [(0.0, 0.0)] * len(trajectories)
     rows = []
@@ -576,13 +573,10 @@ def _aggregate(
             sum_logs.append(last_terms[j][1])
             profile = traj.profiles[idx]
             instance = traj.instances[idx]
-            flag = nep_by_id.get((id(profile), id(instance)))
+            key = (id(profile), id(instance))
+            flag = nep_cache.get(key)
             if flag is None:
-                key = (profile, id(instance))
-                flag = nep_cache.get(key)
-                if flag is None:
-                    flag = nep_cache[key] = _is_nep_for(profile, instance, config.algorithm)
-                nep_by_id[id(profile), id(instance)] = flag
+                flag = nep_cache[key] = _is_nep_for(profile, instance, config.algorithm)
             nep_flags.append(flag)
         rows.append(
             {
