@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -126,12 +125,13 @@ def select_active(
         draws = rng.random(n_users)
         return tuple(np.flatnonzero(draws < q).tolist())
     draws = rng.random(n_users) * mechanism.backoff_bound
-    # a user loses to any neighbor with a lower draw, or an equal draw and a
-    # lower index; the winners are the users that lose to none
-    src, dst, dst_first = _graph_arrays(graph).edges
-    theirs, mine = draws[dst], draws[src]
+    # each edge has one loser: the higher draw, or on a tie the higher index;
+    # the winners are the users that lose on none of their edges
+    low, high = _graph_arrays(graph).edges
+    low_wins = draws[low] <= draws[high]
     lost = np.zeros(n_users, dtype=bool)
-    lost[src[(theirs < mine) | ((theirs == mine) & dst_first)]] = True
+    lost[high[low_wins]] = True
+    lost[low[~low_wins]] = True
     return tuple(np.flatnonzero(~lost).tolist())
 
 
@@ -662,13 +662,10 @@ class _GraphArrays:
         return tuple(np.array(nbrs, dtype=np.intp) for nbrs in self._graph.adjacency)
 
     @cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed edges (src, dst), both ways, and whether dst < src."""
-        adjacency = self._graph.adjacency
-        degrees = [len(nbrs) for nbrs in adjacency]
-        src = np.repeat(np.arange(len(adjacency), dtype=np.intp), degrees)
-        dst = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=len(src))
-        return src, dst, dst < src
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge once, as (lower endpoint, higher endpoint) index arrays."""
+        pairs = np.array(self._graph.edges(), dtype=np.intp).reshape(-1, 2)
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
 
 
 @lru_cache(maxsize=64)
