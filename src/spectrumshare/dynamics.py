@@ -290,7 +290,8 @@ class _Recorder:
         nothing else.
         """
         if not self.instances or instance is not self.instances[-1]:
-            return tuple(total_expected_rate(n, profile, instance) for n in range(instance.num_users))
+            users = range(instance.num_users)
+            return tuple(total_expected_rate(n, profile, instance) for n in users)
         last = self.profiles[-1]
         rates = list(self.rates[-1])
         moved = [n for n in range(instance.num_users) if profile[n] is not last[n]]

@@ -450,9 +450,10 @@ def test_trajectory_csv_equals_the_csv_writer_rows(tmp_path):
     # the population grows mid-trial, and a user keeps its Strategy object
     # while its rate moves because a neighbor switched
     assert len(traj.profiles[0]) == 12 and len(traj.profiles[-1]) == 16
+    steps = list(zip(traj.profiles, traj.rates))
     assert any(
         before[n] is after[n] and r0[n] != r1[n]
-        for before, after, r0, r1 in zip(traj.profiles, traj.profiles[1:], traj.rates, traj.rates[1:])
+        for (before, r0), (after, r1) in zip(steps, steps[1:])
         for n in range(len(before))
     )
 

@@ -203,7 +203,8 @@ def test_graph_from_positions_equals_the_pair_loop():
     for positions, radius in cases:
         graph = graph_from_positions(positions, radius)
         assert graph == _scalar_position_graph(positions, radius)
-    assert graph_from_positions(cases[1][0], 5.0).edges() == ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
+    want = ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert graph_from_positions(cases[1][0], 5.0).edges() == want
     assert graph_from_positions(cases[2][0], 0.0).edges() == ((0, 1), (2, 3))
 
 
