@@ -12,13 +12,14 @@ a channel-oblivious random policy on regular networks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .network import (
     NEP_REL_TOL,
     NO_LOAD,
     Instance,
+    NepReport,
+    Strategy,
     StrategyProfile,
     _neg_log1m,
     channel_load,
@@ -28,7 +29,6 @@ from .network import (
 from .network import log_interference, success_probability
 
 __all__ = [
-    "DrmNepReport",
     "best_response_drm",
     "br_potential",
     "br_potential_upper_bound",
@@ -36,16 +36,6 @@ __all__ = [
     "efficiency_bound",
     "naive_expected_rate",
 ]
-
-
-@dataclass(frozen=True)
-class DrmNepReport:
-    """Outcome of an equilibrium check for the rate-maximization game."""
-
-    is_nep: bool
-    violating_user: Optional[int] = None
-    improving_channels: Optional[tuple[int, ...]] = None
-    rate_gain: float = 0.0
 
 
 def channel_scores(
@@ -138,13 +128,14 @@ def br_potential_upper_bound(instance: Instance) -> float:
     return total
 
 
-def is_nep_drm(profile: StrategyProfile, instance: Instance) -> DrmNepReport:
+def is_nep_drm(profile: StrategyProfile, instance: Instance) -> NepReport:
     """Check that no user can improve its rate by switching channel sets.
 
     Assumes every user plays at its cap. Improvements within NEP_REL_TOL
     (relative to the larger rate) do not count as violations; the first
-    violating user found is reported with its best-response set and the rate
-    gain, both sets priced from one channel_load.
+    violating user found is reported with its best-response set (at its
+    current attempt probability) and the rate gain, both sets priced from one
+    channel_load.
     """
     for n, strat in enumerate(profile):
         load = channel_load(n, profile, instance.graph)
@@ -156,8 +147,8 @@ def is_nep_drm(profile: StrategyProfile, instance: Instance) -> DrmNepReport:
         best = rate_from_load(strat.attempt_prob, instance.utilities[n], br_set, load)
         gain = best - current
         if gain > NEP_REL_TOL * max(best, current):
-            return DrmNepReport(False, n, br_set, gain)
-    return DrmNepReport(True)
+            return NepReport(False, n, Strategy(br_set, strat.attempt_prob), gain)
+    return NepReport(True)
 
 
 def efficiency_bound(num_channels: int, degree: int) -> float:

@@ -23,17 +23,16 @@ from .drm import br_potential, channel_scores, is_nep_drm, top_channels
 from .errors import DegenerateInstanceError, EstimationError
 from .fairness import (
     CoolingSchedule,
-    FairnessAction,
     allocation_profile,
     best_fair_action,
-    cooperative_utility,
     cumulative_table,
     draw_action,
     exact_potential,
     is_nep_fairness,
     noisy_br_distribution,
 )
-from .fairness import sample_noisy_br  # unused; perfbench/tracing.py patches it
+# unused; perfbench/tracing.py patches them
+from .fairness import cooperative_utility, sample_noisy_br
 from .network import (
     NEP_REL_TOL,
     Instance,
@@ -62,6 +61,8 @@ __all__ = [
     "simulate_slots",
     "simulate_naive_policy",
     "estimate_success_probability",
+    "drm_initial_profile",
+    "nbrf_initial_profile",
 ]
 
 
@@ -519,14 +520,12 @@ def run_better_response_replay(
     return recorder.build(None, "max-iters")
 
 
-def _sticky_best_action(user: int, profile: StrategyProfile, instance: Instance) -> FairnessAction:
-    current = FairnessAction(profile[user].channels[0], profile[user].attempt_prob)
-    best_action, best_value = best_fair_action(user, profile, instance)
+def _sticky_best_action(user: int, profile: StrategyProfile, instance: Instance) -> Strategy:
+    best_action, best_value, current_value = best_fair_action(user, profile, instance)
     if best_action is None:
-        return current
-    current_value = cooperative_utility(user, current, profile, instance)
+        return profile[user]
     if current_value >= best_value - NEP_REL_TOL * max(1.0, abs(best_value)):
-        return current
+        return profile[user]
     return best_action
 
 
@@ -562,7 +561,7 @@ def run_nbrf(
     # Conditional draw distributions depend only on beta and the neighbors'
     # strategies, so they are memoized per (user, neighbor state) while beta(t)
     # holds still.
-    conditional_cache: dict[tuple, tuple[list[FairnessAction], list[float]]] = {}
+    conditional_cache: dict[tuple, tuple[list[Strategy], list[float]]] = {}
     cache_beta: Optional[float] = None
 
     quiet_run = 0
@@ -581,7 +580,7 @@ def run_nbrf(
             cache_beta = beta_t
         frozen = freeze_beta is not None and beta_t >= freeze_beta
         active = select_active(mechanism, instance.graph, rng, step=t - 1)
-        replacements: dict[int, FairnessAction] = {}
+        replacements: dict[int, Strategy] = {}
         for n in active:
             # At beta = 0 the sampler is uniform over the whole grid, so a
             # user can land on attempt probability 1.0 next to a neighbor and
@@ -598,14 +597,12 @@ def run_nbrf(
                     )
                 except DegenerateInstanceError:
                     continue
-            strat = profile[n]
-            if action.channel != strat.channels[0] or action.attempt_prob != strat.attempt_prob:
+            # by value: the initial plays and an old degree's grid are other objects
+            if action != profile[n]:
                 replacements[n] = action
         if replacements:
             for n, action in replacements.items():
-                profile = replace_strategy(
-                    profile, n, Strategy((action.channel,), action.attempt_prob)
-                )
+                profile = replace_strategy(profile, n, action)
             profile = recorder.canonical(profile)
             quiet_run = 0
         else:
@@ -628,7 +625,7 @@ def _sample_cached(
     beta: float,
     rng: np.random.Generator,
     cache: dict,
-) -> FairnessAction:
+) -> Strategy:
     """sample_noisy_br with its cumulative table memoized in `cache`.
 
     The key omits beta: the caller clears the cache whenever beta changes.

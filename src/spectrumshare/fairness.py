@@ -1,10 +1,10 @@
 """Cooperative single-channel game targeting proportional fairness.
 
-Each user picks one channel and an attempt probability from the grid
-{1, 1/2, ..., 1/(deg+1)}. The shared objective is the sum of log rates; each
-user's cooperative utility is its own log rate minus the log-rate damage its
-transmissions inflict on same-channel neighbors, and a unilateral change moves
-the global objective by exactly the utility change. Noisy best responses
+Each user plays a one-channel Strategy with an attempt probability from the
+grid {1, 1/2, ..., 1/(deg+1)}. The shared objective is the sum of log rates;
+each user's cooperative utility is its own log rate minus the log-rate damage
+its transmissions inflict on same-channel neighbors, and a unilateral change
+moves the global objective by exactly the utility change. Noisy best responses
 (softmax in beta times utility) turn the game into annealed local search whose
 long-run profile distribution is the Gibbs measure of the objective.
 """
@@ -12,6 +12,7 @@ long-run profile distribution is the Gibbs measure of the objective.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .network import (
     NEP_REL_TOL,
     NO_LOAD,
     Instance,
+    NepReport,
     StrategyProfile,
     Strategy,
     channel_load,
@@ -33,8 +35,6 @@ from .network import (
 from .network import log_interference  # unused; perfbench/tracing.py patches it
 
 __all__ = [
-    "FairnessAction",
-    "FairnessNepReport",
     "CoolingSchedule",
     "cooperative_utility",
     "exact_potential",
@@ -51,54 +51,28 @@ __all__ = [
 GIBBS_CAPACITY = 10**6
 
 
-@dataclass(frozen=True)
-class FairnessAction:
-    """One candidate play: a channel plus an attempt probability.
-
-    The sampler's action grid restricts attempt_prob to {1/r : r = 1..deg+1};
-    the type itself accepts any probability so off-grid plays can still be
-    evaluated defensively.
-    """
-
-    channel: int
-    attempt_prob: float
-
-    def __post_init__(self) -> None:
-        if self.channel < 0:
-            raise ValueError("channel must be nonnegative")
-        if not 0.0 <= self.attempt_prob <= 1.0:
-            raise ValueError("attempt_prob must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class FairnessNepReport:
-    """Outcome of an equilibrium check for the fairness game."""
-
-    is_nep: bool
-    violating_user: Optional[int] = None
-    best_action: Optional[FairnessAction] = None
-    utility_gain: float = 0.0
-
-
 def _require_single_channel(instance: Instance) -> None:
     if instance.channels_per_user != 1:
         raise ValueError("the fairness game requires channels_per_user == 1")
 
 
 def cooperative_utility(
-    user: int, action: FairnessAction, profile: StrategyProfile, instance: Instance
+    user: int, action: Strategy, profile: StrategyProfile, instance: Instance
 ) -> float:
-    """Fair utility of playing `action` against the others' current profile.
+    """Fair utility of playing the one-channel `action` against the others' profile.
 
     log(u * p) minus the log-interference the user suffers on the channel,
     minus log(1/(1-p)) times the number of neighbors it would interfere with
     there. -inf when p = 0, when the utility is 0, when a same-channel
     neighbor transmits with probability 1, or when p = 1 with any same-channel
     neighbor present (an isolated p = 1 play scores log u, reading 0*log 0
-    as 0).
+    as 0). Any play off the grid may be priced; a play of other than one
+    channel raises ValueError.
     """
     _require_single_channel(instance)
-    k = action.channel
+    if len(action.channels) != 1:
+        raise ValueError("a fairness play selects exactly one channel")
+    k = action.channels[0]
     if k >= instance.num_channels:
         raise ValueError(f"channel index {k} out of range")
     count, _, suffered = channel_load(user, profile, instance.graph).get(k, NO_LOAD)
@@ -158,45 +132,54 @@ def allocation_profile(alloc: Sequence[int], instance: Instance) -> StrategyProf
     )
 
 
-def _action_grid(user: int, instance: Instance) -> list[FairnessAction]:
-    degree = instance.graph.degree(user)
-    return [
-        FairnessAction(k, 1.0 / r)
-        for k in range(instance.num_channels)
-        for r in range(1, degree + 2)
-    ]
+@functools.lru_cache(maxsize=None)
+def _action_grid(num_channels: int, degree: int) -> tuple[Strategy, ...]:
+    """Every one-channel play at probability 1/r, r = 1..degree+1, channel-major.
+
+    Shared by all users of that degree; the plays are frozen, so sharing is safe.
+    """
+    return tuple(
+        Strategy((k,), 1.0 / r) for k in range(num_channels) for r in range(1, degree + 2)
+    )
 
 
-def _grid_utilities(user: int, load: dict, instance: Instance) -> tuple[list, list[float]]:
-    """The user's action grid and each action's fair utility under `load`."""
+def _grid_utilities(
+    user: int, load: dict, instance: Instance
+) -> tuple[tuple[Strategy, ...], list[float]]:
+    """The user's action grid and each play's fair utility under `load`."""
     utils = instance.utilities[user]
-    actions = _action_grid(user, instance)
+    actions = _action_grid(instance.num_channels, instance.graph.degree(user))
     values = []
     for a in actions:
-        count, _, suffered = load.get(a.channel, NO_LOAD)
-        values.append(_fair_utility(utils[a.channel], a.attempt_prob, count, suffered))
+        k = a.channels[0]
+        count, _, suffered = load.get(k, NO_LOAD)
+        values.append(_fair_utility(utils[k], a.attempt_prob, count, suffered))
     return actions, values
-
-
-def _first_best(actions: list, values: list[float]) -> tuple[Optional[FairnessAction], float]:
-    i = max(range(len(values)), key=values.__getitem__)  # first of equal maxima
-    return (actions[i], values[i]) if values[i] > -math.inf else (None, -math.inf)
 
 
 def best_fair_action(
     user: int, profile: StrategyProfile, instance: Instance
-) -> tuple[Optional[FairnessAction], float]:
-    """First grid action of highest cooperative utility, and that utility.
+) -> tuple[Optional[Strategy], float, float]:
+    """The first grid play of highest cooperative utility and its utility.
 
-    (None, -inf) when every grid action is worthless.
+    Also returns the utility of the user's current play, priced from the same
+    channel_load. The best play is None (and its utility -inf) when every grid
+    play is worthless.
     """
     load = channel_load(user, profile, instance.graph)
-    return _first_best(*_grid_utilities(user, load, instance))
+    actions, values = _grid_utilities(user, load, instance)
+    i = max(range(len(values)), key=values.__getitem__)  # first of equal maxima
+    k, p = profile[user].channels[0], profile[user].attempt_prob
+    count, _, suffered = load.get(k, NO_LOAD)
+    current = _fair_utility(instance.utilities[user][k], p, count, suffered)
+    if values[i] == -math.inf:
+        return None, -math.inf, current
+    return actions[i], values[i], current
 
 
 def noisy_br_distribution(
     user: int, profile: StrategyProfile, instance: Instance, beta: float
-) -> dict[FairnessAction, float]:
+) -> dict[Strategy, float]:
     """Softmax over the user's action grid at inverse temperature beta.
 
     Weights are exp(beta * utility), computed max-shifted; actions with
@@ -215,7 +198,7 @@ def noisy_br_distribution(
     )
 
 
-def _softmax(keys: list, values: list[float], beta: float, degenerate: str) -> dict:
+def _softmax(keys: Sequence, values: list[float], beta: float, degenerate: str) -> dict:
     """Weights exp(beta * value), max-shifted and normalized; -inf gets weight 0.
 
     Raises DegenerateInstanceError with the given message when every value is
@@ -233,10 +216,10 @@ def _softmax(keys: list, values: list[float], beta: float, degenerate: str) -> d
 
 
 def cumulative_table(
-    dist: dict[FairnessAction, float]
-) -> tuple[list[FairnessAction], list[float]]:
-    """The supported actions of a distribution and their running probability sums."""
-    actions: list[FairnessAction] = []
+    dist: dict[Strategy, float]
+) -> tuple[list[Strategy], list[float]]:
+    """The supported plays of a distribution and their running probability sums."""
+    actions: list[Strategy] = []
     cumulative: list[float] = []
     running = 0.0
     for action, prob in dist.items():
@@ -249,8 +232,8 @@ def cumulative_table(
 
 
 def draw_action(
-    table: tuple[list[FairnessAction], list[float]], rng: np.random.Generator
-) -> FairnessAction:
+    table: tuple[list[Strategy], list[float]], rng: np.random.Generator
+) -> Strategy:
     """Single inverse-CDF draw from a cumulative_table."""
     actions, cumulative = table
     idx = bisect.bisect_right(cumulative, rng.random())
@@ -264,35 +247,31 @@ def sample_noisy_br(
     instance: Instance,
     beta: float,
     rng: np.random.Generator,
-) -> FairnessAction:
+) -> Strategy:
     """Single inverse-CDF draw from noisy_br_distribution."""
     return draw_action(
         cumulative_table(noisy_br_distribution(user, profile, instance, beta)), rng
     )
 
 
-def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> FairnessNepReport:
+def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> NepReport:
     """Check that no user can improve its fair utility unilaterally.
 
     Candidates are the user's action grid, which holds the closed-form optimum
     1/(count+1) of every channel. The first user able to gain more than
-    NEP_REL_TOL (relative) is reported.
+    NEP_REL_TOL (relative) is reported with its best grid play.
     """
     _require_single_channel(instance)
     for n in range(instance.num_users):
-        load = channel_load(n, profile, instance.graph)
-        k, p = profile[n].channels[0], profile[n].attempt_prob
-        count, _, suffered = load.get(k, NO_LOAD)
-        current = _fair_utility(instance.utilities[n][k], p, count, suffered)
-        best_action, best_value = _first_best(*_grid_utilities(n, load, instance))
+        best_action, best_value, current = best_fair_action(n, profile, instance)
         if best_action is None:
             continue  # nothing the user does matters; cannot improve
         if current == -math.inf:
-            return FairnessNepReport(False, n, best_action, math.inf)
+            return NepReport(False, n, best_action, math.inf)
         gain = best_value - current
         if gain > NEP_REL_TOL * max(1.0, abs(best_value), abs(current)):
-            return FairnessNepReport(False, n, best_action, gain)
-    return FairnessNepReport(True)
+            return NepReport(False, n, best_action, gain)
+    return NepReport(True)
 
 
 def per_channel_sum_log_rate(
@@ -319,7 +298,10 @@ def gibbs_stationary(
     _require_single_channel(instance)
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    grids = [_action_grid(n, instance) for n in range(instance.num_users)]
+    grids = [
+        _action_grid(instance.num_channels, instance.graph.degree(n))
+        for n in range(instance.num_users)
+    ]
     space = 1
     for grid in grids:
         space *= len(grid)
@@ -327,12 +309,8 @@ def gibbs_stationary(
             raise CapacityError(
                 f"joint action space exceeds {GIBBS_CAPACITY} profiles"
             )
-    profiles = []
-    values = []
-    for combo in itertools.product(*grids):
-        prof = tuple(Strategy((a.channel,), a.attempt_prob) for a in combo)
-        profiles.append(prof)
-        values.append(exact_potential(prof, instance))
+    profiles = list(itertools.product(*grids))
+    values = [exact_potential(prof, instance) for prof in profiles]
     return _softmax(profiles, values, beta, "every joint profile has objective -inf")
 
 

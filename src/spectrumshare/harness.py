@@ -56,6 +56,7 @@ __all__ = [
     "build_instance_and_events",
     "run_experiment",
     "gibbs_check",
+    "default_gibbs_instance",
     "efficiency_sweep",
     "load_config",
     "load_preset",
@@ -344,8 +345,8 @@ def build_instance_and_events(
         reach = _as_float(
             instance_spec.get("interference_radius", 2.0), f"{path}.interference_radius"
         )
-        if region <= 0 or reach <= 0:
-            raise ConfigError(f"{path} radii must be positive")
+        if not (0 < region < math.inf and 0 < reach < math.inf):
+            raise ConfigError(f"{path} radii must be positive and finite")
         positions = drop_in_disc(rng, final_users, region)
 
         def stage_graph(n: int) -> InterferenceGraph:
@@ -495,6 +496,8 @@ def _naive_trial_rates(
         )
         attempt = min(1.0, instance.num_channels / (max_degree + 1))
     attempt = _as_float(attempt, "config.naive.attempt_prob")
+    if not 0.0 <= attempt <= 1.0:
+        raise ConfigError("config.naive.attempt_prob must lie in [0, 1]")
     for n in range(instance.num_users):
         row = instance.utilities[n]
         if any(u != row[0] for u in row):
@@ -807,8 +810,11 @@ def gibbs_check(
         raise ConfigError("gibbs check needs at least one post-burn-in step")
     if burn_in < 0:
         raise ConfigError("burn_in must be nonnegative")
-    mechanism = UpdateMechanism.probabilistic(update_prob)
-    schedule = CoolingSchedule.fixed(beta)
+    try:
+        mechanism = UpdateMechanism.probabilistic(update_prob)
+        schedule = CoolingSchedule.fixed(beta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rng = _trial_rng(seed, 0)
     trajectory = run_nbrf(
         instance, mechanism, schedule, max_iters=burn_in + num_steps, rng=rng
@@ -848,6 +854,8 @@ def efficiency_sweep(
     `trials` seeds, per-user ratios against the closed-form naive rate, and
     the guaranteed bound. Inadmissible pairs get a note row instead.
     """
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
     rows = []
     for num_channels in channel_counts:
         for degree in degrees:

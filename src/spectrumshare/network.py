@@ -25,6 +25,7 @@ __all__ = [
     "Strategy",
     "StrategyProfile",
     "Instance",
+    "NepReport",
     "make_profile",
     "replace_strategy",
     "validate_profile",
@@ -146,6 +147,22 @@ class Strategy:
 # A profile is one Strategy per user, indexed by user. Plain tuples keep
 # profiles hashable and cheap to snapshot.
 StrategyProfile = tuple[Strategy, ...]
+
+
+@dataclass(frozen=True)
+class NepReport:
+    """Outcome of an equilibrium check, in either game.
+
+    When is_nep is False, violating_user is the first user found able to
+    improve, deviation the play it would switch to, and gain what that switch
+    earns it (its rate in the rate game, its cooperative utility in the
+    fairness game).
+    """
+
+    is_nep: bool
+    violating_user: Optional[int] = None
+    deviation: Optional[Strategy] = None
+    gain: float = 0.0
 
 
 def make_profile(

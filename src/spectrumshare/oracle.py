@@ -11,7 +11,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .drm import is_nep_drm
 from .errors import CapacityError, DegenerateInstanceError
@@ -114,7 +114,7 @@ def exhaustive_sum_log_rate(
 
 
 def _enumerate_equilibria(
-    per_user: list[list[Strategy]],
+    per_user: Sequence[Sequence[Strategy]],
     capacity: int,
     is_nep: Callable[[StrategyProfile], bool],
 ) -> tuple[StrategyProfile, ...]:
@@ -157,7 +157,7 @@ def exhaustive_fairness_nep_enumeration(
     if instance.channels_per_user != 1:
         raise ValueError("fairness enumeration requires single-channel selection")
     per_user = [
-        [Strategy((a.channel,), a.attempt_prob) for a in _action_grid(n, instance)]
+        _action_grid(instance.num_channels, instance.graph.degree(n))
         for n in range(instance.num_users)
     ]
     return _enumerate_equilibria(

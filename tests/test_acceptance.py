@@ -16,7 +16,6 @@ import numpy as np
 
 from spectrumshare import (
     ExperimentConfig,
-    FairnessAction,
     Instance,
     InterferenceGraph,
     Strategy,
@@ -151,12 +150,11 @@ def test_unilateral_fairness_gains_match_potential_steps():
         n = int(rng.integers(instance.num_users))
         new_k = int(rng.integers(instance.num_channels))
         new_p = float(rng.uniform(0.05, 0.95))
-        old_action = FairnessAction(profile[n].channels[0], profile[n].attempt_prob)
-        new_action = FairnessAction(new_k, new_p)
-        deviated = replace_strategy(profile, n, Strategy((new_k,), new_p))
+        new_action = Strategy((new_k,), new_p)
+        deviated = replace_strategy(profile, n, new_action)
 
         gain = cooperative_utility(n, new_action, profile, instance) - \
-            cooperative_utility(n, old_action, profile, instance)
+            cooperative_utility(n, profile[n], profile, instance)
         step = exact_potential(deviated, instance) - exact_potential(profile, instance)
         assert abs(gain - step) <= 1e-9
         profile = deviated
@@ -178,7 +176,7 @@ def test_fair_attempt_probability_matches_closed_form():
         target = optimal_attempt_probability(count)
 
         def score(p: float) -> float:
-            return cooperative_utility(0, FairnessAction(0, p), profile, instance)
+            return cooperative_utility(0, Strategy((0,), p), profile, instance)
 
         grid = np.arange(1e-4, 1.0 + 5e-5, 1e-4)
         values = [score(float(p)) for p in grid]

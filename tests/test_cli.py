@@ -61,7 +61,14 @@ def test_run_invalid_config_file_exits_2(tmp_path, capsys):
     replay["replay"]["initial_attempt_probs"] = 0.5
     short = load_preset("fig6-dynamic-nbrf")
     short["mechanism"] = {"kind": "probabilistic", "update_probs": [0.5] * 40}
-    for raw in (probs, replay, short):
+    nan_radius = load_preset("fig3-dynamic-drm")
+    nan_radius["instance"]["interference_radius"] = math.nan
+    eager = load_preset("fig2-small-drm")
+    eager["instance"]["utilities"] = {"kind": "constant", "value": 1.0}
+    eager.update(algorithm="naive", naive={"attempt_prob": 1.5, "num_slots": 10})
+    for key in ("estimator", "mechanism"):
+        eager.pop(key, None)
+    for raw in (probs, replay, short, nan_radius, eager):
         bad.write_text(json.dumps(raw))
         code = main(["run", "--config", str(bad)])
         assert code == 2
@@ -145,6 +152,9 @@ def test_efficiency_rejects_garbage_lists(capsys):
     code = main(["efficiency", "--channels", "2,x", "--degrees", "1"])
     assert code == 2
     assert "comma-separated" in capsys.readouterr().err
+    code = main(["efficiency", "--trials", "0"])
+    assert code == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
 
 
 def test_gibbs_check_smoke(capsys):
@@ -153,3 +163,6 @@ def test_gibbs_check_smoke(capsys):
     out = capsys.readouterr().out
     assert "total-variation" in out
     assert "beta 1" in out
+    for flags in (["--beta", "-1"], ["--update-prob", "0"], ["--steps", "0"]):
+        assert main(["gibbs-check", *flags]) == 2
+        assert "error:" in capsys.readouterr().err

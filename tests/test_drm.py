@@ -116,14 +116,20 @@ def test_is_nep_flags_an_improvable_user():
     prof = make_profile([[0], [0]], [0.5, 0.5])
     report = is_nep_drm(prof, inst)
     assert report.is_nep
+    assert report.deviation is None
     # raise user 1's pressure: at 0.8 user 0 nets 2*0.5*0.2 = 0.2 < 0.5
     prof = make_profile([[0], [0]], [0.5, 0.8])
     inst2 = Instance(inst.graph, 2, 1, inst.utilities, (0.5, 0.8))
     report = is_nep_drm(prof, inst2)
     assert not report.is_nep
     assert report.violating_user == 0
-    assert report.improving_channels == (1,)
-    assert report.rate_gain == pytest.approx(0.3, rel=1e-12)
+    assert report.deviation == Strategy((1,), 0.5)
+    assert report.gain == pytest.approx(0.3, rel=1e-12)
+    # applying the deviation gains exactly the reported rate
+    moved = replace_strategy(prof, 0, report.deviation)
+    assert total_expected_rate(0, moved, inst2) - total_expected_rate(
+        0, prof, inst2
+    ) == report.gain
 
 
 def test_nep_reports_match_exhaustive_deviation_scan():
@@ -174,10 +180,9 @@ def test_scores_potential_and_nep_gain_equal_their_scalar_formulas():
         if not report.is_nep:
             violations += 1
             n = report.violating_user
-            switched = replace_strategy(
-                prof, n, Strategy(report.improving_channels, prof[n].attempt_prob)
-            )
-            assert report.rate_gain == total_expected_rate(
+            assert report.deviation.attempt_prob == prof[n].attempt_prob
+            switched = replace_strategy(prof, n, report.deviation)
+            assert report.gain == total_expected_rate(
                 n, switched, inst
             ) - total_expected_rate(n, prof, inst)
     assert violations > 10

@@ -8,7 +8,6 @@ import pytest
 
 from spectrumshare import (
     CoolingSchedule,
-    FairnessAction,
     Instance,
     InterferenceGraph,
     Strategy,
@@ -54,15 +53,18 @@ def test_cooperative_utility_tracks_own_rate_and_neighbor_damage():
     prof = make_profile([[0], [0]], [0.5, 0.5])
     # log(2*0.5) - log(1/(1-0.5)) - log(1/(1-0.5)) * 1
     want = math.log(1.0) - math.log(2.0) - math.log(2.0)
-    action = FairnessAction(0, 0.5)
+    action = Strategy((0,), 0.5)
     assert cooperative_utility(0, action, prof, inst) == pytest.approx(
         want, abs=1e-12
     )
     # an isolated probability-1 play scores plain log utility
-    solo = FairnessAction(1, 1.0)
+    solo = Strategy((1,), 1.0)
     assert cooperative_utility(0, solo, prof, inst) == pytest.approx(
         math.log(1.0), abs=1e-12
     )
+    # a fairness play holds exactly one channel
+    with pytest.raises(ValueError, match="exactly one channel"):
+        cooperative_utility(0, Strategy((0, 1), 0.5), prof, inst)
 
 
 def test_unilateral_deviation_matches_potential_change():
@@ -75,10 +77,8 @@ def test_unilateral_deviation_matches_potential_change():
             (int(rng.integers(inst.num_channels)),), float(rng.uniform(0.05, 0.95))
         )
         after = replace_strategy(prof, user, new)
-        old_action = FairnessAction(prof[user].channels[0], prof[user].attempt_prob)
-        new_action = FairnessAction(new.channels[0], new.attempt_prob)
-        df = cooperative_utility(user, new_action, prof, inst) - cooperative_utility(
-            user, old_action, prof, inst
+        df = cooperative_utility(user, new, prof, inst) - cooperative_utility(
+            user, prof[user], prof, inst
         )
         dphi = exact_potential(after, inst) - exact_potential(prof, inst)
         assert df == pytest.approx(dphi, abs=1e-9)
@@ -137,7 +137,7 @@ def test_noisy_br_distribution_zeroes_worthless_actions():
     prof = make_profile([[0], [0]], [0.5, 1.0])
     dist = noisy_br_distribution(0, prof, inst, 2.0)
     for action, p in dist.items():
-        if action.channel == 0:
+        if action.channels == (0,):
             assert p == 0.0
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -175,7 +175,13 @@ def test_is_nep_fairness_accepts_balanced_split():
     prof = make_profile([[0], [0]], [0.5, 0.5])
     report = is_nep_fairness(prof, inst)
     assert not report.is_nep
-    assert report.best_action.channel == 1
+    assert report.deviation == Strategy((1,), 1.0)
+    # applying the deviation gains exactly the reported utility
+    n = report.violating_user
+    moved = replace_strategy(prof, n, report.deviation)
+    assert cooperative_utility(n, moved[n], moved, inst) - cooperative_utility(
+        n, prof[n], prof, inst
+    ) == report.gain
 
 
 def _reference_softmax(actions, values, beta):
@@ -200,11 +206,12 @@ def test_grid_scans_equal_scalar_cooperative_utility():
         inst = random_fairness_instance(rng)
         prof = random_fairness_profile(inst, rng, continuous=trial % 2 == 1)
         for n in range(inst.num_users):
-            grid = _action_grid(n, inst)
+            grid = _action_grid(inst.num_channels, inst.graph.degree(n))
             values = [cooperative_utility(n, a, prof, inst) for a in grid]
             best = max(values)
             first = grid[values.index(best)] if best > -math.inf else None
-            assert best_fair_action(n, prof, inst) == (first, best)
+            current = cooperative_utility(n, prof[n], prof, inst)
+            assert best_fair_action(n, prof, inst) == (first, best, current)
             for beta in (0.0, 0.7, 3.0):
                 want = _reference_softmax(grid, values, beta)
                 if want is None:
@@ -213,13 +220,12 @@ def test_grid_scans_equal_scalar_cooperative_utility():
                 else:
                     assert noisy_br_distribution(n, prof, inst, beta) == want
         report = is_nep_fairness(prof, inst)
-        if not report.is_nep and report.utility_gain < math.inf:
+        if not report.is_nep and report.gain < math.inf:
             n = report.violating_user
-            strat = prof[n]
-            current = FairnessAction(strat.channels[0], strat.attempt_prob)
-            assert report.utility_gain == best_fair_action(n, prof, inst)[
-                1
-            ] - cooperative_utility(n, current, prof, inst)
+            moved = replace_strategy(prof, n, report.deviation)
+            assert report.gain == cooperative_utility(
+                n, report.deviation, moved, inst
+            ) - cooperative_utility(n, prof[n], prof, inst)
 
 
 def test_gibbs_stationary_ratio_law():

@@ -13,8 +13,6 @@ from spectrumshare import (
     ConfigError,
     ExperimentConfig,
     build_instance_and_events,
-    build_mechanism,
-    build_schedule,
     default_gibbs_instance,
     efficiency_bound,
     efficiency_sweep,
@@ -24,7 +22,12 @@ from spectrumshare import (
     load_preset,
     run_experiment,
 )
-from spectrumshare.harness import _trial_rng, build_estimator
+from spectrumshare.harness import (
+    _trial_rng,
+    build_estimator,
+    build_mechanism,
+    build_schedule,
+)
 
 BASE = {
     "algorithm": "br-drm",
@@ -102,6 +105,17 @@ def test_config_rejections():
     replay["replay"]["initial_attempt_probs"] = 0.5
     with pytest.raises(ConfigError, match="config.replay"):
         run_experiment(ExperimentConfig.from_dict(replay))
+    # a NaN radius would otherwise build an edgeless graph
+    geometric = load_preset("fig3-dynamic-drm")["instance"]
+    for key in ("region_radius", "interference_radius"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="radii must be positive and finite"):
+                build_instance_and_events(dict(geometric, **{key: bad}))
+    naive = json.loads(json.dumps(BASE))
+    naive["instance"]["utilities"] = {"kind": "constant", "value": 1.0}
+    naive.update(algorithm="naive", naive={"attempt_prob": 1.5, "num_slots": 10})
+    with pytest.raises(ConfigError, match=r"naive.attempt_prob must lie in \[0, 1\]"):
+        run_experiment(ExperimentConfig.from_dict(naive))
 
 
 def test_allowed_mask_parsing_and_scope():

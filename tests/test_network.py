@@ -1,10 +1,14 @@
 """Graph, strategy, and closed-form rate primitives."""
 
+import ast
+import importlib
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import spectrumshare
 from spectrumshare import (
     Instance,
     InterferenceGraph,
@@ -216,3 +220,19 @@ def test_regular_graph_degrees():
         build_regular_graph(5, 5)
     with pytest.raises(ValueError):
         build_regular_graph(7, 3)  # odd handshake
+
+
+def test_root_exports_are_listed_in_their_modules_all():
+    # Every name the package root re-exports from a module that declares
+    # __all__ must be public there too.
+    tree = ast.parse(inspect.getsource(spectrumshare))
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"spectrumshare.{node.module}")
+            public = getattr(module, "__all__", None)
+            for alias in node.names:
+                if alias.name in spectrumshare.__all__ and public is not None:
+                    if alias.name not in public:
+                        missing.append(f"{node.module}.{alias.name}")
+    assert missing == []
