@@ -222,6 +222,9 @@ def test_grid_scans_equal_scalar_cooperative_utility():
         report = is_nep_fairness(prof, inst)
         if not report.is_nep and report.gain < math.inf:
             n = report.violating_user
+            best_play, best_value, current = best_fair_action(n, prof, inst)
+            assert report.deviation == best_play
+            assert report.gain == best_value - current
             moved = replace_strategy(prof, n, report.deviation)
             assert report.gain == cooperative_utility(
                 n, report.deviation, moved, inst
