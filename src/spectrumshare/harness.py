@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,46 +63,228 @@ __all__ = [
     "list_presets",
 ]
 
-# The optional config keys each algorithm reads. It would silently ignore the
-# others, so it rejects them instead.
-ALGORITHM_KEYS = {
-    "br-drm": ("estimator", "events", "instance.allowed", "mechanism"),
-    "nbrf": ("events", "mechanism", "schedule", "freeze_beta"),
-    "naive": ("naive",),
-    "better-response-replay": ("replay",),
+REQUIRED = object()  # the default of a key that must be given
+
+
+class Key(NamedTuple):
+    """One row of the key table.
+
+    `type` is the value's JSON type: int, float (any number), bool, str, dict
+    or list, where a bool is not a number; a tuple of strings, one of which
+    the value must be; `[t]` for a list of t; or `[t, u, ...]` for a list of
+    exactly those entries. A default of None reads null as absent; every
+    other key rejects null. `minimum` bounds an integer, or for a list its
+    length. A key listing `kinds` or `algorithms` is read only under those,
+    and elsewhere it is an error to give it.
+    """
+
+    type: Any
+    default: Any = REQUIRED
+    minimum: Optional[int] = None
+    kinds: tuple[str, ...] = ()
+    algorithms: tuple[str, ...] = ()
+
+
+# Every config key, by section: the reference for the config format. Each
+# entry of `events` is an "event" section. A section with kinds lists `kind`
+# first, since its other keys are read by kind.
+KEYS: dict[str, dict[str, Key]] = {
+    "config": {
+        "algorithm": Key(("br-drm", "nbrf", "naive", "better-response-replay")),
+        "trials": Key(int, 1, 1),
+        "max_iters": Key(int, 200, 0),
+        "seed": Key(int, 0, 0),
+        "label": Key(str, ""),
+        "instance": Key(dict),
+        "mechanism": Key(dict, {"kind": "backoff"}, algorithms=("br-drm", "nbrf")),
+        "estimator": Key(dict, None, algorithms=("br-drm",)),
+        "schedule": Key(dict, REQUIRED, algorithms=("nbrf",)),
+        "freeze_beta": Key(float, None, algorithms=("nbrf",)),
+        "events": Key(list, [], algorithms=("br-drm", "nbrf")),
+        "replay": Key(dict, REQUIRED, algorithms=("better-response-replay",)),
+        "naive": Key(dict, None, algorithms=("naive",)),
+        "oracle_reference": Key(bool, False),
+    },
+    "instance": {
+        "kind": Key(("geometric", "regular", "explicit")),
+        "num_users": Key(int, REQUIRED, 1),
+        "num_channels": Key(int, REQUIRED, 1),
+        "channels_per_user": Key(int, 1, 1),
+        "graph_seed": Key(int, 0, 0),
+        "region_radius": Key(float, 10.0, kinds=("geometric",)),
+        "interference_radius": Key(float, 2.0, kinds=("geometric",)),
+        "degree": Key(int, REQUIRED, 0, kinds=("regular",)),
+        "edges": Key([[int, int]], [], kinds=("explicit",)),
+        "utilities": Key(dict),
+        "caps": Key(dict),
+        "allowed": Key(list, None, algorithms=("br-drm",)),
+    },
+    "utilities": {
+        "kind": Key(("constant", "uniform", "explicit")),
+        "value": Key(float, kinds=("constant",)),
+        "low": Key(float, 0.0, kinds=("uniform",)),
+        "high": Key(float, 1.0, kinds=("uniform",)),
+        "values": Key([[float]], kinds=("explicit",)),
+    },
+    "caps": {
+        "kind": Key(("constant", "explicit")),
+        "value": Key(float, kinds=("constant",)),
+        "values": Key([float], kinds=("explicit",)),
+    },
+    "event": {"at_iter": Key(int, REQUIRED, 1), "num_users": Key(int, REQUIRED, 1)},
+    "mechanism": {
+        "kind": Key(("backoff", "probabilistic", "sweep-sequential")),
+        "bound": Key(float, 1.0, kinds=("backoff",)),
+        "update_prob": Key(float, 0.5, kinds=("probabilistic",)),
+        "update_probs": Key([float], (), 1, kinds=("probabilistic",)),
+    },
+    "estimator": {
+        "kind": Key(("windowed", "exact"), "windowed"),
+        "window": Key(int, 100, 1, kinds=("windowed",)),
+        "slots_per_update": Key(int, 100, 1, kinds=("windowed",)),
+        "flush_on_neighbor_update": Key(bool, True, kinds=("windowed",)),
+    },
+    "schedule": {
+        "kind": Key(("fixed-beta", "logarithmic", "piecewise-constant")),
+        "beta": Key(float, kinds=("fixed-beta",)),
+        "delta": Key(float, 1.0, kinds=("logarithmic", "piecewise-constant")),
+    },
+    "replay": {
+        "initial_channel_sets": Key([[int]]),
+        "initial_attempt_probs": Key([float], None),
+        "moves": Key([[int, [int]]]),
+    },
+    "naive": {"num_slots": Key(int, 100_000, 1), "attempt_prob": Key(float, None)},
+}
+
+# What each mechanism, estimator and schedule kind builds from its checked keys
+_BUILD = {
+    "backoff": lambda s: UpdateMechanism.backoff(s["bound"]),
+    "probabilistic": lambda s: UpdateMechanism.probabilistic(s["update_probs"] or s["update_prob"]),
+    "sweep-sequential": lambda s: UpdateMechanism.sweep_sequential(),
+    "windowed": lambda s: EstimatorConfig(
+        s["window"], s["slots_per_update"], s["flush_on_neighbor_update"]
+    ),
+    "exact": lambda s: None,
+    "fixed-beta": lambda s: CoolingSchedule.fixed(s["beta"]),
+    "logarithmic": lambda s: CoolingSchedule.logarithmic(s["delta"]),
+    "piecewise-constant": lambda s: CoolingSchedule.piecewise_constant(s["delta"]),
+}
+
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+    dict: ((dict,), "an object"),
+    list: ((list,), "a list"),
 }
 
 
-def _require(mapping: dict, key: str, path: str) -> Any:
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key} is required")
-    return mapping[key]
+def _fits(value: Any, form: Any) -> bool:
+    """Whether `value` has the table type `form`; plain entries are tested without a call."""
+    if type(form) is type:
+        return type(value) in _JSON_TYPES[form][0]
+    if type(form) is tuple:
+        return value in form
+    if type(value) is not list:
+        return False
+    if len(form) > 1:  # exactly these entries
+        if len(value) != len(form):
+            return False
+        for item, item_form in zip(value, form):
+            if not (
+                type(item) in _JSON_TYPES[item_form][0]
+                if type(item_form) is type
+                else _fits(item, item_form)
+            ):
+                return False
+        return True
+    if type(form[0]) is not type:
+        for item in value:
+            if not _fits(item, form[0]):
+                return False
+        return True
+    types = _JSON_TYPES[form[0]][0]
+    for item in value:
+        if type(item) not in types:
+            return False
+    return True
 
 
-def _as_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path} must be at least {minimum}")
-    return value
+def _misfit(value: Any, form: Any) -> str:
+    """Where inside a value that does not fit `form` the fault is, and what is expected."""
+    if type(form) is type:
+        return f" must be {_JSON_TYPES[form][1]}"
+    if type(form) is tuple:
+        return f" must be one of {', '.join(form)}"
+    if type(value) is not list:
+        return " must be a list"
+    if len(form) > 1 and len(value) != len(form):
+        return f" must be a list of {len(form)} entries"
+    forms = form * len(value) if len(form) == 1 else form
+    i, item, item_form = next(
+        (i, item, f) for i, (item, f) in enumerate(zip(value, forms)) if not _fits(item, f)
+    )
+    return f"[{i}]{_misfit(item, item_form)}"
 
 
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number")
-    return float(value)
+def _only(path: str, readers: Sequence[str]) -> ConfigError:
+    return ConfigError(f"{path} applies only to {' and '.join(readers)}")
+
+
+def _read(spec: Any, section: str, path: str, algorithm: Optional[str] = None) -> dict:
+    """Check one config section against its key table and fill in defaults.
+
+    Returns every key of the section, float keys as floats; a key that the
+    section's kind (or `algorithm`, when given) does not read is None.
+    Unknown keys, values of the wrong JSON type, missing required keys and
+    keys given where nothing reads them are ConfigErrors naming the key's path.
+    """
+    if type(spec) is not dict:
+        raise ConfigError(f"{path} must be an object")
+    keys = KEYS[section]
+    for key in spec:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key} is not a recognized key")
+    values: dict[str, Any] = {}
+    for key, (form, default, minimum, kinds, algorithms) in keys.items():
+        value = spec.get(key)
+        if (kinds and values["kind"] not in kinds) or (
+            algorithms and algorithm is not None and algorithm not in algorithms
+        ):
+            if value not in (None, []):
+                raise _only(f"{path}.{key}", kinds or algorithms)
+            values[key] = None
+        elif value is None and (default is None or key not in spec):
+            if default is REQUIRED:
+                raise ConfigError(f"{path}.{key} is required")
+            values[key] = default
+        elif not _fits(value, form):
+            raise ConfigError(f"{path}.{key}{_misfit(value, form)}")
+        elif minimum is not None and type(value) is list and len(value) < minimum:
+            raise ConfigError(f"{path}.{key} must have {minimum} or more entries")
+        elif minimum is not None and type(value) is int and value < minimum:
+            raise ConfigError(f"{path}.{key} must be at least {minimum}")
+        else:
+            values[key] = float(value) if form is float else value
+    return values
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated run description; `raw` keeps the original JSON document."""
+    """Validated run description; `raw` keeps the original JSON document.
+
+    The instance and events sections are read by build_instance_and_events.
+    `replay_spec` and `naive_spec` hold their sections' checked values.
+    """
 
     algorithm: str
     trials: int
     max_iters: int
     seed: int
     instance_spec: dict
-    mechanism: UpdateMechanism
+    mechanism: Optional[UpdateMechanism]
     estimator: Optional[EstimatorConfig]
     schedule: Optional[CoolingSchedule]
     freeze_beta: Optional[float]
@@ -115,184 +297,51 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
+        if type(raw) is not dict:
             raise ConfigError("config must be a JSON object")
-        algorithm = _require(raw, "algorithm", "config")
-        if algorithm not in ALGORITHM_KEYS:
-            raise ConfigError(
-                f"config.algorithm must be one of {', '.join(ALGORITHM_KEYS)}"
-            )
-        trials = _as_int(raw.get("trials", 1), "config.trials", minimum=1)
-        max_iters = _as_int(raw.get("max_iters", 200), "config.max_iters", minimum=0)
-        seed = _as_int(raw.get("seed", 0), "config.seed", minimum=0)
-        instance_spec = _require(raw, "instance", "config")
-        if not isinstance(instance_spec, dict):
-            raise ConfigError("config.instance must be an object")
-        mechanism = build_mechanism(raw.get("mechanism", {"kind": "backoff"}))
-        estimator = build_estimator(raw.get("estimator"))
-        schedule = (
-            build_schedule(raw["schedule"]) if raw.get("schedule") is not None else None
-        )
-        freeze_beta = (
-            _as_float(raw["freeze_beta"], "config.freeze_beta")
-            if raw.get("freeze_beta") is not None
-            else None
-        )
-        events_spec = raw.get("events", [])
-        if not isinstance(events_spec, list):
-            raise ConfigError("config.events must be a list")
-        replay_spec = raw.get("replay")
-        naive_spec = raw.get("naive")
-        if algorithm == "nbrf" and schedule is None:
-            raise ConfigError("config.schedule is required for the nbrf algorithm")
-        for key in sorted(set().union(*ALGORITHM_KEYS.values())):
-            value = instance_spec.get("allowed") if key == "instance.allowed" else raw.get(key)
-            if value not in (None, []) and key not in ALGORITHM_KEYS[algorithm]:
-                readers = [a for a, keys in ALGORITHM_KEYS.items() if key in keys]
-                raise ConfigError(f"config.{key} applies only to {' and '.join(readers)}")
-        if algorithm == "better-response-replay":
-            if replay_spec is None:
-                raise ConfigError("config.replay is required for better-response-replay")
-            if trials != 1:
-                raise ConfigError("config.trials must be 1 for better-response-replay")
+        top = _read(raw, "config", "config", raw.get("algorithm"))
+        algorithm = top["algorithm"]
+        allowed_by = KEYS["instance"]["allowed"].algorithms
+        if top["instance"].get("allowed") is not None and algorithm not in allowed_by:
+            raise _only("config.instance.allowed", allowed_by)
+        if algorithm == "better-response-replay" and top["trials"] != 1:
+            raise ConfigError("config.trials must be 1 for better-response-replay")
+        mechanism = top["mechanism"] or {}
+        if "update_prob" in mechanism and mechanism.get("update_probs"):
+            raise ConfigError("config.mechanism takes update_prob or update_probs, not both")
+        built = {}
+        for section in ("mechanism", "estimator", "schedule"):
+            built[section] = None
+            if top[section] is not None:
+                spec = _read(top[section], section, f"config.{section}")
+                try:
+                    built[section] = _BUILD[spec["kind"]](spec)
+                except ValueError as exc:
+                    raise ConfigError(f"config.{section}: {exc}") from exc
+        replay = naive = None
+        if top["replay"] is not None:
+            replay = _read(top["replay"], "replay", "config.replay")
+        if algorithm == "naive":
+            naive = _read(top["naive"] or {}, "naive", "config.naive")
+            if naive["attempt_prob"] is not None and not 0.0 <= naive["attempt_prob"] <= 1.0:
+                raise ConfigError("config.naive.attempt_prob must lie in [0, 1]")
         return cls(
             algorithm=algorithm,
-            trials=trials,
-            max_iters=max_iters,
-            seed=seed,
-            instance_spec=instance_spec,
-            mechanism=mechanism,
-            estimator=estimator,
-            schedule=schedule,
-            freeze_beta=freeze_beta,
-            events_spec=tuple(events_spec),
-            replay_spec=replay_spec,
-            naive_spec=naive_spec,
-            oracle_reference=bool(raw.get("oracle_reference", False)),
-            label=str(raw.get("label", "")),
+            trials=top["trials"],
+            max_iters=top["max_iters"],
+            seed=top["seed"],
+            instance_spec=top["instance"],
+            mechanism=built["mechanism"],
+            estimator=built["estimator"],
+            schedule=built["schedule"],
+            freeze_beta=top["freeze_beta"],
+            events_spec=tuple(top["events"] or ()),
+            replay_spec=replay,
+            naive_spec=naive,
+            oracle_reference=top["oracle_reference"],
+            label=top["label"],
             raw=raw,
         )
-
-
-def build_mechanism(spec: dict) -> UpdateMechanism:
-    if not isinstance(spec, dict):
-        raise ConfigError("config.mechanism must be an object")
-    kind = _require(spec, "kind", "config.mechanism")
-    try:
-        if kind == "backoff":
-            return UpdateMechanism.backoff(
-                _as_float(spec.get("bound", 1.0), "config.mechanism.bound")
-            )
-        if kind == "probabilistic":
-            if "update_probs" in spec:
-                probs = spec["update_probs"]
-                if not isinstance(probs, list) or not probs:
-                    raise ConfigError(
-                        "config.mechanism.update_probs must be a nonempty list"
-                    )
-                return UpdateMechanism.probabilistic(
-                    [
-                        _as_float(q, f"config.mechanism.update_probs[{i}]")
-                        for i, q in enumerate(probs)
-                    ]
-                )
-            return UpdateMechanism.probabilistic(
-                _as_float(spec.get("update_prob", 0.5), "config.mechanism.update_prob")
-            )
-        if kind == "sweep-sequential":
-            return UpdateMechanism.sweep_sequential()
-    except ValueError as exc:
-        raise ConfigError(f"config.mechanism: {exc}") from exc
-    raise ConfigError(f"config.mechanism.kind {kind!r} is not recognized")
-
-
-def build_estimator(spec: Optional[dict]) -> Optional[EstimatorConfig]:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise ConfigError("config.estimator must be an object")
-    kind = spec.get("kind", "windowed")
-    if kind == "exact":
-        return None
-    if kind != "windowed":
-        raise ConfigError(f"config.estimator.kind {kind!r} is not recognized")
-    try:
-        return EstimatorConfig(
-            window=_as_int(spec.get("window", 100), "config.estimator.window", 1),
-            slots_per_update=_as_int(
-                spec.get("slots_per_update", 100), "config.estimator.slots_per_update", 1
-            ),
-            flush_on_neighbor_update=bool(spec.get("flush_on_neighbor_update", True)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.estimator: {exc}") from exc
-
-
-def build_schedule(spec: dict) -> CoolingSchedule:
-    if not isinstance(spec, dict):
-        raise ConfigError("config.schedule must be an object")
-    kind = _require(spec, "kind", "config.schedule")
-    try:
-        if kind == "fixed-beta":
-            return CoolingSchedule.fixed(_as_float(_require(spec, "beta", "config.schedule"), "config.schedule.beta"))
-        if kind == "logarithmic":
-            return CoolingSchedule.logarithmic(
-                _as_float(spec.get("delta", 1.0), "config.schedule.delta")
-            )
-        if kind == "piecewise-constant":
-            return CoolingSchedule.piecewise_constant(
-                _as_float(spec.get("delta", 1.0), "config.schedule.delta")
-            )
-    except ValueError as exc:
-        raise ConfigError(f"config.schedule: {exc}") from exc
-    raise ConfigError(f"config.schedule.kind {kind!r} is not recognized")
-
-
-def _build_utilities(
-    spec: Any, num_users: int, num_channels: int, rng: np.random.Generator
-) -> tuple[tuple[float, ...], ...]:
-    path = "config.instance.utilities"
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path} must be an object")
-    kind = _require(spec, "kind", path)
-    if kind == "constant":
-        value = _as_float(_require(spec, "value", path), f"{path}.value")
-        return tuple((value,) * num_channels for _ in range(num_users))
-    if kind == "uniform":
-        low = _as_float(spec.get("low", 0.0), f"{path}.low")
-        high = _as_float(spec.get("high", 1.0), f"{path}.high")
-        if not high > low:
-            raise ConfigError(f"{path}.high must exceed {path}.low")
-        draws = rng.uniform(low, high, size=(num_users, num_channels))
-        return tuple(tuple(float(x) for x in row) for row in draws)
-    if kind == "explicit":
-        values = _require(spec, "values", path)
-        if (
-            not isinstance(values, list)
-            or len(values) != num_users
-            or any(not isinstance(row, list) or len(row) != num_channels for row in values)
-        ):
-            raise ConfigError(
-                f"{path}.values must be a {num_users} x {num_channels} matrix"
-            )
-        return tuple(tuple(float(x) for x in row) for row in values)
-    raise ConfigError(f"{path}.kind {kind!r} is not recognized")
-
-
-def _build_caps(spec: Any, num_users: int) -> tuple[float, ...]:
-    path = "config.instance.caps"
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path} must be an object")
-    kind = _require(spec, "kind", path)
-    if kind == "constant":
-        value = _as_float(_require(spec, "value", path), f"{path}.value")
-        return (value,) * num_users
-    if kind == "explicit":
-        values = _require(spec, "values", path)
-        if not isinstance(values, list) or len(values) != num_users:
-            raise ConfigError(f"{path}.values must list {num_users} entries")
-        return tuple(float(x) for x in values)
-    raise ConfigError(f"{path}.kind {kind!r} is not recognized")
 
 
 def build_instance_and_events(
@@ -307,26 +356,14 @@ def build_instance_and_events(
     extension of the previous one.
     """
     path = "config.instance"
-    kind = _require(instance_spec, "kind", path)
-    num_users = _as_int(_require(instance_spec, "num_users", path), f"{path}.num_users", 1)
-    num_channels = _as_int(
-        _require(instance_spec, "num_channels", path), f"{path}.num_channels", 1
-    )
-    channels_per_user = _as_int(
-        instance_spec.get("channels_per_user", 1), f"{path}.channels_per_user", 1
-    )
-    graph_seed = _as_int(instance_spec.get("graph_seed", 0), f"{path}.graph_seed", 0)
-
-    stages = [num_users]
+    spec = _read(instance_spec, "instance", path)
+    kind, num_channels = spec["kind"], spec["num_channels"]
+    stages = [spec["num_users"]]
     event_iters = []
     for i, event in enumerate(events_spec):
         epath = f"config.events[{i}]"
-        if not isinstance(event, dict):
-            raise ConfigError(f"{epath} must be an object")
-        at_iter = _as_int(_require(event, "at_iter", epath), f"{epath}.at_iter", 1)
-        stage_users = _as_int(
-            _require(event, "num_users", epath), f"{epath}.num_users", 1
-        )
+        event = _read(event, "event", epath)
+        at_iter, stage_users = event["at_iter"], event["num_users"]
         if stage_users <= stages[-1]:
             raise ConfigError(f"{epath}.num_users must exceed the previous stage")
         if event_iters and at_iter <= event_iters[-1]:
@@ -336,51 +373,44 @@ def build_instance_and_events(
     final_users = stages[-1]
     if events_spec and kind != "geometric":
         raise ConfigError("config.events requires a geometric instance")
+    utility_spec = _read(spec["utilities"], "utilities", f"{path}.utilities")
+    cap_spec = _read(spec["caps"], "caps", f"{path}.caps")
 
-    rng = np.random.default_rng(graph_seed)
+    # seeded only when something draws from it: positions, then utilities
+    rng = None
+    if kind == "geometric" or utility_spec["kind"] == "uniform":
+        rng = np.random.default_rng(spec["graph_seed"])
     if kind == "geometric":
-        region = _as_float(
-            instance_spec.get("region_radius", 10.0), f"{path}.region_radius"
-        )
-        reach = _as_float(
-            instance_spec.get("interference_radius", 2.0), f"{path}.interference_radius"
-        )
+        region, reach = spec["region_radius"], spec["interference_radius"]
         if not (0 < region < math.inf and 0 < reach < math.inf):
             raise ConfigError(f"{path} radii must be positive and finite")
         positions = drop_in_disc(rng, final_users, region)
 
-        def stage_graph(n: int) -> InterferenceGraph:
-            return graph_from_positions(positions[:n], reach)
-
-    elif kind == "regular":
-        degree = _as_int(_require(instance_spec, "degree", path), f"{path}.degree", 0)
-
-        def stage_graph(n: int) -> InterferenceGraph:
-            return build_regular_graph(n, degree)
-
-    elif kind == "explicit":
-        edges_raw = instance_spec.get("edges", [])
-        if not isinstance(edges_raw, list):
-            raise ConfigError(f"{path}.edges must be a list of pairs")
-        try:
-            edges = [(int(a), int(b)) for a, b in edges_raw]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.edges must be a list of pairs") from exc
-
-        def stage_graph(n: int) -> InterferenceGraph:
-            return InterferenceGraph.from_edges(n, edges)
-
+    if utility_spec["kind"] == "constant":
+        value = utility_spec["value"]
+        utilities = tuple((value,) * num_channels for _ in range(final_users))
+    elif utility_spec["kind"] == "uniform":
+        low, high = utility_spec["low"], utility_spec["high"]
+        if not high > low:
+            raise ConfigError(f"{path}.utilities.high must exceed {path}.utilities.low")
+        draws = rng.uniform(low, high, size=(final_users, num_channels))
+        utilities = tuple(tuple(float(x) for x in row) for row in draws)
     else:
-        raise ConfigError(f"{path}.kind {kind!r} is not recognized")
-
-    utilities = _build_utilities(
-        _require(instance_spec, "utilities", path), final_users, num_channels, rng
-    )
-    caps = _build_caps(_require(instance_spec, "caps", path), final_users)
-    allowed = instance_spec.get("allowed")
+        values = utility_spec["values"]
+        if len(values) != final_users or any(len(row) != num_channels for row in values):
+            raise ConfigError(
+                f"{path}.utilities.values must be a {final_users} x {num_channels} matrix"
+            )
+        utilities = tuple(tuple(float(x) for x in row) for row in values)
+    if cap_spec["kind"] == "constant":
+        caps = (cap_spec["value"],) * final_users
+    else:
+        if len(cap_spec["values"]) != final_users:
+            raise ConfigError(f"{path}.caps.values must list {final_users} entries")
+        caps = tuple(float(x) for x in cap_spec["values"])
+    allowed = spec["allowed"]
     if allowed is not None and (
-        not isinstance(allowed, list)
-        or len(allowed) != final_users
+        len(allowed) != final_users
         or any(
             not isinstance(row, list)
             or len(row) != num_channels
@@ -396,10 +426,16 @@ def build_instance_and_events(
     def stage_instance(n: int) -> Instance:
         # graph builders and Instance both report bad specs as ValueError
         try:
+            if kind == "geometric":
+                graph = graph_from_positions(positions[:n], reach)
+            elif kind == "regular":
+                graph = build_regular_graph(n, spec["degree"])
+            else:
+                graph = InterferenceGraph.from_edges(n, spec["edges"])
             return Instance(
-                graph=stage_graph(n),
+                graph=graph,
                 num_channels=num_channels,
-                channels_per_user=channels_per_user,
+                channels_per_user=spec["channels_per_user"],
                 utilities=utilities[:n],
                 caps=caps[:n],
                 allowed=allowed[:n] if allowed is not None else None,
@@ -407,51 +443,12 @@ def build_instance_and_events(
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
-    initial = stage_instance(num_users)
+    initial = stage_instance(stages[0])
     events = tuple(
         PopulationEvent(at_iter, stage_instance(n))
         for at_iter, n in zip(event_iters, stages[1:])
     )
     return initial, events
-
-
-def _build_replay(
-    spec: dict, instance: Instance
-) -> tuple[StrategyProfile, list[tuple[int, tuple[int, ...]]]]:
-    path = "config.replay"
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path} must be an object")
-    sets = _require(spec, "initial_channel_sets", path)
-    probs = spec.get("initial_attempt_probs")
-    if probs is None:
-        probs = list(instance.caps)
-    if (
-        not isinstance(sets, list)
-        or not isinstance(probs, list)
-        or len(sets) != instance.num_users
-        or len(probs) != instance.num_users
-    ):
-        raise ConfigError(f"{path} initial profile must cover every user")
-    try:
-        profile = make_profile(
-            [tuple(int(k) for k in row) for row in sets],
-            [float(p) for p in probs],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    moves_raw = _require(spec, "moves", path)
-    if not isinstance(moves_raw, list):
-        raise ConfigError(f"{path}.moves must be a list")
-    moves = []
-    for i, move in enumerate(moves_raw):
-        try:
-            user, channels = move
-            moves.append((int(user), tuple(int(k) for k in channels)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"{path}.moves[{i}] must be [user, [channels...]]"
-            ) from exc
-    return profile, moves
 
 
 @dataclass
@@ -484,55 +481,51 @@ def _channel_set_str(channels: Sequence[int]) -> str:
     return "|".join(str(k) for k in channels)
 
 
-def _naive_trial_rates(
-    config: ExperimentConfig, instance: Instance, rng: np.random.Generator
-) -> tuple[float, ...]:
-    spec = config.naive_spec or {}
-    num_slots = _as_int(spec.get("num_slots", 100_000), "config.naive.num_slots", 1)
-    attempt = spec.get("attempt_prob")
-    if attempt is None:
-        max_degree = max(
-            instance.graph.degree(n) for n in range(instance.num_users)
-        )
-        attempt = min(1.0, instance.num_channels / (max_degree + 1))
-    attempt = _as_float(attempt, "config.naive.attempt_prob")
-    if not 0.0 <= attempt <= 1.0:
-        raise ConfigError("config.naive.attempt_prob must lie in [0, 1]")
-    for n in range(instance.num_users):
-        row = instance.utilities[n]
-        if any(u != row[0] for u in row):
-            raise ConfigError(
-                "config: the naive algorithm needs per-user constant utilities"
+def _trial_runner(
+    config: ExperimentConfig, instance: Instance, events: tuple[PopulationEvent, ...]
+) -> Callable[[np.random.Generator], Any]:
+    """One trial as a function of its generator; the setup all trials share runs once.
+
+    A naive trial returns per-user rates; every other trial a Trajectory.
+    """
+    if config.algorithm == "naive":
+        num_slots, attempt = config.naive_spec["num_slots"], config.naive_spec["attempt_prob"]
+        if attempt is None:
+            max_degree = max(instance.graph.degree(n) for n in range(instance.num_users))
+            attempt = min(1.0, instance.num_channels / (max_degree + 1))
+        if any(u != row[0] for row in instance.utilities for u in row):
+            raise ConfigError("config: the naive algorithm needs per-user constant utilities")
+
+        def naive_trial(rng: np.random.Generator) -> tuple[float, ...]:
+            successes = simulate_naive_policy(instance, attempt, num_slots, rng)
+            return tuple(
+                instance.utilities[n][0] * successes[n] / num_slots
+                for n in range(instance.num_users)
             )
-    successes = simulate_naive_policy(instance, attempt, num_slots, rng)
-    return tuple(
-        instance.utilities[n][0] * successes[n] / num_slots
-        for n in range(instance.num_users)
-    )
 
-
-def _run_trial(
-    config: ExperimentConfig,
-    instance: Instance,
-    events: tuple[PopulationEvent, ...],
-    rng: np.random.Generator,
-) -> Trajectory:
+        return naive_trial
     if config.algorithm == "better-response-replay":
-        profile, moves = _build_replay(config.replay_spec, instance)
-        try:
-            return run_better_response_replay(instance, profile, moves)
-        except ValueError as exc:
-            raise ConfigError(f"config.replay: {exc}") from exc
+        spec = config.replay_spec
+        sets = [tuple(row) for row in spec["initial_channel_sets"]]
+        probs = spec["initial_attempt_probs"]
+        if probs is None:
+            probs = instance.caps
+        if len(sets) != instance.num_users or len(probs) != instance.num_users:
+            raise ConfigError("config.replay initial profile must cover every user")
+        moves = [(user, tuple(channels)) for user, channels in spec["moves"]]
+
+        def replay_trial(rng: np.random.Generator) -> Trajectory:
+            try:
+                return run_better_response_replay(instance, make_profile(sets, probs), moves)
+            except ValueError as exc:
+                raise ConfigError(f"config.replay: {exc}") from exc
+
+        return replay_trial
     if config.algorithm == "br-drm":
-        return run_br_drm(
-            instance,
-            config.mechanism,
-            config.estimator,
-            config.max_iters,
-            rng,
-            events=events,
+        return lambda rng: run_br_drm(
+            instance, config.mechanism, config.estimator, config.max_iters, rng, events=events
         )
-    return run_nbrf(
+    return lambda rng: run_nbrf(
         instance,
         config.mechanism,
         config.schedule,
@@ -605,19 +598,14 @@ def run_experiment(
         config.instance_spec, config.events_spec
     )
     final_users = (events[-1].instance if events else instance).num_users
-    if len(config.mechanism.update_probs) not in (1, final_users):
+    if config.mechanism is not None and len(config.mechanism.update_probs) not in (1, final_users):
         raise ConfigError(f"config.mechanism.update_probs must list 1 or {final_users} entries")
-    trajectories: list[Optional[Trajectory]] = []
-    naive_rates: Optional[list[tuple[float, ...]]] = (
-        [] if config.algorithm == "naive" else None
-    )
-    for trial in range(config.trials):
-        rng = _trial_rng(config.seed, trial)
-        if naive_rates is not None:
-            naive_rates.append(_naive_trial_rates(config, instance, rng))
-            trajectories.append(None)
-        else:
-            trajectories.append(_run_trial(config, instance, events, rng))
+    run_trial = _trial_runner(config, instance, events)
+    outcomes = [run_trial(_trial_rng(config.seed, trial)) for trial in range(config.trials)]
+    trajectories: list[Optional[Trajectory]] = outcomes
+    naive_rates: Optional[list[tuple[float, ...]]] = None
+    if config.algorithm == "naive":
+        trajectories, naive_rates = [None] * config.trials, outcomes
 
     oracle_ref: Optional[OracleResult] = None
     if config.oracle_reference:
@@ -810,6 +798,8 @@ def gibbs_check(
         raise ConfigError("gibbs check needs at least one post-burn-in step")
     if burn_in < 0:
         raise ConfigError("burn_in must be nonnegative")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     try:
         mechanism = UpdateMechanism.probabilistic(update_prob)
         schedule = CoolingSchedule.fixed(beta)
@@ -856,6 +846,8 @@ def efficiency_sweep(
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     rows = []
     for num_channels in channel_counts:
         for degree in degrees:

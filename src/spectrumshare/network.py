@@ -35,7 +35,6 @@ __all__ = [
     "total_expected_rate",
     "channel_load",
     "graph_from_positions",
-    "build_geometric_graph",
     "build_regular_graph",
 ]
 
@@ -103,9 +102,6 @@ class InterferenceGraph:
             nbrs[a].add(b)
             nbrs[b].add(a)
         return cls(num_users, tuple(tuple(sorted(s)) for s in nbrs))
-
-    def neighbors(self, user: int) -> tuple[int, ...]:
-        return self.adjacency[user]
 
     def degree(self, user: int) -> int:
         return len(self.adjacency[user])
@@ -328,24 +324,6 @@ def total_expected_rate(user: int, profile: StrategyProfile, instance: Instance)
 def rate_from_load(attempt_prob: float, utilities: Sequence[float], channels, load: dict) -> float:
     """Expected rate p * u_k * clearance_k summed over `channels`, given a channel_load."""
     return left_sum(attempt_prob * utilities[k] * load.get(k, NO_LOAD)[1] for k in channels)
-
-
-def build_geometric_graph(
-    rng: np.random.Generator,
-    num_users: int,
-    region_radius: float,
-    interference_radius: float,
-) -> tuple[InterferenceGraph, np.ndarray]:
-    """Drop users uniformly in a disc; link any pair within interference range.
-
-    Returns the graph and the (num_users, 2) position array.
-    """
-    if num_users < 1:
-        raise ValueError("num_users must be at least 1")
-    if region_radius <= 0 or interference_radius < 0:
-        raise ValueError("radii must be positive (interference radius may be 0)")
-    positions = drop_in_disc(rng, num_users, region_radius)
-    return graph_from_positions(positions, interference_radius), positions
 
 
 def drop_in_disc(

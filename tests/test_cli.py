@@ -68,7 +68,9 @@ def test_run_invalid_config_file_exits_2(tmp_path, capsys):
     eager.update(algorithm="naive", naive={"attempt_prob": 1.5, "num_slots": 10})
     for key in ("estimator", "mechanism"):
         eager.pop(key, None)
-    for raw in (probs, replay, short, nan_radius, eager):
+    word = load_preset("fig2-small-drm")
+    word["instance"]["utilities"] = {"kind": "explicit", "values": [["abc", 1.0]] * 10}
+    for raw in (probs, replay, short, nan_radius, eager, word):
         bad.write_text(json.dumps(raw))
         code = main(["run", "--config", str(bad)])
         assert code == 2
@@ -155,6 +157,9 @@ def test_efficiency_rejects_garbage_lists(capsys):
     code = main(["efficiency", "--trials", "0"])
     assert code == 2
     assert "trials must be at least 1" in capsys.readouterr().err
+    code = main(["efficiency", "--seed", "-1"])
+    assert code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_gibbs_check_smoke(capsys):
@@ -163,6 +168,6 @@ def test_gibbs_check_smoke(capsys):
     out = capsys.readouterr().out
     assert "total-variation" in out
     assert "beta 1" in out
-    for flags in (["--beta", "-1"], ["--update-prob", "0"], ["--steps", "0"]):
+    for flags in (["--beta", "-1"], ["--update-prob", "0"], ["--steps", "0"], ["--seed", "-1"]):
         assert main(["gibbs-check", *flags]) == 2
         assert "error:" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -22,12 +23,7 @@ from spectrumshare import (
     load_preset,
     run_experiment,
 )
-from spectrumshare.harness import (
-    _trial_rng,
-    build_estimator,
-    build_mechanism,
-    build_schedule,
-)
+from spectrumshare.harness import _trial_rng
 
 BASE = {
     "algorithm": "br-drm",
@@ -145,18 +141,61 @@ def test_allowed_mask_parsing_and_scope():
 
 
 def test_build_mechanism_and_schedule_and_estimator():
-    m = build_mechanism({"kind": "probabilistic", "update_prob": 0.3})
+    m = cfg(mechanism={"kind": "probabilistic", "update_prob": 0.3}).mechanism
     assert m.kind == "probabilistic"
     with pytest.raises(ConfigError):
-        build_mechanism({"kind": "wat"})
-    s = build_schedule({"kind": "fixed-beta", "beta": 2.0})
+        cfg(mechanism={"kind": "wat"})
+    nbrf = {"algorithm": "nbrf", "estimator": None}
+    s = cfg(**nbrf, schedule={"kind": "fixed-beta", "beta": 2.0}).schedule
     assert s.beta(10) == 2.0
     with pytest.raises(ConfigError):
-        build_schedule({"kind": "logarithmic", "delta": -1.0})
-    assert build_estimator(None) is None
-    assert build_estimator({"kind": "exact"}) is None
-    est = build_estimator({"kind": "windowed", "window": 50})
+        cfg(**nbrf, schedule={"kind": "logarithmic", "delta": -1.0})
+    assert cfg(estimator=None).estimator is None
+    assert cfg(estimator={"kind": "exact"}).estimator is None
+    est = cfg(estimator={"kind": "windowed", "window": 50}).estimator
     assert est.window == 50
+
+
+def test_config_rejects_unknown_keys_and_mistyped_values():
+    """Each case is a ConfigError naming the key's path."""
+    fig2 = load_preset("fig2-small-drm")
+    for overrides, path in (
+        ({"oracle_reference": "false"}, "config.oracle_reference"),
+        (
+            {"estimator": dict(fig2["estimator"], flush_on_neighbor_update="false")},
+            "config.estimator.flush_on_neighbor_update",
+        ),
+        ({"max_iter": 5}, "config.max_iter"),
+        ({"estimator": {"windw": 5}}, "config.estimator.windw"),
+        ({"mechanism": {"kind": "backoff", "update_prob": 0.3}}, "config.mechanism.update_prob"),
+        ({"mechanism": {"kind": "probabilistic", "update_probs": None}}, "config.mechanism.update_probs"),
+        ({"trials": None}, "config.trials"),
+        ({"mechanism": None}, "config.mechanism"),
+        ({"events": None}, "config.events"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            ExperimentConfig.from_dict(dict(fig2, **overrides))
+    explicit = BASE["instance"]
+    for overrides, path in (
+        ({"edges": [[0, 1.7]]}, "config.instance.edges[0][1]"),
+        (
+            {"utilities": {"kind": "explicit", "values": [["2", 1.0], [4.0, 1.0]]}},
+            "config.instance.utilities.values[0][0]",
+        ),
+        ({"caps": {"kind": "explicit", "values": [0.5, "abc"]}}, "config.instance.caps.values[1]"),
+        ({"degree": 2}, "config.instance.degree"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            build_instance_and_events(dict(explicit, **overrides))
+    # null reads as absent where a key's default is None
+    assert cfg(estimator=None, schedule=None, freeze_beta=None, replay=None, naive=None).estimator is None
+    assert build_instance_and_events(dict(explicit, allowed=None))[0].allowed is None
+    naive = cfg(algorithm="naive", naive={"attempt_prob": None, "num_slots": 10})
+    assert naive.naive_spec["attempt_prob"] is None
+    replay = load_preset("cycle-demo")
+    replay["replay"]["initial_attempt_probs"] = None
+    traj = run_experiment(ExperimentConfig.from_dict(replay)).trajectories[0]
+    assert traj.termination == "cycle-detected"
 
 
 def test_geometric_instance_reproducible_and_radius_honored():

@@ -13,7 +13,6 @@ from spectrumshare import (
     Instance,
     InterferenceGraph,
     Strategy,
-    build_geometric_graph,
     build_regular_graph,
     channel_load,
     expected_rate_on_channel,
@@ -160,7 +159,8 @@ def test_log_interference_additive_over_neighbors():
 def test_geometric_graph_matches_pairwise_distances():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        graph, positions = build_geometric_graph(rng, 12, 10.0, 4.0)
+        positions = drop_in_disc(rng, 12, 10.0)
+        graph = graph_from_positions(positions, 4.0)
         assert positions.shape == (12, 2)
         assert np.all(np.hypot(positions[:, 0], positions[:, 1]) <= 10.0 + 1e-9)
         for a in range(12):
