@@ -436,6 +436,45 @@ def test_exact_runs_reproduce_recorded_trajectories(name):
     assert digest.hexdigest() == EXACT_RUN_DIGESTS[name]
 
 
+# Annealed NBRF that freezes at updating time 21 (beta = log t reaches 3)
+# and gains six users at 45, inside the frozen phase, under each mechanism.
+# Frozen users play their sticky best action; the digests pin these runs.
+FROZEN_NBRF_DIGESTS = {
+    "backoff": "547d51722c23b1b22259958e3d98e9737fee1932efd9fa6dd56b6c28a8e9cbbc",
+    "probabilistic": "1a247e5445d8df4ee1eb88ed3dd16313cb78c8456a4465d5dc77c995cd616816",
+    "sweep": "a55a76db175c71b58d56a5e9064d069f1c42e07d4a5333aac919df7f4a9bafb4",
+}
+
+
+@pytest.mark.parametrize("name", ["backoff", "probabilistic", "sweep"])
+def test_frozen_nbrf_runs_reproduce_recorded_trajectories(name):
+    spec = {
+        "kind": "geometric", "num_users": 30, "num_channels": 4,
+        "channels_per_user": 1, "region_radius": 5.0, "interference_radius": 2.0,
+        "graph_seed": 9,
+        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+        "caps": {"kind": "constant", "value": 0.5},
+    }
+    inst, events = build_instance_and_events(spec, [{"at_iter": 45, "num_users": 36}])
+    mechanism = {
+        "backoff": UpdateMechanism.backoff(),
+        "probabilistic": UpdateMechanism.probabilistic(0.9),
+        "sweep": UpdateMechanism.sweep_sequential(),
+    }[name]
+    traj = run_nbrf(
+        inst, mechanism, CoolingSchedule.logarithmic(1.0), max_iters=300,
+        rng=np.random.default_rng(23), freeze_beta=3.0, events=events,
+    )
+    digest = hashlib.sha256(f"{traj.termination} {traj.converged_at}".encode())
+    for profile, potential, rates in zip(traj.profiles, traj.potentials, traj.rates):
+        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
+        digest.update(potential.hex().encode())
+        digest.update(repr([r.hex() for r in rates]).encode())
+    assert traj.termination == "converged"
+    assert traj.instances[-1].num_users == 36
+    assert digest.hexdigest() == FROZEN_NBRF_DIGESTS[name]
+
+
 def test_estimate_success_probability_counts_idle_slots():
     busy = np.zeros((2, 2, 2), dtype=bool)  # (slots, users, channels)
     busy[0, 0, 1] = True
