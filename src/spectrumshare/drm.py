@@ -23,6 +23,7 @@ from .network import (
     StrategyProfile,
     _neg_log1m,
     channel_load,
+    left_sum,
     rate_from_load,
 )
 # unused; perfbench/tracing.py patches them
@@ -94,19 +95,23 @@ def br_potential(profile: StrategyProfile, instance: Instance) -> float:
     with a cap pinned at exactly 1 the multiplier is infinite and the value
     may degenerate to +/-inf or nan.
     """
-    total = 0.0
-    for n, strat in enumerate(profile):
-        mult = _neg_log1m(instance.caps[n])
-        load = channel_load(n, profile, instance.graph)
-        inner = 0.0
-        for k in strat.channels:
-            u = instance.utilities[n][k]
-            log_u = math.log(u) if u > 0.0 else -math.inf
-            inner += log_u - 0.5 * load.get(k, NO_LOAD)[2]
-        if mult == math.inf and inner == 0.0:
-            continue  # 0 * inf: treat the user as contributing nothing
-        total += mult * inner
-    return total
+    return left_sum(potential_term(n, profile, instance) for n in range(len(profile)))
+
+
+def potential_term(
+    user: int, profile: StrategyProfile, instance: Instance, load: Optional[dict] = None
+) -> float:
+    """The user's br_potential term, 0 where it reads 0 * inf; `load` is its channel_load."""
+    load = channel_load(user, profile, instance.graph) if load is None else load
+    mult = _neg_log1m(instance.caps[user])
+    inner = 0.0
+    for k in profile[user].channels:
+        u = instance.utilities[user][k]
+        log_u = math.log(u) if u > 0.0 else -math.inf
+        inner += log_u - 0.5 * load.get(k, NO_LOAD)[2]
+    if mult == math.inf and inner == 0.0:
+        return 0.0  # 0 * inf: the user contributes nothing
+    return mult * inner
 
 
 def br_potential_upper_bound(instance: Instance) -> float:
@@ -129,26 +134,30 @@ def br_potential_upper_bound(instance: Instance) -> float:
 
 
 def is_nep_drm(profile: StrategyProfile, instance: Instance) -> NepReport:
-    """Check that no user can improve its rate by switching channel sets.
+    """Check that no user can improve its rate by switching; report the first that can."""
+    reports = (nep_violation(n, profile, instance) for n in range(len(profile)))
+    return next((r for r in reports if r is not None), NepReport(True))
 
-    Assumes every user plays at its cap. Improvements within NEP_REL_TOL
-    (relative to the larger rate) do not count as violations; the first
-    violating user found is reported with its best-response set (at its
-    current attempt probability) and the rate gain, both sets priced from one
-    channel_load.
+
+def nep_violation(user: int, profile: StrategyProfile, instance: Instance) -> Optional[NepReport]:
+    """The user's improving switch at its cap, or None when it has none.
+
+    Gains within NEP_REL_TOL (relative to the larger rate) do not count. The
+    report holds the best-response set (at the current attempt probability)
+    and the rate gain, both sets priced from one channel_load.
     """
-    for n, strat in enumerate(profile):
-        load = channel_load(n, profile, instance.graph)
-        clearances = [load.get(k, NO_LOAD)[1] for k in range(instance.num_channels)]
-        br_set = best_response_drm(n, profile, instance, clearances)
-        if br_set == strat.channels:
-            continue
-        current = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
-        best = rate_from_load(strat.attempt_prob, instance.utilities[n], br_set, load)
-        gain = best - current
-        if gain > NEP_REL_TOL * max(best, current):
-            return NepReport(False, n, Strategy(br_set, strat.attempt_prob), gain)
-    return NepReport(True)
+    strat = profile[user]
+    load = channel_load(user, profile, instance.graph)
+    clearances = [load.get(k, NO_LOAD)[1] for k in range(instance.num_channels)]
+    br_set = best_response_drm(user, profile, instance, clearances)
+    if br_set == strat.channels:
+        return None
+    current = rate_from_load(strat.attempt_prob, instance.utilities[user], strat.channels, load)
+    best = rate_from_load(strat.attempt_prob, instance.utilities[user], br_set, load)
+    gain = best - current
+    if gain > NEP_REL_TOL * max(best, current):
+        return NepReport(False, user, Strategy(br_set, strat.attempt_prob), gain)
+    return None
 
 
 def efficiency_bound(num_channels: int, degree: int) -> float:

@@ -13,12 +13,13 @@ neighbors' strategies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import drm, fairness
 from .drm import br_potential, channel_scores, is_nep_drm, top_channels
 from .errors import DegenerateInstanceError, EstimationError
 from .fairness import (
@@ -30,16 +31,19 @@ from .fairness import (
     exact_potential,
     is_nep_fairness,
     noisy_br_distribution,
+    sample_noisy_br,
 )
-# unused; perfbench/tracing.py patches them
-from .fairness import cooperative_utility, sample_noisy_br
+# unused, as are br_potential and exact_potential; perfbench/tracing.py patches them
+from .fairness import cooperative_utility
 from .network import (
     NEP_REL_TOL,
     Instance,
     InterferenceGraph,
     Strategy,
     StrategyProfile,
+    channel_load,
     left_sum,
+    rate_from_load,
     replace_strategy,
     total_expected_rate,
     validate_profile,
@@ -217,7 +221,7 @@ class Trajectory:
     holds the run's audit scalar (best-response potential for rate
     maximization, sum of log rates for the fairness loops). termination is
     "converged", "max-iters", or "cycle-detected"; cycle_length is set only
-    for replays that revisited a profile.
+    for replays that revisited a profile. at_nep applies the game's nep_violation.
     """
 
     active_sets: list[tuple[int, ...]]
@@ -228,9 +232,35 @@ class Trajectory:
     converged_at: Optional[int] = None
     termination: str = "max-iters"
     cycle_length: Optional[int] = None
+    nep_violation: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.profiles)
+
+    @cached_property
+    def at_nep(self) -> list[bool]:
+        """Whether each entry's profile is an equilibrium, as is_nep_* says; built on first access.
+
+        A user's verdict holds until it or a neighbor moves. A profile is off
+        equilibrium while the last violator found holds; otherwise the users
+        whose verdict lapsed (dirty) are checked in index order up to the first violator.
+        """
+        flags, last, last_instance, violator, dirty = [], (), None, None, set()
+        for profile, instance in zip(self.profiles, self.instances):
+            if instance is not last_instance:
+                dirty, violator = set(range(instance.num_users)), None
+            elif profile is not last:
+                dirty |= _touched(profile, last, instance.graph)
+                violator = None if violator in dirty else violator
+            last, last_instance = profile, instance
+            if violator is None:
+                for n in sorted(dirty):
+                    dirty.discard(n)
+                    if self.nep_violation(n, profile, instance) is not None:
+                        violator = n
+                        break
+            flags.append(violator is None)
+        return flags
 
     def step(self, index: int) -> TrajectoryStep:
         return TrajectoryStep(
@@ -247,11 +277,22 @@ class Trajectory:
             yield self.step(i)
 
 
-class _Recorder:
-    """Accumulates trajectory columns, de-duplicating repeated snapshots."""
+def _touched(profile: StrategyProfile, last: StrategyProfile, graph: InterferenceGraph) -> set[int]:
+    """Users whose own or neighbors' Strategy objects differ between the profiles."""
+    moved = [n for n in range(len(profile)) if profile[n] is not last[n]]
+    return set(moved).union(*(graph.adjacency[n] for n in moved))
 
-    def __init__(self, potential_fn: Callable[[StrategyProfile, Instance], float]):
-        self._potential_fn = potential_fn
+
+class _Recorder:
+    """Accumulates trajectory columns, de-duplicating repeated snapshots.
+
+    A user's rate and potential term read only its own and its neighbors'
+    plays, so only touched users are repriced; the terms are re-summed left
+    to right, which gives the float of the game's full potential.
+    """
+
+    def __init__(self, game):
+        self._game = game  # the drm or fairness module: potential_term, nep_violation
         self.active_sets: list[tuple[int, ...]] = []
         self.profiles: list[StrategyProfile] = []
         self.potentials: list[float] = []
@@ -262,60 +303,45 @@ class _Recorder:
         # keyed by id: recorded profiles stay alive in self.profiles, and
         # interned ones are equal exactly when they are the same object
         self._derived: dict[int, tuple[float, tuple[float, ...]]] = {}
-
-    def reset_instance_caches(self) -> None:
-        self._derived.clear()
+        # the last derived profile's per-user terms and rates (a revisit hits _derived)
+        self._last: tuple[StrategyProfile, Optional[Instance]] = ((), None)
+        self._terms: list[float] = []
+        self._rates: list[float] = []
 
     def canonical(self, profile: StrategyProfile) -> StrategyProfile:
         return self._interned.setdefault(profile, profile)
 
-    def record(
-        self, active: tuple[int, ...], profile: StrategyProfile, instance: Instance
-    ) -> None:
+    def record(self, active: tuple[int, ...], profile: StrategyProfile, instance: Instance) -> None:
         derived = self._derived.get(id(profile))
         if derived is None:
-            potential = self._potential_fn(profile, instance)
-            derived = (potential, self._rates(profile, instance))
-            self._derived[id(profile)] = derived
+            derived = self._derived[id(profile)] = self._derive(profile, instance)
         self.active_sets.append(self._active_interned.setdefault(active, active))
         self.profiles.append(profile)
         self.potentials.append(derived[0])
         self.rates.append(derived[1])
         self.instances.append(instance)
 
-    def _rates(self, profile: StrategyProfile, instance: Instance) -> tuple[float, ...]:
-        """Every user's expected rate.
-
-        On the previous snapshot's instance only the users whose own or
-        neighbors' Strategy objects changed are repriced; a rate reads
-        nothing else.
-        """
-        if not self.instances or instance is not self.instances[-1]:
+    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple]:
+        last, last_instance = self._last
+        if instance is last_instance:
+            users = _touched(profile, last, instance.graph)
+        else:
             users = range(instance.num_users)
-            return tuple(total_expected_rate(n, profile, instance) for n in users)
-        last = self.profiles[-1]
-        rates = list(self.rates[-1])
-        moved = [n for n in range(instance.num_users) if profile[n] is not last[n]]
-        touched = set(moved).union(*(instance.graph.adjacency[n] for n in moved))
-        for n in touched:
-            rates[n] = total_expected_rate(n, profile, instance)
-        return tuple(rates)
+            self._terms, self._rates = [0.0] * len(users), [0.0] * len(users)
+        self._last = (profile, instance)
+        term = self._game.potential_term
+        for n in users:
+            strat, load = profile[n], channel_load(n, profile, instance.graph)
+            rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
+            self._rates[n], self._terms[n] = rate, term(n, profile, instance, load)
+        return left_sum(self._terms), tuple(self._rates)
 
     def build(
-        self,
-        converged_at: Optional[int],
-        termination: str,
-        cycle_length: Optional[int] = None,
+        self, converged_at: Optional[int], termination: str, cycle_length: Optional[int] = None
     ) -> Trajectory:
+        columns = (self.active_sets, self.profiles, self.potentials, self.rates, self.instances)
         return Trajectory(
-            self.active_sets,
-            self.profiles,
-            self.potentials,
-            self.rates,
-            self.instances,
-            converged_at,
-            termination,
-            cycle_length,
+            *columns, converged_at, termination, cycle_length, self._game.nep_violation
         )
 
 
@@ -335,13 +361,13 @@ def _sorted_events(events: Sequence[PopulationEvent], start: Instance) -> list[P
 def _begin_run(
     instance: Instance,
     initial_profile: StrategyProfile,
-    potential_fn: Callable[[StrategyProfile, Instance], float],
+    game,
     events: Sequence[PopulationEvent] = (),
 ) -> tuple[list[PopulationEvent], _Recorder, StrategyProfile]:
     """Order the population events, check the start, and record entry 0."""
     pending = _sorted_events(events, instance)
     validate_profile(initial_profile, instance)
-    recorder = _Recorder(potential_fn)
+    recorder = _Recorder(game)
     profile = recorder.canonical(initial_profile)
     recorder.record((), profile, instance)
     return pending, recorder, profile
@@ -412,9 +438,7 @@ def run_br_drm(
     rng = rng if rng is not None else np.random.default_rng(0)
     if initial_profile is None:
         initial_profile = drm_initial_profile(instance)
-    pending, recorder, profile = _begin_run(
-        instance, initial_profile, br_potential, events
-    )
+    pending, recorder, profile = _begin_run(instance, initial_profile, drm, events)
 
     window: Optional[np.ndarray] = None  # busy masks, (slots, users, channels)
     valid_from = [0] * instance.num_users
@@ -428,7 +452,6 @@ def run_br_drm(
             fresh = drm_initial_profile(event.instance)[len(profile) :]
             profile = recorder.canonical(profile + fresh)
             instance = event.instance
-            recorder.reset_instance_caches()
             window = None
             valid_from = [0] * instance.num_users
             slot_counter = 0
@@ -493,7 +516,7 @@ def run_better_response_replay(
     move raises with the offending step index. The replay stops early when a
     profile repeats, reporting the cycle length.
     """
-    _, recorder, profile = _begin_run(instance, initial_profile, br_potential)
+    _, recorder, profile = _begin_run(instance, initial_profile, drm)
     seen = {profile: 0}
     for step_index, (user, new_channels) in enumerate(move_sequence, start=1):
         if not 0 <= user < instance.num_users:
@@ -554,29 +577,31 @@ def run_nbrf(
     rng = rng if rng is not None else np.random.default_rng(0)
     if initial_profile is None:
         initial_profile = nbrf_initial_profile(instance)
-    pending, recorder, profile = _begin_run(
-        instance, initial_profile, exact_potential, events
-    )
+    pending, recorder, profile = _begin_run(instance, initial_profile, fairness, events)
 
     # Conditional draw distributions depend only on beta and the neighbors'
     # strategies, so they are memoized per (user, neighbor state) while beta(t)
-    # holds still.
-    conditional_cache: dict[tuple, tuple[list[Strategy], list[float]]] = {}
+    # holds still. A logarithmic beta(t) never does, so it draws directly.
+    draw_cache: dict[tuple, tuple[list[Strategy], list[float]]] = {}
     cache_beta: Optional[float] = None
+    memo = schedule.kind != "logarithmic"
 
     quiet_run = 0
+    # Frozen users whose last evaluation kept their play; the frozen rule reads no rng,
+    # only local plays, so they stay put until a neighbor moves or users arrive.
+    settled: set[int] = set()
 
     for t in range(1, max_iters + 1):
         while pending and pending[0].at_iter == t:
             event = pending.pop(0)
             profile = recorder.canonical(_extend_profile_nbrf(profile, event.instance))
             instance = event.instance
-            recorder.reset_instance_caches()
-            conditional_cache.clear()
+            draw_cache.clear()
             quiet_run = 0
+            settled.clear()
         beta_t = schedule.beta(t)
         if beta_t != cache_beta:
-            conditional_cache.clear()
+            draw_cache.clear()
             cache_beta = beta_t
         frozen = freeze_beta is not None and beta_t >= freeze_beta
         active = select_active(mechanism, instance.graph, rng, step=t - 1)
@@ -589,20 +614,27 @@ def run_nbrf(
             # strategy until a neighbor moves away.  The sampler raises
             # before consuming rng draws, so the stream stays reproducible.
             if frozen:
+                if n in settled:
+                    continue
                 action = _sticky_best_action(n, profile, instance)
             else:
                 try:
-                    action = _sample_cached(
-                        n, profile, instance, beta_t, rng, conditional_cache
-                    )
+                    if memo:
+                        action = _sample_cached(n, profile, instance, beta_t, rng, draw_cache)
+                    else:
+                        action = sample_noisy_br(n, profile, instance, beta_t, rng)
                 except DegenerateInstanceError:
                     continue
             # by value: the initial plays and an old degree's grid are other objects
             if action != profile[n]:
                 replacements[n] = action
+            elif frozen:
+                settled.add(n)
         if replacements:
             for n, action in replacements.items():
                 profile = replace_strategy(profile, n, action)
+                if settled:
+                    settled.difference_update(instance.graph.adjacency[n])
             profile = recorder.canonical(profile)
             quiet_run = 0
         else:
@@ -666,9 +698,10 @@ class _GraphArrays:
         return pairs[:, 0].copy(), pairs[:, 1].copy()
 
 
-@lru_cache(maxsize=64)
 def _graph_arrays(graph: InterferenceGraph) -> _GraphArrays:
-    return _GraphArrays(graph)
+    """The graph's arrays, kept on the graph: found by identity, not by value."""
+    arrays = graph.__dict__.get("_arrays")
+    return arrays or graph.__dict__.setdefault("_arrays", _GraphArrays(graph))
 
 
 def _draw_slots(

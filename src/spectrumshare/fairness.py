@@ -30,7 +30,7 @@ from .network import (
     Strategy,
     channel_load,
     left_sum,
-    total_expected_rate,
+    rate_from_load,
 )
 from .network import log_interference  # unused; perfbench/tracing.py patches it
 
@@ -100,11 +100,22 @@ def _log_rate_sum(
     """Sum of the users' log expected rates; -inf as soon as one rate is zero."""
     total = 0.0
     for n in users:
-        rate = total_expected_rate(n, profile, instance)
-        if rate <= 0.0:
+        term = potential_term(n, profile, instance)
+        if term == -math.inf:
             return -math.inf
-        total += math.log(rate)
+        total += term
     return total
+
+
+def potential_term(
+    user: int, profile: StrategyProfile, instance: Instance, load: Optional[dict] = None
+) -> float:
+    """The user's exact_potential term: its log rate, -inf at rate 0; `load` is its channel_load."""
+    _require_single_channel(instance)
+    load = channel_load(user, profile, instance.graph) if load is None else load
+    strat = profile[user]
+    rate = rate_from_load(strat.attempt_prob, instance.utilities[user], strat.channels, load)
+    return math.log(rate) if rate > 0.0 else -math.inf
 
 
 def optimal_attempt_probability(neighbor_count_on_channel: int) -> float:
@@ -255,23 +266,26 @@ def sample_noisy_br(
 
 
 def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> NepReport:
-    """Check that no user can improve its fair utility unilaterally.
-
-    Candidates are the user's action grid, which holds the closed-form optimum
-    1/(count+1) of every channel. The first user able to gain more than
-    NEP_REL_TOL (relative) is reported with its best grid play.
-    """
+    """Check that no user can improve its fair utility; report the first that can."""
     _require_single_channel(instance)
-    for n in range(instance.num_users):
-        best_action, best_value, current = best_fair_action(n, profile, instance)
-        if best_action is None:
-            continue  # nothing the user does matters; cannot improve
-        if current == -math.inf:
-            return NepReport(False, n, best_action, math.inf)
-        gain = best_value - current
-        if gain > NEP_REL_TOL * max(1.0, abs(best_value), abs(current)):
-            return NepReport(False, n, best_action, gain)
-    return NepReport(True)
+    reports = (nep_violation(n, profile, instance) for n in range(instance.num_users))
+    return next((r for r in reports if r is not None), NepReport(True))
+
+
+def nep_violation(user: int, profile: StrategyProfile, instance: Instance) -> Optional[NepReport]:
+    """The user's best grid play if it gains more than NEP_REL_TOL (relative), else None.
+
+    The grid holds the closed-form optimum 1/(count+1) of every channel.
+    """
+    best_action, best_value, current = best_fair_action(user, profile, instance)
+    if best_action is None:
+        return None  # nothing the user does matters; cannot improve
+    if current == -math.inf:
+        return NepReport(False, user, best_action, math.inf)
+    gain = best_value - current
+    if gain > NEP_REL_TOL * max(1.0, abs(best_value), abs(current)):
+        return NepReport(False, user, best_action, gain)
+    return None
 
 
 def per_channel_sum_log_rate(

@@ -20,6 +20,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
+# is_nep_drm and is_nep_fairness are unused; perfbench/tracing.py patches them
 from .drm import efficiency_bound, is_nep_drm, naive_expected_rate
 from .dynamics import (
     EstimatorConfig,
@@ -536,22 +537,10 @@ def _trial_runner(
     )
 
 
-def _is_nep_for(profile: StrategyProfile, instance: Instance, algorithm: str) -> bool:
-    if algorithm == "nbrf":
-        return is_nep_fairness(profile, instance).is_nep
-    return is_nep_drm(profile, instance).is_nep
-
-
-def _aggregate(
-    config: ExperimentConfig,
-    trajectories: list[Trajectory],
-) -> list[dict]:
+def _aggregate(trajectories: list[Trajectory]) -> list[dict]:
     """Per-iteration means across trials; shorter trials hold their final state."""
     num_iters = max(len(t) for t in trajectories)
-    # Keyed by object identity, which hashes no strategy: a trajectory interns
-    # its profiles, holds every profile and instance it recorded, and repeats
-    # one rates tuple while its profile stands still.
-    nep_cache: dict[tuple[int, int], bool] = {}
+    # a trajectory repeats one rates tuple while its profile stands still
     last_rates: list[Optional[tuple[float, ...]]] = [None] * len(trajectories)
     last_terms: list[tuple[float, float]] = [(0.0, 0.0)] * len(trajectories)
     rows = []
@@ -567,13 +556,7 @@ def _aggregate(
                 last_terms[j] = (left_sum(rates) / len(rates), _sum_log_rate(rates))
             rate_means.append(last_terms[j][0])
             sum_logs.append(last_terms[j][1])
-            profile = traj.profiles[idx]
-            instance = traj.instances[idx]
-            key = (id(profile), id(instance))
-            flag = nep_cache.get(key)
-            if flag is None:
-                flag = nep_cache[key] = _is_nep_for(profile, instance, config.algorithm)
-            nep_flags.append(flag)
+            nep_flags.append(traj.at_nep[idx])
         rows.append(
             {
                 "iter": it,
@@ -627,7 +610,7 @@ def run_experiment(
             }
         ]
     else:
-        aggregate_rows = _aggregate(config, trajectories)
+        aggregate_rows = _aggregate(trajectories)
 
     manifest = _build_manifest(
         config, instance, trajectories, naive_rates, oracle_ref
@@ -848,6 +831,8 @@ def efficiency_sweep(
         raise ConfigError("trials must be at least 1")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
+    if min(channel_counts, default=1) < 1 or min(degrees, default=0) < 0:
+        raise ConfigError("channel counts must be at least 1 and degrees nonnegative")
     rows = []
     for num_channels in channel_counts:
         for degree in degrees:
@@ -868,15 +853,9 @@ def efficiency_sweep(
                 rows.append(row)
                 continue
             num_users = 2 * group
-            try:
-                graph = build_regular_graph(num_users, degree)
-            except ValueError as exc:
-                row["note"] = f"inadmissible: {exc}"
-                rows.append(row)
-                continue
             cap = num_channels / group
             instance = Instance(
-                graph=graph,
+                graph=build_regular_graph(num_users, degree),
                 num_channels=num_channels,
                 channels_per_user=1,
                 utilities=tuple((1.0,) * num_channels for _ in range(num_users)),

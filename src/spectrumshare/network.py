@@ -85,11 +85,6 @@ class InterferenceGraph:
                     raise ValueError(f"user {n} listed as its own neighbor")
                 if n not in self.adjacency[r]:
                     raise ValueError(f"asymmetric edge ({n}, {r})")
-        # per-graph caches look graphs up every updating time; hash them once
-        object.__setattr__(self, "_hash", hash((self.num_users, self.adjacency)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def from_edges(cls, num_users: int, edges: Iterable[tuple[int, int]]) -> "InterferenceGraph":

@@ -160,6 +160,11 @@ def test_efficiency_rejects_garbage_lists(capsys):
     code = main(["efficiency", "--seed", "-1"])
     assert code == 2
     assert "seed must be nonnegative" in capsys.readouterr().err
+    for flags in (["--channels", "0"], ["--channels", "2,-1"], ["--degrees", "-1"]):
+        assert main(["efficiency", *flags, "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "channel counts must be at least 1 and degrees nonnegative" in err
+        assert "Traceback" not in err
 
 
 def test_gibbs_check_smoke(capsys):

@@ -34,7 +34,7 @@ from spectrumshare import (
     success_probability,
     total_expected_rate,
 )
-from spectrumshare.dynamics import _draw_slots
+from spectrumshare.dynamics import _draw_slots, _graph_arrays
 from spectrumshare.errors import EstimationError
 from spectrumshare.harness import build_instance_and_events
 
@@ -131,6 +131,18 @@ def test_backoff_selection_equals_the_scalar_rule():
             draws = oracle.random(n) * mech.backoff_bound
             assert active == _scalar_backoff_winners(graph, draws)
         assert real.bit_generator.state == oracle.bit_generator.state
+
+
+def test_graph_arrays_are_kept_per_graph_object():
+    edges = [(0, 1), (1, 2), (0, 3)]
+    graph, twin = InterferenceGraph.from_edges(4, edges), InterferenceGraph.from_edges(4, edges)
+    assert graph == twin
+    arrays = _graph_arrays(graph)
+    assert _graph_arrays(graph) is arrays
+    twin_arrays = _graph_arrays(twin)
+    assert twin_arrays is not arrays and _graph_arrays(twin) is twin_arrays
+    assert all(np.array_equal(a, b) for a, b in zip(arrays.edges, twin_arrays.edges))
+    assert hash(graph) == hash(twin)
 
 
 def test_sweep_mechanism_round_robin():
