@@ -196,14 +196,15 @@ def _cmd_cycle_demo(args: argparse.Namespace) -> int:
     traj = result.trajectories[0]
     assert traj is not None
     print("step  mover  profile                         rates")
-    for step in traj.steps():
-        mover = str(step.active[0]) if step.active else "-"
+    for index, (active, profile, rates) in enumerate(
+        zip(traj.active_sets, traj.profiles, traj.rates)
+    ):
+        mover = str(active[0]) if active else "-"
         profile_txt = "  ".join(
-            "{" + ",".join(str(k) for k in strat.channels) + "}"
-            for strat in step.profile
+            "{" + ",".join(str(k) for k in strat.channels) + "}" for strat in profile
         )
-        rates_txt = ", ".join(f"{r:.4g}" for r in step.rates)
-        print(f"{step.index:>4}  {mover:>5}  {profile_txt:<30}  {rates_txt}")
+        rates_txt = ", ".join(f"{r:.4g}" for r in rates)
+        print(f"{index:>4}  {mover:>5}  {profile_txt:<30}  {rates_txt}")
     if traj.termination == "cycle-detected":
         print(
             f"profile revisited: cycle of length {traj.cycle_length} "

@@ -139,25 +139,33 @@ def is_nep_drm(profile: StrategyProfile, instance: Instance) -> NepReport:
     return next((r for r in reports if r is not None), NepReport(True))
 
 
-def nep_violation(user: int, profile: StrategyProfile, instance: Instance) -> Optional[NepReport]:
-    """The user's improving switch at its cap, or None when it has none.
+def nep_violation(
+    user: int,
+    profile: StrategyProfile,
+    instance: Instance,
+    success_estimates: Optional[Sequence[float]] = None,
+) -> Optional[NepReport]:
+    """The user's improving switch, or None when it has none; the rule BR-DRM plays by.
 
-    Gains within NEP_REL_TOL (relative to the larger rate) do not count. The
-    report holds the best-response set (at the current attempt probability)
-    and the rate gain, both sets priced from one channel_load.
+    Ranks channel_scores (the exact clearances, or success_estimates) with
+    top_channels. A switch counts when the best set's score total beats the
+    current one's by more than NEP_REL_TOL relative to the larger total. The
+    report holds the best set at the current attempt probability and the
+    exact rate gain, both rates priced from one channel_load.
     """
     strat = profile[user]
-    load = channel_load(user, profile, instance.graph)
-    clearances = [load.get(k, NO_LOAD)[1] for k in range(instance.num_channels)]
-    br_set = best_response_drm(user, profile, instance, clearances)
+    scores = channel_scores(user, profile, instance, success_estimates)
+    br_set = top_channels(scores, instance.channels_per_user)
     if br_set == strat.channels:
         return None
-    current = rate_from_load(strat.attempt_prob, instance.utilities[user], strat.channels, load)
-    best = rate_from_load(strat.attempt_prob, instance.utilities[user], br_set, load)
-    gain = best - current
-    if gain > NEP_REL_TOL * max(best, current):
-        return NepReport(False, user, Strategy(br_set, strat.attempt_prob), gain)
-    return None
+    current = left_sum(scores[k] for k in strat.channels if k in scores)
+    best = left_sum(scores[k] for k in br_set)
+    if not best - current > NEP_REL_TOL * max(best, current):
+        return None
+    load = channel_load(user, profile, instance.graph)
+    utils, p = instance.utilities[user], strat.attempt_prob
+    gain = rate_from_load(p, utils, br_set, load) - rate_from_load(p, utils, strat.channels, load)
+    return NepReport(False, user, Strategy(br_set, p), gain)
 
 
 def efficiency_bound(num_channels: int, degree: int) -> float:
@@ -194,8 +202,8 @@ def naive_expected_rate(user: int, instance: Instance, degree: int) -> float:
     """
     if not 0 <= user < instance.num_users:
         raise ValueError(f"user index {user} out of range")
-    if degree < 1:
-        raise ValueError("degree must be at least 1 for the naive-rate analysis")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     group = degree + 1
     k = instance.num_channels
     if group % k != 0:

@@ -15,17 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import drm, fairness
-from .drm import br_potential, channel_scores, is_nep_drm, top_channels
+from .drm import br_potential, is_nep_drm, top_channels
 from .errors import DegenerateInstanceError, EstimationError
 from .fairness import (
     CoolingSchedule,
     allocation_profile,
-    best_fair_action,
     cumulative_table,
     draw_action,
     exact_potential,
@@ -36,7 +35,6 @@ from .fairness import (
 # unused, as are br_potential and exact_potential; perfbench/tracing.py patches them
 from .fairness import cooperative_utility
 from .network import (
-    NEP_REL_TOL,
     Instance,
     InterferenceGraph,
     Strategy,
@@ -55,7 +53,6 @@ __all__ = [
     "EstimatorConfig",
     "PopulationEvent",
     "Trajectory",
-    "TrajectoryStep",
     "SlotOutcome",
     "select_active",
     "run_br_drm",
@@ -204,15 +201,6 @@ def _check_extension(old: Instance, new: Instance) -> None:
             raise ValueError("population event must keep interference among existing users")
 
 
-class TrajectoryStep(NamedTuple):
-    index: int
-    active: tuple[int, ...]
-    profile: StrategyProfile
-    potential: float
-    rates: tuple[float, ...]
-    instance: Instance
-
-
 @dataclass
 class Trajectory:
     """Recorded run: one entry per updating time plus the initial state.
@@ -262,20 +250,6 @@ class Trajectory:
             flags.append(violator is None)
         return flags
 
-    def step(self, index: int) -> TrajectoryStep:
-        return TrajectoryStep(
-            index,
-            self.active_sets[index],
-            self.profiles[index],
-            self.potentials[index],
-            self.rates[index],
-            self.instances[index],
-        )
-
-    def steps(self) -> Iterator[TrajectoryStep]:
-        for i in range(len(self.profiles)):
-            yield self.step(i)
-
 
 def _touched(profile: StrategyProfile, last: StrategyProfile, graph: InterferenceGraph) -> set[int]:
     """Users whose own or neighbors' Strategy objects differ between the profiles."""
@@ -284,7 +258,7 @@ def _touched(profile: StrategyProfile, last: StrategyProfile, graph: Interferenc
 
 
 class _Recorder:
-    """Accumulates trajectory columns, de-duplicating repeated snapshots.
+    """Appends to the trajectory's columns, de-duplicating repeated snapshots.
 
     A user's rate and potential term read only its own and its neighbors'
     plays, so only touched users are repriced; the terms are re-summed left
@@ -293,14 +267,10 @@ class _Recorder:
 
     def __init__(self, game):
         self._game = game  # the drm or fairness module: potential_term, nep_violation
-        self.active_sets: list[tuple[int, ...]] = []
-        self.profiles: list[StrategyProfile] = []
-        self.potentials: list[float] = []
-        self.rates: list[tuple[float, ...]] = []
-        self.instances: list[Instance] = []
+        self.trajectory = Trajectory([], [], [], [], [], nep_violation=game.nep_violation)
         self._interned: dict[StrategyProfile, StrategyProfile] = {}
         self._active_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # keyed by id: recorded profiles stay alive in self.profiles, and
+        # keyed by id: recorded profiles stay alive in the trajectory, and
         # interned ones are equal exactly when they are the same object
         self._derived: dict[int, tuple[float, tuple[float, ...]]] = {}
         # the last derived profile's per-user terms and rates (a revisit hits _derived)
@@ -315,11 +285,12 @@ class _Recorder:
         derived = self._derived.get(id(profile))
         if derived is None:
             derived = self._derived[id(profile)] = self._derive(profile, instance)
-        self.active_sets.append(self._active_interned.setdefault(active, active))
-        self.profiles.append(profile)
-        self.potentials.append(derived[0])
-        self.rates.append(derived[1])
-        self.instances.append(instance)
+        traj = self.trajectory
+        traj.active_sets.append(self._active_interned.setdefault(active, active))
+        traj.profiles.append(profile)
+        traj.potentials.append(derived[0])
+        traj.rates.append(derived[1])
+        traj.instances.append(instance)
 
     def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple]:
         last, last_instance = self._last
@@ -339,10 +310,29 @@ class _Recorder:
     def build(
         self, converged_at: Optional[int], termination: str, cycle_length: Optional[int] = None
     ) -> Trajectory:
-        columns = (self.active_sets, self.profiles, self.potentials, self.rates, self.instances)
-        return Trajectory(
-            *columns, converged_at, termination, cycle_length, self._game.nep_violation
+        traj = self.trajectory
+        traj.converged_at, traj.termination, traj.cycle_length = (
+            converged_at, termination, cycle_length
         )
+        return traj
+
+
+def _apply(
+    profile: StrategyProfile,
+    plays: dict[int, Strategy],
+    settled: set[int],
+    graph: InterferenceGraph,
+) -> StrategyProfile:
+    """The profile with each user in `plays` moved to its play, in one copy.
+
+    The movers' neighbors leave `settled`: their verdicts read the moved plays.
+    """
+    moved = list(profile)
+    for n, play in plays.items():
+        moved[n] = play
+        if settled:
+            settled.difference_update(graph.adjacency[n])
+    return tuple(moved)
 
 
 def _sorted_events(events: Sequence[PopulationEvent], start: Instance) -> list[PopulationEvent]:
@@ -417,14 +407,16 @@ def run_br_drm(
 ) -> Trajectory:
     """Best-response play for the rate-maximization game.
 
-    Active users simultaneously recompute their best channel sets against the
-    pre-step profile, using exact clearance probabilities or windowed
-    estimates per estimator_config. A user switches only on a strict score
-    improvement (beyond NEP_REL_TOL), so exact-mode runs cannot oscillate between
-    tied sets. Convergence is declared after a full quiet pass (num_users
-    consecutive updating times without a change), confirmed by an equilibrium
-    check in exact mode; estimator mode treats the quiet pass itself as
-    convergence. Scheduled population events enlarge the instance mid-run.
+    Each active user asks drm.nep_violation, against the pre-step profile,
+    whether it has an improving switch, using exact clearance probabilities
+    or windowed estimates per estimator_config, and plays the reported
+    channel set at its cap; all switches of a step apply at once. The rule
+    is is_nep_drm's, so ties and near-ties keep the current set and
+    exact-mode runs cannot oscillate between tied sets.
+    Convergence is declared after a full quiet pass (num_users consecutive
+    updating times without a change), confirmed by is_nep_drm in exact mode;
+    estimator mode treats the quiet pass itself as convergence. Scheduled
+    population events enlarge the instance mid-run.
 
     In exact mode a user's decision reads no rng and depends only on its own
     channel set and its neighbors' strategies, so a user whose last
@@ -464,7 +456,7 @@ def run_br_drm(
             window = busy[-estimator_config.window :]
             slot_counter += estimator_config.slots_per_update
         active = select_active(mechanism, instance.graph, rng, step=t - 1)
-        switches: dict[int, tuple[int, ...]] = {}
+        switches: dict[int, Strategy] = {}
         for n in active:
             if n in settled:
                 continue
@@ -474,21 +466,13 @@ def run_br_drm(
                 # (simulated since valid_from[n]) are the newest of the window
                 valid = min(len(window), slot_counter - valid_from[n])
                 estimates = estimate_success_probability(n, window[len(window) - valid :])
-            scores = channel_scores(n, profile, instance, estimates)
-            br_set = top_channels(scores, instance.channels_per_user)
-            if br_set != profile[n].channels:
-                current_score = left_sum(scores[k] for k in profile[n].channels if k in scores)
-                br_score = left_sum(scores[k] for k in br_set)
-                if br_score - current_score > NEP_REL_TOL * max(br_score, current_score):
-                    switches[n] = br_set
-                    continue
-            if estimator_config is None:
+            report = drm.nep_violation(n, profile, instance, estimates)
+            if report is not None:
+                switches[n] = Strategy(report.deviation.channels, instance.caps[n])
+            elif estimator_config is None:
                 settled.add(n)
         if switches:
-            for n, chans in switches.items():
-                profile = replace_strategy(profile, n, Strategy(chans, instance.caps[n]))
-                settled.difference_update(instance.graph.adjacency[n])
-            profile = recorder.canonical(profile)
+            profile = recorder.canonical(_apply(profile, switches, settled, instance.graph))
             if estimator_config is not None and estimator_config.flush_on_neighbor_update:
                 for n in switches:
                     for r in instance.graph.adjacency[n]:
@@ -543,15 +527,6 @@ def run_better_response_replay(
     return recorder.build(None, "max-iters")
 
 
-def _sticky_best_action(user: int, profile: StrategyProfile, instance: Instance) -> Strategy:
-    best_action, best_value, current_value = best_fair_action(user, profile, instance)
-    if best_action is None:
-        return profile[user]
-    if current_value >= best_value - NEP_REL_TOL * max(1.0, abs(best_value)):
-        return profile[user]
-    return best_action
-
-
 def run_nbrf(
     instance: Instance,
     mechanism: UpdateMechanism,
@@ -567,9 +542,10 @@ def run_nbrf(
 
     Active users simultaneously draw fresh (channel, probability) actions
     from their softmax distributions at beta(t). Once beta(t) reaches
-    freeze_beta (if given), active users stop exploring and play their best
-    action outright, keeping their current one on near-ties; the run then
-    terminates once a full quiet pass ends at a fairness equilibrium.
+    freeze_beta (if given), active users stop exploring: each plays the
+    deviation fairness.nep_violation reports, or keeps its play when there
+    is none (is_nep_fairness's rule); the run then terminates once a full
+    quiet pass ends at a fairness equilibrium.
     Records the sum of log rates at every step.
     """
     if max_iters < 0:
@@ -607,35 +583,33 @@ def run_nbrf(
         active = select_active(mechanism, instance.graph, rng, step=t - 1)
         replacements: dict[int, Strategy] = {}
         for n in active:
+            if frozen:
+                if n in settled:
+                    continue
+                report = fairness.nep_violation(n, profile, instance)
+                if report is None:
+                    settled.add(n)
+                else:
+                    replacements[n] = report.deviation
+                continue
             # At beta = 0 the sampler is uniform over the whole grid, so a
             # user can land on attempt probability 1.0 next to a neighbor and
             # leave some third user with no finite-value action at all.  Such
             # a user cannot rank its options this step; it keeps its current
             # strategy until a neighbor moves away.  The sampler raises
             # before consuming rng draws, so the stream stays reproducible.
-            if frozen:
-                if n in settled:
-                    continue
-                action = _sticky_best_action(n, profile, instance)
-            else:
-                try:
-                    if memo:
-                        action = _sample_cached(n, profile, instance, beta_t, rng, draw_cache)
-                    else:
-                        action = sample_noisy_br(n, profile, instance, beta_t, rng)
-                except DegenerateInstanceError:
-                    continue
+            try:
+                if memo:
+                    action = _sample_cached(n, profile, instance, beta_t, rng, draw_cache)
+                else:
+                    action = sample_noisy_br(n, profile, instance, beta_t, rng)
+            except DegenerateInstanceError:
+                continue
             # by value: the initial plays and an old degree's grid are other objects
             if action != profile[n]:
                 replacements[n] = action
-            elif frozen:
-                settled.add(n)
         if replacements:
-            for n, action in replacements.items():
-                profile = replace_strategy(profile, n, action)
-                if settled:
-                    settled.difference_update(instance.graph.adjacency[n])
-            profile = recorder.canonical(profile)
+            profile = recorder.canonical(_apply(profile, replacements, settled, instance.graph))
             quiet_run = 0
         else:
             quiet_run += 1

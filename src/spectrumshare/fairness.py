@@ -276,6 +276,7 @@ def nep_violation(user: int, profile: StrategyProfile, instance: Instance) -> Op
     """The user's best grid play if it gains more than NEP_REL_TOL (relative), else None.
 
     The grid holds the closed-form optimum 1/(count+1) of every channel.
+    Frozen NBRF plays by this rule.
     """
     best_action, best_value, current = best_fair_action(user, profile, instance)
     if best_action is None:

@@ -788,13 +788,14 @@ def gibbs_check(
         schedule = CoolingSchedule.fixed(beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # enumerate first: an instance too large for the law raises before the chain runs
+    stationary = gibbs_stationary(instance, beta)
     rng = _trial_rng(seed, 0)
     trajectory = run_nbrf(
         instance, mechanism, schedule, max_iters=burn_in + num_steps, rng=rng
     )
     # entry 0 is the initial snapshot; drop it along with the burn-in steps
     empirical = empirical_visit_distribution(trajectory, burn_in=burn_in + 1)
-    stationary = gibbs_stationary(instance, beta)
     support = set(empirical) | set(stationary)
     tv = 0.5 * left_sum(
         abs(empirical.get(p, 0.0) - stationary.get(p, 0.0)) for p in support

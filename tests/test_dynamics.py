@@ -211,8 +211,6 @@ def test_run_br_drm_trajectory_shapes():
         total_expected_rate(0, traj.profiles[0], inst),
         total_expected_rate(1, traj.profiles[0], inst),
     )
-    step = traj.step(1)
-    assert step.profile == traj.profiles[1]
 
 
 def test_run_br_drm_initial_profile_override():

@@ -23,6 +23,8 @@ from spectrumshare import (
     load_preset,
     run_experiment,
 )
+from spectrumshare import harness
+from spectrumshare.errors import CapacityError
 from spectrumshare.harness import _trial_rng
 
 BASE = {
@@ -463,11 +465,11 @@ def _csv_writer_trajectory(result):
                 writer.writerow([trial, 0, user, "", "", f"{rate:.17g}"])
         return out.getvalue()
     for trial, traj in enumerate(result.trajectories):
-        for step in traj.steps():
-            for user, strat in enumerate(step.profile):
+        for index, (profile, rates) in enumerate(zip(traj.profiles, traj.rates)):
+            for user, strat in enumerate(profile):
                 writer.writerow([
-                    trial, step.index, user, "|".join(str(k) for k in strat.channels),
-                    f"{strat.attempt_prob:.17g}", f"{step.rates[user]:.17g}",
+                    trial, index, user, "|".join(str(k) for k in strat.channels),
+                    f"{strat.attempt_prob:.17g}", f"{rates[user]:.17g}",
                 ])
     return out.getvalue()
 
@@ -529,7 +531,21 @@ def test_gibbs_check_small_run():
         gibbs_check(default_gibbs_instance(), 1.0, 0, 0)
 
 
+def test_gibbs_check_refuses_an_oversized_law_before_running_the_chain(monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran before the law was enumerated")
+
+    monkeypatch.setattr(harness, "run_nbrf", no_chain)
+    instance, _ = build_instance_and_events(load_config("fig6-dynamic-nbrf").instance_spec, [])
+    with pytest.raises(CapacityError):
+        gibbs_check(instance, 1.0, 100, 0)
+
+
 def test_efficiency_sweep_table():
+    # isolated users at cap 1: the equilibrium and the naive policy both get
+    # the full utility, and the bound is 1 (0.0 ** 0 == 1.0)
+    (row,) = efficiency_sweep([1], [0], trials=2, seed=0, max_iters=200)
+    assert row["eta"] == row["min_ratio"] == row["mean_ratio"] == 1.0
     rows = efficiency_sweep([2], [1, 2, 3], trials=2, seed=0, max_iters=200)
     by_degree = {row["degree"]: row for row in rows}
     assert by_degree[1]["eta"] == pytest.approx(efficiency_bound(2, 1), rel=1e-12)
