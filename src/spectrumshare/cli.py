@@ -17,9 +17,9 @@ from .harness import (
     gibbs_check,
     list_presets,
     load_config,
+    oracle_optimum,
     run_experiment,
 )
-from .oracle import exhaustive_sum_log_rate
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,7 +129,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     instance, _ = build_instance_and_events(
         config.instance_spec, config.events_spec
     )
-    result = exhaustive_sum_log_rate(instance)
+    result = oracle_optimum(instance)
     payload = {
         "optimum_sum_log_rate": result.best_value,
         "optimizer": list(result.best_allocations[0]),

@@ -53,7 +53,6 @@ __all__ = [
     "EstimatorConfig",
     "PopulationEvent",
     "Trajectory",
-    "SlotOutcome",
     "select_active",
     "run_br_drm",
     "run_better_response_replay",
@@ -129,7 +128,7 @@ def select_active(
     draws = rng.random(n_users) * mechanism.backoff_bound
     # each edge has one loser: the higher draw, or on a tie the higher index;
     # the winners are the users that lose on none of their edges
-    low, high = _graph_arrays(graph).edges
+    low, high = graph.edge_array
     low_wins = draws[low] <= draws[high]
     lost = np.zeros(n_users, dtype=bool)
     lost[high[low_wins]] = True
@@ -550,6 +549,7 @@ def run_nbrf(
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
+    fairness._require_single_channel(instance)
     rng = rng if rng is not None else np.random.default_rng(0)
     if initial_profile is None:
         initial_profile = nbrf_initial_profile(instance)
@@ -650,34 +650,6 @@ def _sample_cached(
     return draw_action(table, rng)
 
 
-class _GraphArrays:
-    """Arrays derived from one interference graph, each built on first use."""
-
-    def __init__(self, graph: InterferenceGraph):
-        self._graph = graph
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """(N, N) float32 adjacency, for the slot simulator's matmul."""
-        return self._graph.adjacency_matrix().astype(np.float32)
-
-    @cached_property
-    def neighbors(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.array(nbrs, dtype=np.intp) for nbrs in self._graph.adjacency)
-
-    @cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each edge once, as (lower endpoint, higher endpoint) index arrays."""
-        pairs = np.array(self._graph.edges(), dtype=np.intp).reshape(-1, 2)
-        return pairs[:, 0].copy(), pairs[:, 1].copy()
-
-
-def _graph_arrays(graph: InterferenceGraph) -> _GraphArrays:
-    """The graph's arrays, kept on the graph: found by identity, not by value."""
-    arrays = graph.__dict__.get("_arrays")
-    return arrays or graph.__dict__.setdefault("_arrays", _GraphArrays(graph))
-
-
 def _draw_slots(
     profile: StrategyProfile,
     instance: Instance,
@@ -697,34 +669,22 @@ def _draw_slots(
     for n, strat in enumerate(profile):
         member[n, list(strat.channels)] = True
         probs[n] = strat.attempt_prob
-    adj = _graph_arrays(instance.graph).dense
     transmitted = rng.random((num_slots, n_users)) < probs
     on_air = member & transmitted[..., None]
-    busy = np.matmul(adj, on_air.astype(np.float32)) > 0.5
+    busy = np.matmul(instance.graph.slot_matrix, on_air.astype(np.float32)) > 0.5
     return transmitted, on_air & ~busy, busy
-
-
-@dataclass(frozen=True, eq=False)
-class SlotOutcome:
-    """One slot: who transmitted, who got through, and who heard whom.
-
-    success[n, k] is true iff user n transmitted on its selected channel k
-    and no neighbor transmitted there. neighbor_busy[n, k] is true iff any
-    neighbor of n transmitted on k, regardless of n's own behavior; it is the
-    observable the windowed estimator averages.
-    """
-
-    transmitted: np.ndarray
-    success: np.ndarray
-    neighbor_busy: np.ndarray
 
 
 def simulate_slot(
     profile: StrategyProfile, instance: Instance, rng: np.random.Generator
-) -> SlotOutcome:
-    """Simulate one slot: a single transmit coin per user covers all its channels."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_draw_slots for one slot: transmit (users), success and busy (users, channels) masks.
+
+    success[n, k]: n transmitted on its selected channel k and no neighbor did.
+    busy[n, k]: some neighbor of n transmitted on k, whatever n did.
+    """
     transmitted, success, busy = _draw_slots(profile, instance, 1, rng)
-    return SlotOutcome(transmitted[0], success[0], busy[0])
+    return transmitted[0], success[0], busy[0]
 
 
 def simulate_slots(
@@ -762,7 +722,7 @@ def simulate_naive_policy(
     """
     if not 0.0 <= attempt_prob <= 1.0:
         raise ValueError("attempt_prob must lie in [0, 1]")
-    nbr_arrays = _graph_arrays(instance.graph).neighbors
+    nbr_arrays = instance.graph.neighbor_arrays
     n_users = instance.num_users
     successes = np.zeros(n_users, dtype=np.int64)
     batch = max(1, min(num_slots, 2_000_000 // max(1, n_users)))
@@ -771,14 +731,10 @@ def simulate_naive_policy(
         size = min(batch, num_slots - done)
         channels = rng.integers(0, instance.num_channels, size=(size, n_users))
         transmitted = rng.random((size, n_users)) < attempt_prob
-        for n in range(n_users):
-            nbrs = nbr_arrays[n]
-            if nbrs.size:
-                clash = (
-                    (channels[:, nbrs] == channels[:, n : n + 1]) & transmitted[:, nbrs]
-                ).any(axis=1)
-            else:
-                clash = np.zeros(size, dtype=bool)
+        for n, nbrs in enumerate(nbr_arrays):
+            # an isolated user's empty columns give no clash
+            same = channels[:, nbrs] == channels[:, n : n + 1]
+            clash = (same & transmitted[:, nbrs]).any(axis=1)
             successes[n] += int((transmitted[:, n] & ~clash).sum())
         done += size
     return successes
@@ -788,7 +744,7 @@ def estimate_success_probability(user: int, busy: np.ndarray) -> np.ndarray:
     """Per-channel fraction of slots in which no neighbor of `user` transmitted.
 
     busy holds neighbor-busy masks shaped (slots, users, channels), as
-    SlotOutcome.neighbor_busy stacks; the result has one entry per channel.
+    _draw_slots returns them; the result has one entry per channel.
     """
     slots = len(busy)
     if slots == 0:

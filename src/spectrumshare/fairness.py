@@ -15,6 +15,7 @@ import bisect
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 GIBBS_CAPACITY = 10**6
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _require_single_channel(instance: Instance) -> None:
@@ -339,9 +341,7 @@ def delta_lower_bound(instance: Instance) -> float:
     flat = [u for row in instance.utilities for u in row]
     if any(u <= 0.0 for u in flat):
         raise ValueError("all utilities must be strictly positive")
-    max_deg = max(
-        (instance.graph.degree(n) for n in range(instance.num_users)), default=0
-    )
+    max_deg = instance.graph.max_degree
     max_u = max(flat)
     min_u = min(flat)
     return instance.num_users * (
@@ -392,9 +392,9 @@ class CoolingSchedule:
             return self.beta0
         if self.kind == "logarithmic":
             return math.log(t) / self.delta
-        level = 1
-        next_break = 1.0 + math.exp(self.delta)
+        level, next_break = 0, 1.0
         while t >= next_break:
             level += 1
-            next_break += math.exp(level * self.delta)
+            # capped: a gap past the largest float puts the breakpoint beyond every t
+            next_break += math.exp(min(level * self.delta, LOG_FLOAT_MAX))
         return float(level)

@@ -59,6 +59,7 @@ __all__ = [
     "gibbs_check",
     "default_gibbs_instance",
     "efficiency_sweep",
+    "oracle_optimum",
     "load_config",
     "load_preset",
     "list_presets",
@@ -182,52 +183,34 @@ _JSON_TYPES = {
 }
 
 
-def _fits(value: Any, form: Any) -> bool:
-    """Whether `value` has the table type `form`; plain entries are tested without a call."""
-    if type(form) is type:
-        return type(value) in _JSON_TYPES[form][0]
-    if type(form) is tuple:
-        return value in form
-    if type(value) is not list:
-        return False
-    if len(form) > 1:  # exactly these entries
-        if len(value) != len(form):
-            return False
-        for item, item_form in zip(value, form):
-            if not (
-                type(item) in _JSON_TYPES[item_form][0]
-                if type(item_form) is type
-                else _fits(item, item_form)
-            ):
-                return False
-        return True
-    if type(form[0]) is not type:
-        for item in value:
-            if not _fits(item, form[0]):
-                return False
-        return True
-    types = _JSON_TYPES[form[0]][0]
-    for item in value:
-        if type(item) not in types:
-            return False
-    return True
+def _misfit(value: Any, form: Any) -> Optional[str]:
+    """None if `value` has the table type `form`, else where the fault is and what is expected.
 
-
-def _misfit(value: Any, form: Any) -> str:
-    """Where inside a value that does not fit `form` the fault is, and what is expected."""
+    Plain-typed entries are tested inline: only nested ones, or a fault to word, take a call.
+    """
     if type(form) is type:
-        return f" must be {_JSON_TYPES[form][1]}"
+        return None if type(value) in _JSON_TYPES[form][0] else f" must be {_JSON_TYPES[form][1]}"
     if type(form) is tuple:
-        return f" must be one of {', '.join(form)}"
+        return None if value in form else f" must be one of {', '.join(form)}"
     if type(value) is not list:
         return " must be a list"
-    if len(form) > 1 and len(value) != len(form):
-        return f" must be a list of {len(form)} entries"
-    forms = form * len(value) if len(form) == 1 else form
-    i, item, item_form = next(
-        (i, item, f) for i, (item, f) in enumerate(zip(value, forms)) if not _fits(item, f)
-    )
-    return f"[{i}]{_misfit(item, item_form)}"
+    if len(form) > 1:  # exactly these entries
+        if len(value) != len(form):
+            return f" must be a list of {len(form)} entries"
+        for i, (item, item_form) in enumerate(zip(value, form)):
+            if type(item_form) is not type or type(item) not in _JSON_TYPES[item_form][0]:
+                fault = _misfit(item, item_form)
+                if fault is not None:
+                    return f"[{i}]{fault}"
+        return None
+    types = _JSON_TYPES[form[0]][0] if type(form[0]) is type else ()
+    for item in value:
+        if type(item) not in types:
+            fault = _misfit(item, form[0])
+            if fault is not None:
+                # the first entry that is this object: an earlier one would have failed there
+                return f"[{next(i for i, x in enumerate(value) if x is item)}]{fault}"
+    return None
 
 
 def _only(path: str, readers: Sequence[str]) -> ConfigError:
@@ -261,8 +244,8 @@ def _read(spec: Any, section: str, path: str, algorithm: Optional[str] = None) -
             if default is REQUIRED:
                 raise ConfigError(f"{path}.{key} is required")
             values[key] = default
-        elif not _fits(value, form):
-            raise ConfigError(f"{path}.{key}{_misfit(value, form)}")
+        elif (fault := _misfit(value, form)) is not None:
+            raise ConfigError(f"{path}.{key}{fault}")
         elif minimum is not None and type(value) is list and len(value) < minimum:
             raise ConfigError(f"{path}.{key} must have {minimum} or more entries")
         elif minimum is not None and type(value) is int and value < minimum:
@@ -492,8 +475,7 @@ def _trial_runner(
     if config.algorithm == "naive":
         num_slots, attempt = config.naive_spec["num_slots"], config.naive_spec["attempt_prob"]
         if attempt is None:
-            max_degree = max(instance.graph.degree(n) for n in range(instance.num_users))
-            attempt = min(1.0, instance.num_channels / (max_degree + 1))
+            attempt = min(1.0, instance.num_channels / (instance.graph.max_degree + 1))
         if any(u != row[0] for row in instance.utilities for u in row):
             raise ConfigError("config: the naive algorithm needs per-user constant utilities")
 
@@ -526,6 +508,8 @@ def _trial_runner(
         return lambda rng: run_br_drm(
             instance, config.mechanism, config.estimator, config.max_iters, rng, events=events
         )
+    if instance.channels_per_user != 1:
+        raise ConfigError("config.instance.channels_per_user must be 1 for nbrf")
     return lambda rng: run_nbrf(
         instance,
         config.mechanism,
@@ -584,20 +568,14 @@ def run_experiment(
     if config.mechanism is not None and len(config.mechanism.update_probs) not in (1, final_users):
         raise ConfigError(f"config.mechanism.update_probs must list 1 or {final_users} entries")
     run_trial = _trial_runner(config, instance, events)
+    # before the trials: an instance the oracle cannot take fails the run up front
+    oracle_ref = oracle_optimum(instance) if config.oracle_reference else None
     outcomes = [run_trial(_trial_rng(config.seed, trial)) for trial in range(config.trials)]
     trajectories: list[Optional[Trajectory]] = outcomes
     naive_rates: Optional[list[tuple[float, ...]]] = None
     if config.algorithm == "naive":
         trajectories, naive_rates = [None] * config.trials, outcomes
-
-    oracle_ref: Optional[OracleResult] = None
-    if config.oracle_reference:
-        oracle_ref = exhaustive_sum_log_rate(instance)
-
-    if config.algorithm == "naive":
-        assert naive_rates is not None
-        rate_matrix = list(zip(*naive_rates))
-        mean_rates = [left_sum(col) / len(col) for col in rate_matrix]
+        mean_rates = [left_sum(col) / len(col) for col in zip(*naive_rates)]
         aggregate_rows = [
             {
                 "iter": 0,
@@ -628,6 +606,14 @@ def run_experiment(
     if out_dir is not None:
         _write_outputs(result, Path(out_dir))
     return result
+
+
+def oracle_optimum(instance: Instance) -> OracleResult:
+    """exhaustive_sum_log_rate; an instance outside its domain is a ConfigError."""
+    try:
+        return exhaustive_sum_log_rate(instance)
+    except ValueError as exc:  # more than one channel per user, or no ranking possible
+        raise ConfigError(f"config.instance: {exc}") from exc
 
 
 def _build_manifest(
@@ -786,10 +772,10 @@ def gibbs_check(
     try:
         mechanism = UpdateMechanism.probabilistic(update_prob)
         schedule = CoolingSchedule.fixed(beta)
+        # enumerate first: an instance too large or outside the game raises before the chain runs
+        stationary = gibbs_stationary(instance, beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # enumerate first: an instance too large for the law raises before the chain runs
-    stationary = gibbs_stationary(instance, beta)
     rng = _trial_rng(seed, 0)
     trajectory = run_nbrf(
         instance, mechanism, schedule, max_iters=burn_in + num_steps, rng=rng

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -64,7 +64,8 @@ class InterferenceGraph:
 
     adjacency[n] is the sorted tuple of neighbors of user n. The relation is
     symmetric and irreflexive: simultaneous same-channel transmissions by two
-    adjacent users destroy both.
+    adjacent users destroy both. The array views below are built from
+    adjacency on first use and kept on this object.
     """
 
     num_users: int
@@ -101,15 +102,28 @@ class InterferenceGraph:
     def degree(self, user: int) -> int:
         return len(self.adjacency[user])
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (n, r) for n in range(self.num_users) for r in self.adjacency[n] if n < r
-        )
+    @cached_property
+    def max_degree(self) -> int:
+        return max(map(len, self.adjacency), default=0)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.num_users, self.num_users), dtype=bool)
-        for n, nbrs in enumerate(self.adjacency):
-            mat[n, list(nbrs)] = True
+    @cached_property
+    def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge once, as (lower endpoint, higher endpoint) intp arrays, by lower endpoint."""
+        low = np.repeat(np.arange(self.num_users, dtype=np.intp), [len(a) for a in self.adjacency])
+        high = np.array([r for nbrs in self.adjacency for r in nbrs], dtype=np.intp)
+        keep = low < high
+        return low[keep], high[keep]
+
+    @cached_property
+    def neighbor_arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.array(nbrs, dtype=np.intp) for nbrs in self.adjacency)
+
+    @cached_property
+    def slot_matrix(self) -> np.ndarray:
+        """(N, N) float32 adjacency, for the slot simulator's matmul."""
+        mat = np.zeros((self.num_users, self.num_users), dtype=np.float32)
+        low, high = self.edge_array
+        mat[low, high] = mat[high, low] = 1.0
         return mat
 
 
@@ -233,10 +247,16 @@ class Instance:
     def num_users(self) -> int:
         return self.graph.num_users
 
-    def allowed_channels(self, user: int) -> tuple[int, ...]:
+    @cached_property
+    def channel_choices(self) -> tuple[tuple[int, ...], ...]:
+        """Each user's selectable channels, ascending; built on first use."""
+        every = tuple(range(self.num_channels))
         if self.allowed is None:
-            return tuple(range(self.num_channels))
-        return tuple(k for k in range(self.num_channels) if self.allowed[user][k])
+            return (every,) * self.num_users
+        return tuple(tuple(k for k in every if row[k]) for row in self.allowed)
+
+    def allowed_channels(self, user: int) -> tuple[int, ...]:
+        return self.channel_choices[user]
 
 
 def validate_profile(profile: StrategyProfile, instance: Instance) -> None:

@@ -77,7 +77,7 @@ def exhaustive_sum_log_rate(
         [math.log(u) if u > 0.0 else -math.inf for u in row]
         for row in instance.utilities
     ]
-    max_degree = max((instance.graph.degree(n) for n in range(n_users)), default=0)
+    max_degree = instance.graph.max_degree
     # log p and log(1 - p) at p = 1/(count+1), indexed by neighbor count
     log_attempt = [-math.log(r + 1) for r in range(max_degree + 1)]
     log_clear = [-math.inf] + [math.log(r / (r + 1)) for r in range(1, max_degree + 1)]

@@ -327,7 +327,7 @@ def test_slot_simulator_tracks_expected_rates():
     n_windows = 500
     for _ in range(n_windows):
         window = np.stack(
-            [simulate_slot(profile, instance, wrng).neighbor_busy for _ in range(100)]
+            [simulate_slot(profile, instance, wrng)[2] for _ in range(100)]
         )
         for n in range(instance.num_users):
             est = estimate_success_probability(n, window)

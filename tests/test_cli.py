@@ -70,11 +70,28 @@ def test_run_invalid_config_file_exits_2(tmp_path, capsys):
         eager.pop(key, None)
     word = load_preset("fig2-small-drm")
     word["instance"]["utilities"] = {"kind": "explicit", "values": [["abc", 1.0]] * 10}
-    for raw in (probs, replay, short, nan_radius, eager, word):
+    # instances outside the fairness game or the oracle
+    fair_pairs, oracle_pairs = load_preset("fig5-small-nbrf"), load_preset("fig2-small-drm")
+    for raw in (fair_pairs, oracle_pairs):
+        raw["instance"]["channels_per_user"] = 2
+    no_probs = load_preset("fig5-small-nbrf")
+    no_probs["mechanism"] = {"kind": "probabilistic", "update_probs": []}
+    triple = load_preset("cycle-demo")
+    triple["instance"]["edges"] = [[0, 1, 1]]
+    naive = load_preset("fig2-small-drm")
+    naive["instance"]["utilities"] = {"kind": "uniform"}
+    naive.update(algorithm="naive", naive={"num_slots": 10}, oracle_reference=False)
+    for key in ("estimator", "mechanism"):
+        naive.pop(key)
+    faults = (probs, replay, short, nan_radius, eager, word)
+    for raw in faults + (fair_pairs, oracle_pairs, no_probs, triple, naive):
         bad.write_text(json.dumps(raw))
         code = main(["run", "--config", str(bad)])
         assert code == 2
         assert "error: config" in capsys.readouterr().err
+    bad.write_text(json.dumps(dict(load_preset("fig3-dynamic-drm"), oracle_reference=True)))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "exceed the oracle capacity" in capsys.readouterr().err
 
 
 def test_run_negative_seed_exits_2(capsys):
@@ -176,3 +193,23 @@ def test_gibbs_check_smoke(capsys):
     for flags in (["--beta", "-1"], ["--update-prob", "0"], ["--steps", "0"], ["--seed", "-1"]):
         assert main(["gibbs-check", *flags]) == 2
         assert "error:" in capsys.readouterr().err
+    # a preset's instance replaces the two-user demo
+    assert main(["gibbs-check", "--config", "fig5-small-nbrf-sparse", "--steps", "300"]) == 0
+    assert "total-variation" in capsys.readouterr().out
+    # two channels per user lie outside the fairness game and the oracle
+    for command, message in (
+        ("gibbs-check", "error: the fairness game requires channels_per_user == 1"),
+        ("oracle", "error: config.instance: oracle requires single-channel selection"),
+    ):
+        assert main([command, "--config", "cycle-demo"]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_piecewise_schedule_past_the_float_range_runs(tmp_path, capsys):
+    raw = load_preset("fig5-small-nbrf")
+    raw.update(schedule={"kind": "piecewise-constant", "delta": 1000}, trials=1, max_iters=20)
+    raw["oracle_reference"] = False
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 0
+    assert "trial 0:" in capsys.readouterr().out

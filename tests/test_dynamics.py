@@ -34,7 +34,7 @@ from spectrumshare import (
     success_probability,
     total_expected_rate,
 )
-from spectrumshare.dynamics import _draw_slots, _graph_arrays
+from spectrumshare.dynamics import _draw_slots
 from spectrumshare.errors import EstimationError
 from spectrumshare.harness import build_instance_and_events
 
@@ -137,12 +137,14 @@ def test_graph_arrays_are_kept_per_graph_object():
     edges = [(0, 1), (1, 2), (0, 3)]
     graph, twin = InterferenceGraph.from_edges(4, edges), InterferenceGraph.from_edges(4, edges)
     assert graph == twin
-    arrays = _graph_arrays(graph)
-    assert _graph_arrays(graph) is arrays
-    twin_arrays = _graph_arrays(twin)
-    assert twin_arrays is not arrays and _graph_arrays(twin) is twin_arrays
-    assert all(np.array_equal(a, b) for a, b in zip(arrays.edges, twin_arrays.edges))
-    assert hash(graph) == hash(twin)
+    for view in ("edge_array", "neighbor_arrays", "slot_matrix"):
+        arrays, twin_arrays = getattr(graph, view), getattr(twin, view)
+        assert getattr(graph, view) is arrays
+        assert twin_arrays is not arrays and getattr(twin, view) is twin_arrays
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, twin_arrays))
+    assert graph.slot_matrix.dtype == np.float32 and graph.slot_matrix.sum() == 2 * len(edges)
+    assert graph.max_degree == 2 and twin.max_degree == 2
+    assert graph == twin and hash(graph) == hash(twin)
 
 
 def test_sweep_mechanism_round_robin():
@@ -501,9 +503,9 @@ def test_draw_slots_matches_slot_by_slot_stream():
     batch_rng, slot_rng = np.random.default_rng(50), np.random.default_rng(50)
     transmitted, success, busy = _draw_slots(prof, inst, 64, batch_rng)
     outcomes = [simulate_slot(prof, inst, slot_rng) for _ in range(64)]
-    np.testing.assert_array_equal(transmitted, [o.transmitted for o in outcomes])
-    np.testing.assert_array_equal(success, [o.success for o in outcomes])
-    np.testing.assert_array_equal(busy, [o.neighbor_busy for o in outcomes])
+    np.testing.assert_array_equal(transmitted, [o[0] for o in outcomes])
+    np.testing.assert_array_equal(success, [o[1] for o in outcomes])
+    np.testing.assert_array_equal(busy, [o[2] for o in outcomes])
     assert batch_rng.bit_generator.state == slot_rng.bit_generator.state
 
 
@@ -512,17 +514,17 @@ def test_simulate_slot_success_requires_clear_air():
     prof = make_profile([[0, 1], [1, 2]], [0.9, 0.9])
     rng = np.random.default_rng(47)
     for _ in range(200):
-        out = simulate_slot(prof, inst, rng)
+        transmitted, success, busy = simulate_slot(prof, inst, rng)
         # success only on selected channels while transmitting, never under
         # a transmitting neighbor
         for n in range(2):
             for k in range(4):
-                if out.success[n, k]:
-                    assert out.transmitted[n]
+                if success[n, k]:
+                    assert transmitted[n]
                     assert k in prof[n].channels
-                    assert not out.neighbor_busy[n, k]
-        if out.transmitted[0] and out.transmitted[1]:
-            assert not out.success[0, 1] and not out.success[1, 1]
+                    assert not busy[n, k]
+        if transmitted[0] and transmitted[1]:
+            assert not success[0, 1] and not success[1, 1]
 
 
 def test_simulate_slots_matches_closed_form_statistically():
@@ -551,3 +553,10 @@ def test_simulate_naive_policy_matches_closed_form():
     want = naive_expected_rate(0, inst, degree=3) / 100.0  # success prob
     for n in range(8):
         assert succ[n] / slots == pytest.approx(want, rel=0.05)
+    # an isolated user (3) never clashes: it succeeds in every slot it transmits
+    graph = InterferenceGraph.from_edges(4, [(0, 1), (1, 2)])
+    inst = Instance(graph, 2, 1, ((1.0, 1.0),) * 4, (0.5,) * 4)
+    succ = simulate_naive_policy(inst, 0.5, 1000, np.random.default_rng(51))
+    replica = np.random.default_rng(51)
+    replica.integers(0, 2, size=(1000, 4))
+    assert succ[3] == int((replica.random((1000, 4))[:, 3] < 0.5).sum())

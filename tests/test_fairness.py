@@ -274,6 +274,10 @@ def test_cooling_schedules():
         log.beta(0)
     with pytest.raises(ValueError):
         CoolingSchedule.logarithmic(0.0)
+    # e^delta past the largest float: the first breakpoint lies beyond every t
+    for delta in (709.0, 710.0, 1000.0):
+        assert CoolingSchedule.piecewise_constant(delta).beta(10) == 1.0
+    assert CoolingSchedule.piecewise_constant(1000.0).beta(1e300) == 1.0
 
 
 def test_piecewise_levels_track_logarithmic_when_delta_large():

@@ -47,6 +47,29 @@ def cfg(**overrides):
     return ExperimentConfig.from_dict(raw)
 
 
+def test_domain_errors_surface_before_any_trial(monkeypatch):
+    """Instances outside the fairness game or the oracle fail before a trial runs."""
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_br_drm", no_trials)
+    monkeypatch.setattr(harness, "run_nbrf", no_trials)
+    too_big = dict(load_preset("fig3-dynamic-drm"), oracle_reference=True)  # 8^40 allocations
+    with pytest.raises(CapacityError):
+        run_experiment(ExperimentConfig.from_dict(too_big))
+    for preset, message in (
+        ("fig2-small-drm", "oracle requires single-channel selection"),
+        ("fig5-small-nbrf", "channels_per_user must be 1 for nbrf"),
+    ):
+        raw = load_preset(preset)
+        raw["instance"]["channels_per_user"] = 2
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(ExperimentConfig.from_dict(raw))
+    with pytest.raises(ConfigError, match="the fairness game requires channels_per_user == 1"):
+        gibbs_check(build_instance_and_events(load_preset("cycle-demo")["instance"])[0], 1.0, 10, 0)
+
+
 def test_config_defaults():
     c = cfg()
     assert c.trials == 1 and c.max_iters == 200 and c.seed == 0
@@ -114,6 +137,35 @@ def test_config_rejections():
     naive.update(algorithm="naive", naive={"attempt_prob": 1.5, "num_slots": 10})
     with pytest.raises(ConfigError, match=r"naive.attempt_prob must lie in \[0, 1\]"):
         run_experiment(ExperimentConfig.from_dict(naive))
+    with pytest.raises(ConfigError, match="per-user constant utilities"):
+        run_experiment(cfg(algorithm="naive", naive={"num_slots": 10}))
+    with pytest.raises(ConfigError, match="update_prob or update_probs, not both"):
+        cfg(mechanism={"kind": "probabilistic", "update_prob": 0.5, "update_probs": [0.5]})
+    with pytest.raises(ConfigError, match="update_probs must have 1 or more entries"):
+        cfg(mechanism={"kind": "probabilistic", "update_probs": []})
+    with pytest.raises(ConfigError, match=r"edges\[1\] must be a list of 2 entries"):
+        build_instance_and_events(dict(BASE["instance"], edges=[[0, 1], [0, 1, 1]]))
+    with pytest.raises(ConfigError, match="events requires a geometric instance"):
+        build_instance_and_events(BASE["instance"], [{"at_iter": 5, "num_users": 3}])
+    instance_faults = (
+        ("utilities", {"kind": "uniform", "low": 2.0, "high": 2.0}, "utilities.high must exceed"),
+        ("utilities", {"kind": "explicit", "values": [[1.0, 1.0]]}, "must be a 2 x 2 matrix"),
+        ("utilities", {"kind": "explicit", "values": [[1.0], [1.0]]}, "must be a 2 x 2 matrix"),
+        ("caps", {"kind": "explicit", "values": [0.5]}, "caps.values must list 2 entries"),
+    )
+    for key, section, message in instance_faults:
+        with pytest.raises(ConfigError, match=message):
+            build_instance_and_events(dict(BASE["instance"], **{key: section}))
+    with pytest.raises(ConfigError, match="trials must be 1 for better-response-replay"):
+        ExperimentConfig.from_dict(dict(load_preset("cycle-demo"), trials=2))
+    replay = load_preset("cycle-demo")
+    replay["replay"]["initial_channel_sets"].pop()
+    with pytest.raises(ConfigError, match="initial profile must cover every user"):
+        run_experiment(ExperimentConfig.from_dict(replay))
+    replay = load_preset("cycle-demo")
+    replay["replay"]["moves"].insert(1, replay["replay"]["moves"][0])  # a repeat gains nothing
+    with pytest.raises(ConfigError, match="move 2: .* does not strictly improve"):
+        run_experiment(ExperimentConfig.from_dict(replay))
 
 
 def test_allowed_mask_parsing_and_scope():
@@ -185,6 +237,9 @@ def test_config_rejects_unknown_keys_and_mistyped_values():
             "config.instance.utilities.values[0][0]",
         ),
         ({"caps": {"kind": "explicit", "values": [0.5, "abc"]}}, "config.instance.caps.values[1]"),
+        # a bad entry equal to a good one before it (True == 1) is named at its own index
+        ({"caps": {"kind": "explicit", "values": [1, True]}}, "config.instance.caps.values[1]"),
+        ({"edges": [[1, 0], [True, 0]]}, "config.instance.edges[1][0]"),
         ({"degree": 2}, "config.instance.degree"),
     ):
         with pytest.raises(ConfigError, match=re.escape(path)):
