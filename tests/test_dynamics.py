@@ -487,6 +487,45 @@ def test_frozen_nbrf_runs_reproduce_recorded_trajectories(name):
     assert digest.hexdigest() == FROZEN_NBRF_DIGESTS[name]
 
 
+# NBRF under a piecewise-constant schedule, whose beta holds for whole levels,
+# so the sampler's memo hits: level 3 spans updating times 26-115, six users
+# arrive at 40 inside it, and the run freezes at 116 (beta 4). The digests pin
+# these runs, active sets included.
+PIECEWISE_NBRF_DIGESTS = {
+    "backoff": "4f7d7c0f1cd13530aef031f41ac5983c708a883082e275fac386e5deba916c64",
+    "sweep": "67c940e3a3ccfc0ff5f0adcac310d3ede195e08ee0d8412738424cf068c1a0d3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIECEWISE_NBRF_DIGESTS))
+def test_piecewise_nbrf_runs_reproduce_recorded_trajectories(name):
+    spec = {
+        "kind": "geometric", "num_users": 30, "num_channels": 4,
+        "channels_per_user": 1, "region_radius": 5.0, "interference_radius": 1.5,
+        "graph_seed": 9,
+        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+        "caps": {"kind": "constant", "value": 0.5},
+    }
+    inst, events = build_instance_and_events(spec, [{"at_iter": 40, "num_users": 36}])
+    mechanism = {
+        "backoff": UpdateMechanism.backoff(),
+        "sweep": UpdateMechanism.sweep_sequential(),
+    }[name]
+    traj = run_nbrf(
+        inst, mechanism, CoolingSchedule.piecewise_constant(1.5), max_iters=400,
+        rng=np.random.default_rng(29), freeze_beta=4.0, events=events,
+    )
+    digest = hashlib.sha256(f"{traj.termination} {traj.converged_at}".encode())
+    digest.update(repr(traj.active_sets).encode())
+    for profile, potential, rates in zip(traj.profiles, traj.potentials, traj.rates):
+        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
+        digest.update(potential.hex().encode())
+        digest.update(repr([r.hex() for r in rates]).encode())
+    assert traj.termination == "converged"
+    assert traj.instances[-1].num_users == 36
+    assert digest.hexdigest() == PIECEWISE_NBRF_DIGESTS[name]
+
+
 def test_estimate_success_probability_counts_idle_slots():
     busy = np.zeros((2, 2, 2), dtype=bool)  # (slots, users, channels)
     busy[0, 0, 1] = True
