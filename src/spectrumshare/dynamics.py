@@ -3,9 +3,9 @@
 Three activation mechanisms decide who may update at each updating time:
 backoff (lowest local draw wins, so active users never neighbor each other),
 probabilistic (independent coin flips, neighbors may collide), and
-sweep-sequential (round robin). On top of these sit the two learning loops:
-best-response play for the rate-maximization game and noisy best response
-with a cooling schedule for the fairness game. A slot-level simulator
+sweep-sequential (round robin). On top of these sits one learning driver with
+a step per game: best-response play for the rate-maximization game and noisy
+best response with a cooling schedule for the fairness game. A slot-level simulator
 produces the busy/idle observations that the windowed clearance estimator
 consumes, which is how runs work without closed-form knowledge of their
 neighbors' strategies.
@@ -280,6 +280,13 @@ class _Recorder:
     def canonical(self, profile: StrategyProfile) -> StrategyProfile:
         return self._interned.setdefault(profile, profile)
 
+    def start(self, profile: StrategyProfile, instance: Instance) -> StrategyProfile:
+        """Check the initial profile, record it as entry 0, and return it canonical."""
+        validate_profile(profile, instance)
+        profile = self.canonical(profile)
+        self.record((), profile, instance)
+        return profile
+
     def record(self, active: tuple[int, ...], profile: StrategyProfile, instance: Instance) -> None:
         derived = self._derived.get(id(profile))
         if derived is None:
@@ -316,52 +323,6 @@ class _Recorder:
         return traj
 
 
-def _apply(
-    profile: StrategyProfile,
-    plays: dict[int, Strategy],
-    settled: set[int],
-    graph: InterferenceGraph,
-) -> StrategyProfile:
-    """The profile with each user in `plays` moved to its play, in one copy.
-
-    The movers' neighbors leave `settled`: their verdicts read the moved plays.
-    """
-    moved = list(profile)
-    for n, play in plays.items():
-        moved[n] = play
-        if settled:
-            settled.difference_update(graph.adjacency[n])
-    return tuple(moved)
-
-
-def _sorted_events(events: Sequence[PopulationEvent], start: Instance) -> list[PopulationEvent]:
-    ordered = sorted(events, key=lambda e: e.at_iter)
-    seen = set()
-    previous = start
-    for event in ordered:
-        if event.at_iter in seen:
-            raise ValueError(f"duplicate population event at updating time {event.at_iter}")
-        seen.add(event.at_iter)
-        _check_extension(previous, event.instance)
-        previous = event.instance
-    return ordered
-
-
-def _begin_run(
-    instance: Instance,
-    initial_profile: StrategyProfile,
-    game,
-    events: Sequence[PopulationEvent] = (),
-) -> tuple[list[PopulationEvent], _Recorder, StrategyProfile]:
-    """Order the population events, check the start, and record entry 0."""
-    pending = _sorted_events(events, instance)
-    validate_profile(initial_profile, instance)
-    recorder = _Recorder(game)
-    profile = recorder.canonical(initial_profile)
-    recorder.record((), profile, instance)
-    return pending, recorder, profile
-
-
 def drm_initial_profile(instance: Instance) -> StrategyProfile:
     """Each user claims its highest-utility allowed channels at its cap."""
     strategies = []
@@ -380,18 +341,84 @@ def nbrf_initial_profile(instance: Instance) -> StrategyProfile:
     attempt probability to 1/(count+1) from the same-channel neighbor counts
     that those picks produce.
     """
-    return _extend_profile_nbrf((), instance)
+    return _NoisyBestResponse.extend((), instance)
 
 
-def _extend_profile_nbrf(
-    profile: StrategyProfile, instance: Instance
-) -> StrategyProfile:
-    keep = len(profile)
-    picks = [strat.channels[0] for strat in profile]
-    for n in range(keep, instance.num_users):
-        utils = instance.utilities[n]
-        picks.append(min(range(instance.num_channels), key=lambda k: (-utils[k], k)))
-    return profile + allocation_profile(picks, instance)[keep:]
+_SETTLE = object()
+
+
+def _play(
+    instance: Instance,
+    mechanism: UpdateMechanism,
+    rng: Optional[np.random.Generator],
+    max_iters: int,
+    initial_profile: Optional[StrategyProfile],
+    events: Sequence[PopulationEvent],
+    game,
+    step,
+) -> Trajectory:
+    """The learning loop of both games: `step` holds one game's rule, `game` its module.
+
+    Each updating time t applies the events due (step.extend grows the
+    profile), calls step.prepare, and asks step.decide of every active user
+    that is not settled, in ascending order, against the pre-step profile.
+    The answer is a play, None to keep the current one, or _SETTLE to keep
+    it and be skipped until a neighbor moves or users arrive; a step settles
+    a user only when its decision reads no rng and no plays beyond the
+    user's neighborhood. All plays of an updating time apply at once. Once
+    num_users updating times pass without a play (a quiet pass) and no
+    event is pending, step.confirm decides at each further quiet updating
+    time whether the run has converged.
+    """
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    if initial_profile is None:
+        initial_profile = step.extend((), instance)
+    pending = sorted(events, key=lambda e: e.at_iter)
+    grown = instance
+    for i, event in enumerate(pending):
+        if i and event.at_iter == pending[i - 1].at_iter:
+            raise ValueError(f"duplicate population event at updating time {event.at_iter}")
+        _check_extension(grown, event.instance)
+        grown = event.instance
+    recorder = _Recorder(game)
+    profile = recorder.start(initial_profile, instance)
+    prepare, decide = step.prepare, step.decide
+    quiet_run = 0
+    settled: set[int] = set()
+    for t in range(1, max_iters + 1):
+        while pending and pending[0].at_iter == t:
+            instance = pending.pop(0).instance
+            profile = recorder.canonical(step.extend(profile, instance))
+            quiet_run = 0
+            settled.clear()
+        prepare(t, profile, instance, rng)
+        active = select_active(mechanism, instance.graph, rng, step=t - 1)
+        plays: dict[int, Strategy] = {}
+        for n in active:
+            if n in settled:
+                continue
+            play = decide(n, profile, instance, rng)
+            if play is _SETTLE:
+                settled.add(n)
+            elif play is not None:
+                plays[n] = play
+        if plays:
+            # one copy; the movers' neighbors leave `settled`: their verdicts read the moved plays
+            moved = list(profile)
+            for n, play in plays.items():
+                moved[n] = play
+                if settled:
+                    settled.difference_update(instance.graph.adjacency[n])
+            profile = recorder.canonical(tuple(moved))
+            quiet_run = 0
+        else:
+            quiet_run += 1
+        recorder.record(active, profile, instance)
+        if quiet_run >= instance.num_users and not pending and step.confirm(profile, instance):
+            return recorder.build(t, "converged")
+    return recorder.build(None, "max-iters")
 
 
 def run_br_drm(
@@ -404,87 +431,70 @@ def run_br_drm(
     initial_profile: Optional[StrategyProfile] = None,
     events: Sequence[PopulationEvent] = (),
 ) -> Trajectory:
-    """Best-response play for the rate-maximization game.
+    """Best-response play for the rate-maximization game, run by _play.
 
-    Each active user asks drm.nep_violation, against the pre-step profile,
-    whether it has an improving switch, using exact clearance probabilities
-    or windowed estimates per estimator_config, and plays the reported
-    channel set at its cap; all switches of a step apply at once. The rule
-    is is_nep_drm's, so ties and near-ties keep the current set and
-    exact-mode runs cannot oscillate between tied sets.
-    Convergence is declared after a full quiet pass (num_users consecutive
-    updating times without a change), confirmed by is_nep_drm in exact mode;
-    estimator mode treats the quiet pass itself as convergence. Scheduled
-    population events enlarge the instance mid-run.
-
-    In exact mode a user's decision reads no rng and depends only on its own
-    channel set and its neighbors' strategies, so a user whose last
-    evaluation found no improving switch is settled: it is skipped when
-    active until a neighbor switches or a population event arrives, and the
-    run stays exactly the same. Estimator mode evaluates every active user,
-    since its estimates move with every slot batch.
+    Each active user asks drm.nep_violation whether it has an improving
+    switch, using exact clearance probabilities or windowed estimates per
+    estimator_config, and plays the reported channel set at its cap. The
+    rule is is_nep_drm's, so ties and near-ties keep the current set and
+    exact-mode runs cannot oscillate between tied sets. Exact mode settles a
+    user with no improving switch and converges when is_nep_drm confirms a
+    quiet pass. Estimator mode keeps such a user, since its estimates move
+    with every slot batch, and takes the quiet pass itself as convergence.
     """
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if initial_profile is None:
-        initial_profile = drm_initial_profile(instance)
-    pending, recorder, profile = _begin_run(instance, initial_profile, drm, events)
+    step = _BestResponse(estimator_config)
+    return _play(instance, mechanism, rng, max_iters, initial_profile, events, drm, step)
 
-    window: Optional[np.ndarray] = None  # busy masks, (slots, users, channels)
-    valid_from = [0] * instance.num_users
-    slot_counter = 0
-    quiet_run = 0
-    settled: set[int] = set()  # exact mode: users whose last evaluation kept them
 
-    for t in range(1, max_iters + 1):
-        while pending and pending[0].at_iter == t:
-            event = pending.pop(0)
-            fresh = drm_initial_profile(event.instance)[len(profile) :]
-            profile = recorder.canonical(profile + fresh)
-            instance = event.instance
-            window = None
-            valid_from = [0] * instance.num_users
-            slot_counter = 0
-            quiet_run = 0
-            settled.clear()
-        if estimator_config is not None:
-            busy = _draw_slots(profile, instance, estimator_config.slots_per_update, rng)[2]
-            if window is not None:
-                busy = np.concatenate((window, busy))
-            window = busy[-estimator_config.window :]
-            slot_counter += estimator_config.slots_per_update
-        active = select_active(mechanism, instance.graph, rng, step=t - 1)
-        switches: dict[int, Strategy] = {}
-        for n in active:
-            if n in settled:
-                continue
-            estimates = None
-            if estimator_config is not None:
-                # slots are numbered consecutively, so the user's valid ones
-                # (simulated since valid_from[n]) are the newest of the window
-                valid = min(len(window), slot_counter - valid_from[n])
-                estimates = estimate_success_probability(n, window[len(window) - valid :])
-            report = drm.nep_violation(n, profile, instance, estimates)
-            if report is not None:
-                switches[n] = Strategy(report.deviation.channels, instance.caps[n])
-            elif estimator_config is None:
-                settled.add(n)
-        if switches:
-            profile = recorder.canonical(_apply(profile, switches, settled, instance.graph))
-            if estimator_config is not None and estimator_config.flush_on_neighbor_update:
-                for n in switches:
-                    for r in instance.graph.adjacency[n]:
-                        valid_from[r] = slot_counter
-            quiet_run = 0
-        else:
-            quiet_run += 1
-        recorder.record(active, profile, instance)
-        if quiet_run >= instance.num_users and not pending:
-            if estimator_config is not None or is_nep_drm(profile, instance).is_nep:
-                return recorder.build(t, "converged")
-            quiet_run = 0
-    return recorder.build(None, "max-iters")
+class _BestResponse:
+    """BR-DRM's step; in estimator mode it keeps the slot window as well."""
+
+    def __init__(self, estimator_config: Optional[EstimatorConfig]):
+        self._config = estimator_config
+        self._instance: Optional[Instance] = None  # the window's instance
+        self._window = np.zeros((0, 0, 0), dtype=bool)  # busy masks, (slots, users, channels)
+        self._valid_from: list[int] = []
+        self._slots = 0  # slots simulated on the window's instance
+        self._switched: list[int] = []  # users that switched at the last updating time
+
+    @staticmethod
+    def extend(profile: StrategyProfile, instance: Instance) -> StrategyProfile:
+        return profile + drm_initial_profile(instance)[len(profile) :]
+
+    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> None:
+        """Flush the last switchers' neighbors' windows, then draw this updating time's slots."""
+        switched, self._switched = self._switched, []
+        config = self._config
+        if config is None:
+            return
+        if instance is not self._instance:
+            self._instance, self._slots = instance, 0
+            self._window = np.zeros((0, instance.num_users, instance.num_channels), dtype=bool)
+            self._valid_from = [0] * instance.num_users
+        elif config.flush_on_neighbor_update:
+            for n in switched:
+                for r in instance.graph.adjacency[n]:
+                    self._valid_from[r] = self._slots
+        busy = _draw_slots(profile, instance, config.slots_per_update, rng)[2]
+        self._window = np.concatenate((self._window, busy))[-config.window :]
+        self._slots += config.slots_per_update
+
+    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng):
+        estimates = None
+        if self._config is not None:
+            # slots are numbered consecutively, so the user's valid ones
+            # (simulated since valid_from[n]) are the newest of the window
+            window = self._window
+            valid = min(len(window), self._slots - self._valid_from[n])
+            estimates = estimate_success_probability(n, window[len(window) - valid :])
+        report = drm.nep_violation(n, profile, instance, estimates)
+        if report is None:
+            return _SETTLE if self._config is None else None
+        self._switched.append(n)
+        return Strategy(report.deviation.channels, instance.caps[n])
+
+    def confirm(self, profile: StrategyProfile, instance: Instance) -> bool:
+        return self._config is not None or is_nep_drm(profile, instance).is_nep
 
 
 def run_better_response_replay(
@@ -499,7 +509,8 @@ def run_better_response_replay(
     move raises with the offending step index. The replay stops early when a
     profile repeats, reporting the cycle length.
     """
-    _, recorder, profile = _begin_run(instance, initial_profile, drm)
+    recorder = _Recorder(drm)
+    profile = recorder.start(initial_profile, instance)
     seen = {profile: 0}
     for step_index, (user, new_channels) in enumerate(move_sequence, start=1):
         if not 0 <= user < instance.num_users:
@@ -537,91 +548,73 @@ def run_nbrf(
     initial_profile: Optional[StrategyProfile] = None,
     events: Sequence[PopulationEvent] = (),
 ) -> Trajectory:
-    """Noisy best response for the fairness game under a cooling schedule.
+    """Noisy best response for the fairness game under a cooling schedule, run by _play.
 
-    Active users simultaneously draw fresh (channel, probability) actions
-    from their softmax distributions at beta(t). Once beta(t) reaches
-    freeze_beta (if given), active users stop exploring: each plays the
-    deviation fairness.nep_violation reports, or keeps its play when there
-    is none (is_nep_fairness's rule); the run then terminates once a full
-    quiet pass ends at a fairness equilibrium.
-    Records the sum of log rates at every step.
+    Active users draw fresh (channel, probability) actions from their
+    softmax distributions at beta(t). Once beta(t) reaches freeze_beta (if
+    given), active users stop exploring: each plays the deviation
+    fairness.nep_violation reports, or settles when there is none
+    (is_nep_fairness's rule), and the run converges when is_nep_fairness
+    confirms a quiet pass.
     """
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
     fairness._require_single_channel(instance)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if initial_profile is None:
-        initial_profile = nbrf_initial_profile(instance)
-    pending, recorder, profile = _begin_run(instance, initial_profile, fairness, events)
+    step = _NoisyBestResponse(schedule, freeze_beta)
+    return _play(instance, mechanism, rng, max_iters, initial_profile, events, fairness, step)
 
-    # Conditional draw distributions depend only on beta and the neighbors'
-    # strategies, so they are memoized per (user, neighbor state) while beta(t)
-    # holds still. A logarithmic beta(t) never does, so it draws directly.
-    draw_cache: dict[tuple, tuple[list[Strategy], list[float]]] = {}
-    cache_beta: Optional[float] = None
-    memo = schedule.kind != "logarithmic"
 
-    quiet_run = 0
-    # Frozen users whose last evaluation kept their play; the frozen rule reads no rng,
-    # only local plays, so they stay put until a neighbor moves or users arrive.
-    settled: set[int] = set()
+class _NoisyBestResponse:
+    """NBRF's step: beta(t), the frozen flag, and the sampler's memo."""
 
-    for t in range(1, max_iters + 1):
-        while pending and pending[0].at_iter == t:
-            event = pending.pop(0)
-            profile = recorder.canonical(_extend_profile_nbrf(profile, event.instance))
-            instance = event.instance
-            draw_cache.clear()
-            quiet_run = 0
-            settled.clear()
-        beta_t = schedule.beta(t)
-        if beta_t != cache_beta:
-            draw_cache.clear()
-            cache_beta = beta_t
-        frozen = freeze_beta is not None and beta_t >= freeze_beta
-        active = select_active(mechanism, instance.graph, rng, step=t - 1)
-        replacements: dict[int, Strategy] = {}
-        for n in active:
-            if frozen:
-                if n in settled:
-                    continue
-                report = fairness.nep_violation(n, profile, instance)
-                if report is None:
-                    settled.add(n)
-                else:
-                    replacements[n] = report.deviation
-                continue
-            # At beta = 0 the sampler is uniform over the whole grid, so a
-            # user can land on attempt probability 1.0 next to a neighbor and
-            # leave some third user with no finite-value action at all.  Such
-            # a user cannot rank its options this step; it keeps its current
-            # strategy until a neighbor moves away.  The sampler raises
-            # before consuming rng draws, so the stream stays reproducible.
-            try:
-                if memo:
-                    action = _sample_cached(n, profile, instance, beta_t, rng, draw_cache)
-                else:
-                    action = sample_noisy_br(n, profile, instance, beta_t, rng)
-            except DegenerateInstanceError:
-                continue
-            # by value: the initial plays and an old degree's grid are other objects
-            if action != profile[n]:
-                replacements[n] = action
-        if replacements:
-            profile = recorder.canonical(_apply(profile, replacements, settled, instance.graph))
-            quiet_run = 0
-        else:
-            quiet_run += 1
-        recorder.record(active, profile, instance)
-        if (
-            frozen
-            and quiet_run >= instance.num_users
-            and not pending
-            and is_nep_fairness(profile, instance).is_nep
-        ):
-            return recorder.build(t, "converged")
-    return recorder.build(None, "max-iters")
+    def __init__(self, schedule: CoolingSchedule, freeze_beta: Optional[float]):
+        self._schedule, self._freeze_beta = schedule, freeze_beta
+        # Conditional draw distributions depend only on beta and the neighbors'
+        # strategies, so they are memoized per (user, neighbor state) while beta(t)
+        # holds still. A logarithmic beta(t) never does, so it draws directly.
+        # Events keep every entry valid: users keep their utilities, new neighbors lengthen keys.
+        self._memo = schedule.kind != "logarithmic"
+        self._draws: dict[tuple, tuple[list[Strategy], list[float]]] = {}
+        self._beta: Optional[float] = None
+        self._frozen = False
+
+    @staticmethod
+    def extend(profile: StrategyProfile, instance: Instance) -> StrategyProfile:
+        keep = len(profile)
+        picks = [strat.channels[0] for strat in profile]
+        for n in range(keep, instance.num_users):
+            utils = instance.utilities[n]
+            picks.append(min(range(instance.num_channels), key=lambda k: (-utils[k], k)))
+        return profile + allocation_profile(picks, instance)[keep:]
+
+    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> None:
+        beta = self._schedule.beta(t)
+        if beta != self._beta:
+            self._draws.clear()
+            self._beta = beta
+        self._frozen = self._freeze_beta is not None and beta >= self._freeze_beta
+
+    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng):
+        if self._frozen:
+            # reads no rng and only local plays, so a keeper settles
+            report = fairness.nep_violation(n, profile, instance)
+            return _SETTLE if report is None else report.deviation
+        # At beta = 0 the sampler is uniform over the whole grid, so a
+        # user can land on attempt probability 1.0 next to a neighbor and
+        # leave some third user with no finite-value action at all.  Such
+        # a user cannot rank its options this step; it keeps its current
+        # strategy until a neighbor moves away.  The sampler raises
+        # before consuming rng draws, so the stream stays reproducible.
+        try:
+            if self._memo:
+                action = _sample_cached(n, profile, instance, self._beta, rng, self._draws)
+            else:
+                action = sample_noisy_br(n, profile, instance, self._beta, rng)
+        except DegenerateInstanceError:
+            return None
+        # by value: the initial plays and an old degree's grid are other objects
+        return action if action != profile[n] else None
+
+    def confirm(self, profile: StrategyProfile, instance: Instance) -> bool:
+        return self._frozen and is_nep_fairness(profile, instance).is_nep
 
 
 def _sample_cached(

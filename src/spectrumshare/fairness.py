@@ -362,6 +362,9 @@ class CoolingSchedule:
     kind: str
     beta0: float = 0.0
     delta: float = 1.0
+    # piecewise-constant: (level, its breakpoint, the next one) at the last call; the
+    # walk's start. Unannotated, so not a field: ==, hash and repr ignore it.
+    _cursor = (0, -math.inf, 1.0)
 
     def __post_init__(self) -> None:
         if self.kind not in ("fixed-beta", "logarithmic", "piecewise-constant"):
@@ -372,6 +375,9 @@ class CoolingSchedule:
         else:
             if not (math.isfinite(self.delta) and self.delta > 0.0):
                 raise ValueError("delta must be finite and positive")
+            # log(t) / delta stays below LOG_FLOAT_MAX / delta for every float t
+            if self.kind == "logarithmic" and not math.isfinite(LOG_FLOAT_MAX / self.delta):
+                raise ValueError("delta is too small: log(t) / delta overflows to infinity")
 
     @classmethod
     def fixed(cls, beta0: float) -> "CoolingSchedule":
@@ -392,9 +398,15 @@ class CoolingSchedule:
             return self.beta0
         if self.kind == "logarithmic":
             return math.log(t) / self.delta
-        level, next_break = 0, 1.0
+        # the walk resumes at the last call's level unless t lies below it, so calls
+        # at increasing t cost amortized O(1); the breakpoints are the same running sum
+        level, start, next_break = self._cursor
+        if t < start:
+            level, start, next_break = CoolingSchedule._cursor
         while t >= next_break:
             level += 1
+            start = next_break
             # capped: a gap past the largest float puts the breakpoint beyond every t
             next_break += math.exp(min(level * self.delta, LOG_FLOAT_MAX))
+        object.__setattr__(self, "_cursor", (level, start, next_break))
         return float(level)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from spectrumshare import (
     sample_noisy_br,
 )
 from spectrumshare.errors import DegenerateInstanceError
-from spectrumshare.fairness import _action_grid, best_fair_action
+from spectrumshare.fairness import LOG_FLOAT_MAX, _action_grid, best_fair_action
 
 from conftest import random_fairness_instance, random_fairness_profile
 
@@ -278,6 +279,49 @@ def test_cooling_schedules():
     for delta in (709.0, 710.0, 1000.0):
         assert CoolingSchedule.piecewise_constant(delta).beta(10) == 1.0
     assert CoolingSchedule.piecewise_constant(1000.0).beta(1e300) == 1.0
+
+
+def _walked_level(delta, t):
+    """The piecewise-constant level by a walk from level 1 on every call: the reference."""
+    level, next_break = 0, 1.0
+    while t >= next_break:
+        level += 1
+        next_break += math.exp(min(level * delta, LOG_FLOAT_MAX))
+    return float(level)
+
+
+def test_piecewise_schedule_resumes_its_walk_bit_identically():
+    for delta in (1e-3, 0.3, 1.0, 2.5, 709.0, 1000.0):
+        breaks, next_break = [], 1.0
+        for level in range(1, 40):
+            if math.isfinite(next_break):
+                breaks.append(next_break)
+            next_break += math.exp(min(level * delta, LOG_FLOAT_MAX))
+        # at, just below and just above every breakpoint, rising, falling, rising
+        near = sorted(
+            t for b in breaks for t in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf))
+            if t >= 1.0
+        )
+        schedule = CoolingSchedule.piecewise_constant(delta)
+        for t in near + near[::-1] + near + list(range(1, 300)):
+            assert schedule.beta(t) == _walked_level(delta, t), (delta, t)
+        # the resumed walk is no field: equality, hash and repr are unchanged
+        fresh = CoolingSchedule.piecewise_constant(delta)
+        assert schedule == fresh and hash(schedule) == hash(fresh)
+        assert repr(schedule) == repr(fresh) == (
+            f"CoolingSchedule(kind='piecewise-constant', beta0=0.0, delta={delta!r})"
+        )
+
+
+def test_logarithmic_schedule_rejects_a_delta_that_makes_beta_infinite():
+    for delta in (1e-320, 5e-324, LOG_FLOAT_MAX / sys.float_info.max / 2.0):
+        with pytest.raises(ValueError, match="overflows"):
+            CoolingSchedule.logarithmic(delta)
+    # the smallest accepted deltas keep beta finite up to the largest float
+    for delta in (1e-300, LOG_FLOAT_MAX / sys.float_info.max * 2.0):
+        assert math.isfinite(CoolingSchedule.logarithmic(delta).beta(sys.float_info.max))
+    # a piecewise-constant level is a count, so a tiny delta stays accepted
+    assert CoolingSchedule.piecewise_constant(1e-320).beta(3) == 3.0
 
 
 def test_piecewise_levels_track_logarithmic_when_delta_large():

@@ -210,6 +210,15 @@ def test_build_mechanism_and_schedule_and_estimator():
     assert est.window == 50
 
 
+def test_config_rejects_a_logarithmic_delta_that_makes_beta_infinite():
+    nbrf = {"algorithm": "nbrf", "estimator": None}
+    with pytest.raises(ConfigError, match="config.schedule: delta is too small"):
+        cfg(**nbrf, schedule={"kind": "logarithmic", "delta": 1e-320})
+    assert cfg(**nbrf, schedule={"kind": "logarithmic", "delta": 1e-300}).schedule.delta == 1e-300
+    pw = cfg(**nbrf, schedule={"kind": "piecewise-constant", "delta": 1000}).schedule
+    assert pw.beta(1e300) == 1.0
+
+
 def test_config_rejects_unknown_keys_and_mistyped_values():
     """Each case is a ConfigError naming the key's path."""
     fig2 = load_preset("fig2-small-drm")
