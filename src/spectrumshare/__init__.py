@@ -9,147 +9,19 @@ exhaustive oracles, and a reproducible experiment harness.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DegenerateInstanceError,
-    EstimationError,
-)
-from .network import (
-    Instance,
-    InterferenceGraph,
-    Strategy,
-    StrategyProfile,
-    build_regular_graph,
-    channel_load,
-    expected_rate_on_channel,
-    graph_from_positions,
-    log_interference,
-    make_profile,
-    replace_strategy,
-    success_probability,
-    total_expected_rate,
-    validate_profile,
-)
-from .drm import (
-    best_response_drm,
-    br_potential,
-    br_potential_upper_bound,
-    efficiency_bound,
-    is_nep_drm,
-    naive_expected_rate,
-)
-from .fairness import (
-    CoolingSchedule,
-    allocation_profile,
-    cooperative_utility,
-    delta_lower_bound,
-    exact_potential,
-    gibbs_stationary,
-    is_nep_fairness,
-    noisy_br_distribution,
-    optimal_attempt_probability,
-    per_channel_sum_log_rate,
-    sample_noisy_br,
-)
-from .dynamics import (
-    EstimatorConfig,
-    PopulationEvent,
-    Trajectory,
-    UpdateMechanism,
-    drm_initial_profile,
-    estimate_success_probability,
-    nbrf_initial_profile,
-    run_better_response_replay,
-    run_br_drm,
-    run_nbrf,
-    select_active,
-    simulate_naive_policy,
-    simulate_slot,
-    simulate_slots,
-)
-from .oracle import (
-    brute_force_best_response,
-    empirical_visit_distribution,
-    exhaustive_drm_nep_enumeration,
-    exhaustive_fairness_nep_enumeration,
-    exhaustive_sum_log_rate,
-)
-from .harness import (
-    ExperimentConfig,
-    build_instance_and_events,
-    default_gibbs_instance,
-    efficiency_sweep,
-    gibbs_check,
-    list_presets,
-    load_config,
-    load_preset,
-    run_experiment,
-)
+# Each module's __all__ is its only list of public names; the root re-exports
+# them all, so a name made public in its module is public here too.
+from . import drm, dynamics, errors, fairness, harness, network, oracle
+from .errors import *
+from .network import *
+from .drm import *
+from .fairness import *
+from .dynamics import *
+from .oracle import *
+from .harness import *
 
-__all__ = [
-    "__version__",
-    "CapacityError",
-    "ConfigError",
-    "DegenerateInstanceError",
-    "EstimationError",
-    "Instance",
-    "InterferenceGraph",
-    "Strategy",
-    "StrategyProfile",
-    "build_regular_graph",
-    "channel_load",
-    "graph_from_positions",
-    "expected_rate_on_channel",
-    "log_interference",
-    "make_profile",
-    "replace_strategy",
-    "success_probability",
-    "total_expected_rate",
-    "validate_profile",
-    "best_response_drm",
-    "br_potential",
-    "br_potential_upper_bound",
-    "efficiency_bound",
-    "is_nep_drm",
-    "naive_expected_rate",
-    "CoolingSchedule",
-    "allocation_profile",
-    "cooperative_utility",
-    "delta_lower_bound",
-    "exact_potential",
-    "gibbs_stationary",
-    "is_nep_fairness",
-    "noisy_br_distribution",
-    "optimal_attempt_probability",
-    "per_channel_sum_log_rate",
-    "sample_noisy_br",
-    "EstimatorConfig",
-    "PopulationEvent",
-    "Trajectory",
-    "UpdateMechanism",
-    "drm_initial_profile",
-    "estimate_success_probability",
-    "nbrf_initial_profile",
-    "run_better_response_replay",
-    "run_br_drm",
-    "run_nbrf",
-    "select_active",
-    "simulate_naive_policy",
-    "simulate_slot",
-    "simulate_slots",
-    "brute_force_best_response",
-    "empirical_visit_distribution",
-    "exhaustive_drm_nep_enumeration",
-    "exhaustive_fairness_nep_enumeration",
-    "exhaustive_sum_log_rate",
-    "ExperimentConfig",
-    "build_instance_and_events",
-    "default_gibbs_instance",
-    "efficiency_sweep",
-    "gibbs_check",
-    "list_presets",
-    "load_config",
-    "load_preset",
-    "run_experiment",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, network, drm, fairness, dynamics, oracle, harness)
+    for name in module.__all__
 ]

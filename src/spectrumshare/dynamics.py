@@ -13,6 +13,7 @@ neighbors' strategies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
@@ -86,8 +87,9 @@ class UpdateMechanism:
     def __post_init__(self) -> None:
         if self.kind not in ("backoff", "probabilistic", "sweep-sequential"):
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.kind == "backoff" and not self.backoff_bound > 0:
-            raise ValueError("backoff_bound must be positive")
+        # an infinite bound makes every draw inf, so the lower index always wins
+        if self.kind == "backoff" and not 0 < self.backoff_bound < math.inf:
+            raise ValueError("backoff_bound must be positive and finite")
         object.__setattr__(self, "update_probs", tuple(float(q) for q in self.update_probs))
         if self.kind == "probabilistic":
             for q in self.update_probs:
@@ -552,12 +554,14 @@ def run_nbrf(
 
     Active users draw fresh (channel, probability) actions from their
     softmax distributions at beta(t). Once beta(t) reaches freeze_beta (if
-    given), active users stop exploring: each plays the deviation
-    fairness.nep_violation reports, or settles when there is none
+    given; it must be finite), active users stop exploring: each plays the
+    deviation fairness.nep_violation reports, or settles when there is none
     (is_nep_fairness's rule), and the run converges when is_nep_fairness
-    confirms a quiet pass.
+    confirms a quiet pass. A masked instance (`allowed` set) is a ValueError.
     """
     fairness._require_single_channel(instance)
+    if freeze_beta is not None and not math.isfinite(freeze_beta):
+        raise ValueError("freeze_beta must be finite; None never freezes")
     step = _NoisyBestResponse(schedule, freeze_beta)
     return _play(instance, mechanism, rng, max_iters, initial_profile, events, fairness, step)
 

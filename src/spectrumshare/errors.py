@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CapacityError", "ConfigError", "DegenerateInstanceError", "EstimationError"]
+
 
 class ConfigError(ValueError):
     """A configuration document or CLI argument failed validation."""

@@ -56,6 +56,9 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 def _require_single_channel(instance: Instance) -> None:
     if instance.channels_per_user != 1:
         raise ValueError("the fairness game requires channels_per_user == 1")
+    # every play grid spans all channels, so a mask would be ignored
+    if instance.allowed is not None:
+        raise ValueError("the fairness game takes no channel mask (allowed)")
 
 
 def cooperative_utility(
@@ -392,8 +395,8 @@ class CoolingSchedule:
         return cls("piecewise-constant", delta=delta)
 
     def beta(self, t: float) -> float:
-        if t < 1:
-            raise ValueError("updating times are 1-based")
+        if not 1 <= t < math.inf:
+            raise ValueError("updating times are finite and 1-based")
         if self.kind == "fixed-beta":
             return self.beta0
         if self.kind == "logarithmic":

@@ -9,7 +9,6 @@ reproduce the outputs byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,14 +51,11 @@ from .oracle import (
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentResult",
-    "GibbsCheckReport",
     "build_instance_and_events",
     "run_experiment",
     "gibbs_check",
     "default_gibbs_instance",
     "efficiency_sweep",
-    "oracle_optimum",
     "load_config",
     "load_preset",
     "list_presets",
@@ -288,6 +284,8 @@ class ExperimentConfig:
         allowed_by = KEYS["instance"]["allowed"].algorithms
         if top["instance"].get("allowed") is not None and algorithm not in allowed_by:
             raise _only("config.instance.allowed", allowed_by)
+        if top["freeze_beta"] is not None and not math.isfinite(top["freeze_beta"]):
+            raise ConfigError("config.freeze_beta must be finite; null never freezes")
         if algorithm == "better-response-replay" and top["trials"] != 1:
             raise ConfigError("config.trials must be 1 for better-response-replay")
         mechanism = top["mechanism"] or {}
@@ -564,7 +562,8 @@ def run_experiment(
     instance, events = build_instance_and_events(
         config.instance_spec, config.events_spec
     )
-    final_users = (events[-1].instance if events else instance).num_users
+    final = events[-1].instance if events else instance
+    final_users = final.num_users
     if config.mechanism is not None and len(config.mechanism.update_probs) not in (1, final_users):
         raise ConfigError(f"config.mechanism.update_probs must list 1 or {final_users} entries")
     run_trial = _trial_runner(config, instance, events)
@@ -590,9 +589,7 @@ def run_experiment(
     else:
         aggregate_rows = _aggregate(trajectories)
 
-    manifest = _build_manifest(
-        config, instance, trajectories, naive_rates, oracle_ref
-    )
+    manifest = _build_manifest(config, final, trajectories, naive_rates, oracle_ref)
     result = ExperimentResult(
         config=config,
         instance=instance,
@@ -618,7 +615,7 @@ def oracle_optimum(instance: Instance) -> OracleResult:
 
 def _build_manifest(
     config: ExperimentConfig,
-    instance: Instance,
+    final: Instance,
     trajectories: list[Optional[Trajectory]],
     naive_rates: Optional[list[tuple[float, ...]]],
     oracle_ref: Optional[OracleResult],
@@ -647,7 +644,7 @@ def _build_manifest(
     if config.algorithm == "nbrf" and config.schedule is not None:
         if config.schedule.kind in ("logarithmic", "piecewise-constant"):
             try:
-                bound = delta_lower_bound(instance)
+                bound = delta_lower_bound(final)
                 delta_mode = (
                     "sufficient" if config.schedule.delta >= bound else "heuristic"
                 )
@@ -658,9 +655,7 @@ def _build_manifest(
         "config": config.raw,
         "delta_mode": delta_mode,
         "label": config.label,
-        "num_users_final": instance.num_users
-        if not config.events_spec
-        else max(e["num_users"] for e in config.events_spec),
+        "num_users_final": final.num_users,
         "package_version": __version__,
         "per_trial": per_trial,
         "root_seed": config.seed,
@@ -726,17 +721,10 @@ def _write_outputs(result: ExperimentResult, out_dir: Path) -> None:
                 assert traj is not None
                 _write_trajectory(fh, trial, traj)
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "mean_rate", "mean_sum_log_rate", "frac_at_nep"])
+        columns = ("iter", "mean_rate", "mean_sum_log_rate", "frac_at_nep")
+        fh.write(",".join(columns) + "\n")
         for row in result.aggregate_rows:
-            writer.writerow(
-                [
-                    row["iter"],
-                    _fmt(row["mean_rate"]),
-                    _fmt(row["mean_sum_log_rate"]),
-                    _fmt(row["frac_at_nep"]),
-                ]
-            )
+            fh.write(",".join(_fmt(row[column]) for column in columns) + "\n")
     with open(out_dir / "manifest.json", "w", newline="") as fh:
         json.dump(result.manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -25,7 +25,6 @@ __all__ = [
     "Strategy",
     "StrategyProfile",
     "Instance",
-    "NepReport",
     "make_profile",
     "replace_strategy",
     "validate_profile",

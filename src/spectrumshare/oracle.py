@@ -25,7 +25,6 @@ from .network import (
 )
 
 __all__ = [
-    "OracleResult",
     "exhaustive_sum_log_rate",
     "exhaustive_drm_nep_enumeration",
     "exhaustive_fairness_nep_enumeration",
@@ -59,9 +58,12 @@ def exhaustive_sum_log_rate(
     num_channels ** num_users channel assignments. Assignments whose
     objective is minus infinity for every user's choice cannot be ranked,
     so a user whose utilities are all zero raises DegenerateInstanceError.
+    A masked instance (`allowed` set) is a ValueError.
     """
     if instance.channels_per_user != 1:
         raise ValueError("oracle requires single-channel selection")
+    if instance.allowed is not None:
+        raise ValueError("the sum-log-rate oracle takes no channel mask (allowed)")
     n_users = instance.num_users
     n_channels = instance.num_channels
     total = n_channels**n_users

@@ -12,6 +12,7 @@ from spectrumshare import (
     Instance,
     InterferenceGraph,
     Strategy,
+    UpdateMechanism,
     cooperative_utility,
     delta_lower_bound,
     exact_potential,
@@ -22,6 +23,7 @@ from spectrumshare import (
     optimal_attempt_probability,
     per_channel_sum_log_rate,
     replace_strategy,
+    run_nbrf,
     sample_noisy_br,
 )
 from spectrumshare.errors import DegenerateInstanceError
@@ -252,6 +254,20 @@ def test_gibbs_stationary_ratio_law():
     assert w1 / w2 == pytest.approx(want, rel=1e-9)
 
 
+def test_fairness_game_rejects_channel_masks():
+    # every play grid spans all channels, so a mask would be silently ignored
+    inst = two_user_instance()
+    masked = Instance(inst.graph, 2, 1, inst.utilities, inst.caps, ((True, False), (True, False)))
+    profile = make_profile([(0,), (0,)], [0.5, 0.5])
+    for call in (
+        lambda: run_nbrf(masked, UpdateMechanism.sweep_sequential(), CoolingSchedule.fixed(1.0)),
+        lambda: is_nep_fairness(profile, masked),
+        lambda: gibbs_stationary(masked, 1.0),
+    ):
+        with pytest.raises(ValueError, match="the fairness game takes no channel mask"):
+            call()
+
+
 def test_delta_lower_bound_hand_value():
     inst = two_user_instance()
     # 2 users, max degree 1, utilities spanning [1, 4]
@@ -271,8 +287,11 @@ def test_cooling_schedules():
     assert pw.beta(1 + math.e - 1e-9) == 1.0
     assert pw.beta(1 + math.e) == 2.0
     assert pw.beta(1 + math.e + math.e ** 2) == 3.0
-    with pytest.raises(ValueError):
-        log.beta(0)
+    # updating times are finite and 1-based: a walk to inf never ends, and NaN passes t < 1
+    for schedule in (fixed, log, pw):
+        for bad in (0, 0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="updating times are finite and 1-based"):
+                schedule.beta(bad)
     with pytest.raises(ValueError):
         CoolingSchedule.logarithmic(0.0)
     # e^delta past the largest float: the first breakpoint lies beyond every t

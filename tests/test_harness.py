@@ -12,9 +12,12 @@ import pytest
 
 from spectrumshare import (
     ConfigError,
+    CoolingSchedule,
     ExperimentConfig,
+    UpdateMechanism,
     build_instance_and_events,
     default_gibbs_instance,
+    delta_lower_bound,
     efficiency_bound,
     efficiency_sweep,
     gibbs_check,
@@ -22,6 +25,7 @@ from spectrumshare import (
     load_config,
     load_preset,
     run_experiment,
+    run_nbrf,
 )
 from spectrumshare import harness
 from spectrumshare.errors import CapacityError
@@ -68,6 +72,11 @@ def test_domain_errors_surface_before_any_trial(monkeypatch):
             run_experiment(ExperimentConfig.from_dict(raw))
     with pytest.raises(ConfigError, match="the fairness game requires channels_per_user == 1"):
         gibbs_check(build_instance_and_events(load_preset("cycle-demo")["instance"])[0], 1.0, 10, 0)
+    # the sum-log oracle would otherwise report allocations on masked channels
+    masked = dict(load_preset("fig2-small-drm"), oracle_reference=True)
+    masked["instance"]["allowed"] = [[1, 0]] * masked["instance"]["num_users"]
+    with pytest.raises(ConfigError, match=r"config.instance: .*takes no channel mask"):
+        run_experiment(ExperimentConfig.from_dict(masked))
 
 
 def test_config_defaults():
@@ -126,12 +135,24 @@ def test_config_rejections():
     replay["replay"]["initial_attempt_probs"] = 0.5
     with pytest.raises(ConfigError, match="config.replay"):
         run_experiment(ExperimentConfig.from_dict(replay))
-    # a NaN radius would otherwise build an edgeless graph
+    # a NaN radius would otherwise build an edgeless graph; json reads NaN and
+    # Infinity, and an infinite backoff bound makes every draw inf, so the lower
+    # index always wins, while a NaN freeze_beta never freezes
     geometric = load_preset("fig3-dynamic-drm")["instance"]
-    for key in ("region_radius", "interference_radius"):
-        for bad in (math.nan, math.inf):
+    fair = load_preset("fig5-small-nbrf")
+    instance, _ = build_instance_and_events(fair["instance"])
+    for bad in (math.nan, math.inf, -math.inf):
+        for key in ("region_radius", "interference_radius"):
             with pytest.raises(ConfigError, match="radii must be positive and finite"):
                 build_instance_and_events(dict(geometric, **{key: bad}))
+        with pytest.raises(ConfigError, match="backoff_bound must be positive and finite"):
+            cfg(mechanism={"kind": "backoff", "bound": bad})
+        with pytest.raises(ConfigError, match=re.escape("config.freeze_beta must be finite")):
+            ExperimentConfig.from_dict(dict(fair, freeze_beta=bad))
+        with pytest.raises(ValueError, match="freeze_beta must be finite"):
+            run_nbrf(instance, UpdateMechanism.backoff(), CoolingSchedule.fixed(1.0),
+                     freeze_beta=bad)
+    assert ExperimentConfig.from_dict(dict(fair, freeze_beta=None)).freeze_beta is None
     naive = json.loads(json.dumps(BASE))
     naive["instance"]["utilities"] = {"kind": "constant", "value": 1.0}
     naive.update(algorithm="naive", naive={"attempt_prob": 1.5, "num_slots": 10})
@@ -485,6 +506,17 @@ def test_run_experiment_multi_channel_sets_use_pipes(tmp_path):
     assert any("|" in row[3] for row in rows[1:])
 
 
+def test_delta_mode_is_priced_on_the_final_population():
+    # fig6 grows from 40 to 50 users: the 40-user bound is 210.30, the 50-user one 262.87
+    raw = dict(load_preset("fig6-dynamic-nbrf"), trials=1, max_iters=1)
+    instance, events = build_instance_and_events(raw["instance"], raw["events"])
+    assert delta_lower_bound(instance) < 230 < delta_lower_bound(events[-1].instance) < 263
+    for delta, mode in ((230.0, "heuristic"), (263.0, "sufficient")):
+        raw["schedule"] = {"kind": "logarithmic", "delta": delta}
+        manifest = run_experiment(ExperimentConfig.from_dict(raw)).manifest
+        assert (manifest["delta_mode"], manifest["num_users_final"]) == (mode, 50)
+
+
 def test_run_experiment_cycle_demo_manifest():
     raw = load_preset("cycle-demo")
     result = run_experiment(ExperimentConfig.from_dict(raw))
@@ -538,6 +570,17 @@ def _csv_writer_trajectory(result):
     return out.getvalue()
 
 
+def _csv_writer_aggregate(result):
+    """aggregate.csv as one csv.writer row per iteration: the reference."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    columns = ["iter", "mean_rate", "mean_sum_log_rate", "frac_at_nep"]
+    writer.writerow(columns)
+    for row in result.aggregate_rows:
+        writer.writerow([row["iter"]] + [f"{row[c]:.17g}" for c in columns[1:]])
+    return out.getvalue()
+
+
 def test_trajectory_csv_equals_the_csv_writer_rows(tmp_path):
     grown = {
         "algorithm": "br-drm", "trials": 2, "max_iters": 40, "seed": 3,
@@ -565,6 +608,8 @@ def test_trajectory_csv_equals_the_csv_writer_rows(tmp_path):
         results.append(run_experiment(ExperimentConfig.from_dict(raw), out_dir=tmp_path / str(i)))
         written = (tmp_path / str(i) / "trajectory.csv").read_bytes()
         assert written == _csv_writer_trajectory(results[-1]).encode()
+        written = (tmp_path / str(i) / "aggregate.csv").read_bytes()
+        assert written == _csv_writer_aggregate(results[-1]).encode()
     traj = results[0].trajectories[1]
     # the population grows mid-trial, and a user keeps its Strategy object
     # while its rate moves because a neighbor switched

@@ -1,9 +1,10 @@
 """Graph, strategy, and closed-form rate primitives."""
 
-import ast
 import importlib
-import inspect
 import math
+import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,17 +228,21 @@ def test_regular_graph_degrees():
         build_regular_graph(7, 3)  # odd handshake
 
 
-def test_root_exports_are_listed_in_their_modules_all():
-    # Every name the package root re-exports from a module that declares
-    # __all__ must be public there too.
-    tree = ast.parse(inspect.getsource(spectrumshare))
-    missing = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"spectrumshare.{node.module}")
-            public = getattr(module, "__all__", None)
-            for alias in node.names:
-                if alias.name in spectrumshare.__all__ and public is not None:
-                    if alias.name not in public:
-                        missing.append(f"{node.module}.{alias.name}")
-    assert missing == []
+def test_each_public_name_is_declared_in_one_module_all():
+    # A module's __all__ is the only list of its public names: no name is
+    # public in two modules, and the root re-exports each one as it is.
+    owners = {}
+    for info in pkgutil.iter_modules(spectrumshare.__path__):
+        module = importlib.import_module(f"spectrumshare.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            owners.setdefault(name, []).append(module)
+    assert [name for name, modules in owners.items() if len(modules) > 1] == []
+    assert sorted(spectrumshare.__all__) == sorted(["__version__", *owners])
+    for name, (module,) in owners.items():
+        assert getattr(spectrumshare, name) is getattr(module, name)
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"## Library quick tour\n+```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(tour.group(1), "README.md", "exec"), {})

@@ -78,6 +78,9 @@ def test_oracle_rejects_multi_channel_and_oversize():
     multi = Instance(g, 3, 2, ((1.0, 1.0, 1.0),) * 2, (0.5, 0.5))
     with pytest.raises(ValueError):
         exhaustive_sum_log_rate(multi)
+    masked = Instance(g, 2, 1, ((1.0, 1.0),) * 2, (0.5, 0.5), ((True, False), (True, True)))
+    with pytest.raises(ValueError, match="takes no channel mask"):
+        exhaustive_sum_log_rate(masked)
     big = random_fairness_instance(np.random.default_rng(1), max_users=6)
     with pytest.raises(CapacityError):
         exhaustive_sum_log_rate(big, capacity=3)
