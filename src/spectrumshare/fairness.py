@@ -17,7 +17,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,11 +68,11 @@ def cooperative_utility(
 
     log(u * p) minus the log-interference the user suffers on the channel,
     minus log(1/(1-p)) times the number of neighbors it would interfere with
-    there. -inf when p = 0, when the utility is 0, when a same-channel
-    neighbor transmits with probability 1, or when p = 1 with any same-channel
-    neighbor present (an isolated p = 1 play scores log u, reading 0*log 0
-    as 0). Any play off the grid may be priced; a play of other than one
-    channel raises ValueError.
+    there. -inf when u * p is 0 (p = 0, a zero utility, or a product that
+    underflows), when a same-channel neighbor transmits with probability 1,
+    or when p = 1 with any same-channel neighbor present (an isolated p = 1
+    play scores log u, reading 0*log 0 as 0). Any play off the grid may be
+    priced; a play of other than one channel raises ValueError.
     """
     _require_single_channel(instance)
     if len(action.channels) != 1:
@@ -86,7 +86,8 @@ def cooperative_utility(
 
 def _fair_utility(u: float, p: float, count: int, suffered: float) -> float:
     """cooperative_utility from u, p, same-channel neighbor count and log-interference."""
-    if p <= 0.0 or u <= 0.0 or suffered == math.inf:
+    # u and p are nonnegative, so this also catches a product that underflows to 0
+    if u * p <= 0.0 or suffered == math.inf:
         return -math.inf
     if p >= 1.0:
         return math.log(u) - suffered if count == 0 else -math.inf
@@ -159,18 +160,65 @@ def _action_grid(num_channels: int, degree: int) -> tuple[Strategy, ...]:
     )
 
 
-def _grid_utilities(
-    user: int, load: dict, instance: Instance
-) -> tuple[tuple[Strategy, ...], list[float]]:
-    """The user's action grid and each play's fair utility under `load`."""
-    utils = instance.utilities[user]
-    actions = _action_grid(instance.num_channels, instance.graph.degree(user))
-    values = []
-    for a in actions:
-        k = a.channels[0]
-        count, _, suffered = load.get(k, NO_LOAD)
-        values.append(_fair_utility(utils[k], a.attempt_prob, count, suffered))
-    return actions, values
+class _ActionTable(NamedTuple):
+    """One user's plays and the parts of their fair utilities that the profile cannot move.
+
+    plays is the user's _action_grid, channel-major. lups[k] holds log(u_k * p)
+    for p = 1/r, r = 1..degree+1 (-inf where the product underflows to 0), or
+    is None when u_k <= 0 (every play on k is worthless); l1ps holds
+    log1p(-p) for r = 2..degree+1 (p = 1 has none).
+    """
+
+    plays: tuple[Strategy, ...]
+    lups: tuple[Optional[tuple[float, ...]], ...]
+    l1ps: tuple[float, ...]
+
+
+def _action_table(user: int, instance: Instance) -> _ActionTable:
+    """The user's action table, built on first use and kept on the instance.
+
+    An Instance is frozen, so no table can go stale on it; a population event
+    brings a new Instance, which starts without tables.
+    """
+    tables = instance.__dict__.get("_fair_action_tables")
+    if tables is None:
+        tables = instance.__dict__["_fair_action_tables"] = {}
+    table = tables.get(user)
+    if table is None:
+        degree = instance.graph.degree(user)
+        plays = _action_grid(instance.num_channels, degree)
+        probs = [play.attempt_prob for play in plays[: degree + 1]]
+        lups = tuple(
+            tuple(math.log(u * p) if u * p > 0.0 else -math.inf for p in probs)
+            if u > 0.0
+            else None
+            for u in instance.utilities[user]
+        )
+        table = tables[user] = _ActionTable(plays, lups, tuple(math.log1p(-p) for p in probs[1:]))
+    return table
+
+
+def _table_values(table: _ActionTable, load: dict) -> list[float]:
+    """Each play's _fair_utility under `load`, in grid order, with the same floats.
+
+    A play's value is lup - suffered + count * l1p. On a channel no neighbor
+    selects that is lup itself (x - 0.0 + 0 * l1p == x, l1p < 0), p = 1
+    included; beside a neighbor p = 1 is worthless.
+    """
+    l1ps = table.l1ps
+    values: list[float] = []
+    for k, lups in enumerate(table.lups):
+        if lups is None:
+            values += [-math.inf] * (len(l1ps) + 1)
+            continue
+        load_k = load.get(k)
+        if load_k is None:
+            values += lups
+            continue
+        count, _, suffered = load_k
+        values.append(-math.inf)
+        values += [lup - suffered + count * l1p for lup, l1p in zip(lups[1:], l1ps)]
+    return values
 
 
 def best_fair_action(
@@ -178,19 +226,50 @@ def best_fair_action(
 ) -> tuple[Optional[Strategy], float, float]:
     """The first grid play of highest cooperative utility and its utility.
 
-    Also returns the utility of the user's current play, priced from the same
-    channel_load. The best play is None (and its utility -inf) when every grid
-    play is worthless.
+    On a channel with `count` same-channel neighbors the fair utility is
+    strictly concave in p with its maximum at the grid point p = 1/(count+1),
+    so only those K plays are priced; the first channel of highest value wins,
+    as in a channel-major scan of the whole grid. A channel whose products
+    u * p fall below the normal float range is scanned whole. Also returns
+    the utility of the user's current play, priced from the same
+    channel_load. The best play is None (and its utility -inf) when every
+    grid play is worthless.
     """
     load = channel_load(user, profile, instance.graph)
-    actions, values = _grid_utilities(user, load, instance)
-    i = max(range(len(values)), key=values.__getitem__)  # first of equal maxima
+    utils = instance.utilities[user]
+    degree = instance.graph.degree(user)
+    plays = _action_grid(instance.num_channels, degree)
+    p_min = plays[degree].attempt_prob
+    best, best_value = None, -math.inf
+    for k in range(instance.num_channels):
+        count, _, suffered = load.get(k, NO_LOAD)
+        u = utils[k]
+        # below the normal range u * p rounds coarsely and concavity no longer decides
+        subnormal = 0.0 < u and u * p_min < sys.float_info.min
+        for r in range(degree + 1) if subnormal else (count,):
+            play = plays[k * (degree + 1) + r]
+            value = _fair_utility(u, play.attempt_prob, count, suffered)
+            if value > best_value:
+                best, best_value = play, value
     k, p = profile[user].channels[0], profile[user].attempt_prob
     count, _, suffered = load.get(k, NO_LOAD)
-    current = _fair_utility(instance.utilities[user][k], p, count, suffered)
-    if values[i] == -math.inf:
-        return None, -math.inf, current
-    return actions[i], values[i], current
+    return best, best_value, _fair_utility(utils[k], p, count, suffered)
+
+
+def _noisy_br(
+    user: int, profile: StrategyProfile, instance: Instance, beta: float
+) -> tuple[tuple[Strategy, ...], list[float]]:
+    """The user's plays and their noisy-best-response probabilities, in grid order."""
+    _require_single_channel(instance)
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("beta must be finite and nonnegative")
+    table = _action_table(user, instance)
+    values = _table_values(table, channel_load(user, profile, instance.graph))
+    if max(values) == -math.inf:
+        raise DegenerateInstanceError(f"user {user} has utility -inf for every available action")
+    if beta == 0.0:
+        return table.plays, [1.0 / len(values)] * len(values)
+    return table.plays, _softmax(values, beta)
 
 
 def noisy_br_distribution(
@@ -201,56 +280,38 @@ def noisy_br_distribution(
     Weights are exp(beta * utility), computed max-shifted; actions with
     utility -inf get weight 0, except at beta = 0 where the distribution is
     uniform over the whole grid (zero times -inf is read as zero). Raises
+    ValueError unless beta is finite and nonnegative, and
     DegenerateInstanceError when every action is worthless.
     """
-    _require_single_channel(instance)
-    if not beta >= 0.0:
-        raise ValueError("beta must be nonnegative")
-    actions, values = _grid_utilities(user, channel_load(user, profile, instance.graph), instance)
-    if beta == 0.0 and any(v > -math.inf for v in values):
-        return dict.fromkeys(actions, 1.0 / len(actions))
-    return _softmax(
-        actions, values, beta, f"user {user} has utility -inf for every available action"
-    )
+    return dict(zip(*_noisy_br(user, profile, instance, beta)))
 
 
-def _softmax(keys: Sequence, values: list[float], beta: float, degenerate: str) -> dict:
-    """Weights exp(beta * value), max-shifted and normalized; -inf gets weight 0.
+def _softmax(values: list[float], beta: float) -> list[float]:
+    """Weights exp(beta * value), max-shifted, normalized by their left-to-right sum.
 
-    Raises DegenerateInstanceError with the given message when every value is
-    -inf.
+    -inf gets weight 0; some value must be finite.
     """
-    finite = [v for v in values if v > -math.inf]
-    if not finite:
-        raise DegenerateInstanceError(degenerate)
-    shift = max(finite)
+    shift = max(values)
     weights = [
         math.exp(beta * (v - shift)) if v > -math.inf else 0.0 for v in values
     ]
     total = left_sum(weights)
-    return {key: w / total for key, w in zip(keys, weights)}
+    return [w / total for w in weights]
 
 
-def cumulative_table(
-    dist: dict[Strategy, float]
+def noisy_br_table(
+    user: int, profile: StrategyProfile, instance: Instance, beta: float
 ) -> tuple[list[Strategy], list[float]]:
-    """The supported plays of a distribution and their running probability sums."""
-    actions: list[Strategy] = []
-    cumulative: list[float] = []
-    running = 0.0
-    for action, prob in dist.items():
-        if prob <= 0.0:
-            continue
-        running += prob
-        actions.append(action)
-        cumulative.append(running)
-    return actions, cumulative
+    """The plays noisy_br_distribution supports and their running probability sums."""
+    plays, probs = _noisy_br(user, profile, instance, beta)
+    supported = [play for play, prob in zip(plays, probs) if prob > 0.0]
+    return supported, list(itertools.accumulate(prob for prob in probs if prob > 0.0))
 
 
 def draw_action(
     table: tuple[list[Strategy], list[float]], rng: np.random.Generator
 ) -> Strategy:
-    """Single inverse-CDF draw from a cumulative_table."""
+    """Single inverse-CDF draw from a noisy_br_table."""
     actions, cumulative = table
     idx = bisect.bisect_right(cumulative, rng.random())
     # rounding fallthrough lands on the final atom
@@ -264,10 +325,8 @@ def sample_noisy_br(
     beta: float,
     rng: np.random.Generator,
 ) -> Strategy:
-    """Single inverse-CDF draw from noisy_br_distribution."""
-    return draw_action(
-        cumulative_table(noisy_br_distribution(user, profile, instance, beta)), rng
-    )
+    """Single inverse-CDF draw from noisy_br_distribution; raises before drawing if degenerate."""
+    return draw_action(noisy_br_table(user, profile, instance, beta), rng)
 
 
 def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> NepReport:
@@ -331,7 +390,9 @@ def gibbs_stationary(
             )
     profiles = list(itertools.product(*grids))
     values = [exact_potential(prof, instance) for prof in profiles]
-    return _softmax(profiles, values, beta, "every joint profile has objective -inf")
+    if max(values) == -math.inf:
+        raise DegenerateInstanceError("every joint profile has objective -inf")
+    return dict(zip(profiles, _softmax(values, beta)))
 
 
 def delta_lower_bound(instance: Instance) -> float:

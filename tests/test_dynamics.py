@@ -34,7 +34,7 @@ from spectrumshare import (
     success_probability,
     total_expected_rate,
 )
-from spectrumshare.dynamics import _draw_slots
+from spectrumshare.dynamics import _SMALL_POPULATION, _draw_slots
 from spectrumshare.errors import EstimationError
 from spectrumshare.harness import build_instance_and_events
 
@@ -165,6 +165,33 @@ def test_probabilistic_mechanism_respects_per_user_probs():
             hits[n] += 1
     assert hits[0] == 2000
     assert 300 < hits[1] < 500
+
+
+def _numpy_probabilistic_winners(probs, n, rng):
+    """Probabilistic select_active's numpy path: the reference at every size."""
+    q = probs[0] if len(probs) == 1 else np.array(probs[:n])
+    return tuple(np.flatnonzero(rng.random(n) < q).tolist())
+
+
+def test_probabilistic_selection_equals_the_numpy_path_at_every_size():
+    rng = np.random.default_rng(53)
+    cut = _SMALL_POPULATION
+    for n in (1, 4, cut - 1, cut, cut + 1, 3 * cut):
+        graph = InterferenceGraph(n, ((),) * n)
+        per_user = tuple(float(q) for q in rng.choice([0.25, 0.5, 1.0], size=n + 3))
+        for probs in ((0.5,), (1.0,), (0.3,), per_user[:n], per_user):
+            mech = UpdateMechanism.probabilistic(probs)
+            real, oracle = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(20):
+                active = select_active(mech, graph, real)
+                assert active == _numpy_probabilistic_winners(probs, n, oracle)
+                assert all(type(u) is int for u in active)
+            assert real.bit_generator.state == oracle.bit_generator.state
+            # a draw equal to its probability is not a hit, on both sides of the cutoff
+            ties = np.array([probs[0] if len(probs) == 1 else probs[i] for i in range(n)])
+            active = select_active(mech, graph, _FixedDraws([ties]))
+            assert active == _numpy_probabilistic_winners(probs, n, _FixedDraws([ties]))
+            assert active == ()
 
 
 def test_drm_initial_profile_prefers_high_utility():

@@ -1,11 +1,14 @@
 """Single-channel fairness game: utilities, potential, sampler, schedules."""
 
+import bisect
 import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectrumshare import (
     CoolingSchedule,
@@ -26,6 +29,8 @@ from spectrumshare import (
     run_nbrf,
     sample_noisy_br,
 )
+from spectrumshare import PopulationEvent, fairness
+from spectrumshare.dynamics import _sample_cached
 from spectrumshare.errors import DegenerateInstanceError
 from spectrumshare.fairness import LOG_FLOAT_MAX, _action_grid, best_fair_action
 
@@ -153,6 +158,21 @@ def test_noisy_br_distribution_raises_when_everything_is_worthless():
         noisy_br_distribution(0, prof, inst, 1.0)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan, -0.5])
+def test_sampler_rejects_a_beta_that_is_not_finite_and_nonnegative(beta):
+    inst = two_user_instance()
+    prof = make_profile([[0], [1]], [0.5, 0.5])
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+        noisy_br_distribution(0, prof, inst, beta)
+    with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+        sample_noisy_br(0, prof, inst, beta, rng)
+    with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+        _sample_cached(0, prof, inst, beta, rng, {})
+    assert rng.bit_generator.state == state
+
+
 def test_sample_noisy_br_empirical_frequencies():
     inst = two_user_instance()
     prof = make_profile([[0], [1]], [0.5, 0.5])
@@ -232,6 +252,155 @@ def test_grid_scans_equal_scalar_cooperative_utility():
             assert report.gain == cooperative_utility(
                 n, report.deviation, moved, inst
             ) - cooperative_utility(n, prof[n], prof, inst)
+
+
+def _grid_scan(n, prof, inst):
+    """best_fair_action by pricing the whole grid with cooperative_utility: the reference."""
+    grid = _action_grid(inst.num_channels, inst.graph.degree(n))
+    values = [cooperative_utility(n, a, prof, inst) for a in grid]
+    best = max(values)
+    first = grid[values.index(best)] if best > -math.inf else None
+    return first, best, cooperative_utility(n, prof[n], prof, inst)
+
+
+@st.composite
+def fairness_cases(draw):
+    """Small instances with zero and tied utilities, and plays on and off the grid.
+
+    Attempt probabilities 1 put a neighbor at suffered = inf; a channel no
+    neighbor selects has count 0 and its optimum at p = 1.
+    """
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if draw(st.booleans())]
+    graph = InterferenceGraph.from_edges(n, edges)
+    # tiny utilities make u * p subnormal or 0, where rounding breaks concavity
+    tiny = st.sampled_from([5e-324, 2e-323, 1e-320, 3e-310, 3e-308])
+    level = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.01, 4.0) | tiny
+    utilities = tuple(tuple(draw(level) for _ in range(k)) for _ in range(n))
+    inst = Instance(graph, k, 1, utilities, (1.0,) * n)
+    probs = []
+    for user in range(n):
+        on_grid = st.integers(1, graph.degree(user) + 1).map(lambda r: 1.0 / r)
+        probs.append(draw(on_grid | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+    chans = [[draw(st.integers(0, k - 1))] for _ in range(n)]
+    return inst, make_profile(chans, probs)
+
+
+def _star_case(utility, p):
+    """User 0 on channel 0 at attempt probability p beside two neighbors there."""
+    graph = InterferenceGraph.from_edges(3, [(0, 1), (0, 2)])
+    inst = Instance(graph, 2, 1, ((utility, 0.0), (1.0, 1.0), (1.0, 1.0)), (1.0,) * 3)
+    return inst, make_profile([[0], [0], [0]], [p, 0.5, 0.5])
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=fairness_cases())
+# a subnormal product puts the grid's best at p = 1/2, not at the optimum 1/3
+@example(case=_star_case(2e-323, 0.5))
+# an off-grid current play whose u * p underflows to 0
+@example(case=_star_case(0.5, 5e-324))
+def test_best_fair_action_equals_the_full_grid_scan(case):
+    inst, prof = case
+    for n in range(inst.num_users):
+        assert best_fair_action(n, prof, inst) == _grid_scan(n, prof, inst)
+
+
+def _reference_cumulative_table(dist):
+    """The supported plays of a distribution and their running sums: the former sampler table."""
+    actions, cumulative, running = [], [], 0.0
+    for action, prob in dist.items():
+        if prob <= 0.0:
+            continue
+        running += prob
+        actions.append(action)
+        cumulative.append(running)
+    return actions, cumulative
+
+
+def _assert_tables_equal_the_reference(n, prof, inst, beta):
+    """Both sampler paths build the reference table, float for float, and draw from it."""
+    grid = _action_grid(inst.num_channels, inst.graph.degree(n))
+    values = [cooperative_utility(n, a, prof, inst) for a in grid]
+    want = _reference_softmax(grid, values, beta)
+    rng = np.random.default_rng(n)
+    state = rng.bit_generator.state
+    if want is None:
+        # a degenerate user raises before any draw
+        with pytest.raises(DegenerateInstanceError):
+            sample_noisy_br(n, prof, inst, beta, rng)
+        with pytest.raises(DegenerateInstanceError):
+            _sample_cached(n, prof, inst, beta, rng, {})
+        assert rng.bit_generator.state == state
+        return 0
+    plays, cumulative = _reference_cumulative_table(want)
+    table = fairness.noisy_br_table(n, prof, inst, beta)
+    assert table == (plays, cumulative)
+    assert all(type(c) is float for c in table[1])
+    cache = {}
+    drawn = _sample_cached(n, prof, inst, beta, rng, cache)
+    [cached] = cache.values()
+    assert cached == (plays, cumulative)
+    oracle = np.random.default_rng(n)
+    idx = bisect.bisect_right(cumulative, oracle.random())
+    assert drawn == plays[min(idx, len(plays) - 1)]
+    assert sample_noisy_br(n, prof, inst, beta, rng) == fairness.draw_action(
+        (plays, cumulative), oracle
+    )
+    return 1
+
+
+def test_sampler_tables_equal_the_reference_softmax_bitwise():
+    rng = np.random.default_rng(59)
+    checked = degenerate = 0
+    for trial in range(60):
+        inst = random_fairness_instance(rng)
+        if trial % 3 == 0:
+            # some zero utilities; and tiny ones, whose u * p is subnormal or underflows to 0
+            scale = 1.0 if trial % 2 else 1e-323
+            rows = [
+                [scale * u if rng.random() < 0.7 else 0.0 for u in row] for row in inst.utilities
+            ]
+            inst = Instance(inst.graph, inst.num_channels, 1, rows, inst.caps)
+        prof = random_fairness_profile(inst, rng, continuous=trial % 2 == 1)
+        for n in range(inst.num_users):
+            for beta in (0.0, 0.7, 3.0, 50.0):
+                ok = _assert_tables_equal_the_reference(n, prof, inst, beta)
+                checked += ok
+                degenerate += 1 - ok
+    assert checked > 500 and degenerate > 0
+    # a user worthless on every play: its neighbors hold both channels at p = 1
+    g = InterferenceGraph.from_edges(3, [(0, 1), (0, 2)])
+    inst = Instance(g, 2, 1, ((1.0, 1.0),) * 3, (1.0, 1.0, 1.0))
+    prof = make_profile([[0], [0], [1]], [0.5, 1.0, 1.0])
+    for beta in (0.0, 0.7, 3.0, 50.0):
+        assert _assert_tables_equal_the_reference(0, prof, inst, beta) == 0
+
+
+def test_sampler_tables_are_rebuilt_when_a_population_event_changes_a_degree():
+    # user 1 has one neighbor before the event and two after it
+    small = Instance(
+        InterferenceGraph.from_edges(2, [(0, 1)]), 2, 1, ((2.0, 1.0), (1.0, 3.0)), (1.0, 1.0)
+    )
+    grown = Instance(
+        InterferenceGraph.from_edges(3, [(0, 1), (1, 2)]),
+        2, 1, ((2.0, 1.0), (1.0, 3.0), (2.0, 2.0)), (1.0,) * 3,
+    )
+    before = make_profile([[0], [1]], [1.0, 0.5])
+    after = before + make_profile([[1]], [0.5])
+    for beta in (0.0, 0.7, 3.0, 50.0):
+        assert _assert_tables_equal_the_reference(1, before, small, beta)
+        assert _assert_tables_equal_the_reference(1, after, grown, beta)
+        # the small instance's table still serves it
+        assert _assert_tables_equal_the_reference(1, before, small, beta)
+    assert len(fairness.noisy_br_table(1, before, small, 0.0)[0]) == 2 * 2
+    assert len(fairness.noisy_br_table(1, after, grown, 0.0)[0]) == 2 * 3
+    # and a run through the event draws from both
+    traj = run_nbrf(
+        small, UpdateMechanism.probabilistic(1.0), CoolingSchedule.fixed(0.7),
+        max_iters=40, rng=np.random.default_rng(61), events=[PopulationEvent(20, grown)],
+    )
+    assert traj.instances[-1] is grown and len(traj.profiles[-1]) == 3
 
 
 def test_gibbs_stationary_ratio_law():
