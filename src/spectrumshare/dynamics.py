@@ -109,12 +109,6 @@ class UpdateMechanism:
         return cls("sweep-sequential")
 
 
-# Probabilistic selection compares its draws in Python below this many users.
-# Per call, Python against numpy on a 2-core x86 box (Python 3.11): 1.1 against
-# 2.0 us at 4 users, even at 32 to 40, 35 against 7.9 us at 800.
-_SMALL_POPULATION = 32
-
-
 def select_active(
     mechanism: UpdateMechanism,
     graph: InterferenceGraph,
@@ -129,15 +123,11 @@ def select_active(
         probs = mechanism.update_probs
         if not (len(probs) == 1 or len(probs) >= n_users):
             raise ValueError("per-user update_probs must cover every user")
-        if n_users < _SMALL_POPULATION:
-            draws = rng.random(n_users).tolist()
-            if len(probs) == 1:
-                q = probs[0]
-                return tuple(n for n, d in enumerate(draws) if d < q)
-            return tuple(n for n, (d, q) in enumerate(zip(draws, probs)) if d < q)
-        q = probs[0] if len(probs) == 1 else np.array(probs[:n_users])
-        draws = rng.random(n_users)
-        return tuple(np.flatnonzero(draws < q).tolist())
+        draws = rng.random(n_users).tolist()
+        if len(probs) == 1:
+            q = probs[0]
+            return tuple(n for n, d in enumerate(draws) if d < q)
+        return tuple(n for n, (d, q) in enumerate(zip(draws, probs)) if d < q)
     draws = rng.random(n_users) * mechanism.backoff_bound
     # each edge has one loser: the higher draw, or on a tie the higher index;
     # the winners are the users that lose on none of their edges
