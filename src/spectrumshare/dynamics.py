@@ -156,10 +156,10 @@ class EstimatorConfig:
     flush_on_neighbor_update: bool = True
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-        if self.slots_per_update < 1:
-            raise ValueError("slots_per_update must be at least 1")
+        for name in ("window", "slots_per_update"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -450,14 +450,15 @@ def run_br_drm(
 
 
 class _BestResponse:
-    """BR-DRM's step; in estimator mode it keeps the slot window as well."""
+    """BR-DRM's step; in estimator mode it also keeps the slot window and its estimates."""
 
     def __init__(self, estimator_config: Optional[EstimatorConfig]):
         self._config = estimator_config
         self._instance: Optional[Instance] = None  # the window's instance
-        self._window = np.zeros((0, 0, 0), dtype=bool)  # busy masks, (slots, users, channels)
-        self._valid_from: list[int] = []
+        self._window = np.zeros((0, 0, 0), dtype=bool)  # busy masks, (slots, channels, users)
+        self._valid_from = np.zeros(0, dtype=np.int64)
         self._slots = 0  # slots simulated on the window's instance
+        self._layout, self._estimates = None, []  # the prepared profile's layout; clearances
         self._switched: list[int] = []  # users that switched at the last updating time
 
     @staticmethod
@@ -465,31 +466,34 @@ class _BestResponse:
         return profile + drm_initial_profile(instance)[len(profile) :]
 
     def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> None:
-        """Flush the last switchers' neighbors' windows, then draw this updating time's slots."""
+        """Flush the last switchers' neighbors' windows, draw this time's slots, estimate."""
         switched, self._switched = self._switched, []
         config = self._config
         if config is None:
             return
         if instance is not self._instance:
             self._instance, self._slots = instance, 0
-            self._window = np.zeros((0, instance.num_users, instance.num_channels), dtype=bool)
-            self._valid_from = [0] * instance.num_users
+            self._window = np.zeros((0, instance.num_channels, instance.num_users), dtype=bool)
+            self._valid_from = np.zeros(instance.num_users, dtype=np.int64)
         elif config.flush_on_neighbor_update:
             for n in switched:
-                for r in instance.graph.adjacency[n]:
-                    self._valid_from[r] = self._slots
-        busy = _draw_slots(profile, instance, config.slots_per_update, rng)[2]
-        self._window = np.concatenate((self._window, busy))[-config.window :]
+                self._valid_from[instance.graph.neighbor_arrays[n]] = self._slots
+        layout = self._layout  # profiles are interned: a switch or an event makes a new object
+        if not (layout and layout.profile is profile and layout.instance is instance):
+            layout = self._layout = _SlotLayout(profile, instance)
+        # slots that would fall out of the window need only their coins, drawn in bounded chunks
+        skip, chunk = config.slots_per_update - config.window, max(1, 2**16 // instance.num_users)
+        for start in range(0, skip, chunk):
+            rng.random((min(chunk, skip - start), instance.num_users))
+        busy = layout.draw(min(config.slots_per_update, config.window), rng)[1]
+        window = self._window = np.concatenate((self._window, busy))[-config.window :]
         self._slots += config.slots_per_update
+        # all users at once (valid_from changes only here); n's valid slots are the newest
+        valid = np.minimum(len(window), self._slots - self._valid_from)
+        self._estimates = _clearances(window, valid).T.tolist()
 
     def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng):
-        estimates = None
-        if self._config is not None:
-            # slots are numbered consecutively, so the user's valid ones
-            # (simulated since valid_from[n]) are the newest of the window
-            window = self._window
-            valid = min(len(window), self._slots - self._valid_from[n])
-            estimates = estimate_success_probability(n, window[len(window) - valid :])
+        estimates = None if self._config is None else self._estimates[n]
         report = drm.nep_violation(n, profile, instance, estimates)
         if report is None:
             return _SETTLE if self._config is None else None
@@ -647,29 +651,46 @@ def _sample_cached(
     return draw_action(table, rng)
 
 
-def _draw_slots(
-    profile: StrategyProfile,
-    instance: Instance,
-    num_slots: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transmit, success and neighbor-busy masks for num_slots slots.
+class _SlotLayout:
+    """One profile's plays on one instance: member[k, n] when n plays k, and probs[n].
 
-    Shapes are (slots, users) and (slots, users, channels). One transmit coin
-    per user and slot covers all its channels; one rng.random((S, N)) call
-    draws the same stream as S calls of rng.random(N). Busy counts are sums of
-    at most num_users ones in float32, so they are exact.
+    columns lists, as k*N + n, the (channel, user) pairs that some neighbor plays, and
+    spread[r, c] = 1.0 when r is such a neighbor of column c. (S, N) transmit coins @ spread
+    counts each slot's transmitting neighbors per pair exactly (float32 sums of <= N ones).
     """
-    n_users = instance.num_users
-    member = np.zeros((n_users, instance.num_channels), dtype=bool)
-    probs = np.empty(n_users)
-    for n, strat in enumerate(profile):
-        member[n, list(strat.channels)] = True
-        probs[n] = strat.attempt_prob
-    transmitted = rng.random((num_slots, n_users)) < probs
-    on_air = member & transmitted[..., None]
-    busy = np.matmul(instance.graph.slot_matrix, on_air.astype(np.float32)) > 0.5
-    return transmitted, on_air & ~busy, busy
+
+    def __init__(self, profile: StrategyProfile, instance: Instance):
+        self.profile, self.instance, n_users = profile, instance, instance.num_users
+        self.member = np.zeros((instance.num_channels, n_users), dtype=bool)
+        users = np.repeat(np.arange(n_users), [len(strat.channels) for strat in profile])
+        self.member[[k for strat in profile for k in strat.channels], users] = True
+        self.probs = np.array([strat.attempt_prob for strat in profile])
+        adjacency = instance.graph.slot_matrix
+        self.columns = np.flatnonzero(self.member @ adjacency)
+        channels, listeners = np.divmod(self.columns, n_users)
+        self.spread = adjacency[:, listeners] * self.member[channels].T
+
+    def draw(self, num_slots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Transmit coins (slots, users) and busy masks (slots, channels, users)."""
+        transmitted = rng.random((num_slots, len(self.probs))) < self.probs
+        busy = np.zeros((num_slots, self.member.size), dtype=bool)
+        busy[:, self.columns] = transmitted.astype(np.float32) @ self.spread > 0.5
+        return transmitted, busy.reshape(num_slots, *self.member.shape)
+
+
+def _draw_slots(
+    profile: StrategyProfile, instance: Instance, num_slots: int, rng: np.random.Generator,
+    layout: Optional[_SlotLayout] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transmit, success and neighbor-busy masks for num_slots slots, from `layout` if given.
+
+    Shapes are (slots, users) and (slots, users, channels), views of (slots, channels, users)
+    arrays. One rng.random((S, N)) call draws the stream of S calls of rng.random(N).
+    """
+    layout = layout or _SlotLayout(profile, instance)
+    transmitted, busy = layout.draw(num_slots, rng)
+    success = layout.member & transmitted[:, None, :] & ~busy
+    return transmitted, success.transpose(0, 2, 1), busy.transpose(0, 2, 1)
 
 
 def simulate_slot(
@@ -693,13 +714,12 @@ def simulate_slots(
     """Vectorized slot batch; returns per-(user, channel) success and busy counts."""
     if num_slots < 0:
         raise ValueError("num_slots must be nonnegative")
-    n_users, n_channels = instance.num_users, instance.num_channels
-    success_counts = np.zeros((n_users, n_channels), dtype=np.int64)
-    busy_counts = np.zeros((n_users, n_channels), dtype=np.int64)
-    batch = max(1, min(num_slots, 4_000_000 // max(1, n_users * n_channels)))
+    success_counts, busy_counts = np.zeros((2, instance.num_users, instance.num_channels), np.int64)
+    batch = max(1, min(num_slots, 4_000_000 // max(1, success_counts.size)))
+    layout = _SlotLayout(profile, instance)
     for start in range(0, num_slots, batch):
         size = min(batch, num_slots - start)
-        _, success, busy = _draw_slots(profile, instance, size, rng)
+        _, success, busy = _draw_slots(profile, instance, size, rng, layout)
         success_counts += success.sum(axis=0)
         busy_counts += busy.sum(axis=0)
     return success_counts, busy_counts
@@ -743,7 +763,13 @@ def estimate_success_probability(user: int, busy: np.ndarray) -> np.ndarray:
     busy holds neighbor-busy masks shaped (slots, users, channels), as
     _draw_slots returns them; the result has one entry per channel.
     """
-    slots = len(busy)
-    if slots == 0:
+    if len(busy) == 0:
         raise EstimationError("cannot estimate from an empty window")
-    return (slots - np.count_nonzero(busy[:, user], axis=0)) / slots
+    return _clearances(busy[:, user, :, None], len(busy))[:, 0]
+
+
+def _clearances(window: np.ndarray, valid) -> np.ndarray:
+    """Per (channel, user), the fraction of the user's newest valid[n] slots of `window` (busy
+    masks, (slots, channels, users)) with no neighbor on air: the one window estimator."""
+    recent = np.arange(len(window))[:, None] >= len(window) - valid
+    return (valid - np.logical_and(window, recent[:, None, :]).sum(axis=0, dtype=np.int64)) / valid

@@ -119,7 +119,7 @@ class InterferenceGraph:
 
     @cached_property
     def slot_matrix(self) -> np.ndarray:
-        """(N, N) float32 adjacency, for the slot simulator's matmul."""
+        """(N, N) float32 adjacency, from which the slot simulator builds its layouts."""
         mat = np.zeros((self.num_users, self.num_users), dtype=np.float32)
         low, high = self.edge_array
         mat[low, high] = mat[high, low] = 1.0
