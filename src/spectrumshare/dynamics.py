@@ -176,8 +176,9 @@ class PopulationEvent:
     instance: Instance
 
     def __post_init__(self) -> None:
-        if self.at_iter < 1:
-            raise ValueError("at_iter must be at least 1")
+        at_iter = self.at_iter
+        if isinstance(at_iter, bool) or not isinstance(at_iter, (int, np.integer)) or at_iter < 1:
+            raise ValueError(f"at_iter must be an integer of at least 1, not {at_iter!r}")
 
 
 def _check_extension(old: Instance, new: Instance) -> None:
@@ -476,8 +477,8 @@ class _BestResponse:
             self._window = np.zeros((0, instance.num_channels, instance.num_users), dtype=bool)
             self._valid_from = np.zeros(instance.num_users, dtype=np.int64)
         elif config.flush_on_neighbor_update:
-            for n in switched:
-                self._valid_from[instance.graph.neighbor_arrays[n]] = self._slots
+            # a list, never a tuple: arr[()] = x would write every entry
+            self._valid_from[[r for n in switched for r in instance.graph.adjacency[n]]] = self._slots
         layout = self._layout  # profiles are interned: a switch or an event makes a new object
         if not (layout and layout.profile is profile and layout.instance is instance):
             layout = self._layout = _SlotLayout(profile, instance)
@@ -654,21 +655,27 @@ def _sample_cached(
 class _SlotLayout:
     """One profile's plays on one instance: member[k, n] when n plays k, and probs[n].
 
-    columns lists, as k*N + n, the (channel, user) pairs that some neighbor plays, and
-    spread[r, c] = 1.0 when r is such a neighbor of column c. (S, N) transmit coins @ spread
-    counts each slot's transmitting neighbors per pair exactly (float32 sums of <= N ones).
+    columns lists, ascending as k*N + n, the (channel, user) pairs that some neighbor plays, and
+    spread[r, c] = 1.0 when r is such a neighbor of column c; both come from the edge list taken
+    in both directions. (S, N) transmit coins @ spread counts each slot's transmitting neighbors
+    per pair exactly (float32 sums of <= N ones).
     """
 
     def __init__(self, profile: StrategyProfile, instance: Instance):
+        validate_profile(profile, instance)
         self.profile, self.instance, n_users = profile, instance, instance.num_users
+        chans = np.array([strat.channels for strat in profile], dtype=np.intp)
+        chans = chans.reshape(n_users, instance.channels_per_user)
         self.member = np.zeros((instance.num_channels, n_users), dtype=bool)
-        users = np.repeat(np.arange(n_users), [len(strat.channels) for strat in profile])
-        self.member[[k for strat in profile for k in strat.channels], users] = True
+        self.member[chans, np.arange(n_users)[:, None]] = True
         self.probs = np.array([strat.attempt_prob for strat in profile])
-        adjacency = instance.graph.slot_matrix
-        self.columns = np.flatnonzero(self.member @ adjacency)
-        channels, listeners = np.divmod(self.columns, n_users)
-        self.spread = adjacency[:, listeners] * self.member[channels].T
+        low, high = instance.graph.edge_array
+        talkers, listeners = np.concatenate((low, high)), np.concatenate((high, low))
+        keys = chans[talkers] * n_users + listeners[:, None]  # (2 * edges, channels_per_user)
+        # not np.unique: its first call imports numpy.ma, which costs 1.7 MB of peak RSS
+        self.columns = np.flatnonzero(np.bincount(keys.ravel(), minlength=self.member.size))
+        self.spread = np.zeros((n_users, len(self.columns)), dtype=np.float32)
+        self.spread[talkers[:, None], np.searchsorted(self.columns, keys)] = 1.0
 
     def draw(self, num_slots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Transmit coins (slots, users) and busy masks (slots, channels, users)."""
@@ -739,21 +746,20 @@ def simulate_naive_policy(
     """
     if not 0.0 <= attempt_prob <= 1.0:
         raise ValueError("attempt_prob must lie in [0, 1]")
-    nbr_arrays = instance.graph.neighbor_arrays
+    if num_slots < 0:
+        raise ValueError("num_slots must be nonnegative")
     n_users = instance.num_users
     successes = np.zeros(n_users, dtype=np.int64)
     batch = max(1, min(num_slots, 2_000_000 // max(1, n_users)))
-    done = 0
-    while done < num_slots:
-        size = min(batch, num_slots - done)
+    for start in range(0, num_slots, batch):
+        size = min(batch, num_slots - start)
         channels = rng.integers(0, instance.num_channels, size=(size, n_users))
         transmitted = rng.random((size, n_users)) < attempt_prob
-        for n, nbrs in enumerate(nbr_arrays):
+        for n, nbrs in enumerate(instance.graph.adjacency):
             # an isolated user's empty columns give no clash
             same = channels[:, nbrs] == channels[:, n : n + 1]
             clash = (same & transmitted[:, nbrs]).any(axis=1)
             successes[n] += int((transmitted[:, n] & ~clash).sum())
-        done += size
     return successes
 
 
@@ -765,6 +771,8 @@ def estimate_success_probability(user: int, busy: np.ndarray) -> np.ndarray:
     """
     if len(busy) == 0:
         raise EstimationError("cannot estimate from an empty window")
+    if not 0 <= user < busy.shape[1]:
+        raise ValueError(f"user index {user} out of range")
     return _clearances(busy[:, user, :, None], len(busy))[:, 0]
 
 

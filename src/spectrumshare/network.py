@@ -63,8 +63,8 @@ class InterferenceGraph:
 
     adjacency[n] is the sorted tuple of neighbors of user n. The relation is
     symmetric and irreflexive: simultaneous same-channel transmissions by two
-    adjacent users destroy both. The array views below are built from
-    adjacency on first use and kept on this object.
+    adjacent users destroy both. edge_array, its one array view, is built
+    from adjacency on first use and kept on this object.
     """
 
     num_users: int
@@ -112,18 +112,6 @@ class InterferenceGraph:
         high = np.array([r for nbrs in self.adjacency for r in nbrs], dtype=np.intp)
         keep = low < high
         return low[keep], high[keep]
-
-    @cached_property
-    def neighbor_arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.array(nbrs, dtype=np.intp) for nbrs in self.adjacency)
-
-    @cached_property
-    def slot_matrix(self) -> np.ndarray:
-        """(N, N) float32 adjacency, from which the slot simulator builds its layouts."""
-        mat = np.zeros((self.num_users, self.num_users), dtype=np.float32)
-        low, high = self.edge_array
-        mat[low, high] = mat[high, low] = 1.0
-        return mat
 
 
 @dataclass(frozen=True)
@@ -360,8 +348,10 @@ def graph_from_positions(
     num_users = len(positions)
     if num_users < 1:
         raise ValueError("need at least one position")
-    if interference_radius < 0:
-        raise ValueError("interference_radius must be nonnegative")
+    if not interference_radius >= 0:
+        raise ValueError(f"interference_radius must be nonnegative, not {interference_radius!r}")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
     edges = []
     for a in range(num_users - 1):
         offsets = positions[a] - positions[a + 1 :]

@@ -137,12 +137,10 @@ def test_graph_arrays_are_kept_per_graph_object():
     edges = [(0, 1), (1, 2), (0, 3)]
     graph, twin = InterferenceGraph.from_edges(4, edges), InterferenceGraph.from_edges(4, edges)
     assert graph == twin
-    for view in ("edge_array", "neighbor_arrays", "slot_matrix"):
-        arrays, twin_arrays = getattr(graph, view), getattr(twin, view)
-        assert getattr(graph, view) is arrays
-        assert twin_arrays is not arrays and getattr(twin, view) is twin_arrays
-        assert all(np.array_equal(a, b) for a, b in zip(arrays, twin_arrays))
-    assert graph.slot_matrix.dtype == np.float32 and graph.slot_matrix.sum() == 2 * len(edges)
+    arrays, twin_arrays = graph.edge_array, twin.edge_array
+    assert graph.edge_array is arrays
+    assert twin_arrays is not arrays and twin.edge_array is twin_arrays
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, twin_arrays))
     assert graph.max_degree == 2 and twin.max_degree == 2
     assert graph == twin and hash(graph) == hash(twin)
 
@@ -330,8 +328,11 @@ def test_population_event_extension_checks():
         ((2.0, 1.0), (1.0, 3.0)), (0.5, 0.5),
     )
     PopulationEvent(5, grown_instance())  # valid construction
-    with pytest.raises(ValueError):
-        PopulationEvent(0, grown_instance())
+    PopulationEvent(np.int64(5), grown_instance())
+    # the loop fires an event at the integer time t == at_iter, so these never would
+    for bad in (0, 2.5, 3.0, math.nan, math.inf, True, "3", None):
+        with pytest.raises(ValueError, match="at_iter"):
+            PopulationEvent(bad, grown_instance())
     traj = run_br_drm(
         small, UpdateMechanism.sweep_sequential(), max_iters=20,
         rng=np.random.default_rng(0),
@@ -560,6 +561,10 @@ def test_estimate_success_probability_counts_idle_slots():
     assert estimates[0] == 1.0
     with pytest.raises(EstimationError):
         estimate_success_probability(0, busy[:0])
+    # as the closed forms do, not numpy's negative indexing
+    for user in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_success_probability(user, busy)
 
 
 def test_draw_slots_matches_slot_by_slot_stream():
@@ -625,3 +630,5 @@ def test_simulate_naive_policy_matches_closed_form():
     replica = np.random.default_rng(51)
     replica.integers(0, 2, size=(1000, 4))
     assert succ[3] == int((replica.random((1000, 4))[:, 3] < 0.5).sum())
+    with pytest.raises(ValueError, match="num_slots"):
+        simulate_naive_policy(inst, 0.5, -5, np.random.default_rng(51))

@@ -181,6 +181,14 @@ def test_graph_from_positions_threshold():
     assert edges(g) == ((0, 1),)
     g = graph_from_positions(pos, 5.0)
     assert edges(g) == ((0, 1), (0, 2))
+    # a NaN radius or coordinate would compare False and isolate users silently
+    with pytest.raises(ValueError, match="interference_radius"):
+        graph_from_positions(np.zeros((3, 2)), math.nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        off = pos.copy()
+        off[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            graph_from_positions(off, 5.0)
 
 
 def _scalar_position_graph(positions, radius):

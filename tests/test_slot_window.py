@@ -19,7 +19,7 @@ from spectrumshare import (
     estimate_success_probability,
     run_br_drm,
 )
-from spectrumshare.dynamics import _BestResponse, _draw_slots, _play
+from spectrumshare.dynamics import _BestResponse, _draw_slots, _play, _SlotLayout
 from spectrumshare.harness import build_instance_and_events
 
 
@@ -166,3 +166,78 @@ def test_oversized_batches_draw_skipped_coins_in_bounded_memory():
     one_shot = np.random.default_rng(8)
     one_shot.random((2 * 10**6, 3))
     assert rng.bit_generator.state == one_shot.bit_generator.state
+
+
+def _dense_layout(profile, instance):
+    """The dense reference: member @ A over a float32 (N, N) adjacency A, then its columns."""
+    n_users = instance.num_users
+    adjacency = np.zeros((n_users, n_users), dtype=np.float32)
+    member = np.zeros((instance.num_channels, n_users), dtype=bool)
+    for n, nbrs in enumerate(instance.graph.adjacency):
+        adjacency[n, list(nbrs)] = 1.0
+        member[list(profile[n].channels), n] = True
+    columns = np.flatnonzero(member @ adjacency)
+    channels, listeners = np.divmod(columns, n_users)
+    return member, columns, adjacency[:, listeners] * member[channels].T
+
+
+@st.composite
+def _layout_cases(draw):
+    """A profile on a small instance, and the instance an event grows it into."""
+    users, arrivals = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    channels = draw(st.integers(1, 4))
+    picks = draw(st.integers(1, min(3, channels)))
+    total = users + arrivals
+    pairs = [(a, b) for a in range(total) for b in range(a + 1, total)]
+    # empty lists and sparse ones: edgeless graphs and isolated users
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    allowed = None
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.sets(st.integers(0, channels - 1), min_size=picks),
+                             min_size=total, max_size=total))
+        allowed = [tuple(k in row for k in range(channels)) for row in rows]
+
+    def instance(n_users):
+        graph = InterferenceGraph.from_edges(n_users, [e for e in edges if e[1] < n_users])
+        return Instance(
+            graph, channels, picks, ((1.0,) * channels,) * n_users, (0.5,) * n_users,
+            None if allowed is None else allowed[:n_users],
+        )
+
+    small, grown = instance(users), instance(total)
+    plays = []
+    for n in range(users):
+        options = small.allowed_channels(n)
+        chans = draw(st.lists(st.sampled_from(options), min_size=picks, max_size=picks,
+                              unique=True))
+        plays.append(Strategy(tuple(sorted(chans)), draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))))
+    profile = tuple(plays)
+    cases = [(profile, small)]
+    if arrivals:
+        cases.append((_BestResponse.extend(profile, grown), grown))
+    return cases
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cases=_layout_cases(), slots=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_edge_list_layout_equals_the_dense_construction(cases, slots, seed):
+    for profile, instance in cases:
+        layout = _SlotLayout(profile, instance)
+        member, columns, spread = _dense_layout(profile, instance)
+        np.testing.assert_array_equal(layout.member, member)
+        np.testing.assert_array_equal(layout.columns, columns)
+        assert layout.spread.dtype == spread.dtype == np.float32
+        np.testing.assert_array_equal(layout.spread, spread)
+        # the draw, re-derived from the dense arrays on a twin rng
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        transmitted, success, busy = _draw_slots(profile, instance, slots, rng)
+        probs = [strat.attempt_prob for strat in profile]
+        want_tx = ref_rng.random((slots, instance.num_users)) < np.array(probs)
+        want_busy = np.zeros((slots, member.size), dtype=bool)
+        want_busy[:, columns] = want_tx.astype(np.float32) @ spread > 0.5
+        want_busy = want_busy.reshape(slots, *member.shape)
+        want_success = member & want_tx[:, None, :] & ~want_busy
+        np.testing.assert_array_equal(transmitted, want_tx)
+        np.testing.assert_array_equal(busy, want_busy.transpose(0, 2, 1))
+        np.testing.assert_array_equal(success, want_success.transpose(0, 2, 1))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
