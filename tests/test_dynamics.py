@@ -423,6 +423,35 @@ def test_estimator_window_shapes_reproduce_recorded_trajectories(window, slots, 
     assert digest.hexdigest() == WINDOW_SHAPE_DIGESTS[(window, slots, flush)]
 
 
+# Every preset and window-shape digest runs unmasked; this one pins an
+# estimator run with a channel mask, two channels per user, equal utilities
+# (so every ranking is decided by the estimates and their ties) and a
+# mid-run population event.
+MASKED_ESTIMATOR_DIGEST = "f5077d61089dcab05d9987444ced4b48a71bf540a2ea34dbe43bf4218a74d579"
+
+
+def test_masked_estimator_run_reproduces_recorded_trajectory():
+    spec = {
+        "kind": "geometric", "num_users": 16, "num_channels": 5,
+        "channels_per_user": 2, "region_radius": 4.0, "interference_radius": 2.0,
+        "graph_seed": 7,
+        "utilities": {"kind": "constant", "value": 100.0},
+        "caps": {"kind": "explicit", "values": [0.6, 0.3, 0.45] * 7},
+        "allowed": [[(n + k) % 4 != 0 for k in range(5)] for n in range(21)],
+    }
+    inst, events = build_instance_and_events(spec, [{"at_iter": 30, "num_users": 21}])
+    traj = run_br_drm(
+        inst, UpdateMechanism.backoff(), EstimatorConfig(window=40, slots_per_update=20),
+        max_iters=70, rng=np.random.default_rng(5), events=events,
+    )
+    digest = hashlib.sha256()
+    for profile, potential in zip(traj.profiles, traj.potentials):
+        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
+        digest.update(potential.hex().encode())
+    assert len(traj) == 71 and traj.instances[-1].num_users == 21
+    assert digest.hexdigest() == MASKED_ESTIMATOR_DIGEST
+
+
 # Exact-mode runs in which settled users are active again and again: users
 # with no improving switch under backoff, neighbors that switch together under
 # probabilistic 0.9, a round-robin sweep, and a mid-run population event with
