@@ -151,7 +151,8 @@ def nep_violation(
     top_channels. A switch counts when the best set's score total beats the
     current one's by more than NEP_REL_TOL relative to the larger total. The
     report holds the best set at the current attempt probability and the
-    exact rate gain, both rates priced from one channel_load.
+    exact rate gain, both rates priced from one channel_load. Exact BR-DRM plays
+    it; estimator mode plays its array form, with success_estimates its reference.
     """
     strat = profile[user]
     scores = channel_scores(user, profile, instance, success_estimates)

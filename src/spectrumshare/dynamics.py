@@ -35,6 +35,7 @@ from .fairness import (
 # unused, as are br_potential and exact_potential; perfbench/tracing.py patches them
 from .fairness import cooperative_utility, noisy_br_distribution
 from .network import (
+    NEP_REL_TOL,
     Instance,
     InterferenceGraph,
     Strategy,
@@ -437,10 +438,10 @@ def run_br_drm(
 ) -> Trajectory:
     """Best-response play for the rate-maximization game, run by _play.
 
-    Each active user asks drm.nep_violation whether it has an improving
-    switch, using exact clearance probabilities or windowed estimates per
-    estimator_config, and plays the reported channel set at its cap. The
-    rule is is_nep_drm's, so ties and near-ties keep the current set and
+    Each active user plays drm.nep_violation's improving channel set, if any,
+    at its cap: from exact clearances, or from windowed estimates per
+    estimator_config, all users' verdicts in one array pass per slot batch.
+    The rule is is_nep_drm's, so ties and near-ties keep the current set and
     exact-mode runs cannot oscillate between tied sets. Exact mode settles a
     user with no improving switch and converges when is_nep_drm confirms a
     quiet pass. Estimator mode keeps such a user, since its estimates move
@@ -459,7 +460,8 @@ class _BestResponse:
         self._window = np.zeros((0, 0, 0), dtype=bool)  # busy masks, (slots, channels, users)
         self._valid_from = np.zeros(0, dtype=np.int64)
         self._slots = 0  # slots simulated on the window's instance
-        self._layout, self._estimates = None, []  # the prepared profile's layout; clearances
+        # the prepared profile's layout; clearances; each user's switch (a channel set) or None
+        self._layout, self._estimates, self._proposals = None, [], []
         self._switched: list[int] = []  # users that switched at the last updating time
 
     @staticmethod
@@ -476,6 +478,8 @@ class _BestResponse:
             self._instance, self._slots = instance, 0
             self._window = np.zeros((0, instance.num_channels, instance.num_users), dtype=bool)
             self._valid_from = np.zeros(instance.num_users, dtype=np.int64)
+            self._utilities = np.array(instance.utilities)
+            self._masked = None if instance.allowed is None else ~np.array(instance.allowed)
         elif config.flush_on_neighbor_update:
             # a list, never a tuple: arr[()] = x would write every entry
             self._valid_from[[r for n in switched for r in instance.graph.adjacency[n]]] = self._slots
@@ -491,15 +495,37 @@ class _BestResponse:
         self._slots += config.slots_per_update
         # all users at once (valid_from changes only here); n's valid slots are the newest
         valid = np.minimum(len(window), self._slots - self._valid_from)
-        self._estimates = _clearances(window, valid).T.tolist()
+        estimates = _clearances(window, valid).T
+        self._estimates = estimates.tolist()
+        self._proposals = self._switches(estimates, layout.channels)
+
+    def _switches(self, estimates: np.ndarray, current: np.ndarray) -> list:
+        """Each user's drm.nep_violation verdict (channel set or None) on its estimates, in the
+        same floats: masked scores -inf after the product (-inf * 0 is nan), left-to-right sums."""
+        scores = self._utilities * estimates
+        if self._masked is not None:
+            scores[self._masked] = -np.inf
+        rows, picks = np.arange(len(scores)), current.shape[1]
+        best = scores.argmax(axis=1)[:, None] if picks == 1 else (  # argmax: the first maximum
+            np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :picks], axis=1))
+        best_total, current_total = np.zeros((2, len(scores)))
+        for j in range(picks):  # column by column, as left_sum adds
+            best_total += scores[rows, best[:, j]]
+            current_total += scores[rows, current[:, j]]
+        gains = best_total - current_total > NEP_REL_TOL * np.maximum(best_total, current_total)
+        switch = (gains & (best != current).any(axis=1)).tolist()
+        return [tuple(chans) if s else None for s, chans in zip(switch, best.tolist())]
 
     def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng):
-        estimates = None if self._config is None else self._estimates[n]
-        report = drm.nep_violation(n, profile, instance, estimates)
-        if report is None:
-            return _SETTLE if self._config is None else None
+        if self._config is not None:
+            channels = self._proposals[n]
+        else:
+            report = drm.nep_violation(n, profile, instance)
+            channels = None if report is None else report.deviation.channels
+        if channels is None:
+            return None if self._config is not None else _SETTLE
         self._switched.append(n)
-        return Strategy(report.deviation.channels, instance.caps[n])
+        return Strategy(channels, instance.caps[n])
 
     def confirm(self, profile: StrategyProfile, instance: Instance) -> bool:
         return self._config is not None or is_nep_drm(profile, instance).is_nep
@@ -653,7 +679,7 @@ def _sample_cached(
 
 
 class _SlotLayout:
-    """One profile's plays on one instance: member[k, n] when n plays k, and probs[n].
+    """One profile's plays on one instance: member[k, n] when n plays k, channels[n], probs[n].
 
     columns lists, ascending as k*N + n, the (channel, user) pairs that some neighbor plays, and
     spread[r, c] = 1.0 when r is such a neighbor of column c; both come from the edge list taken
@@ -665,7 +691,7 @@ class _SlotLayout:
         validate_profile(profile, instance)
         self.profile, self.instance, n_users = profile, instance, instance.num_users
         chans = np.array([strat.channels for strat in profile], dtype=np.intp)
-        chans = chans.reshape(n_users, instance.channels_per_user)
+        chans = self.channels = chans.reshape(n_users, instance.channels_per_user)
         self.member = np.zeros((instance.num_channels, n_users), dtype=bool)
         self.member[chans, np.arange(n_users)[:, None]] = True
         self.probs = np.array([strat.attempt_prob for strat in profile])

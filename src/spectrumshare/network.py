@@ -247,7 +247,7 @@ class Instance:
 
 
 def validate_profile(profile: StrategyProfile, instance: Instance) -> None:
-    """Raise if the profile does not fit the instance's dimensions."""
+    """Raise if the profile does not fit the instance's dimensions and channel masks."""
     if len(profile) != instance.num_users:
         raise ValueError("profile length must equal num_users")
     for n, strat in enumerate(profile):
@@ -259,6 +259,8 @@ def validate_profile(profile: StrategyProfile, instance: Instance) -> None:
         for k in strat.channels:
             if k >= instance.num_channels:
                 raise ValueError(f"user {n} selects out-of-range channel {k}")
+            if instance.allowed is not None and not instance.allowed[n][k]:
+                raise ValueError(f"user {n} selects channel {k}, which its mask forbids")
 
 
 def channel_load(user: int, profile: StrategyProfile, graph: InterferenceGraph) -> dict:

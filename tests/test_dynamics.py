@@ -275,6 +275,32 @@ def test_replay_rejects_non_improving_move():
         run_better_response_replay(inst, start, [(0, (0, 1))])
 
 
+def test_runs_reject_plays_on_masked_channels():
+    # user 0 may not play channel 2, which alone it values; a run started
+    # there would report `converged` with user 0 still on it
+    graph = InterferenceGraph.from_edges(2, [(0, 1)])
+    inst = Instance(
+        graph, 3, 1, ((0.0, 0.0, 3.0), (1.0, 1.0, 1.0)), (0.5, 0.5),
+        allowed=((True, True, False), (True, True, True)),
+    )
+    start = make_profile([[2], [0]], [0.5, 0.5])
+    forbidden = "user 0 selects channel 2, which its mask forbids"
+    for config in (None, EstimatorConfig(window=5, slots_per_update=5)):
+        with pytest.raises(ValueError, match=forbidden):
+            run_br_drm(
+                inst, UpdateMechanism.sweep_sequential(), config, max_iters=10,
+                rng=np.random.default_rng(0), initial_profile=start,
+            )
+    with pytest.raises(ValueError, match=forbidden):
+        run_better_response_replay(inst, start, [])
+    # a scripted move onto the masked channel is refused the same way
+    allowed_start = make_profile([[0], [0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=forbidden):
+        run_better_response_replay(inst, allowed_start, [(0, (2,))])
+    assert run_br_drm(inst, UpdateMechanism.sweep_sequential(), max_iters=10,
+                      initial_profile=allowed_start).termination == "converged"
+
+
 def test_run_nbrf_freezes_into_equilibrium():
     g = InterferenceGraph.from_edges(2, [(0, 1)])
     inst = Instance(g, 2, 1, ((2.0, 1.0), (4.0, 1.0)), (1.0, 1.0))
