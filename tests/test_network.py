@@ -1,5 +1,6 @@
 """Graph, strategy, and closed-form rate primitives."""
 
+import hashlib
 import importlib
 import math
 import pkgutil
@@ -224,6 +225,18 @@ def test_graph_from_positions_equals_the_pair_loop():
     want = ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
     assert edges(graph_from_positions(cases[1][0], 5.0)) == want
     assert edges(graph_from_positions(cases[2][0], 0.0)) == ((0, 1), (2, 3))
+
+
+# sha256 of repr(adjacency) for 10^4 users in a disc of radius 20*sqrt(12.5) at
+# interference radius 2 (mean degree about 8), drawn with seed 3
+LARGE_DISC_GRAPH_DIGEST = "faf9773eb93c10e70ba9647829708782539e8b5b07323f4456f9dd27c94b5eaa"
+
+
+def test_large_disc_graph_is_pinned_by_digest():
+    positions = drop_in_disc(np.random.default_rng(3), 10_000, 20 * math.sqrt(12.5))
+    graph = graph_from_positions(positions, 2.0)
+    assert len(graph.edge_array[0]) == 39_907
+    assert hashlib.sha256(repr(graph.adjacency).encode()).hexdigest() == LARGE_DISC_GRAPH_DIGEST
 
 
 def test_regular_graph_degrees():
