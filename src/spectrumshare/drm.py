@@ -25,6 +25,7 @@ from .network import (
     channel_load,
     left_sum,
     rate_from_load,
+    validate_profile,
 )
 # unused; perfbench/tracing.py patches them
 from .network import log_interference, success_probability
@@ -95,6 +96,7 @@ def br_potential(profile: StrategyProfile, instance: Instance) -> float:
     with a cap pinned at exactly 1 the multiplier is infinite and the value
     may degenerate to +/-inf or nan.
     """
+    validate_profile(profile, instance)
     return left_sum(potential_term(n, profile, instance) for n in range(len(profile)))
 
 
@@ -135,6 +137,7 @@ def br_potential_upper_bound(instance: Instance) -> float:
 
 def is_nep_drm(profile: StrategyProfile, instance: Instance) -> NepReport:
     """Check that no user can improve its rate by switching; report the first that can."""
+    validate_profile(profile, instance)
     reports = (nep_violation(n, profile, instance) for n in range(len(profile)))
     return next((r for r in reports if r is not None), NepReport(True))
 

@@ -339,13 +339,19 @@ def drop_in_disc(
     return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
 
 
+# Candidate pairs graph_from_positions tests at once: at most a few MB of temporaries.
+_PAIR_CHUNK = 1 << 15
+
+
 def graph_from_positions(
     positions: np.ndarray, interference_radius: float
 ) -> InterferenceGraph:
     """Link every pair of points within interference range of each other.
 
-    Each row compares point a with every later point through one np.hypot
-    call, which gives the same distances as one call per pair.
+    Points go into square cells a little wider than the radius (cell lists),
+    and only points in the same or adjacent cells are compared: O(N * degree)
+    time, bounded temporaries and no all-pairs scan. A pair a < b is linked
+    exactly when np.hypot(*(positions[a] - positions[b])) <= interference_radius.
     """
     num_users = len(positions)
     if num_users < 1:
@@ -354,12 +360,51 @@ def graph_from_positions(
         raise ValueError(f"interference_radius must be nonnegative, not {interference_radius!r}")
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
-    edges = []
-    for a in range(num_users - 1):
-        offsets = positions[a] - positions[a + 1 :]
+    corner = positions.min(axis=0)
+    extent = float((positions.max(axis=0) - corner).max())
+    # With at most 2^20 cells per axis, rounding moves a cell coordinate by
+    # less than 1e-9 of a cell, so the 1e-6 margin keeps every pair in range
+    # in the same or adjacent cells. Width 0 (all points coincide) and inf
+    # (infinite radius, or an extent past the float range) mean one cell.
+    width = max(interference_radius * (1.0 + 1e-6), extent / 2**20)
+    spread = (positions - corner) / width if 0.0 < width < math.inf else np.zeros(positions.shape)
+    cells = np.floor(spread).astype(np.int64)
+    # an empty y cell between x columns: no neighbor offset lands in the next column
+    stride = int(cells[:, 1].max()) + 2
+    ids = cells[:, 0] * stride + cells[:, 1]
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    # Each point's candidates, as runs [start, stop) of `order`: the later points
+    # of its own cell, then every point of each forward cell. The forward (x, y)
+    # offsets hold one of each pair of opposite neighbors, so that every pair of
+    # adjacent cells is visited once.
+    starts = [np.arange(1, num_users + 1)]
+    stops = [np.searchsorted(ids, ids, side="right")]
+    for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        target = ids + (dx * stride + dy)
+        starts.append(np.searchsorted(ids, target, side="left"))
+        stops.append(np.searchsorted(ids, target, side="right"))
+    start = np.concatenate(starts)
+    ends = np.cumsum(np.concatenate(stops) - start)
+    shift = start - np.concatenate(([0], ends[:-1]))  # candidate number -> its place in order
+    owner = np.tile(order, len(starts))
+    total = int(ends[-1])
+    found = [np.empty((2, 0), dtype=np.intp)]
+    for lo in range(0, total, _PAIR_CHUNK):
+        candidate = np.arange(lo, min(lo + _PAIR_CHUNK, total))
+        run = np.searchsorted(ends, candidate, side="right")
+        p, q = owner[run], order[shift[run] + candidate]
+        a, b = np.minimum(p, q), np.maximum(p, q)
+        offsets = positions[a] - positions[b]
         close = np.hypot(offsets[:, 0], offsets[:, 1]) <= interference_radius
-        edges.extend((a, b) for b in (np.flatnonzero(close) + (a + 1)).tolist())
-    return InterferenceGraph.from_edges(num_users, edges)
+        found.append(np.stack((a[close], b[close])))
+    low, high = np.concatenate(found, axis=1)
+    user, neighbor = np.concatenate((low, high)), np.concatenate((high, low))
+    by_user = np.lexsort((neighbor, user))
+    neighbors = neighbor[by_user].tolist()
+    bounds = np.searchsorted(user[by_user], np.arange(num_users + 1)).tolist()
+    adjacency = tuple(tuple(neighbors[s:e]) for s, e in zip(bounds, bounds[1:]))
+    return InterferenceGraph(num_users, adjacency)
 
 
 def build_regular_graph(num_users: int, degree: int) -> InterferenceGraph:

@@ -5,8 +5,15 @@ seed; nothing here reads global random state.
 """
 
 import numpy as np
+from hypothesis import settings
 
 from spectrumshare import Instance, InterferenceGraph, make_profile
+
+# A property that fails prints its @reproduce_failure line, so a failure on one
+# CI matrix entry can be replayed anywhere; per-test @settings still choose
+# their own example counts and deadlines.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 def random_graph(rng, num_users, edge_prob=0.35):

@@ -132,6 +132,24 @@ def test_is_nep_flags_an_improvable_user():
     ) == report.gain
 
 
+def test_nep_check_and_potential_reject_a_masked_channel():
+    # user 0 plays channel 2, which its mask forbids; the check used to skip
+    # that channel and call the profile an equilibrium
+    inst = Instance(
+        InterferenceGraph.from_edges(2, [(0, 1)]),
+        3,
+        1,
+        ((0.0, 0.0, 3.0), (1.0, 1.0, 1.0)),
+        (0.5, 0.5),
+        allowed=((True, True, False), (True, True, True)),
+    )
+    prof = make_profile([[2], [0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="mask forbids"):
+        is_nep_drm(prof, inst)
+    with pytest.raises(ValueError, match="mask forbids"):
+        br_potential(prof, inst)
+
+
 def test_nep_reports_match_exhaustive_deviation_scan():
     rng = np.random.default_rng(13)
     for _ in range(60):

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spectrumshare
+from spectrumshare import network
 from spectrumshare import (
     Instance,
     InterferenceGraph,
@@ -225,6 +228,56 @@ def test_graph_from_positions_equals_the_pair_loop():
     want = ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
     assert edges(graph_from_positions(cases[1][0], 5.0)) == want
     assert edges(graph_from_positions(cases[2][0], 0.0)) == ((0, 1), (2, 3))
+
+
+# 0, small, about the drop region's size, wider than it, and infinite; at 1e-7
+# the region is more than 2^20 radii wide, so the cell-count cap applies
+PROPERTY_RADII = (0.0, 1e-7, 0.3, 2.0, 10.0, 50.0, math.inf)
+# a partner put this many radii away: along an axis, on 3-4-5 diagonals, or on top
+PARTNER_STEPS = ((1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6), (0.0, 0.0))
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 60 points in a 10 x 10 square, on cell-boundary lattices or not."""
+    radius = draw(st.sampled_from(PROPERTY_RADII))
+    unit = radius if 0.0 < radius < math.inf else 1.0
+    n = draw(st.integers(1, 60))
+    layout = draw(st.sampled_from(("scatter", "lattice", "coincident")))
+    if layout == "scatter":
+        coords = st.floats(0.0, 10.0, allow_nan=False)
+        points = np.array(draw(st.lists(coords, min_size=2 * n, max_size=2 * n)))
+    elif layout == "lattice":
+        # multiples of the radius from the minimum corner fall on cell boundaries
+        steps = draw(st.lists(st.integers(0, 8), min_size=2 * n, max_size=2 * n))
+        points = unit * np.array(steps, dtype=float)
+    else:
+        points = np.full(2 * n, draw(st.floats(-10.0, 10.0, allow_nan=False)))
+    points = points.reshape(n, 2)
+    index = st.integers(0, n - 1)
+    for a, b, step in draw(st.lists(st.tuples(index, index, st.sampled_from(PARTNER_STEPS)))):
+        points[b] = points[a] + unit * np.array(step)
+    return points + draw(st.sampled_from((0.0, 1e7, -1e7))), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+@example((np.zeros((5, 2)), 0.0))  # all points coincide: width 0, one cell
+@example((np.array([[0.0, 0.0], [3.0, 4.0], [4.0, 3.0], [7.0, 0.0]]) + 1e7, 5.0))
+@example((np.array([[0.0, 10.0], [1e-7, 10.0 - 1e-7], [10.0, 0.0]]), 2e-7))  # capped cells
+def test_graph_from_positions_matches_the_pair_loop_on_adversarial_points(case):
+    positions, radius = case
+    assert graph_from_positions(positions, radius) == _scalar_position_graph(positions, radius)
+
+
+def test_graph_from_positions_carries_candidates_across_chunks(monkeypatch):
+    monkeypatch.setattr(network, "_PAIR_CHUNK", 3)
+    rng = np.random.default_rng(5)
+    for radius in (0.0, 1.0, 3.0, 30.0):  # at 30 every point is in one cell
+        positions = drop_in_disc(rng, 40, 5.0)
+        positions[1] = positions[0]
+        graph = graph_from_positions(positions, radius)
+        assert graph == _scalar_position_graph(positions, radius)
 
 
 # sha256 of repr(adjacency) for 10^4 users in a disc of radius 20*sqrt(12.5) at
