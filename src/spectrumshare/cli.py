@@ -247,28 +247,25 @@ def _cmd_gibbs_check(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "oracle": _cmd_oracle,
+    "efficiency": _cmd_efficiency,
+    "cycle-demo": _cmd_cycle_demo,
+    "gibbs-check": _cmd_gibbs_check,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "efficiency":
-            return _cmd_efficiency(args)
-        if args.command == "cycle-demo":
-            return _cmd_cycle_demo(args)
-        if args.command == "gibbs-check":
-            return _cmd_gibbs_check(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (ConfigError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

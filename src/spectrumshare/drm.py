@@ -33,7 +33,6 @@ from .network import log_interference, success_probability
 __all__ = [
     "best_response_drm",
     "br_potential",
-    "br_potential_upper_bound",
     "is_nep_drm",
     "efficiency_bound",
     "naive_expected_rate",
@@ -114,25 +113,6 @@ def potential_term(
     if mult == math.inf and inner == 0.0:
         return 0.0  # 0 * inf: the user contributes nothing
     return mult * inner
-
-
-def br_potential_upper_bound(instance: Instance) -> float:
-    """Profile-independent ceiling on br_potential.
-
-    Interference only subtracts, so no profile can beat selecting the
-    highest-log-utility channel channels_per_user times with zero
-    interference everywhere.
-    """
-    total = 0.0
-    for n in range(instance.num_users):
-        best_u = max(instance.utilities[n][k] for k in instance.allowed_channels(n))
-        best_log = math.log(best_u) if best_u > 0.0 else -math.inf
-        mult = _neg_log1m(instance.caps[n])
-        inner = instance.channels_per_user * best_log
-        if mult == math.inf and inner == 0.0:
-            continue
-        total += mult * inner
-    return total
 
 
 def is_nep_drm(profile: StrategyProfile, instance: Instance) -> NepReport:

@@ -615,10 +615,7 @@ class _NoisyBestResponse:
     @staticmethod
     def extend(profile: StrategyProfile, instance: Instance) -> StrategyProfile:
         keep = len(profile)
-        picks = [strat.channels[0] for strat in profile]
-        for n in range(keep, instance.num_users):
-            utils = instance.utilities[n]
-            picks.append(min(range(instance.num_channels), key=lambda k: (-utils[k], k)))
+        picks = [strat.channels[0] for strat in profile + drm_initial_profile(instance)[keep:]]
         return profile + allocation_profile(picks, instance)[keep:]
 
     def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> None:

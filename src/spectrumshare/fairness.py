@@ -32,6 +32,7 @@ from .network import (
     channel_load,
     left_sum,
     rate_from_load,
+    validate_profile,
 )
 from .network import log_interference  # unused; perfbench/tracing.py patches it
 
@@ -39,12 +40,10 @@ __all__ = [
     "CoolingSchedule",
     "cooperative_utility",
     "exact_potential",
-    "optimal_attempt_probability",
     "allocation_profile",
     "noisy_br_distribution",
     "sample_noisy_br",
     "is_nep_fairness",
-    "per_channel_sum_log_rate",
     "gibbs_stationary",
     "delta_lower_bound",
 ]
@@ -97,20 +96,8 @@ def _fair_utility(u: float, p: float, count: int, suffered: float) -> float:
 def exact_potential(profile: StrategyProfile, instance: Instance) -> float:
     """Sum of log expected rates; -inf if any user's rate is zero."""
     _require_single_channel(instance)
-    return _log_rate_sum(range(instance.num_users), profile, instance)
-
-
-def _log_rate_sum(
-    users: Sequence[int], profile: StrategyProfile, instance: Instance
-) -> float:
-    """Sum of the users' log expected rates; -inf as soon as one rate is zero."""
-    total = 0.0
-    for n in users:
-        term = potential_term(n, profile, instance)
-        if term == -math.inf:
-            return -math.inf
-        total += term
-    return total
+    validate_profile(profile, instance)
+    return left_sum(potential_term(n, profile, instance) for n in range(instance.num_users))
 
 
 def potential_term(
@@ -124,13 +111,6 @@ def potential_term(
     return math.log(rate) if rate > 0.0 else -math.inf
 
 
-def optimal_attempt_probability(neighbor_count_on_channel: int) -> float:
-    """The attempt probability maximizing fair utility on a fixed channel."""
-    if neighbor_count_on_channel < 0:
-        raise ValueError("neighbor count must be nonnegative")
-    return 1.0 / (neighbor_count_on_channel + 1)
-
-
 def allocation_profile(alloc: Sequence[int], instance: Instance) -> StrategyProfile:
     """Profile for a channel allocation with best-reply attempt probabilities.
 
@@ -141,9 +121,7 @@ def allocation_profile(alloc: Sequence[int], instance: Instance) -> StrategyProf
     return tuple(
         Strategy(
             (int(alloc[n]),),
-            optimal_attempt_probability(
-                sum(1 for i in adjacency[n] if alloc[i] == alloc[n])
-            ),
+            1.0 / (1 + sum(1 for i in adjacency[n] if alloc[i] == alloc[n])),
         )
         for n in range(instance.num_users)
     )
@@ -332,6 +310,7 @@ def sample_noisy_br(
 def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> NepReport:
     """Check that no user can improve its fair utility; report the first that can."""
     _require_single_channel(instance)
+    validate_profile(profile, instance)
     reports = (nep_violation(n, profile, instance) for n in range(instance.num_users))
     return next((r for r in reports if r is not None), NepReport(True))
 
@@ -351,17 +330,6 @@ def nep_violation(user: int, profile: StrategyProfile, instance: Instance) -> Op
     if gain > NEP_REL_TOL * max(1.0, abs(best_value), abs(current)):
         return NepReport(False, user, best_action, gain)
     return None
-
-
-def per_channel_sum_log_rate(
-    channel: int, profile: StrategyProfile, instance: Instance
-) -> float:
-    """Sum of log rates over the users currently selecting `channel`."""
-    _require_single_channel(instance)
-    if not 0 <= channel < instance.num_channels:
-        raise ValueError(f"channel index {channel} out of range")
-    users = [n for n, strat in enumerate(profile) if channel in strat.channels]
-    return _log_rate_sum(users, profile, instance)
 
 
 def gibbs_stationary(

@@ -30,7 +30,6 @@ __all__ = [
     "validate_profile",
     "success_probability",
     "log_interference",
-    "expected_rate_on_channel",
     "total_expected_rate",
     "channel_load",
     "graph_from_positions",
@@ -306,16 +305,6 @@ def log_interference(
     if channel < 0:
         raise ValueError(f"channel index {channel} out of range")
     return channel_load(user, profile, graph).get(channel, NO_LOAD)[2]
-
-
-def expected_rate_on_channel(
-    user: int, channel: int, profile: StrategyProfile, instance: Instance
-) -> float:
-    """Expected throughput of `user` on one channel: p * u * clearance."""
-    if not 0 <= channel < instance.num_channels:
-        raise ValueError(f"channel index {channel} out of range")
-    load = channel_load(user, profile, instance.graph)
-    return rate_from_load(profile[user].attempt_prob, instance.utilities[user], (channel,), load)
 
 
 def total_expected_rate(user: int, profile: StrategyProfile, instance: Instance) -> float:

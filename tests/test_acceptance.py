@@ -34,7 +34,6 @@ from spectrumshare import (
     load_config,
     make_profile,
     naive_expected_rate,
-    optimal_attempt_probability,
     replace_strategy,
     run_better_response_replay,
     run_br_drm,
@@ -173,7 +172,7 @@ def test_fair_attempt_probability_matches_closed_form():
             tuple(1.0 for _ in range(users)),
         )
         profile = make_profile([[0]] * users, [0.3] * users)
-        target = optimal_attempt_probability(count)
+        target = 1.0 / (count + 1)
 
         def score(p: float) -> float:
             return cooperative_utility(0, Strategy((0,), p), profile, instance)

@@ -13,9 +13,10 @@ from spectrumshare import (
     best_response_drm,
     build_regular_graph,
     br_potential,
-    br_potential_upper_bound,
     efficiency_bound,
+    exact_potential,
     is_nep_drm,
+    is_nep_fairness,
     log_interference,
     make_profile,
     naive_expected_rate,
@@ -78,16 +79,6 @@ def test_br_potential_hand_value():
     assert br_potential(prof, inst) == pytest.approx(want, rel=1e-12)
 
 
-def test_br_potential_upper_bound_holds_on_random_profiles():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        inst = random_drm_instance(rng)
-        bound = br_potential_upper_bound(inst)
-        for _ in range(10):
-            prof = random_drm_profile(inst, rng)
-            assert br_potential(prof, inst) <= bound + 1e-9
-
-
 def test_strict_best_response_switch_raises_potential():
     rng = np.random.default_rng(12)
     checked = 0
@@ -148,6 +139,24 @@ def test_nep_check_and_potential_reject_a_masked_channel():
         is_nep_drm(prof, inst)
     with pytest.raises(ValueError, match="mask forbids"):
         br_potential(prof, inst)
+
+
+def test_fairness_checks_reject_a_profile_that_does_not_fit():
+    # the fairness game's potential and equilibrium check validate their
+    # profile as the DRM ones do; these used to answer or raise IndexError
+    inst = Instance(
+        InterferenceGraph.from_edges(2, [(0, 1)]), 2, 1, ((1.0, 2.0), (2.0, 1.0)), (0.5, 0.5)
+    )
+    misfits = {
+        "profile length": make_profile([[0], [1], [0]], [0.5] * 3),
+        "selects 2 channels": make_profile([[0, 1], [1]], [0.5, 0.5]),
+        "out-of-range channel 5": make_profile([[5], [1]], [0.5, 0.5]),
+    }
+    for message, prof in misfits.items():
+        with pytest.raises(ValueError, match=message):
+            exact_potential(prof, inst)
+        with pytest.raises(ValueError, match=message):
+            is_nep_fairness(prof, inst)
 
 
 def test_nep_reports_match_exhaustive_deviation_scan():

@@ -23,8 +23,6 @@ from spectrumshare import (
     is_nep_fairness,
     make_profile,
     noisy_br_distribution,
-    optimal_attempt_probability,
-    per_channel_sum_log_rate,
     replace_strategy,
     run_nbrf,
     sample_noisy_br,
@@ -90,25 +88,6 @@ def test_unilateral_deviation_matches_potential_change():
         )
         dphi = exact_potential(after, inst) - exact_potential(prof, inst)
         assert df == pytest.approx(dphi, abs=1e-9)
-
-
-def test_optimal_attempt_probability():
-    assert optimal_attempt_probability(0) == 1.0
-    assert optimal_attempt_probability(3) == pytest.approx(0.25, rel=1e-15)
-    with pytest.raises(ValueError):
-        optimal_attempt_probability(-1)
-
-
-def test_per_channel_sum_log_rate_splits_potential():
-    rng = np.random.default_rng(22)
-    for _ in range(30):
-        inst = random_fairness_instance(rng)
-        prof = random_fairness_profile(inst, rng)
-        total = sum(
-            per_channel_sum_log_rate(k, prof, inst)
-            for k in range(inst.num_channels)
-        )
-        assert total == pytest.approx(exact_potential(prof, inst), abs=1e-9)
 
 
 def test_noisy_br_distribution_uniform_at_zero_beta():

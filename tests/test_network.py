@@ -20,7 +20,6 @@ from spectrumshare import (
     Strategy,
     build_regular_graph,
     channel_load,
-    expected_rate_on_channel,
     graph_from_positions,
     log_interference,
     make_profile,
@@ -111,9 +110,6 @@ def test_success_probability_hand_value():
     assert success_probability(0, 0, prof, g) == pytest.approx(0.7, rel=1e-15)
     assert success_probability(0, 1, prof, g) == pytest.approx(0.5, rel=1e-15)
     assert log_interference(0, 0, prof, g) == pytest.approx(-math.log(0.7), rel=1e-12)
-    assert expected_rate_on_channel(0, 0, prof, inst) == pytest.approx(
-        1.0 * 0.6 * 0.7, rel=1e-15
-    )
     assert channel_load(0, prof, g) == {
         0: (1, 1.0 - 0.3, -math.log1p(-0.3)),
         1: (1, 1.0 - 0.5, -math.log1p(-0.5)),
@@ -314,6 +310,27 @@ def test_each_public_name_is_declared_in_one_module_all():
     assert sorted(spectrumshare.__all__) == sorted(["__version__", *owners])
     for name, (module,) in owners.items():
         assert getattr(spectrumshare, name) is getattr(module, name)
+    # the whole public API, so that any name added or removed shows in review
+    assert sorted(spectrumshare.__all__) == [
+        "CapacityError", "ConfigError", "CoolingSchedule", "DegenerateInstanceError",
+        "EstimationError", "EstimatorConfig", "ExperimentConfig", "Instance",
+        "InterferenceGraph", "PopulationEvent", "Strategy", "StrategyProfile",
+        "Trajectory", "UpdateMechanism", "__version__", "allocation_profile",
+        "best_response_drm", "br_potential", "brute_force_best_response",
+        "build_instance_and_events", "build_regular_graph", "channel_load",
+        "cooperative_utility", "default_gibbs_instance", "delta_lower_bound",
+        "drm_initial_profile", "efficiency_bound", "efficiency_sweep",
+        "empirical_visit_distribution", "estimate_success_probability",
+        "exact_potential", "exhaustive_drm_nep_enumeration",
+        "exhaustive_fairness_nep_enumeration", "exhaustive_sum_log_rate", "gibbs_check",
+        "gibbs_stationary", "graph_from_positions", "is_nep_drm", "is_nep_fairness",
+        "list_presets", "load_config", "load_preset", "log_interference",
+        "make_profile", "naive_expected_rate", "nbrf_initial_profile",
+        "noisy_br_distribution", "replace_strategy", "run_better_response_replay",
+        "run_br_drm", "run_experiment", "run_nbrf", "sample_noisy_br", "select_active",
+        "simulate_naive_policy", "simulate_slot", "simulate_slots",
+        "success_probability", "total_expected_rate", "validate_profile",
+    ]
 
 
 def test_readme_quick_tour_runs():
