@@ -49,12 +49,15 @@ def channel_scores(
 
     Clearance is the exact closed form, or success_estimates[k] when given.
     """
-    utils = instance.utilities[user]
     if success_estimates is None:
-        load = channel_load(user, profile, instance.graph)
+        load = channel_load(user, profile, instance.graph)  # checks the user index
+        utils = instance.utilities[user]
         return {
             k: utils[k] * load.get(k, NO_LOAD)[1] for k in instance.allowed_channels(user)
         }
+    if not 0 <= user < instance.num_users:
+        raise ValueError(f"user index {user} out of range")
+    utils = instance.utilities[user]
     return {
         k: utils[k] * float(success_estimates[k]) for k in instance.allowed_channels(user)
     }
@@ -137,8 +140,8 @@ def nep_violation(
     exact rate gain, both rates priced from one channel_load. Exact BR-DRM plays
     it; estimator mode plays its array form, with success_estimates its reference.
     """
-    strat = profile[user]
     scores = channel_scores(user, profile, instance, success_estimates)
+    strat = profile[user]
     br_set = top_channels(scores, instance.channels_per_user)
     if br_set == strat.channels:
         return None

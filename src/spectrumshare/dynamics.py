@@ -344,8 +344,10 @@ def nbrf_initial_profile(instance: Instance) -> StrategyProfile:
 
     All users pick their best-utility channel first; each then sets its
     attempt probability to 1/(count+1) from the same-channel neighbor counts
-    that those picks produce.
+    that those picks produce. An instance the fairness game refuses (masked,
+    or more than one channel per user) is a ValueError.
     """
+    fairness._require_single_channel(instance)
     return _NoisyBestResponse.extend((), instance)
 
 

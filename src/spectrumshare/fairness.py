@@ -204,34 +204,19 @@ def best_fair_action(
 ) -> tuple[Optional[Strategy], float, float]:
     """The first grid play of highest cooperative utility and its utility.
 
-    On a channel with `count` same-channel neighbors the fair utility is
-    strictly concave in p with its maximum at the grid point p = 1/(count+1),
-    so only those K plays are priced; the first channel of highest value wins,
-    as in a channel-major scan of the whole grid. A channel whose products
-    u * p fall below the normal float range is scanned whole. Also returns
-    the utility of the user's current play, priced from the same
-    channel_load. The best play is None (and its utility -inf) when every
-    grid play is worthless.
+    Prices the user's action table, as the sampler does, and takes its first
+    maximum in grid order. Also returns the utility of the user's current
+    play, priced from the same channel_load. The best play is None (and its
+    utility -inf) when every grid play is worthless.
     """
     load = channel_load(user, profile, instance.graph)
-    utils = instance.utilities[user]
-    degree = instance.graph.degree(user)
-    plays = _action_grid(instance.num_channels, degree)
-    p_min = plays[degree].attempt_prob
-    best, best_value = None, -math.inf
-    for k in range(instance.num_channels):
-        count, _, suffered = load.get(k, NO_LOAD)
-        u = utils[k]
-        # below the normal range u * p rounds coarsely and concavity no longer decides
-        subnormal = 0.0 < u and u * p_min < sys.float_info.min
-        for r in range(degree + 1) if subnormal else (count,):
-            play = plays[k * (degree + 1) + r]
-            value = _fair_utility(u, play.attempt_prob, count, suffered)
-            if value > best_value:
-                best, best_value = play, value
+    table = _action_table(user, instance)
+    values = _table_values(table, load)
+    best_value = max(values)
+    best = None if best_value == -math.inf else table.plays[values.index(best_value)]
     k, p = profile[user].channels[0], profile[user].attempt_prob
     count, _, suffered = load.get(k, NO_LOAD)
-    return best, best_value, _fair_utility(utils[k], p, count, suffered)
+    return best, best_value, _fair_utility(instance.utilities[user][k], p, count, suffered)
 
 
 def _noisy_br(
@@ -241,8 +226,9 @@ def _noisy_br(
     _require_single_channel(instance)
     if not 0.0 <= beta < math.inf:
         raise ValueError("beta must be finite and nonnegative")
+    load = channel_load(user, profile, instance.graph)  # checks the index before any table
     table = _action_table(user, instance)
-    values = _table_values(table, channel_load(user, profile, instance.graph))
+    values = _table_values(table, load)
     if max(values) == -math.inf:
         raise DegenerateInstanceError(f"user {user} has utility -inf for every available action")
     if beta == 0.0:

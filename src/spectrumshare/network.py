@@ -309,8 +309,8 @@ def log_interference(
 
 def total_expected_rate(user: int, profile: StrategyProfile, instance: Instance) -> float:
     """Expected throughput of `user` summed over its selected channels."""
-    strat = profile[user]
     load = channel_load(user, profile, instance.graph)
+    strat = profile[user]
     return rate_from_load(strat.attempt_prob, instance.utilities[user], strat.channels, load)
 
 

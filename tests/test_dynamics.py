@@ -209,6 +209,16 @@ def test_nbrf_initial_profile_count_consistent():
     assert prof[1].attempt_prob == pytest.approx(1.0 / 3.0)
 
 
+def test_nbrf_initial_profile_rejects_instances_the_fairness_game_refuses():
+    g = InterferenceGraph.from_edges(2, [(0, 1)])
+    masked = Instance(g, 2, 1, ((2.0, 1.0),) * 2, (1.0, 1.0), ((True, False), (True, False)))
+    with pytest.raises(ValueError, match="the fairness game takes no channel mask"):
+        nbrf_initial_profile(masked)
+    two_channels = Instance(g, 3, 2, ((2.0, 1.0, 1.0),) * 2, (1.0, 1.0))
+    with pytest.raises(ValueError, match="the fairness game requires channels_per_user == 1"):
+        nbrf_initial_profile(two_channels)
+
+
 def test_run_br_drm_exact_reaches_equilibrium():
     rng = np.random.default_rng(44)
     for _ in range(20):

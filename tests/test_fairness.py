@@ -273,12 +273,23 @@ def _star_case(utility, p):
     return inst, make_profile([[0], [0], [0]], [p, 0.5, 0.5])
 
 
+def _wide_star_case():
+    """User 0 at p = 1/2 beside 30 leaves at p = 0.01, all on channel 0."""
+    leaves = 30
+    graph = InterferenceGraph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    utilities = ((1.5, 1e-3),) + ((1.0, 2.0),) * leaves
+    inst = Instance(graph, 2, 1, utilities, (1.0,) * (leaves + 1))
+    return inst, make_profile([[0]] * (leaves + 1), [0.5] + [0.01] * leaves)
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=fairness_cases())
 # a subnormal product puts the grid's best at p = 1/2, not at the optimum 1/3
 @example(case=_star_case(2e-323, 0.5))
 # an off-grid current play whose u * p underflows to 0
 @example(case=_star_case(0.5, 5e-324))
+# 31 plays per channel for the hub; fairness_cases' grids stop at 6
+@example(case=_wide_star_case())
 def test_best_fair_action_equals_the_full_grid_scan(case):
     inst, prof = case
     for n in range(inst.num_users):

@@ -13,17 +13,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectrumshare
-from spectrumshare import network
+from spectrumshare import drm, fairness, network
 from spectrumshare import (
     Instance,
     InterferenceGraph,
     Strategy,
+    best_response_drm,
     build_regular_graph,
     channel_load,
     graph_from_positions,
     log_interference,
     make_profile,
+    noisy_br_distribution,
     replace_strategy,
+    sample_noisy_br,
     success_probability,
     total_expected_rate,
     validate_profile,
@@ -124,6 +127,38 @@ def test_total_rate_sums_selected_channels():
     # channel 0 clear, channel 2 contested by the neighbor at 0.4
     want = 2.0 * 0.5 * 1.0 + 5.0 * 0.5 * 0.6
     assert total_expected_rate(0, prof, inst) == pytest.approx(want, rel=1e-15)
+
+
+_ESTIMATES = (0.5, 0.5)
+_PER_USER_PRICERS = {
+    "noisy_br_distribution": lambda n, prof, inst: noisy_br_distribution(n, prof, inst, 1.0),
+    "sample_noisy_br": lambda n, prof, inst: sample_noisy_br(
+        n, prof, inst, 1.0, np.random.default_rng(0)
+    ),
+    "best_fair_action": fairness.best_fair_action,
+    "fairness.nep_violation": fairness.nep_violation,
+    "drm.nep_violation": drm.nep_violation,
+    "drm.nep_violation(estimates)": lambda n, prof, inst: drm.nep_violation(
+        n, prof, inst, _ESTIMATES
+    ),
+    "best_response_drm": best_response_drm,
+    "best_response_drm(estimates)": lambda n, prof, inst: best_response_drm(
+        n, prof, inst, _ESTIMATES
+    ),
+    "total_expected_rate": total_expected_rate,
+}
+
+
+@pytest.mark.parametrize("user", [2, -1])
+@pytest.mark.parametrize("name", sorted(_PER_USER_PRICERS))
+def test_per_user_pricers_reject_a_user_index_out_of_range(name, user):
+    g = InterferenceGraph.from_edges(2, [(0, 1)])
+    inst = Instance(g, 2, 1, ((2.0, 1.0), (4.0, 1.0)), (1.0, 1.0))
+    prof = make_profile([[0], [1]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=f"user index {user} out of range"):
+        _PER_USER_PRICERS[name](user, prof, inst)
+    # no action table is built (and cached) for an index that is not a user
+    assert user not in inst.__dict__.get("_fair_action_tables", {})
 
 
 def test_success_probability_independent_of_own_attempt():
