@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateInstanceError
+from .errors import DegenerateInstanceError
 from .network import (
     NEP_REL_TOL,
     NO_LOAD,
@@ -44,11 +44,9 @@ __all__ = [
     "noisy_br_distribution",
     "sample_noisy_br",
     "is_nep_fairness",
-    "gibbs_stationary",
     "delta_lower_bound",
 ]
 
-GIBBS_CAPACITY = 10**6
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -209,6 +207,7 @@ def best_fair_action(
     play, priced from the same channel_load. The best play is None (and its
     utility -inf) when every grid play is worthless.
     """
+    _require_single_channel(instance)
     load = channel_load(user, profile, instance.graph)
     table = _action_table(user, instance)
     values = _table_values(table, load)
@@ -316,37 +315,6 @@ def nep_violation(user: int, profile: StrategyProfile, instance: Instance) -> Op
     if gain > NEP_REL_TOL * max(1.0, abs(best_value), abs(current)):
         return NepReport(False, user, best_action, gain)
     return None
-
-
-def gibbs_stationary(
-    instance: Instance, beta: float
-) -> dict[StrategyProfile, float]:
-    """Long-run profile distribution of noisy best response at fixed beta.
-
-    Enumerates the joint action space (each user's channel-probability grid)
-    and weights each joint profile by exp(beta * objective), max-shifted,
-    with -inf-objective profiles at weight 0. Refuses joint spaces larger
-    than GIBBS_CAPACITY profiles.
-    """
-    _require_single_channel(instance)
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
-    grids = [
-        _action_grid(instance.num_channels, instance.graph.degree(n))
-        for n in range(instance.num_users)
-    ]
-    space = 1
-    for grid in grids:
-        space *= len(grid)
-        if space > GIBBS_CAPACITY:
-            raise CapacityError(
-                f"joint action space exceeds {GIBBS_CAPACITY} profiles"
-            )
-    profiles = list(itertools.product(*grids))
-    values = [exact_potential(prof, instance) for prof in profiles]
-    if max(values) == -math.inf:
-        raise DegenerateInstanceError("every joint profile has objective -inf")
-    return dict(zip(profiles, _softmax(values, beta)))
 
 
 def delta_lower_bound(instance: Instance) -> float:

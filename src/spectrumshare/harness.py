@@ -32,7 +32,7 @@ from .dynamics import (
     simulate_naive_policy,
 )
 from .errors import ConfigError
-from .fairness import CoolingSchedule, delta_lower_bound, gibbs_stationary, is_nep_fairness
+from .fairness import CoolingSchedule, delta_lower_bound, is_nep_fairness
 from .network import (
     Instance,
     InterferenceGraph,
@@ -47,6 +47,7 @@ from .oracle import (
     OracleResult,
     empirical_visit_distribution,
     exhaustive_sum_log_rate,
+    gibbs_stationary,
 )
 
 __all__ = [

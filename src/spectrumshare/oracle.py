@@ -1,8 +1,8 @@
 """Exhaustive reference computations for small instances.
 
-Everything here enumerates joint strategy spaces outright, guarded by
-explicit capacity limits. These routines exist to pin down ground truth in
-tests and experiments; none of them are meant for large networks.
+Everything here enumerates joint strategy spaces through _joint, which refuses
+a space over its capacity before building any profile. These routines pin down
+ground truth in tests and experiments; none is meant for large networks.
 """
 
 from __future__ import annotations
@@ -11,11 +11,13 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .drm import is_nep_drm
 from .errors import CapacityError, DegenerateInstanceError
-from .fairness import _action_grid, is_nep_fairness
+from .fairness import (
+    _action_grid, _require_single_channel, _softmax, exact_potential, is_nep_fairness
+)
 from .network import (
     Instance,
     Strategy,
@@ -28,11 +30,33 @@ __all__ = [
     "exhaustive_sum_log_rate",
     "exhaustive_drm_nep_enumeration",
     "exhaustive_fairness_nep_enumeration",
+    "gibbs_stationary",
     "brute_force_best_response",
     "empirical_visit_distribution",
 ]
 
-ORACLE_CAPACITY = 10_000_000
+ORACLE_CAPACITY = 10_000_000  # channel allocations and DRM profiles
+GRID_CAPACITY = 10**6  # profiles over the fairness game's action grids
+
+
+def _joint(per_user: Sequence[Sequence], capacity: int, what: str) -> tuple[int, Iterator]:
+    """The size of the joint space of per-user options and its profiles, lazily.
+
+    Raises CapacityError before building any profile when the size exceeds
+    capacity; `what` names the profiles in the message.
+    """
+    total = math.prod(len(options) for options in per_user)
+    if total > capacity:
+        raise CapacityError(f"{total} {what} exceed the oracle capacity of {capacity}")
+    return total, itertools.product(*per_user)
+
+
+def _fair_grids(instance: Instance) -> list[tuple[Strategy, ...]]:
+    """Each user's fairness action grid."""
+    return [
+        _action_grid(instance.num_channels, instance.graph.degree(n))
+        for n in range(instance.num_users)
+    ]
 
 
 @dataclass(frozen=True)
@@ -48,9 +72,7 @@ class OracleResult:
     num_evaluated: int
 
 
-def exhaustive_sum_log_rate(
-    instance: Instance, capacity: int = ORACLE_CAPACITY
-) -> OracleResult:
+def exhaustive_sum_log_rate(instance: Instance) -> OracleResult:
     """Maximize the sum of log rates over all single-channel allocations.
 
     Each user's attempt probability is set to its best reply
@@ -65,12 +87,9 @@ def exhaustive_sum_log_rate(
     if instance.allowed is not None:
         raise ValueError("the sum-log-rate oracle takes no channel mask (allowed)")
     n_users = instance.num_users
-    n_channels = instance.num_channels
-    total = n_channels**n_users
-    if total > capacity:
-        raise CapacityError(
-            f"{total} allocations exceed the oracle capacity of {capacity}"
-        )
+    total, allocs = _joint(
+        [range(instance.num_channels)] * n_users, ORACLE_CAPACITY, "allocations"
+    )
     for n in range(n_users):
         if max(instance.utilities[n]) <= 0.0:
             raise DegenerateInstanceError(f"user {n} has no channel with positive utility")
@@ -87,7 +106,7 @@ def exhaustive_sum_log_rate(
 
     best_value = -math.inf
     best: list[tuple[tuple[int, ...], float]] = []
-    for alloc in itertools.product(range(n_channels), repeat=n_users):
+    for alloc in allocs:
         counts = [
             sum(1 for i in adjacency[n] if alloc[i] == alloc[n])
             for n in range(n_users)
@@ -115,23 +134,7 @@ def exhaustive_sum_log_rate(
     return OracleResult(best_value, tuple(a for a, _ in best), total)
 
 
-def _enumerate_equilibria(
-    per_user: Sequence[Sequence[Strategy]],
-    capacity: int,
-    is_nep: Callable[[StrategyProfile], bool],
-) -> tuple[StrategyProfile, ...]:
-    total = math.prod(len(options) for options in per_user)
-    if total > capacity:
-        raise CapacityError(
-            f"{total} profiles exceed the enumeration capacity of {capacity}"
-        )
-    return tuple(p for p in itertools.product(*per_user) if is_nep(p))
-
-
-def exhaustive_drm_nep_enumeration(
-    instance: Instance,
-    capacity: int = ORACLE_CAPACITY,
-) -> tuple[StrategyProfile, ...]:
+def exhaustive_drm_nep_enumeration(instance: Instance) -> tuple[StrategyProfile, ...]:
     """All pure equilibria of the rate-maximization game, by full enumeration.
 
     Attempt probabilities are pinned at the caps; the search runs over every
@@ -146,25 +149,34 @@ def exhaustive_drm_nep_enumeration(
         ]
         for n in range(instance.num_users)
     ]
-    return _enumerate_equilibria(
-        per_user, capacity, lambda p: is_nep_drm(p, instance).is_nep
-    )
+    _, profiles = _joint(per_user, ORACLE_CAPACITY, "profiles")
+    return tuple(p for p in profiles if is_nep_drm(p, instance).is_nep)
 
 
-def exhaustive_fairness_nep_enumeration(
-    instance: Instance,
-    capacity: int = 10**6,
-) -> tuple[StrategyProfile, ...]:
+def exhaustive_fairness_nep_enumeration(instance: Instance) -> tuple[StrategyProfile, ...]:
     """All pure equilibria of the fairness game over the discrete action grid."""
-    if instance.channels_per_user != 1:
-        raise ValueError("fairness enumeration requires single-channel selection")
-    per_user = [
-        _action_grid(instance.num_channels, instance.graph.degree(n))
-        for n in range(instance.num_users)
-    ]
-    return _enumerate_equilibria(
-        per_user, capacity, lambda p: is_nep_fairness(p, instance).is_nep
-    )
+    _require_single_channel(instance)
+    _, profiles = _joint(_fair_grids(instance), GRID_CAPACITY, "profiles")
+    return tuple(p for p in profiles if is_nep_fairness(p, instance).is_nep)
+
+
+def gibbs_stationary(instance: Instance, beta: float) -> dict[StrategyProfile, float]:
+    """Long-run profile distribution of noisy best response at fixed beta.
+
+    Enumerates the joint action space (each user's channel-probability grid)
+    and weights each joint profile by exp(beta * objective), max-shifted,
+    with -inf-objective profiles at weight 0. Refuses joint spaces larger
+    than GRID_CAPACITY profiles.
+    """
+    _require_single_channel(instance)
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
+    _, joint = _joint(_fair_grids(instance), GRID_CAPACITY, "profiles")
+    profiles = list(joint)
+    values = [exact_potential(prof, instance) for prof in profiles]
+    if max(values) == -math.inf:
+        raise DegenerateInstanceError("every joint profile has objective -inf")
+    return dict(zip(profiles, _softmax(values, beta)))
 
 
 def brute_force_best_response(

@@ -422,8 +422,22 @@ def test_fairness_game_rejects_channel_masks():
         lambda: run_nbrf(masked, UpdateMechanism.sweep_sequential(), CoolingSchedule.fixed(1.0)),
         lambda: is_nep_fairness(profile, masked),
         lambda: gibbs_stationary(masked, 1.0),
+        lambda: fairness.nep_violation(0, profile, masked),
     ):
         with pytest.raises(ValueError, match="the fairness game takes no channel mask"):
+            call()
+
+
+def test_fairness_rule_rejects_multi_channel_instances():
+    # pricing only the first of two channels would report a one-channel deviation
+    g = InterferenceGraph.from_edges(2, [(0, 1)])
+    inst = Instance(g, 3, 2, ((1.0, 1.0, 1.0),) * 2, (0.5, 0.5))
+    profile = make_profile([(0, 1), (1, 2)], [0.5, 0.5])
+    for call in (
+        lambda: best_fair_action(0, profile, inst),
+        lambda: fairness.nep_violation(0, profile, inst),
+    ):
+        with pytest.raises(ValueError, match="the fairness game requires channels_per_user == 1"):
             call()
 
 

@@ -18,11 +18,13 @@ from spectrumshare import (
     exhaustive_drm_nep_enumeration,
     exhaustive_fairness_nep_enumeration,
     exhaustive_sum_log_rate,
+    gibbs_stationary,
     is_nep_drm,
     is_nep_fairness,
     make_profile,
 )
 from spectrumshare.errors import CapacityError, DegenerateInstanceError
+from spectrumshare.oracle import GRID_CAPACITY, ORACLE_CAPACITY
 
 from conftest import (
     random_drm_instance,
@@ -34,6 +36,12 @@ from conftest import (
 def two_user_instance():
     g = InterferenceGraph.from_edges(2, [(0, 1)])
     return Instance(g, 2, 1, ((2.0, 1.0), (4.0, 1.0)), (0.5, 0.5))
+
+
+def edgeless_instance():
+    """24 isolated users on 2 channels: 2**24 profiles exceed both limits."""
+    g = InterferenceGraph.from_edges(24, [])
+    return Instance(g, 2, 1, ((1.0, 2.0),) * 24, (0.5,) * 24)
 
 
 def test_sum_log_oracle_hand_case():
@@ -81,9 +89,30 @@ def test_oracle_rejects_multi_channel_and_oversize():
     masked = Instance(g, 2, 1, ((1.0, 1.0),) * 2, (0.5, 0.5), ((True, False), (True, True)))
     with pytest.raises(ValueError, match="takes no channel mask"):
         exhaustive_sum_log_rate(masked)
-    big = random_fairness_instance(np.random.default_rng(1), max_users=6)
     with pytest.raises(CapacityError):
-        exhaustive_sum_log_rate(big, capacity=3)
+        exhaustive_sum_log_rate(edgeless_instance())
+
+
+@pytest.mark.parametrize(
+    "reference, limit",
+    [
+        (exhaustive_sum_log_rate, ORACLE_CAPACITY),
+        (exhaustive_drm_nep_enumeration, ORACLE_CAPACITY),
+        (exhaustive_fairness_nep_enumeration, GRID_CAPACITY),
+        (lambda inst: gibbs_stationary(inst, 1.0), GRID_CAPACITY),
+    ],
+    ids=["sum-log", "drm-neps", "fairness-neps", "gibbs"],
+)
+def test_every_reference_refuses_an_oversized_space_before_building_it(
+    monkeypatch, reference, limit
+):
+    def no_product(*args, **kwargs):
+        raise AssertionError("a profile was built before the capacity check")
+
+    monkeypatch.setattr(itertools, "product", no_product)
+    message = f"^{2**24} (allocations|profiles) exceed the oracle capacity of {limit}$"
+    with pytest.raises(CapacityError, match=message):
+        reference(edgeless_instance())
 
 
 def test_oracle_rejects_all_zero_utilities():
