@@ -14,9 +14,8 @@ neighbors' strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +31,8 @@ from .fairness import (
     noisy_br_table,
     sample_noisy_br,
 )
-# unused, as are br_potential and exact_potential; perfbench/tracing.py patches them
+# unused, as are br_potential, exact_potential, is_nep_drm and is_nep_fairness;
+# perfbench/tracing.py patches them
 from .fairness import cooperative_utility, noisy_br_distribution
 from .network import (
     NEP_REL_TOL,
@@ -211,9 +211,10 @@ class Trajectory:
 
     Entry 0 is the initial profile with an empty active set. `potentials`
     holds the run's audit scalar (best-response potential for rate
-    maximization, sum of log rates for the fairness loops). termination is
-    "converged", "max-iters", or "cycle-detected"; cycle_length is set only
-    for replays that revisited a profile. at_nep applies the game's nep_violation.
+    maximization, sum of log rates for the fairness loops); `at_nep` says
+    whether each entry's profile is an equilibrium, as the game's is_nep_*
+    would. termination is "converged", "max-iters", or "cycle-detected";
+    cycle_length is set only for replays that revisited a profile.
     """
 
     active_sets: list[tuple[int, ...]]
@@ -221,66 +222,41 @@ class Trajectory:
     potentials: list[float]
     rates: list[tuple[float, ...]]
     instances: list[Instance]
+    at_nep: list[bool]
     converged_at: Optional[int] = None
     termination: str = "max-iters"
     cycle_length: Optional[int] = None
-    nep_violation: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.profiles)
-
-    @cached_property
-    def at_nep(self) -> list[bool]:
-        """Whether each entry's profile is an equilibrium, as is_nep_* says; built on first access.
-
-        A user's verdict holds until it or a neighbor moves. A profile is off
-        equilibrium while the last violator found holds; otherwise the users
-        whose verdict lapsed (dirty) are checked in index order up to the first violator.
-        """
-        flags, last, last_instance, violator, dirty = [], (), None, None, set()
-        for profile, instance in zip(self.profiles, self.instances):
-            if instance is not last_instance:
-                dirty, violator = set(range(instance.num_users)), None
-            elif profile is not last:
-                dirty |= _touched(profile, last, instance.graph)
-                violator = None if violator in dirty else violator
-            last, last_instance = profile, instance
-            if violator is None:
-                for n in sorted(dirty):
-                    dirty.discard(n)
-                    if self.nep_violation(n, profile, instance) is not None:
-                        violator = n
-                        break
-            flags.append(violator is None)
-        return flags
-
-
-def _touched(profile: StrategyProfile, last: StrategyProfile, graph: InterferenceGraph) -> set[int]:
-    """Users whose own or neighbors' Strategy objects differ between the profiles."""
-    moved = [n for n in range(len(profile)) if profile[n] is not last[n]]
-    return set(moved).union(*(graph.adjacency[n] for n in moved))
 
 
 class _Recorder:
     """Appends to the trajectory's columns, de-duplicating repeated snapshots.
 
-    A user's rate and potential term read only its own and its neighbors'
-    plays, so only touched users are repriced; the terms are re-summed left
-    to right, which gives the float of the game's full potential.
+    A user's rate, potential term and equilibrium verdict read only its own
+    and its neighbors' plays, so a new profile reprices only the users it
+    touched, re-summing the terms left to right (the float of the game's full
+    potential). Touched users' verdicts go stale; the profile is off
+    equilibrium while the last violator found is untouched, and otherwise the
+    stale users are checked in index order up to the first violator.
     """
 
     def __init__(self, game):
         self._game = game  # the drm or fairness module: potential_term, nep_violation
-        self.trajectory = Trajectory([], [], [], [], [], nep_violation=game.nep_violation)
+        self.trajectory = Trajectory([], [], [], [], [], [])
         self._interned: dict[StrategyProfile, StrategyProfile] = {}
         self._active_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         # keyed by id: recorded profiles stay alive in the trajectory, and
         # interned ones are equal exactly when they are the same object
-        self._derived: dict[int, tuple[float, tuple[float, ...]]] = {}
-        # the last derived profile's per-user terms and rates (a revisit hits _derived)
+        self._derived: dict[int, tuple[float, tuple[float, ...], bool]] = {}
+        # the last derived profile's per-user terms, rates, unchecked users and
+        # violator (a revisit hits _derived)
         self._last: tuple[StrategyProfile, Optional[Instance]] = ((), None)
         self._terms: list[float] = []
         self._rates: list[float] = []
+        self._stale: set[int] = set()
+        self._violator: Optional[int] = None
 
     def canonical(self, profile: StrategyProfile) -> StrategyProfile:
         return self._interned.setdefault(profile, profile)
@@ -292,7 +268,8 @@ class _Recorder:
         self.record((), profile, instance)
         return profile
 
-    def record(self, active: tuple[int, ...], profile: StrategyProfile, instance: Instance) -> None:
+    def record(self, active: tuple[int, ...], profile: StrategyProfile, instance: Instance) -> bool:
+        """Append one entry; returns its at_nep flag."""
         derived = self._derived.get(id(profile))
         if derived is None:
             derived = self._derived[id(profile)] = self._derive(profile, instance)
@@ -302,21 +279,34 @@ class _Recorder:
         traj.potentials.append(derived[0])
         traj.rates.append(derived[1])
         traj.instances.append(instance)
+        traj.at_nep.append(derived[2])
+        return derived[2]
 
-    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple]:
+    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple, bool]:
         last, last_instance = self._last
         if instance is last_instance:
-            users = _touched(profile, last, instance.graph)
+            moved = [n for n in range(len(profile)) if profile[n] is not last[n]]
+            users = set(moved).union(*(instance.graph.adjacency[n] for n in moved))
+            self._stale |= users
+            if self._violator in users:
+                self._violator = None
         else:
             users = range(instance.num_users)
             self._terms, self._rates = [0.0] * len(users), [0.0] * len(users)
+            self._stale, self._violator = set(users), None
         self._last = (profile, instance)
         term = self._game.potential_term
         for n in users:
             strat, load = profile[n], channel_load(n, profile, instance.graph)
             rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
             self._rates[n], self._terms[n] = rate, term(n, profile, instance, load)
-        return left_sum(self._terms), tuple(self._rates)
+        if self._violator is None:
+            for n in sorted(self._stale):
+                self._stale.discard(n)
+                if self._game.nep_violation(n, profile, instance) is not None:
+                    self._violator = n
+                    break
+        return left_sum(self._terms), tuple(self._rates), self._violator is None
 
     def build(
         self, converged_at: Optional[int], termination: str, cycle_length: Optional[int] = None
@@ -375,7 +365,7 @@ def _play(
     user's neighborhood. All plays of an updating time apply at once. Once
     num_users updating times pass without a play (a quiet pass) and no
     event is pending, step.confirm decides at each further quiet updating
-    time whether the run has converged.
+    time, from the at_nep flag just recorded, whether the run has converged.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -422,8 +412,8 @@ def _play(
             quiet_run = 0
         else:
             quiet_run += 1
-        recorder.record(active, profile, instance)
-        if quiet_run >= instance.num_users and not pending and step.confirm(profile, instance):
+        at_nep = recorder.record(active, profile, instance)
+        if quiet_run >= instance.num_users and not pending and step.confirm(at_nep):
             return recorder.build(t, "converged")
     return recorder.build(None, "max-iters")
 
@@ -445,9 +435,10 @@ def run_br_drm(
     estimator_config, all users' verdicts in one array pass per slot batch.
     The rule is is_nep_drm's, so ties and near-ties keep the current set and
     exact-mode runs cannot oscillate between tied sets. Exact mode settles a
-    user with no improving switch and converges when is_nep_drm confirms a
-    quiet pass. Estimator mode keeps such a user, since its estimates move
-    with every slot batch, and takes the quiet pass itself as convergence.
+    user with no improving switch and converges after a quiet pass at a
+    profile recorded at_nep. Estimator mode keeps such a user, since its
+    estimates move with every slot batch, and takes the quiet pass itself as
+    convergence.
     """
     step = _BestResponse(estimator_config)
     return _play(instance, mechanism, rng, max_iters, initial_profile, events, drm, step)
@@ -529,8 +520,8 @@ class _BestResponse:
         self._switched.append(n)
         return Strategy(channels, instance.caps[n])
 
-    def confirm(self, profile: StrategyProfile, instance: Instance) -> bool:
-        return self._config is not None or is_nep_drm(profile, instance).is_nep
+    def confirm(self, at_nep: bool) -> bool:
+        return self._config is not None or at_nep
 
 
 def run_better_response_replay(
@@ -590,8 +581,8 @@ def run_nbrf(
     softmax distributions at beta(t). Once beta(t) reaches freeze_beta (if
     given; it must be finite), active users stop exploring: each plays the
     deviation fairness.nep_violation reports, or settles when there is none
-    (is_nep_fairness's rule), and the run converges when is_nep_fairness
-    confirms a quiet pass. A masked instance (`allowed` set) is a ValueError.
+    (is_nep_fairness's rule), and the run converges after a quiet pass at a
+    profile recorded at_nep. A masked instance (`allowed` set) is a ValueError.
     """
     fairness._require_single_channel(instance)
     if freeze_beta is not None and not math.isfinite(freeze_beta):
@@ -648,8 +639,8 @@ class _NoisyBestResponse:
         # by value: the initial plays and an old degree's grid are other objects
         return action if action != profile[n] else None
 
-    def confirm(self, profile: StrategyProfile, instance: Instance) -> bool:
-        return self._frozen and is_nep_fairness(profile, instance).is_nep
+    def confirm(self, at_nep: bool) -> bool:
+        return self._frozen and at_nep
 
 
 def _sample_cached(

@@ -376,21 +376,19 @@ def build_instance_and_events(
         low, high = utility_spec["low"], utility_spec["high"]
         if not high > low:
             raise ConfigError(f"{path}.utilities.high must exceed {path}.utilities.low")
-        draws = rng.uniform(low, high, size=(final_users, num_channels))
-        utilities = tuple(tuple(float(x) for x in row) for row in draws)
+        utilities = rng.uniform(low, high, size=(final_users, num_channels)).tolist()
     else:
-        values = utility_spec["values"]
-        if len(values) != final_users or any(len(row) != num_channels for row in values):
+        utilities = utility_spec["values"]
+        if len(utilities) != final_users or any(len(row) != num_channels for row in utilities):
             raise ConfigError(
                 f"{path}.utilities.values must be a {final_users} x {num_channels} matrix"
             )
-        utilities = tuple(tuple(float(x) for x in row) for row in values)
     if cap_spec["kind"] == "constant":
         caps = (cap_spec["value"],) * final_users
     else:
-        if len(cap_spec["values"]) != final_users:
+        caps = cap_spec["values"]
+        if len(caps) != final_users:
             raise ConfigError(f"{path}.caps.values must list {final_users} entries")
-        caps = tuple(float(x) for x in cap_spec["values"])
     allowed = spec["allowed"]
     if allowed is not None and (
         len(allowed) != final_users

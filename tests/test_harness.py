@@ -27,7 +27,7 @@ from spectrumshare import (
     run_experiment,
     run_nbrf,
 )
-from spectrumshare import harness
+from spectrumshare import dynamics, harness
 from spectrumshare.errors import CapacityError
 from spectrumshare.harness import _trial_rng
 
@@ -416,6 +416,25 @@ def test_trial_rng_rule():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_convergence_reads_the_recorded_equilibrium_flag(monkeypatch):
+    """Exact BR-DRM and frozen NBRF converge on the recorder's at_nep flag,
+    so runs end the same when dynamics' is_nep_* scans cannot be called."""
+    exact = {k: v for k, v in load_preset("fig2-small-drm").items() if k != "estimator"}
+    configs = [ExperimentConfig.from_dict(raw) for raw in (exact, load_preset("fig5-small-nbrf"))]
+    expected = [run_experiment(config) for config in configs]
+
+    def refuse(*args):
+        raise AssertionError("convergence must read the recorded at_nep flag")
+
+    monkeypatch.setattr(dynamics, "is_nep_drm", refuse)
+    monkeypatch.setattr(dynamics, "is_nep_fairness", refuse)
+    for config, before in zip(configs, expected):
+        after = run_experiment(config)
+        assert after.manifest == before.manifest
+        assert [t.at_nep for t in after.trajectories] == [t.at_nep for t in before.trajectories]
+        assert {trial["termination"] for trial in after.manifest["per_trial"]} == {"converged"}
 
 
 def test_presets_all_load():

@@ -1,8 +1,8 @@
 """The recorder's per-switch state agrees with the full sums and scans.
 
-A run records each new profile's potential and rates by repricing only the
-users a switch touched, and Trajectory.at_nep walks the profiles checking only
-users touched since their last check. These properties drive both through
+A run records each new profile's potential, rates and at_nep flag in one
+pass: it reprices only the users a switch touched and re-checks the verdicts
+only of users touched since their last check. These properties drive it through
 random switch sequences, revisits of earlier profiles and population events,
 and compare every entry with br_potential / exact_potential, the per-user
 closed-form rates and the is_nep_* scans.
