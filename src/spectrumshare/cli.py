@@ -18,6 +18,7 @@ from .harness import (
     list_presets,
     load_config,
     oracle_optimum,
+    oracle_summary,
     run_experiment,
 )
 
@@ -130,12 +131,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         config.instance_spec, config.events_spec
     )
     result = oracle_optimum(instance)
-    payload = {
-        "optimum_sum_log_rate": result.best_value,
-        "optimizer": list(result.best_allocations[0]),
-        "num_optimizers": len(result.best_allocations),
-        "search_size": result.num_evaluated,
-    }
+    payload = dict(oracle_summary(result), num_optimizers=len(result.best_allocations))
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)

@@ -612,6 +612,15 @@ def oracle_optimum(instance: Instance) -> OracleResult:
         raise ConfigError(f"config.instance: {exc}") from exc
 
 
+def oracle_summary(result: OracleResult) -> dict:
+    """The optimum, its first optimizer and the search size, as a manifest or CLI reports them."""
+    return {
+        "optimum_sum_log_rate": result.best_value,
+        "optimizer": list(result.best_allocations[0]),
+        "search_size": result.num_evaluated,
+    }
+
+
 def _build_manifest(
     config: ExperimentConfig,
     final: Instance,
@@ -662,11 +671,7 @@ def _build_manifest(
         "trials": config.trials,
     }
     if oracle_ref is not None:
-        manifest["oracle_reference"] = {
-            "optimum_sum_log_rate": oracle_ref.best_value,
-            "optimizer": list(oracle_ref.best_allocations[0]),
-            "search_size": oracle_ref.num_evaluated,
-        }
+        manifest["oracle_reference"] = oracle_summary(oracle_ref)
     return manifest
 
 
@@ -788,18 +793,15 @@ def default_gibbs_instance() -> Instance:
 
 
 def efficiency_sweep(
-    channel_counts: Sequence[int],
-    degrees: Sequence[int],
-    trials: int = 3,
-    seed: int = 0,
-    max_iters: int = 500,
+    channel_counts: Sequence[int], degrees: Sequence[int], trials: int = 3, seed: int = 0
 ) -> list[dict]:
     """Equilibrium-vs-naive rate ratios on regular networks.
 
-    For each admissible (channels, degree) pair: a regular instance with
-    equal utilities and caps channels/(degree+1), best-response runs from
-    `trials` seeds, per-user ratios against the closed-form naive rate, and
-    the guaranteed bound. Inadmissible pairs get a note row instead.
+    Each admissible (channels, degree) pair runs as a br-drm config on a
+    `regular` instance of 2(degree+1) users with equal utilities and caps
+    channels/(degree+1), through run_experiment; its row holds the final
+    per-user rates over the closed-form naive rate, and the guaranteed bound.
+    Inadmissible pairs get a note row instead.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -826,29 +828,26 @@ def efficiency_sweep(
                 )
                 rows.append(row)
                 continue
-            num_users = 2 * group
-            cap = num_channels / group
-            instance = Instance(
-                graph=build_regular_graph(num_users, degree),
-                num_channels=num_channels,
-                channels_per_user=1,
-                utilities=tuple((1.0,) * num_channels for _ in range(num_users)),
-                caps=(cap,) * num_users,
+            config = ExperimentConfig.from_dict(
+                {
+                    "algorithm": "br-drm",
+                    "trials": trials,
+                    "seed": seed,
+                    "max_iters": 500,  # at seed 0, 4 channels at degree 23 take 398 steps
+                    "instance": {
+                        "kind": "regular",
+                        "num_users": 2 * group,
+                        "degree": degree,
+                        "num_channels": num_channels,
+                        "utilities": {"kind": "constant", "value": 1.0},
+                        "caps": {"kind": "constant", "value": num_channels / group},
+                    },
+                }
             )
-            eta = efficiency_bound(num_channels, degree)
-            naive = naive_expected_rate(0, instance, degree)
-            ratios = []
-            for trial in range(trials):
-                rng = _trial_rng(seed, trial)
-                traj = run_br_drm(
-                    instance,
-                    UpdateMechanism.backoff(),
-                    None,
-                    max_iters,
-                    rng,
-                )
-                ratios.extend(r / naive for r in traj.rates[-1])
-            row["eta"] = eta
+            result = run_experiment(config)
+            naive = naive_expected_rate(0, result.instance, degree)
+            ratios = [r / naive for traj in result.trajectories for r in traj.rates[-1]]
+            row["eta"] = efficiency_bound(num_channels, degree)
             row["min_ratio"] = min(ratios)
             row["mean_ratio"] = left_sum(ratios) / len(ratios)
             rows.append(row)

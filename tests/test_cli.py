@@ -3,9 +3,28 @@
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
-from spectrumshare import load_preset
-from spectrumshare.cli import main
+from spectrumshare import ExperimentConfig, load_config, load_preset
+from spectrumshare.cli import _build_parser, main
+
+
+def test_readme_cli_lines_parse_and_their_run_configs_check():
+    # parses every README example and checks each run line's config, running nothing
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(words[0] == "spectrumshare" for words in lines)
+    parser = _build_parser()
+    for words in lines:
+        args = parser.parse_args(words[1:])
+        if args.command == "run":  # _cmd_run's overrides
+            raw = dict(load_config(args.config).raw)
+            overrides = {"seed": args.seed, "trials": args.trials, "max_iters": args.max_iters}
+            raw.update((key, value) for key, value in overrides.items() if value is not None)
+            ExperimentConfig.from_dict(raw)
 
 
 def test_run_preset_to_directory(tmp_path, capsys):

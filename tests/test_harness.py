@@ -394,7 +394,7 @@ def _float_sum_outputs(tmp_path):
         files = ("trajectory.csv", "aggregate.csv", "manifest.json")
         outputs.append({f: (out / f).read_bytes() for f in files})
     outputs.append(gibbs_check(default_gibbs_instance(), 1.0, 600, 100, seed=3).tv_distance)
-    outputs.append(efficiency_sweep([2], [3], trials=2, seed=0, max_iters=100))
+    outputs.append(efficiency_sweep([2], [3], trials=2, seed=0))
     return outputs
 
 
@@ -672,9 +672,9 @@ def test_gibbs_check_refuses_an_oversized_law_before_running_the_chain(monkeypat
 def test_efficiency_sweep_table():
     # isolated users at cap 1: the equilibrium and the naive policy both get
     # the full utility, and the bound is 1 (0.0 ** 0 == 1.0)
-    (row,) = efficiency_sweep([1], [0], trials=2, seed=0, max_iters=200)
+    (row,) = efficiency_sweep([1], [0], trials=2, seed=0)
     assert row["eta"] == row["min_ratio"] == row["mean_ratio"] == 1.0
-    rows = efficiency_sweep([2], [1, 2, 3], trials=2, seed=0, max_iters=200)
+    rows = efficiency_sweep([2], [1, 2, 3], trials=2, seed=0)
     by_degree = {row["degree"]: row for row in rows}
     assert by_degree[1]["eta"] == pytest.approx(efficiency_bound(2, 1), rel=1e-12)
     assert by_degree[1]["min_ratio"] >= by_degree[1]["eta"] - 1e-9

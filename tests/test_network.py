@@ -49,10 +49,20 @@ def test_graph_from_edges_symmetric_sorted():
 
 
 def test_graph_rejects_self_edge_and_asymmetry():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-edge on user 1"):
         InterferenceGraph.from_edges(3, [(1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("edge (0, 3) out of range for 3 users")):
+        InterferenceGraph.from_edges(3, [(0, 1), (0, 3)])
+    with pytest.raises(ValueError, match=re.escape("asymmetric edge (0, 1)")):
         InterferenceGraph(2, ((1,), ()))
+    with pytest.raises(ValueError, match=re.escape("adjacency[0] must be sorted and duplicate-free")):
+        InterferenceGraph(3, ((2, 1), (0,), (0,)))
+    with pytest.raises(ValueError, match=re.escape("adjacency[1] must be sorted and duplicate-free")):
+        InterferenceGraph(2, ((1,), (0, 0)))
+    with pytest.raises(ValueError, match=re.escape("adjacency[0] contains out-of-range user 2")):
+        InterferenceGraph(2, ((2,), ()))
+    with pytest.raises(ValueError, match="user 1 listed as its own neighbor"):
+        InterferenceGraph(2, ((), (1,)))
 
 
 def test_strategy_validation():
@@ -324,9 +334,11 @@ def test_large_disc_graph_is_pinned_by_digest():
 
 
 def test_regular_graph_degrees():
-    for num_users, degree in [(4, 1), (8, 3), (6, 5), (10, 4)]:
-        g = build_regular_graph(num_users, degree)
-        assert all(g.degree(n) == degree for n in range(num_users))
+    # every admissible pair up to 24 users: the builder itself does not recheck regularity
+    for num_users in range(1, 25):
+        for degree in range(0, num_users, 1 if num_users % 2 == 0 else 2):
+            g = build_regular_graph(num_users, degree)
+            assert all(g.degree(n) == degree for n in range(num_users))
     with pytest.raises(ValueError):
         build_regular_graph(5, 5)
     with pytest.raises(ValueError):
