@@ -44,13 +44,14 @@ def channel_scores(
     profile: StrategyProfile,
     instance: Instance,
     success_estimates: Optional[Sequence[float]] = None,
+    load: Optional[dict] = None,
 ) -> dict[int, float]:
     """Utility times clearance probability for each of the user's allowed channels.
 
-    Clearance is the exact closed form, or success_estimates[k] when given.
+    Clearance is the exact closed form (from `load`, if given) or success_estimates[k] if given.
     """
     if success_estimates is None:
-        load = channel_load(user, profile, instance.graph)  # checks the user index
+        load = channel_load(user, profile, instance.graph) if load is None else load  # index check
         utils = instance.utilities[user]
         return {
             k: utils[k] * load.get(k, NO_LOAD)[1] for k in instance.allowed_channels(user)
@@ -130,6 +131,7 @@ def nep_violation(
     profile: StrategyProfile,
     instance: Instance,
     success_estimates: Optional[Sequence[float]] = None,
+    load: Optional[dict] = None,
 ) -> Optional[NepReport]:
     """The user's improving switch, or None when it has none; the rule BR-DRM plays by.
 
@@ -137,10 +139,10 @@ def nep_violation(
     top_channels. A switch counts when the best set's score total beats the
     current one's by more than NEP_REL_TOL relative to the larger total. The
     report holds the best set at the current attempt probability and the
-    exact rate gain, both rates priced from one channel_load. Exact BR-DRM plays
-    it; estimator mode plays its array form, with success_estimates its reference.
+    exact rate gain, both rates priced from one channel_load (`load`, if given). Exact BR-DRM
+    plays it; estimator mode plays its array form, with success_estimates its reference.
     """
-    scores = channel_scores(user, profile, instance, success_estimates)
+    scores = channel_scores(user, profile, instance, success_estimates, load)
     strat = profile[user]
     br_set = top_channels(scores, instance.channels_per_user)
     if br_set == strat.channels:
@@ -149,7 +151,7 @@ def nep_violation(
     best = left_sum(scores[k] for k in br_set)
     if not best - current > NEP_REL_TOL * max(best, current):
         return None
-    load = channel_load(user, profile, instance.graph)
+    load = channel_load(user, profile, instance.graph) if load is None else load
     utils, p = instance.utilities[user], strat.attempt_prob
     gain = rate_from_load(p, utils, br_set, load) - rate_from_load(p, utils, strat.channels, load)
     return NepReport(False, user, Strategy(br_set, p), gain)

@@ -29,11 +29,10 @@ from .fairness import (
     exact_potential,
     is_nep_fairness,
     noisy_br_table,
-    sample_noisy_br,
 )
 # unused, as are br_potential, exact_potential, is_nep_drm and is_nep_fairness;
 # perfbench/tracing.py patches them
-from .fairness import cooperative_utility, noisy_br_distribution
+from .fairness import cooperative_utility, noisy_br_distribution, sample_noisy_br
 from .network import (
     NEP_REL_TOL,
     Instance,
@@ -239,22 +238,24 @@ class _Recorder:
     touched, re-summing the terms left to right (the float of the game's full
     potential). Touched users' verdicts go stale; the profile is off
     equilibrium while the last violator found is untouched, and otherwise the
-    stale users are checked in index order up to the first violator.
+    stale users are checked in index order up to the first violator. Each
+    user's `prices` are kept until it is touched.
     """
 
     def __init__(self, game):
-        self._game = game  # the drm or fairness module: potential_term, nep_violation
+        self._game = game  # the drm or fairness module
         self.trajectory = Trajectory([], [], [], [], [], [])
         self._interned: dict[StrategyProfile, StrategyProfile] = {}
         self._active_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         # keyed by id: recorded profiles stay alive in the trajectory, and
         # interned ones are equal exactly when they are the same object
         self._derived: dict[int, tuple[float, tuple[float, ...], bool]] = {}
-        # the last derived profile's per-user terms, rates, unchecked users and
-        # violator (a revisit hits _derived)
+        # the last derived profile's per-user terms, rates, prices, unchecked
+        # users and violator (a revisit hits _derived)
         self._last: tuple[StrategyProfile, Optional[Instance]] = ((), None)
         self._terms: list[float] = []
         self._rates: list[float] = []
+        self._prices: list[dict] = []
         self._stale: set[int] = set()
         self._violator: Optional[int] = None
 
@@ -293,20 +294,34 @@ class _Recorder:
         else:
             users = range(instance.num_users)
             self._terms, self._rates = [0.0] * len(users), [0.0] * len(users)
+            self._prices = [{}] * len(users)
             self._stale, self._violator = set(users), None
         self._last = (profile, instance)
-        term = self._game.potential_term
+        drm_term = drm.potential_term if self._game is drm else None
         for n in users:
             strat, load = profile[n], channel_load(n, profile, instance.graph)
             rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
-            self._rates[n], self._terms[n] = rate, term(n, profile, instance, load)
+            term = drm_term(n, profile, instance, load) if drm_term else fairness._log_rate(rate)
+            self._rates[n], self._terms[n], self._prices[n] = rate, term, {"load": load}
         if self._violator is None:
+            check = self._game.nep_violation
             for n in sorted(self._stale):
                 self._stale.discard(n)
-                if self._game.nep_violation(n, profile, instance) is not None:
+                if check(n, profile, instance, **self.prices(n, profile, instance)) is not None:
                     self._violator = n
                     break
         return left_sum(self._terms), tuple(self._rates), self._violator is None
+
+    def prices(self, n: int, profile: StrategyProfile, instance: Instance) -> dict:
+        """User n's prices as keywords of the game's rules: its channel_load and, in the fairness
+        game, its action table's values, priced on first demand. Empty (the rules price directly)
+        unless `profile` on `instance` was derived last: not after an event or a memo revisit."""
+        if profile is not self._last[0] or instance is not self._last[1]:
+            return {}
+        prices = self._prices[n]
+        if "values" not in prices and self._game is fairness:
+            _, prices["values"] = fairness._priced(n, profile, instance, prices["load"])
+        return prices
 
     def build(
         self, converged_at: Optional[int], termination: str, cycle_length: Optional[int] = None
@@ -358,14 +373,15 @@ def _play(
 
     Each updating time t applies the events due (step.extend grows the
     profile), calls step.prepare, and asks step.decide of every active user
-    that is not settled, in ascending order, against the pre-step profile.
-    The answer is a play, None to keep the current one, or _SETTLE to keep
-    it and be skipped until a neighbor moves or users arrive; a step settles
-    a user only when its decision reads no rng and no plays beyond the
-    user's neighborhood. All plays of an updating time apply at once. Once
-    num_users updating times pass without a play (a quiet pass) and no
-    event is pending, step.confirm decides at each further quiet updating
-    time, from the at_nep flag just recorded, whether the run has converged.
+    that is not settled, in ascending order, against the pre-step profile and
+    the recorder's `prices`. The answer is a play, None to keep the current
+    one, or _SETTLE to keep it and be skipped until a neighbor moves or users
+    arrive; a step settles a user only when its decision reads no rng and no
+    plays beyond the user's neighborhood. All plays of an updating time apply
+    at once. Once num_users updating times pass without a play (a quiet pass)
+    and no event is pending, step.confirm decides at each further quiet
+    updating time, from the at_nep flag just recorded, whether the run has
+    converged.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -381,7 +397,7 @@ def _play(
         grown = event.instance
     recorder = _Recorder(game)
     profile = recorder.start(initial_profile, instance)
-    prepare, decide = step.prepare, step.decide
+    prepare, decide, prices = step.prepare, step.decide, recorder.prices
     quiet_run = 0
     settled: set[int] = set()
     for t in range(1, max_iters + 1):
@@ -396,7 +412,7 @@ def _play(
         for n in active:
             if n in settled:
                 continue
-            play = decide(n, profile, instance, rng)
+            play = decide(n, profile, instance, rng, prices)
             if play is _SETTLE:
                 settled.add(n)
             elif play is not None:
@@ -509,11 +525,11 @@ class _BestResponse:
         switch = (gains & (best != current).any(axis=1)).tolist()
         return [tuple(chans) if s else None for s, chans in zip(switch, best.tolist())]
 
-    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng):
+    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, prices):
         if self._config is not None:
             channels = self._proposals[n]
         else:
-            report = drm.nep_violation(n, profile, instance)
+            report = drm.nep_violation(n, profile, instance, **prices(n, profile, instance))
             channels = None if report is None else report.deviation.channels
         if channels is None:
             return None if self._config is not None else _SETTLE
@@ -618,10 +634,10 @@ class _NoisyBestResponse:
             self._beta = beta
         self._frozen = self._freeze_beta is not None and beta >= self._freeze_beta
 
-    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng):
+    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, prices):
         if self._frozen:
             # reads no rng and only local plays, so a keeper settles
-            report = fairness.nep_violation(n, profile, instance)
+            report = fairness.nep_violation(n, profile, instance, **prices(n, profile, instance))
             return _SETTLE if report is None else report.deviation
         # At beta = 0 the sampler is uniform over the whole grid, so a
         # user can land on attempt probability 1.0 next to a neighbor and
@@ -631,9 +647,10 @@ class _NoisyBestResponse:
         # before consuming rng draws, so the stream stays reproducible.
         try:
             if self._memo:
-                action = _sample_cached(n, profile, instance, self._beta, rng, self._draws)
+                action = _sample_cached(n, profile, instance, self._beta, rng, self._draws, prices)
             else:
-                action = sample_noisy_br(n, profile, instance, self._beta, rng)
+                action = fairness._draw_noisy_br(
+                    n, profile, instance, self._beta, rng, **prices(n, profile, instance))
         except DegenerateInstanceError:
             return None
         # by value: the initial plays and an old degree's grid are other objects
@@ -650,21 +667,17 @@ def _sample_cached(
     beta: float,
     rng: np.random.Generator,
     cache: dict,
+    prices=None,
 ) -> Strategy:
-    """sample_noisy_br with its cumulative table memoized in `cache`.
+    """sample_noisy_br with its cumulative table memoized in `cache`, built from `prices` if given.
 
     The key omits beta: the caller clears the cache whenever beta changes.
     """
-    key = (
-        user,
-        tuple(
-            (profile[i].channels, profile[i].attempt_prob)
-            for i in instance.graph.adjacency[user]
-        ),
-    )
+    key = (user, tuple(profile[i] for i in instance.graph.adjacency[user]))
     table = cache.get(key)
     if table is None:
-        table = cache[key] = noisy_br_table(user, profile, instance, beta)
+        priced = prices(user, profile, instance) if prices else {}
+        table = cache[key] = noisy_br_table(user, profile, instance, beta, **priced)
     return draw_action(table, rng)
 
 

@@ -31,7 +31,7 @@ from .network import (
     Strategy,
     channel_load,
     left_sum,
-    rate_from_load,
+    total_expected_rate,
     validate_profile,
 )
 from .network import log_interference  # unused; perfbench/tracing.py patches it
@@ -95,17 +95,11 @@ def exact_potential(profile: StrategyProfile, instance: Instance) -> float:
     """Sum of log expected rates; -inf if any user's rate is zero."""
     _require_single_channel(instance)
     validate_profile(profile, instance)
-    return left_sum(potential_term(n, profile, instance) for n in range(instance.num_users))
+    rates = (total_expected_rate(n, profile, instance) for n in range(instance.num_users))
+    return left_sum(map(_log_rate, rates))
 
 
-def potential_term(
-    user: int, profile: StrategyProfile, instance: Instance, load: Optional[dict] = None
-) -> float:
-    """The user's exact_potential term: its log rate, -inf at rate 0; `load` is its channel_load."""
-    _require_single_channel(instance)
-    load = channel_load(user, profile, instance.graph) if load is None else load
-    strat = profile[user]
-    rate = rate_from_load(strat.attempt_prob, instance.utilities[user], strat.channels, load)
+def _log_rate(rate: float) -> float:  # a user's exact_potential term
     return math.log(rate) if rate > 0.0 else -math.inf
 
 
@@ -197,42 +191,47 @@ def _table_values(table: _ActionTable, load: dict) -> list[float]:
     return values
 
 
+def _priced(user: int, profile: StrategyProfile, instance: Instance, load=None) -> tuple:
+    """The user's channel_load (priced unless given) and its action table's values under it."""
+    _require_single_channel(instance)
+    load = channel_load(user, profile, instance.graph) if load is None else load  # checks the index
+    return load, _table_values(_action_table(user, instance), load)
+
+
 def best_fair_action(
-    user: int, profile: StrategyProfile, instance: Instance
+    user: int, profile: StrategyProfile, instance: Instance, load=None, values=None
 ) -> tuple[Optional[Strategy], float, float]:
     """The first grid play of highest cooperative utility and its utility.
 
     Prices the user's action table, as the sampler does, and takes its first
     maximum in grid order. Also returns the utility of the user's current
     play, priced from the same channel_load. The best play is None (and its
-    utility -inf) when every grid play is worthless.
+    utility -inf) when every grid play is worthless. `load`, `values`: its _priced pair, if known.
     """
-    _require_single_channel(instance)
-    load = channel_load(user, profile, instance.graph)
-    table = _action_table(user, instance)
-    values = _table_values(table, load)
+    if values is None:
+        load, values = _priced(user, profile, instance, load)
     best_value = max(values)
-    best = None if best_value == -math.inf else table.plays[values.index(best_value)]
+    plays = _action_table(user, instance).plays
+    best = None if best_value == -math.inf else plays[values.index(best_value)]
     k, p = profile[user].channels[0], profile[user].attempt_prob
     count, _, suffered = load.get(k, NO_LOAD)
     return best, best_value, _fair_utility(instance.utilities[user][k], p, count, suffered)
 
 
 def _noisy_br(
-    user: int, profile: StrategyProfile, instance: Instance, beta: float
+    user: int, profile: StrategyProfile, instance: Instance, beta: float, load=None, values=None
 ) -> tuple[tuple[Strategy, ...], list[float]]:
-    """The user's plays and their noisy-best-response probabilities, in grid order."""
-    _require_single_channel(instance)
+    """The user's plays and their noisy-best-response probabilities, in grid order (see _priced)."""
     if not 0.0 <= beta < math.inf:
         raise ValueError("beta must be finite and nonnegative")
-    load = channel_load(user, profile, instance.graph)  # checks the index before any table
-    table = _action_table(user, instance)
-    values = _table_values(table, load)
+    if values is None:
+        _, values = _priced(user, profile, instance, load)
     if max(values) == -math.inf:
         raise DegenerateInstanceError(f"user {user} has utility -inf for every available action")
+    plays = _action_table(user, instance).plays
     if beta == 0.0:
-        return table.plays, [1.0 / len(values)] * len(values)
-    return table.plays, _softmax(values, beta)
+        return plays, [1.0 / len(values)] * len(values)
+    return plays, _softmax(values, beta)
 
 
 def noisy_br_distribution(
@@ -263,10 +262,10 @@ def _softmax(values: list[float], beta: float) -> list[float]:
 
 
 def noisy_br_table(
-    user: int, profile: StrategyProfile, instance: Instance, beta: float
+    user: int, profile: StrategyProfile, instance: Instance, beta: float, load=None, values=None
 ) -> tuple[list[Strategy], list[float]]:
     """The plays noisy_br_distribution supports and their running probability sums."""
-    plays, probs = _noisy_br(user, profile, instance, beta)
+    plays, probs = _noisy_br(user, profile, instance, beta, load, values)
     supported = [play for play, prob in zip(plays, probs) if prob > 0.0]
     return supported, list(itertools.accumulate(prob for prob in probs if prob > 0.0))
 
@@ -289,7 +288,21 @@ def sample_noisy_br(
     rng: np.random.Generator,
 ) -> Strategy:
     """Single inverse-CDF draw from noisy_br_distribution; raises before drawing if degenerate."""
-    return draw_action(noisy_br_table(user, profile, instance, beta), rng)
+    return _draw_noisy_br(user, profile, instance, beta, rng)
+
+
+def _draw_noisy_br(user, profile, instance, beta: float, rng, load=None, values=None) -> Strategy:
+    """sample_noisy_br in one pass, `load` and `values` as for best_fair_action: the running sum
+    of the positive probabilities takes noisy_br_table's cumulative floats, so the first play
+    past rng.random() is draw_action's, a rounding fallthrough landing on the last supported one."""
+    plays, probs = _noisy_br(user, profile, instance, beta, load, values)
+    u, running = rng.random(), 0.0
+    for play, prob in zip(plays, probs):
+        if prob > 0.0:
+            running, last = running + prob, play
+            if running > u:
+                return play
+    return last
 
 
 def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> NepReport:
@@ -300,13 +313,15 @@ def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> NepReport:
     return next((r for r in reports if r is not None), NepReport(True))
 
 
-def nep_violation(user: int, profile: StrategyProfile, instance: Instance) -> Optional[NepReport]:
+def nep_violation(
+    user: int, profile: StrategyProfile, instance: Instance, load=None, values=None
+) -> Optional[NepReport]:
     """The user's best grid play if it gains more than NEP_REL_TOL (relative), else None.
 
     The grid holds the closed-form optimum 1/(count+1) of every channel.
-    Frozen NBRF plays by this rule.
+    Frozen NBRF plays by this rule. `load` and `values` as for best_fair_action.
     """
-    best_action, best_value, current = best_fair_action(user, profile, instance)
+    best_action, best_value, current = best_fair_action(user, profile, instance, load, values)
     if best_action is None:
         return None  # nothing the user does matters; cannot improve
     if current == -math.inf:

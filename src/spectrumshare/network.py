@@ -133,6 +133,11 @@ class Strategy:
             raise ValueError("channel indices must be nonnegative")
         if not 0.0 <= self.attempt_prob <= 1.0:
             raise ValueError("attempt_prob must lie in [0, 1]")
+        # the dataclass hash, computed once: profiles are hashed whole
+        object.__setattr__(self, "_hash", hash((chans, self.attempt_prob)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # A profile is one Strategy per user, indexed by user. Plain tuples keep
@@ -316,7 +321,10 @@ def total_expected_rate(user: int, profile: StrategyProfile, instance: Instance)
 
 def rate_from_load(attempt_prob: float, utilities: Sequence[float], channels, load: dict) -> float:
     """Expected rate p * u_k * clearance_k summed over `channels`, given a channel_load."""
-    return left_sum(attempt_prob * utilities[k] * load.get(k, NO_LOAD)[1] for k in channels)
+    rate = 0.0  # left to right, as left_sum adds
+    for k in channels:
+        rate += attempt_prob * utilities[k] * load.get(k, NO_LOAD)[1]
+    return rate
 
 
 def drop_in_disc(

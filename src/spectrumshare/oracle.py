@@ -213,6 +213,8 @@ def empirical_visit_distribution(
     profiles = trajectory.profiles[burn_in:]
     if not profiles:
         raise ValueError("burn_in leaves no recorded steps")
-    counts = Counter(profiles)
+    first, counts = dict(zip(map(id, profiles), profiles)), Counter()  # by identity, then value
+    for key, count in Counter(map(id, profiles)).items():
+        counts[first[key]] += count
     total = len(profiles)
     return {profile: count / total for profile, count in counts.items()}

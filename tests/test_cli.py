@@ -3,8 +3,11 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from spectrumshare import ExperimentConfig, load_config, load_preset
@@ -157,6 +160,17 @@ def test_cycle_demo_prints_cycle(capsys):
     out = capsys.readouterr().out
     assert "cycle of length 4" in out
     assert "strictly improving" in out
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "spectrumshare", "cycle-demo"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "cycle of length 4" in done.stdout
 
 
 def test_efficiency_table(tmp_path, capsys):

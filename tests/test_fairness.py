@@ -367,6 +367,71 @@ def test_sampler_tables_equal_the_reference_softmax_bitwise():
         assert _assert_tables_equal_the_reference(0, prof, inst, beta) == 0
 
 
+class _FixedRandom:
+    """An rng stand-in whose random() returns u and counts its calls."""
+
+    def __init__(self, u):
+        self.u, self.calls = u, 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+def _degenerate_case():
+    """User 0 is worthless on every play: its neighbors hold both channels at p = 1."""
+    g = InterferenceGraph.from_edges(3, [(0, 1), (0, 2)])
+    inst = Instance(g, 2, 1, ((1.0, 1.0),) * 3, (1.0, 1.0, 1.0))
+    return inst, make_profile([[0], [0], [1]], [0.5, 1.0, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=fairness_cases(),
+    beta=st.sampled_from([0.0, 0.7, 3.0, 50.0]) | st.floats(0.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case=_degenerate_case(), beta=1.0, seed=0)
+@example(case=_degenerate_case(), beta=0.0, seed=0)
+def test_one_pass_draw_equals_the_cumulative_table_draw(case, beta, seed):
+    """The one-shot draw, priced or not, plays draw_action(noisy_br_table(...)) and leaves the
+    rng where it does, at random and at every boundary of the table; a degenerate user raises
+    before any draw."""
+    inst, prof = case
+    for n in range(inst.num_users):
+        load, values = fairness._priced(n, prof, inst)
+        priced = {"load": load, "values": values}
+        try:
+            table = fairness.noisy_br_table(n, prof, inst, beta)
+        except DegenerateInstanceError:
+            for prices in ({}, priced):
+                rng = np.random.default_rng(seed)
+                state = rng.bit_generator.state
+                with pytest.raises(DegenerateInstanceError):
+                    fairness._draw_noisy_br(n, prof, inst, beta, rng, **prices)
+                assert rng.bit_generator.state == state
+            continue
+        for prices in ({}, priced):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                drawn = fairness._draw_noisy_br(n, prof, inst, beta, rng, **prices)
+                assert drawn == fairness.draw_action(table, oracle)
+                assert rng.bit_generator.state == oracle.bit_generator.state
+        # exact boundaries, and past the last running sum (the rounding fallthrough)
+        edges = [0.0, math.nextafter(1.0, 0.0)]
+        for c in table[1]:
+            edges += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
+        for u in edges:
+            fixed = _FixedRandom(u)
+            assert fairness._draw_noisy_br(n, prof, inst, beta, fixed, **priced) == (
+                fairness.draw_action(table, _FixedRandom(u))
+            )
+            assert fixed.calls == 1
+        assert sample_noisy_br(n, prof, inst, beta, np.random.default_rng(seed)) == (
+            fairness.draw_action(table, np.random.default_rng(seed))
+        )
+
+
 def test_sampler_tables_are_rebuilt_when_a_population_event_changes_a_degree():
     # user 1 has one neighbor before the event and two after it
     small = Instance(

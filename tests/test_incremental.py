@@ -2,10 +2,12 @@
 
 A run records each new profile's potential, rates and at_nep flag in one
 pass: it reprices only the users a switch touched and re-checks the verdicts
-only of users touched since their last check. These properties drive it through
-random switch sequences, revisits of earlier profiles and population events,
-and compare every entry with br_potential / exact_potential, the per-user
-closed-form rates and the is_nep_* scans.
+only of users touched since their last check. It keeps each user's prices
+(channel_load, and the fair action-table values) until the user is touched.
+These properties drive it through random switch sequences, revisits of earlier
+profiles and population events, and compare every entry with br_potential /
+exact_potential, the per-user closed-form rates, the is_nep_* scans and fresh
+prices.
 """
 
 import math
@@ -24,6 +26,7 @@ from spectrumshare import (
     exact_potential,
     is_nep_drm,
     is_nep_fairness,
+    channel_load,
     replace_strategy,
     run_br_drm,
     run_nbrf,
@@ -92,6 +95,20 @@ def _assert_matches_full_checks(traj, game):
         assert traj.at_nep[i] == full_check(profile, instance).is_nep, i
 
 
+def _assert_prices_are_fresh(recorder, game, profile, instance):
+    """The prices of the profile derived last equal fresh channel_load / _table_values; any
+    other profile (an event's before it is recorded, a revisit served from the memo) gets none."""
+    last, last_instance = recorder._last
+    for n in range(last_instance.num_users):
+        load = channel_load(n, last, last_instance.graph)
+        want = {"load": load}
+        if game == "fairness":
+            want["values"] = fairness._table_values(fairness._action_table(n, last_instance), load)
+        assert recorder.prices(n, last, last_instance) == want, n
+        if profile is not last or instance is not last_instance:
+            assert recorder.prices(n, profile, instance) == {}, n
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), ops=OPS, game=st.sampled_from(sorted(GAMES)))
 def test_recorder_and_at_nep_match_full_checks_on_random_switches(seed, ops, game):
@@ -103,6 +120,7 @@ def test_recorder_and_at_nep_match_full_checks_on_random_switches(seed, ops, gam
     profile = tuple(_random_play(rng, game, n, instance) for n in range(instance.num_users))
     profile = recorder.canonical(profile)
     recorder.record((), profile, instance)
+    _assert_prices_are_fresh(recorder, game, profile, instance)
     history = [profile]  # profiles of the current stage, for revisits
     for op, draw in ops:
         active: tuple[int, ...] = ()
@@ -129,6 +147,7 @@ def test_recorder_and_at_nep_match_full_checks_on_random_switches(seed, ops, gam
             history = []
         profile = recorder.canonical(profile)
         recorder.record(active, profile, instance)
+        _assert_prices_are_fresh(recorder, game, profile, instance)
         history.append(profile)
     _assert_matches_full_checks(recorder.build(None, "max-iters"), game)
 

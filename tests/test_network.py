@@ -76,6 +76,17 @@ def test_strategy_validation():
     assert s.channels == (0, 2)
 
 
+def test_strategy_hash_is_the_value_hash_and_equal_plays_are_interchangeable():
+    for chans, p in [((0, 2), 0.5), ((1,), 1.0), ((3,), 1), ((), 0.0), ((0, 1, 4), 1 / 3)]:
+        s, twin = Strategy(chans, p), Strategy(list(chans), p)
+        assert s is not twin and s == twin
+        assert hash(s) == hash(twin) == hash((s.channels, s.attempt_prob))
+        assert len({s, twin}) == 1 and {s: "kept"}[twin] == "kept"
+        assert hash((s, twin)) == hash((twin, s))
+    assert Strategy((0,), 0.5) != Strategy((0,), 0.25)
+    assert Strategy((0,), 0.5) != Strategy((1,), 0.5)
+
+
 def test_instance_validation():
     g = InterferenceGraph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):

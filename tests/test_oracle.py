@@ -188,3 +188,19 @@ def test_empirical_visit_distribution_counts_and_burn_in():
     assert dist == {"b": 0.5, "a": 0.5}
     with pytest.raises(ValueError):
         empirical_visit_distribution(FakeTrajectory(), burn_in=4)
+
+
+def test_empirical_visit_distribution_merges_equal_profiles_that_are_distinct_objects():
+    a = (Strategy((0,), 0.5), Strategy((1,), 1.0))
+    b = (Strategy((1,), 0.5), Strategy((1,), 1.0))
+    a_copy, b_copy = (tuple(Strategy(s.channels, s.attempt_prob) for s in p) for p in (a, b))
+    assert a_copy == a and a_copy is not a
+
+    class FakeTrajectory:  # a hand-built trajectory interns nothing
+        profiles = [b, a, a_copy, b_copy, a_copy, a, a]
+
+    dist = empirical_visit_distribution(FakeTrajectory())
+    assert dist == {b: 2 / 7, a: 5 / 7}
+    # first-visit order, each value keyed by the first object that visited it
+    assert [key is first for key, first in zip(dist, (b, a))] == [True, True]
+    assert empirical_visit_distribution(FakeTrajectory(), burn_in=2) == {a: 4 / 5, b: 1 / 5}

@@ -80,8 +80,8 @@ class _CheckedStep(_BestResponse):
             assert self._estimates[n] == want.tolist(), (t, n)
         self.checked += 1
 
-    def decide(self, n, profile, instance, rng):
-        play = super().decide(n, profile, instance, rng)
+    def decide(self, n, profile, instance, rng, prices):
+        play = super().decide(n, profile, instance, rng, prices)
         if play is None and self.t in self.forced:
             self._switched.append(n)
             shifted = sorted((k + 1) % instance.num_channels for k in profile[n].channels)
