@@ -91,6 +91,8 @@ class UpdateMechanism:
             raise ValueError("backoff_bound must be positive and finite")
         object.__setattr__(self, "update_probs", tuple(float(q) for q in self.update_probs))
         if self.kind == "probabilistic":
+            if not self.update_probs:
+                raise ValueError("update_probs must list at least one probability")
             for q in self.update_probs:
                 # q = 1 is the everyone-updates-every-time chain
                 if not 0.0 < q <= 1.0:
@@ -612,12 +614,12 @@ class _NoisyBestResponse:
 
     def __init__(self, schedule: CoolingSchedule, freeze_beta: Optional[float]):
         self._schedule, self._freeze_beta = schedule, freeze_beta
-        # Conditional draw distributions depend only on beta and the neighbors'
-        # strategies, so they are memoized per (user, neighbor state) while beta(t)
-        # holds still. A logarithmic beta(t) never does, so it draws directly.
+        # A user's noisy_br_table depends only on beta and its neighbors' plays, so while
+        # beta(t) holds still the tables are kept per (user, neighbors' plays) and cleared when
+        # it moves. A logarithmic beta(t) never holds still, so it builds each table afresh.
         # Events keep every entry valid: users keep their utilities, new neighbors lengthen keys.
         self._memo = schedule.kind != "logarithmic"
-        self._draws: dict[tuple, tuple[list[Strategy], list[float]]] = {}
+        self._draws: dict[tuple, tuple] = {}
         self._beta: Optional[float] = None
         self._frozen = False
 
@@ -647,10 +649,15 @@ class _NoisyBestResponse:
         # before consuming rng draws, so the stream stays reproducible.
         try:
             if self._memo:
-                action = _sample_cached(n, profile, instance, self._beta, rng, self._draws, prices)
+                key = (n, tuple(profile[i] for i in instance.graph.adjacency[n]))
+                table = self._draws.get(key)
+                if table is None:
+                    table = self._draws[key] = noisy_br_table(
+                        n, profile, instance, self._beta, **prices(n, profile, instance))
             else:
-                action = fairness._draw_noisy_br(
-                    n, profile, instance, self._beta, rng, **prices(n, profile, instance))
+                table = noisy_br_table(
+                    n, profile, instance, self._beta, **prices(n, profile, instance))
+            action = draw_action(table, rng)
         except DegenerateInstanceError:
             return None
         # by value: the initial plays and an old degree's grid are other objects
@@ -658,27 +665,6 @@ class _NoisyBestResponse:
 
     def confirm(self, at_nep: bool) -> bool:
         return self._frozen and at_nep
-
-
-def _sample_cached(
-    user: int,
-    profile: StrategyProfile,
-    instance: Instance,
-    beta: float,
-    rng: np.random.Generator,
-    cache: dict,
-    prices=None,
-) -> Strategy:
-    """sample_noisy_br with its cumulative table memoized in `cache`, built from `prices` if given.
-
-    The key omits beta: the caller clears the cache whenever beta changes.
-    """
-    key = (user, tuple(profile[i] for i in instance.graph.adjacency[user]))
-    table = cache.get(key)
-    if table is None:
-        priced = prices(user, profile, instance) if prices else {}
-        table = cache[key] = noisy_br_table(user, profile, instance, beta, **priced)
-    return draw_action(table, rng)
 
 
 class _SlotLayout:

@@ -218,22 +218,6 @@ def best_fair_action(
     return best, best_value, _fair_utility(instance.utilities[user][k], p, count, suffered)
 
 
-def _noisy_br(
-    user: int, profile: StrategyProfile, instance: Instance, beta: float, load=None, values=None
-) -> tuple[tuple[Strategy, ...], list[float]]:
-    """The user's plays and their noisy-best-response probabilities, in grid order (see _priced)."""
-    if not 0.0 <= beta < math.inf:
-        raise ValueError("beta must be finite and nonnegative")
-    if values is None:
-        _, values = _priced(user, profile, instance, load)
-    if max(values) == -math.inf:
-        raise DegenerateInstanceError(f"user {user} has utility -inf for every available action")
-    plays = _action_table(user, instance).plays
-    if beta == 0.0:
-        return plays, [1.0 / len(values)] * len(values)
-    return plays, _softmax(values, beta)
-
-
 def noisy_br_distribution(
     user: int, profile: StrategyProfile, instance: Instance, beta: float
 ) -> dict[Strategy, float]:
@@ -245,15 +229,15 @@ def noisy_br_distribution(
     ValueError unless beta is finite and nonnegative, and
     DegenerateInstanceError when every action is worthless.
     """
-    return dict(zip(*_noisy_br(user, profile, instance, beta)))
+    plays, probs, _ = noisy_br_table(user, profile, instance, beta)
+    return dict(zip(plays, probs))
 
 
-def _softmax(values: list[float], beta: float) -> list[float]:
-    """Weights exp(beta * value), max-shifted, normalized by their left-to-right sum.
+def _softmax(values: list[float], beta: float, shift: float) -> list[float]:
+    """Weights exp(beta * (value - shift)), normalized by their left-to-right sum.
 
-    -inf gets weight 0; some value must be finite.
+    shift is max(values), which must be finite; -inf gets weight 0.
     """
-    shift = max(values)
     weights = [
         math.exp(beta * (v - shift)) if v > -math.inf else 0.0 for v in values
     ]
@@ -263,21 +247,34 @@ def _softmax(values: list[float], beta: float) -> list[float]:
 
 def noisy_br_table(
     user: int, profile: StrategyProfile, instance: Instance, beta: float, load=None, values=None
-) -> tuple[list[Strategy], list[float]]:
-    """The plays noisy_br_distribution supports and their running probability sums."""
-    plays, probs = _noisy_br(user, profile, instance, beta, load, values)
-    supported = [play for play, prob in zip(plays, probs) if prob > 0.0]
-    return supported, list(itertools.accumulate(prob for prob in probs if prob > 0.0))
+) -> tuple[tuple[Strategy, ...], list[float], list[float]]:
+    """The user's plays, their noisy_br_distribution probabilities and running sums, in grid order.
+
+    `load` and `values` as for best_fair_action. A zero-probability play repeats its
+    predecessor's running sum (x + 0.0 == x), so the supported plays carry the sums of a table
+    that holds only them.
+    """
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("beta must be finite and nonnegative")
+    if values is None:
+        _, values = _priced(user, profile, instance, load)
+    shift = max(values)
+    if shift == -math.inf:
+        raise DegenerateInstanceError(f"user {user} has utility -inf for every available action")
+    probs = [1.0 / len(values)] * len(values) if beta == 0.0 else _softmax(values, beta, shift)
+    return _action_table(user, instance).plays, probs, list(itertools.accumulate(probs))
 
 
-def draw_action(
-    table: tuple[list[Strategy], list[float]], rng: np.random.Generator
-) -> Strategy:
-    """Single inverse-CDF draw from a noisy_br_table."""
-    actions, cumulative = table
+def draw_action(table: tuple, rng: np.random.Generator) -> Strategy:
+    """Single inverse-CDF draw from a noisy_br_table: the first play whose running sum passes
+    rng.random(). That is never a zero-probability play, whose sum ties its predecessor's."""
+    plays, probs, cumulative = table
     idx = bisect.bisect_right(cumulative, rng.random())
-    # rounding fallthrough lands on the final atom
-    return actions[idx] if idx < len(actions) else actions[-1]
+    if idx < len(plays):
+        return plays[idx]
+    # rounding fallthrough lands on the last supported play; not on the first play at the
+    # final sum, which may precede tiny probabilities that the running sum absorbed
+    return next(play for play, prob in zip(reversed(plays), reversed(probs)) if prob > 0.0)
 
 
 def sample_noisy_br(
@@ -288,21 +285,7 @@ def sample_noisy_br(
     rng: np.random.Generator,
 ) -> Strategy:
     """Single inverse-CDF draw from noisy_br_distribution; raises before drawing if degenerate."""
-    return _draw_noisy_br(user, profile, instance, beta, rng)
-
-
-def _draw_noisy_br(user, profile, instance, beta: float, rng, load=None, values=None) -> Strategy:
-    """sample_noisy_br in one pass, `load` and `values` as for best_fair_action: the running sum
-    of the positive probabilities takes noisy_br_table's cumulative floats, so the first play
-    past rng.random() is draw_action's, a rounding fallthrough landing on the last supported one."""
-    plays, probs = _noisy_br(user, profile, instance, beta, load, values)
-    u, running = rng.random(), 0.0
-    for play, prob in zip(plays, probs):
-        if prob > 0.0:
-            running, last = running + prob, play
-            if running > u:
-                return play
-    return last
+    return draw_action(noisy_br_table(user, profile, instance, beta), rng)
 
 
 def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> NepReport:

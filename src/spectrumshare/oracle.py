@@ -174,9 +174,10 @@ def gibbs_stationary(instance: Instance, beta: float) -> dict[StrategyProfile, f
     _, joint = _joint(_fair_grids(instance), GRID_CAPACITY, "profiles")
     profiles = list(joint)
     values = [exact_potential(prof, instance) for prof in profiles]
-    if max(values) == -math.inf:
+    shift = max(values)
+    if shift == -math.inf:
         raise DegenerateInstanceError("every joint profile has objective -inf")
-    return dict(zip(profiles, _softmax(values, beta)))
+    return dict(zip(profiles, _softmax(values, beta, shift)))
 
 
 def brute_force_best_response(

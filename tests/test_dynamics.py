@@ -34,6 +34,7 @@ from spectrumshare import (
     success_probability,
     total_expected_rate,
 )
+from spectrumshare import dynamics, fairness
 from spectrumshare.dynamics import _draw_slots
 from spectrumshare.errors import EstimationError
 from spectrumshare.harness import build_instance_and_events
@@ -62,6 +63,12 @@ def test_mechanism_validation():
         UpdateMechanism.probabilistic(0.0)
     # q = 1 is allowed: the everyone-every-step chain
     UpdateMechanism.probabilistic(1.0)
+
+
+def test_probabilistic_mechanism_rejects_empty_update_probs():
+    # at construction, not at the first select_active
+    with pytest.raises(ValueError, match="update_probs must list at least one probability"):
+        UpdateMechanism.probabilistic([])
 
 
 def test_backoff_active_set_is_independent():
@@ -322,21 +329,47 @@ def test_run_nbrf_freezes_into_equilibrium():
     assert is_nep_fairness(traj.profiles[-1], inst).is_nep
 
 
-def test_run_nbrf_fixed_beta_cache_matches_direct_sampler():
-    from spectrumshare.dynamics import _sample_cached
-    from spectrumshare.fairness import sample_noisy_br
+def _nbrf_play(schedule, memo, instance, events, seed):
+    """run_nbrf's loop with the sampler memo on or off; the trajectory, the step and the rng."""
+    step = dynamics._NoisyBestResponse(schedule, None)
+    step._memo = memo
+    rng = np.random.default_rng(seed)
+    traj = dynamics._play(
+        instance, UpdateMechanism.probabilistic(0.5), rng, 150, None, events, fairness, step
+    )
+    return traj, step, rng
 
-    g = InterferenceGraph.from_edges(3, [(0, 1), (1, 2)])
-    inst = Instance(g, 2, 1, ((2.0, 1.0), (1.0, 3.0), (2.0, 2.0)), (1.0,) * 3)
-    prof = make_profile([[0], [1], [0]], [0.5, 1.0 / 3.0, 0.5])
-    beta = 1.7
-    cache = {}
-    for seed in range(300):
-        r1 = np.random.default_rng(seed)
-        r2 = np.random.default_rng(seed)
-        a1 = _sample_cached(1, prof, inst, beta, r1, cache)
-        a2 = sample_noisy_br(1, prof, inst, beta, r2)
-        assert a1 == a2
+
+@pytest.mark.parametrize(
+    "schedule",
+    # piecewise levels 1, 2, 3, 4, 5 start at t = 1, 3.7, 11.1, 31.2, 85.8: the event is inside 4
+    [CoolingSchedule.fixed(1.7), CoolingSchedule.piecewise_constant(1.0)],
+    ids=["fixed-beta", "piecewise-constant"],
+)
+def test_run_nbrf_memo_matches_the_unmemoized_run(schedule):
+    """The memoized tables draw what tables built afresh draw, across level changes and an
+    event: the same columns, termination and final rng state."""
+    small = Instance(
+        InterferenceGraph.from_edges(3, [(0, 1), (1, 2)]),
+        2, 1, ((2.0, 1.0), (1.0, 3.0), (2.0, 2.0)), (1.0,) * 3,
+    )
+    grown = Instance(
+        InterferenceGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        2, 1, small.utilities + ((1.0, 1.5),), (1.0,) * 4,
+    )
+    events = [PopulationEvent(50, grown)]
+    for seed in range(4):
+        (direct, _, direct_rng), (memoized, step, memo_rng) = (
+            _nbrf_play(schedule, memo, small, events, seed) for memo in (False, True)
+        )
+        assert step._draws  # the memo served the run
+        for column in ("active_sets", "profiles", "potentials", "rates", "at_nep"):
+            assert getattr(memoized, column) == getattr(direct, column)
+        assert [id(i) for i in memoized.instances] == [id(i) for i in direct.instances]
+        assert (memoized.termination, memoized.converged_at) == (
+            direct.termination, direct.converged_at
+        )
+        assert memo_rng.bit_generator.state == direct_rng.bit_generator.state
 
 
 def test_run_nbrf_deterministic_per_seed():

@@ -28,9 +28,9 @@ from spectrumshare import (
     sample_noisy_br,
 )
 from spectrumshare import PopulationEvent, fairness
-from spectrumshare.dynamics import _sample_cached
 from spectrumshare.errors import DegenerateInstanceError
 from spectrumshare.fairness import LOG_FLOAT_MAX, _action_grid, best_fair_action
+from spectrumshare.harness import default_gibbs_instance
 
 from conftest import random_fairness_instance, random_fairness_profile
 
@@ -148,7 +148,7 @@ def test_sampler_rejects_a_beta_that_is_not_finite_and_nonnegative(beta):
     with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
         sample_noisy_br(0, prof, inst, beta, rng)
     with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
-        _sample_cached(0, prof, inst, beta, rng, {})
+        fairness.noisy_br_table(0, prof, inst, beta)
     assert rng.bit_generator.state == state
 
 
@@ -308,8 +308,15 @@ def _reference_cumulative_table(dist):
     return actions, cumulative
 
 
+def _reference_draw(reference, u):
+    """The supported-only table's draw at u: bisect, a rounding fallthrough taking the last play."""
+    actions, cumulative = reference
+    return actions[min(bisect.bisect_right(cumulative, u), len(actions) - 1)]
+
+
 def _assert_tables_equal_the_reference(n, prof, inst, beta):
-    """Both sampler paths build the reference table, float for float, and draw from it."""
+    """The sampler's table holds the reference softmax and, on its supported plays, the reference
+    running sums, float for float; draw_action and sample_noisy_br draw from it."""
     grid = _action_grid(inst.num_channels, inst.graph.degree(n))
     values = [cooperative_utility(n, a, prof, inst) for a in grid]
     want = _reference_softmax(grid, values, beta)
@@ -320,23 +327,18 @@ def _assert_tables_equal_the_reference(n, prof, inst, beta):
         with pytest.raises(DegenerateInstanceError):
             sample_noisy_br(n, prof, inst, beta, rng)
         with pytest.raises(DegenerateInstanceError):
-            _sample_cached(n, prof, inst, beta, rng, {})
+            fairness.noisy_br_table(n, prof, inst, beta)
         assert rng.bit_generator.state == state
         return 0
-    plays, cumulative = _reference_cumulative_table(want)
+    reference = _reference_cumulative_table(want)
     table = fairness.noisy_br_table(n, prof, inst, beta)
-    assert table == (plays, cumulative)
-    assert all(type(c) is float for c in table[1])
-    cache = {}
-    drawn = _sample_cached(n, prof, inst, beta, rng, cache)
-    [cached] = cache.values()
-    assert cached == (plays, cumulative)
+    assert table[0] == grid and table[1] == list(want.values())
+    assert [c for c, p in zip(table[2], table[1]) if p > 0.0] == reference[1]
+    assert all(type(c) is float for c in table[2])
     oracle = np.random.default_rng(n)
-    idx = bisect.bisect_right(cumulative, oracle.random())
-    assert drawn == plays[min(idx, len(plays) - 1)]
-    assert sample_noisy_br(n, prof, inst, beta, rng) == fairness.draw_action(
-        (plays, cumulative), oracle
-    )
+    assert fairness.draw_action(table, rng) == _reference_draw(reference, oracle.random())
+    assert sample_noisy_br(n, prof, inst, beta, rng) == fairness.draw_action(table, oracle)
+    assert rng.bit_generator.state == oracle.bit_generator.state
     return 1
 
 
@@ -393,43 +395,56 @@ def _degenerate_case():
 )
 @example(case=_degenerate_case(), beta=1.0, seed=0)
 @example(case=_degenerate_case(), beta=0.0, seed=0)
-def test_one_pass_draw_equals_the_cumulative_table_draw(case, beta, seed):
-    """The one-shot draw, priced or not, plays draw_action(noisy_br_table(...)) and leaves the
-    rng where it does, at random and at every boundary of the table; a degenerate user raises
-    before any draw."""
+def test_draw_action_equals_the_reference_cumulative_table_draw(case, beta, seed):
+    """draw_action on noisy_br_table, priced or not, plays the supported-only reference table's
+    draw and takes one rng.random(), at random and at every boundary of the reference table; a
+    degenerate user raises before any draw."""
     inst, prof = case
     for n in range(inst.num_users):
         load, values = fairness._priced(n, prof, inst)
-        priced = {"load": load, "values": values}
-        try:
-            table = fairness.noisy_br_table(n, prof, inst, beta)
-        except DegenerateInstanceError:
-            for prices in ({}, priced):
-                rng = np.random.default_rng(seed)
-                state = rng.bit_generator.state
+        for prices in ({}, {"load": load, "values": values}):
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            try:
+                reference = _reference_cumulative_table(noisy_br_distribution(n, prof, inst, beta))
+            except DegenerateInstanceError:
                 with pytest.raises(DegenerateInstanceError):
-                    fairness._draw_noisy_br(n, prof, inst, beta, rng, **prices)
+                    fairness.noisy_br_table(n, prof, inst, beta, **prices)
+                with pytest.raises(DegenerateInstanceError):
+                    sample_noisy_br(n, prof, inst, beta, rng)
                 assert rng.bit_generator.state == state
-            continue
-        for prices in ({}, priced):
-            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+                continue
+            table = fairness.noisy_br_table(n, prof, inst, beta, **prices)
+            oracle = np.random.default_rng(seed)
             for _ in range(4):
-                drawn = fairness._draw_noisy_br(n, prof, inst, beta, rng, **prices)
-                assert drawn == fairness.draw_action(table, oracle)
+                drawn = fairness.draw_action(table, rng)
+                assert drawn == _reference_draw(reference, oracle.random())
                 assert rng.bit_generator.state == oracle.bit_generator.state
-        # exact boundaries, and past the last running sum (the rounding fallthrough)
-        edges = [0.0, math.nextafter(1.0, 0.0)]
-        for c in table[1]:
-            edges += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
-        for u in edges:
-            fixed = _FixedRandom(u)
-            assert fairness._draw_noisy_br(n, prof, inst, beta, fixed, **priced) == (
-                fairness.draw_action(table, _FixedRandom(u))
+            # exact boundaries, and past the last running sum (the rounding fallthrough)
+            edges = [0.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+            for c in reference[1]:
+                edges += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
+            for u in edges:
+                fixed = _FixedRandom(u)
+                assert fairness.draw_action(table, fixed) == _reference_draw(reference, u)
+                assert fixed.calls == 1
+            assert sample_noisy_br(n, prof, inst, beta, np.random.default_rng(seed)) == (
+                fairness.draw_action(table, np.random.default_rng(seed))
             )
-            assert fixed.calls == 1
-        assert sample_noisy_br(n, prof, inst, beta, np.random.default_rng(seed)) == (
-            fairness.draw_action(table, np.random.default_rng(seed))
-        )
+
+
+def test_rounding_fallthrough_draws_the_last_supported_play_past_absorbed_probabilities():
+    """The running sum reaches its final float at play 1 and absorbs play 3's 7.9e-31, so a u past
+    it must land on play 3, the last supported play, not on the first play at the final sum."""
+    inst = default_gibbs_instance()
+    prof = make_profile([[0], [1]], [1.0, 0.5])
+    table = fairness.noisy_br_table(0, prof, inst, 50.0)
+    plays, probs, cumulative = table
+    assert probs[1:] == [8.881784197001237e-16, 0.0, 7.888609052210098e-31] and probs[0] < 1.0
+    assert cumulative[1] == cumulative[3]
+    fixed = _FixedRandom(math.nextafter(1.0, 2.0))
+    assert fairness.draw_action(table, fixed) == plays[3] == Strategy((1,), 0.5)
+    assert fixed.calls == 1
 
 
 def test_sampler_tables_are_rebuilt_when_a_population_event_changes_a_degree():
