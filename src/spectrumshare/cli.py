@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     oracle_p = sub.add_parser(
-        "oracle", help="exhaustive sum-log-rate optimum for a config's instance"
+        "oracle", help="exhaustive sum-log-rate optimum for a config's final population"
     )
     oracle_p.add_argument("--config", required=True, help="config JSON path or preset name")
     oracle_p.add_argument("--out", default=None, help="write the result JSON here")
@@ -127,10 +127,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    instance, _ = build_instance_and_events(
+    instance, events = build_instance_and_events(
         config.instance_spec, config.events_spec
     )
-    result = oracle_optimum(instance)
+    result = oracle_optimum(events[-1].instance if events else instance)
     payload = dict(oracle_summary(result), num_optimizers=len(result.best_allocations))
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is not None:

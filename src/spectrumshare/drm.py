@@ -31,7 +31,6 @@ from .network import (
 from .network import log_interference, success_probability
 
 __all__ = [
-    "best_response_drm",
     "br_potential",
     "is_nep_drm",
     "efficiency_bound",
@@ -65,28 +64,12 @@ def channel_scores(
 
 
 def top_channels(scores: dict[int, float], count: int) -> tuple[int, ...]:
-    """The `count` best-scoring channels, ties toward the lowest index, ascending."""
+    """The `count` best-scoring channels, ties toward the lowest index, ascending.
+
+    On the user's channel_scores this is its best response, the set nep_violation proposes.
+    """
     ranked = sorted(scores, key=lambda k: (-scores[k], k))
     return tuple(sorted(ranked[:count]))
-
-
-def best_response_drm(
-    user: int,
-    profile: StrategyProfile,
-    instance: Instance,
-    success_estimates: Optional[Sequence[float]] = None,
-) -> tuple[int, ...]:
-    """The channel set maximizing the user's expected rate, others fixed.
-
-    Scores each allowed channel by utility times clearance probability and
-    keeps the top channels_per_user, breaking score ties toward the lowest
-    channel index. Pass success_estimates (one clearance value per channel) to
-    decide from measured estimates instead of the exact closed form.
-    """
-    if success_estimates is not None and len(success_estimates) != instance.num_channels:
-        raise ValueError("success_estimates must have one entry per channel")
-    scores = channel_scores(user, profile, instance, success_estimates)
-    return top_channels(scores, instance.channels_per_user)
 
 
 def br_potential(profile: StrategyProfile, instance: Instance) -> float:

@@ -471,8 +471,8 @@ class _BestResponse:
         self._window = np.zeros((0, 0, 0), dtype=bool)  # busy masks, (slots, channels, users)
         self._valid_from = np.zeros(0, dtype=np.int64)
         self._slots = 0  # slots simulated on the window's instance
-        # the prepared profile's layout; clearances; each user's switch (a channel set) or None
-        self._layout, self._estimates, self._proposals = None, [], []
+        # the prepared profile's layout; clearances, (users, channels); each user's switch or None
+        self._layout, self._estimates, self._proposals = None, None, []
         self._switched: list[int] = []  # users that switched at the last updating time
 
     @staticmethod
@@ -506,9 +506,8 @@ class _BestResponse:
         self._slots += config.slots_per_update
         # all users at once (valid_from changes only here); n's valid slots are the newest
         valid = np.minimum(len(window), self._slots - self._valid_from)
-        estimates = _clearances(window, valid).T
-        self._estimates = estimates.tolist()
-        self._proposals = self._switches(estimates, layout.channels)
+        self._estimates = _clearances(window, valid).T
+        self._proposals = self._switches(self._estimates, layout.channels)
 
     def _switches(self, estimates: np.ndarray, current: np.ndarray) -> list:
         """Each user's drm.nep_violation verdict (channel set or None) on its estimates, in the

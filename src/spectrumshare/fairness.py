@@ -17,7 +17,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -96,6 +96,11 @@ def exact_potential(profile: StrategyProfile, instance: Instance) -> float:
     _require_single_channel(instance)
     validate_profile(profile, instance)
     rates = (total_expected_rate(n, profile, instance) for n in range(instance.num_users))
+    return sum_log_rate(rates)
+
+
+def sum_log_rate(rates: Iterable[float]) -> float:
+    """Sum of log rates, left to right from 0.0; -inf if any rate is zero."""
     return left_sum(map(_log_rate, rates))
 
 

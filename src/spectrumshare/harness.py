@@ -32,7 +32,7 @@ from .dynamics import (
     simulate_naive_policy,
 )
 from .errors import ConfigError
-from .fairness import CoolingSchedule, delta_lower_bound, is_nep_fairness
+from .fairness import CoolingSchedule, delta_lower_bound, is_nep_fairness, sum_log_rate
 from .network import (
     Instance,
     InterferenceGraph,
@@ -181,32 +181,20 @@ _JSON_TYPES = {
 
 
 def _misfit(value: Any, form: Any) -> Optional[str]:
-    """None if `value` has the table type `form`, else where the fault is and what is expected.
-
-    Plain-typed entries are tested inline: only nested ones, or a fault to word, take a call.
-    """
+    """None if `value` has the table type `form`, else where the fault is and what is expected."""
     if type(form) is type:
         return None if type(value) in _JSON_TYPES[form][0] else f" must be {_JSON_TYPES[form][1]}"
     if type(form) is tuple:
         return None if value in form else f" must be one of {', '.join(form)}"
     if type(value) is not list:
         return " must be a list"
-    if len(form) > 1:  # exactly these entries
-        if len(value) != len(form):
-            return f" must be a list of {len(form)} entries"
-        for i, (item, item_form) in enumerate(zip(value, form)):
-            if type(item_form) is not type or type(item) not in _JSON_TYPES[item_form][0]:
-                fault = _misfit(item, item_form)
-                if fault is not None:
-                    return f"[{i}]{fault}"
-        return None
-    types = _JSON_TYPES[form[0]][0] if type(form[0]) is type else ()
-    for item in value:
-        if type(item) not in types:
-            fault = _misfit(item, form[0])
-            if fault is not None:
-                # the first entry that is this object: an earlier one would have failed there
-                return f"[{next(i for i, x in enumerate(value) if x is item)}]{fault}"
+    exact = len(form) > 1  # exactly these entries
+    if exact and len(value) != len(form):
+        return f" must be a list of {len(form)} entries"
+    for i, item in enumerate(value):
+        fault = _misfit(item, form[i] if exact else form[0])
+        if fault is not None:
+            return f"[{i}]{fault}"
     return None
 
 
@@ -438,7 +426,6 @@ class ExperimentResult:
 
     config: ExperimentConfig
     instance: Instance
-    events: tuple[PopulationEvent, ...]
     trajectories: list[Optional[Trajectory]]
     naive_rates: Optional[list[tuple[float, ...]]]
     aggregate_rows: list[dict]
@@ -452,10 +439,6 @@ def _trial_rng(root_seed: int, trial: int) -> np.random.Generator:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _sum_log_rate(rates: Sequence[float]) -> float:
-    return left_sum(math.log(r) if r > 0 else -math.inf for r in rates)
 
 
 def _channel_set_str(channels: Sequence[int]) -> str:
@@ -534,7 +517,7 @@ def _aggregate(trajectories: list[Trajectory]) -> list[dict]:
             rates = traj.rates[idx]
             if rates is not last_rates[j]:
                 last_rates[j] = rates
-                last_terms[j] = (left_sum(rates) / len(rates), _sum_log_rate(rates))
+                last_terms[j] = (left_sum(rates) / len(rates), sum_log_rate(rates))
             rate_means.append(last_terms[j][0])
             sum_logs.append(last_terms[j][1])
             nep_flags.append(traj.at_nep[idx])
@@ -567,7 +550,7 @@ def run_experiment(
         raise ConfigError(f"config.mechanism.update_probs must list 1 or {final_users} entries")
     run_trial = _trial_runner(config, instance, events)
     # before the trials: an instance the oracle cannot take fails the run up front
-    oracle_ref = oracle_optimum(instance) if config.oracle_reference else None
+    oracle_ref = oracle_optimum(final) if config.oracle_reference else None
     outcomes = [run_trial(_trial_rng(config.seed, trial)) for trial in range(config.trials)]
     trajectories: list[Optional[Trajectory]] = outcomes
     naive_rates: Optional[list[tuple[float, ...]]] = None
@@ -579,7 +562,7 @@ def run_experiment(
                 "iter": 0,
                 "mean_rate": left_sum(mean_rates) / len(mean_rates),
                 "mean_sum_log_rate": (
-                    left_sum(_sum_log_rate(rates) for rates in naive_rates)
+                    left_sum(sum_log_rate(rates) for rates in naive_rates)
                     / len(naive_rates)
                 ),
                 "frac_at_nep": math.nan,
@@ -592,7 +575,6 @@ def run_experiment(
     result = ExperimentResult(
         config=config,
         instance=instance,
-        events=events,
         trajectories=trajectories,
         naive_rates=naive_rates,
         aggregate_rows=aggregate_rows,
@@ -646,7 +628,7 @@ def _build_manifest(
                 }
             )
         entry["final_mean_rate"] = left_sum(rates) / len(rates)
-        entry["final_sum_log_rate"] = _sum_log_rate(rates)
+        entry["final_sum_log_rate"] = sum_log_rate(rates)
         per_trial.append(entry)
     delta_mode = None
     if config.algorithm == "nbrf" and config.schedule is not None:

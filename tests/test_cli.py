@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from spectrumshare import ExperimentConfig, load_config, load_preset
+from spectrumshare import ExperimentConfig, load_config, load_preset, run_experiment
 from spectrumshare.cli import _build_parser, main
 
 
@@ -152,6 +152,25 @@ def test_oracle_payload(tmp_path, capsys):
     assert code == 0
     streamed = json.loads(capsys.readouterr().out)
     assert streamed == payload
+
+
+def test_oracle_of_a_growing_population_prices_its_final_stage(tmp_path, capsys):
+    # the 10-user preset grows to 12 users at iteration 100; no profile beats the optimum
+    raw = dict(load_preset("fig5-small-nbrf"), trials=2,
+               events=[{"at_iter": 100, "num_users": 12}])
+    path = tmp_path / "growing.json"
+    path.write_text(json.dumps(raw))
+    manifest = run_experiment(load_config(str(path))).manifest
+    oref = manifest["oracle_reference"]
+    assert manifest["num_users_final"] == 12
+    assert len(oref["optimizer"]) == 12
+    assert oref["search_size"] == 2 ** 12
+    for entry in manifest["per_trial"]:
+        assert entry["final_sum_log_rate"] <= oref["optimum_sum_log_rate"] + 1e-9
+    code = main(["oracle", "--config", str(path)])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == dict(oref, num_optimizers=payload["num_optimizers"])
 
 
 def test_cycle_demo_prints_cycle(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from spectrumshare import (
     Instance,
     InterferenceGraph,
     Strategy,
-    best_response_drm,
     build_regular_graph,
     br_potential,
     efficiency_bound,
@@ -24,9 +24,14 @@ from spectrumshare import (
     success_probability,
     total_expected_rate,
 )
-from spectrumshare.drm import channel_scores
+from spectrumshare.drm import channel_scores, top_channels
 
 from conftest import random_drm_instance, random_drm_profile
+
+
+def best_response(user, prof, inst, estimates=None):
+    """The ranking BR-DRM plays: top_channels over channel_scores."""
+    return top_channels(channel_scores(user, prof, inst, estimates), inst.channels_per_user)
 
 
 def two_user_instance():
@@ -39,17 +44,17 @@ def test_best_response_picks_top_scoring_channels():
     inst = Instance(g, 3, 2, ((3.0, 2.0, 1.0), (1.0, 1.0, 1.0)), (0.5, 0.5))
     # neighbor sits on channel 0 at 0.5, halving its score: 1.5 < 2.0
     prof = make_profile([[0, 1], [0]], [0.5, 0.5])
-    assert best_response_drm(0, prof, inst) == (0, 1)
+    assert best_response(0, prof, inst) == (0, 1)
     prof = make_profile([[0, 1], [0]], [0.5, 0.8])
     # score on 0 drops to 0.6, so channels 1 and 2 win
-    assert best_response_drm(0, prof, inst) == (1, 2)
+    assert best_response(0, prof, inst) == (1, 2)
 
 
 def test_best_response_tie_breaks_to_lowest_index():
     g = InterferenceGraph(2, ((), ()))
     inst = Instance(g, 3, 1, ((1.0, 1.0, 1.0),) * 2, (0.5, 0.5))
     prof = make_profile([[2], [2]], [0.5, 0.5])
-    assert best_response_drm(0, prof, inst) == (0,)
+    assert best_response(0, prof, inst) == (0,)
 
 
 def test_best_response_respects_allowed_mask():
@@ -58,7 +63,7 @@ def test_best_response_respects_allowed_mask():
         g, 3, 1, ((5.0, 4.0, 3.0),), (0.5,), allowed=((False, True, True),)
     )
     prof = make_profile([[1]], [0.5])
-    assert best_response_drm(0, prof, inst) == (1,)
+    assert best_response(0, prof, inst) == (1,)
 
 
 def test_best_response_from_estimates_overrides_closed_form():
@@ -66,8 +71,8 @@ def test_best_response_from_estimates_overrides_closed_form():
     prof = make_profile([[0], [0]], [0.5, 0.5])
     # closed form prefers channel 0 (2*0.5=1.0 > 1.0*1=1.0 tie -> 0); an
     # estimate claiming channel 0 is nearly always busy flips the choice
-    assert best_response_drm(0, prof, inst) == (0,)
-    assert best_response_drm(0, prof, inst, success_estimates=[0.1, 1.0]) == (1,)
+    assert best_response(0, prof, inst) == (0,)
+    assert best_response(0, prof, inst, [0.1, 1.0]) == (1,)
 
 
 def test_br_potential_hand_value():
@@ -86,7 +91,7 @@ def test_strict_best_response_switch_raises_potential():
         inst = random_drm_instance(rng)
         prof = random_drm_profile(inst, rng)
         user = int(rng.integers(inst.num_users))
-        br = best_response_drm(user, prof, inst)
+        br = best_response(user, prof, inst)
         if br == prof[user].channels:
             continue
         before_rate = total_expected_rate(user, prof, inst)
@@ -221,6 +226,10 @@ def test_efficiency_bound_values():
     assert efficiency_bound(3, 5) == pytest.approx(3888.0 / 3125.0, rel=1e-14)
     with pytest.raises(ValueError):
         efficiency_bound(3, 1)  # more channels than users per clique
+    with pytest.raises(ValueError, match="num_channels must be at least 1"):
+        efficiency_bound(0, 1)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        efficiency_bound(1, -1)
 
 
 def test_naive_expected_rate_hand_value():
@@ -236,3 +245,33 @@ def test_naive_expected_rate_hand_value():
     assert naive_expected_rate(0, inst, degree=1) == pytest.approx(
         100.0 * 1.0 * 0.5, rel=1e-14
     )
+
+
+def _regular_pairs(utilities=(1.0, 1.0), cap=1.0, graph=None):
+    """Four users, degree 1, two channels: the naive rate's setting at caps K/(D+1) = 1."""
+    graph = graph or build_regular_graph(4, 1)
+    return Instance(graph, 2, 1, (utilities,) * 4, (cap,) * 4)
+
+
+_DRM_INPUT_FAULTS = {
+    "user index 4 out of range": lambda: naive_expected_rate(4, _regular_pairs(), 1),
+    "degree must be nonnegative": lambda: naive_expected_rate(0, _regular_pairs(), -1),
+    "(degree+1)=3 must be a multiple of num_channels=2": lambda: naive_expected_rate(
+        0, _regular_pairs(), 2
+    ),
+    "instance graph is not degree-regular": lambda: naive_expected_rate(
+        0, _regular_pairs(graph=InterferenceGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])), 1
+    ),
+    "instance utilities are not all equal": lambda: naive_expected_rate(
+        0, _regular_pairs(utilities=(1.0, 2.0)), 1
+    ),
+    "instance caps must all equal num_channels/(degree+1)": lambda: naive_expected_rate(
+        0, _regular_pairs(cap=0.5), 1
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_DRM_INPUT_FAULTS))
+def test_drm_input_checks_name_the_fault(message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _DRM_INPUT_FAULTS[message]()

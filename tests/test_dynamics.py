@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,72 @@ def test_run_br_drm_initial_profile_override():
         rng=np.random.default_rng(0), initial_profile=start,
     )
     assert traj.profiles[0] == start
+
+
+def _pair():
+    return Instance(
+        InterferenceGraph.from_edges(2, [(0, 1)]), 2, 1, ((2.0, 1.0), (1.0, 3.0)), (0.5, 0.5)
+    )
+
+
+def _grown_pair(num_channels=2, channels_per_user=1, caps=(0.5,) * 3, allowed=None):
+    """_pair with a third user; each argument can break the extension rule."""
+    extra = (0.0,) * (num_channels - 2)
+    utilities = ((2.0, 1.0) + extra, (1.0, 3.0) + extra, (2.0, 2.0) + extra)
+    graph = InterferenceGraph.from_edges(3, [(0, 1), (1, 2)])
+    return Instance(graph, num_channels, channels_per_user, utilities, caps, allowed)
+
+
+def _grow_pair(*events, max_iters=10):
+    return run_br_drm(
+        _pair(), UpdateMechanism.sweep_sequential(), max_iters=max_iters,
+        rng=np.random.default_rng(0), events=events,
+    )
+
+
+_DYNAMICS_INPUT_FAULTS = {
+    "per-user update_probs must cover every user": lambda: select_active(
+        UpdateMechanism.probabilistic([0.5, 0.5]), build_regular_graph(3, 2),
+        np.random.default_rng(0),
+    ),
+    "population event must keep num_channels": lambda: _grow_pair(
+        PopulationEvent(2, _grown_pair(num_channels=3))
+    ),
+    "population event must keep channels_per_user": lambda: _grow_pair(
+        PopulationEvent(2, _grown_pair(channels_per_user=2))
+    ),
+    "population event must keep existing caps": lambda: _grow_pair(
+        PopulationEvent(2, _grown_pair(caps=(0.4, 0.5, 0.5)))
+    ),
+    "population event must keep existing channel masks": lambda: _grow_pair(
+        PopulationEvent(2, _grown_pair(allowed=((True, True),) * 3))
+    ),
+    "max_iters must be nonnegative": lambda: _grow_pair(max_iters=-1),
+    "duplicate population event at updating time 2": lambda: _grow_pair(
+        PopulationEvent(2, _grown_pair()), PopulationEvent(2, _grown_pair())
+    ),
+    "move 1: user index 5 out of range": lambda: run_better_response_replay(
+        cycle_instance(), make_profile([[0, 1], [1, 2]], [0.5, 0.5]), [(5, (2, 3))]
+    ),
+    "num_slots must be nonnegative": lambda: simulate_slots(
+        make_profile([[0], [1]], [0.5, 0.5]), _pair(), -1, np.random.default_rng(0)
+    ),
+    "attempt_prob must lie in [0, 1]": lambda: simulate_naive_policy(
+        _pair(), 1.5, 10, np.random.default_rng(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_DYNAMICS_INPUT_FAULTS))
+def test_dynamics_input_checks_name_the_fault(message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _DYNAMICS_INPUT_FAULTS[message]()
+
+
+def test_replay_without_a_repeat_ends_at_max_iters():
+    start = make_profile([[0, 1], [1, 2]], [0.5, 0.5])
+    traj = run_better_response_replay(cycle_instance(), start, [(0, (2, 3))])
+    assert (traj.termination, traj.cycle_length, len(traj)) == ("max-iters", None, 2)
 
 
 def test_replay_cycle_detection_and_rates():

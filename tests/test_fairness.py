@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -609,3 +610,24 @@ def test_piecewise_levels_track_logarithmic_when_delta_large():
         for t in range(1, 3000):
             gap = pw.beta(t) - math.log(t) / delta
             assert abs(gap) <= 1.0 + 1e-9
+
+
+def _two_users(utilities=((1.0, 2.0), (2.0, 1.0))):
+    return Instance(InterferenceGraph.from_edges(2, [(0, 1)]), 2, 1, utilities, (0.5, 0.5))
+
+
+_FAIRNESS_INPUT_FAULTS = {
+    "channel index 5 out of range": lambda: cooperative_utility(
+        0, Strategy((5,), 0.5), make_profile([[0], [1]], [0.5, 0.5]), _two_users()
+    ),
+    "all utilities must be strictly positive": lambda: delta_lower_bound(
+        _two_users(((0.0, 2.0), (2.0, 1.0)))
+    ),
+    "unknown schedule kind 'cold'": lambda: CoolingSchedule("cold"),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_FAIRNESS_INPUT_FAULTS))
+def test_fairness_input_checks_name_the_fault(message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _FAIRNESS_INPUT_FAULTS[message]()

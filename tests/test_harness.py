@@ -536,6 +536,33 @@ def test_delta_mode_is_priced_on_the_final_population():
         assert (manifest["delta_mode"], manifest["num_users_final"]) == (mode, 50)
 
 
+def test_delta_mode_is_heuristic_where_no_bound_exists():
+    # a zero utility leaves delta_lower_bound undefined, however large delta is
+    utilities = {"kind": "explicit", "values": [[0.0, 1.0], [4.0, 1.0]]}
+    config = cfg(
+        algorithm="nbrf", max_iters=5, schedule={"kind": "logarithmic", "delta": 1e9},
+        instance=dict(BASE["instance"], utilities=utilities),
+    )
+    assert run_experiment(config).manifest["delta_mode"] == "heuristic"
+
+
+_GEOMETRIC = load_preset("fig5-small-nbrf")["instance"]
+_HARNESS_INPUT_FAULTS = {
+    "config.events[0] must be an object": lambda: build_instance_and_events(_GEOMETRIC, [5]),
+    "config must be a JSON object": lambda: ExperimentConfig.from_dict([]),
+    "config.instance: utilities[0] must be finite and nonnegative": lambda: (
+        build_instance_and_events(dict(_GEOMETRIC, utilities={"kind": "constant", "value": -1.0}))
+    ),
+    "burn_in must be nonnegative": lambda: gibbs_check(default_gibbs_instance(), 1.0, 10, -1),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_HARNESS_INPUT_FAULTS))
+def test_harness_input_checks_name_the_fault(message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _HARNESS_INPUT_FAULTS[message]()
+
+
 def test_run_experiment_cycle_demo_manifest():
     raw = load_preset("cycle-demo")
     result = run_experiment(ExperimentConfig.from_dict(raw))

@@ -18,7 +18,6 @@ from spectrumshare import (
     Instance,
     InterferenceGraph,
     Strategy,
-    best_response_drm,
     build_regular_graph,
     channel_load,
     graph_from_positions,
@@ -115,6 +114,43 @@ def test_allowed_mask_validation():
     assert inst.allowed_channels(1) == (0, 1, 2)
 
 
+_ONE = InterferenceGraph(1, ((),))
+_PAIR = make_profile([[0], [0]], [0.5, 0.5])
+_NETWORK_INPUT_FAULTS = {
+    "num_users must be nonnegative": lambda: InterferenceGraph(-1, ()),
+    "adjacency length must equal num_users": lambda: InterferenceGraph(2, ((),)),
+    "channel indices must be nonnegative": lambda: Strategy((-1,), 0.5),
+    "channel_sets and attempt_probs must have equal length": lambda: make_profile([[0]], [0.5, 0.5]),
+    "num_channels must be at least 1": lambda: Instance(_ONE, 0, 1, ((),), (0.5,)),
+    "utilities must have one row per user": lambda: Instance(_ONE, 2, 1, (), (0.5,)),
+    "utilities[0] must have num_channels entries": lambda: Instance(_ONE, 2, 1, ((1.0,),), (0.5,)),
+    "utilities[0] must be finite and nonnegative": lambda: Instance(
+        _ONE, 2, 1, ((1.0, -1.0),), (0.5,)
+    ),
+    "caps must have one entry per user": lambda: Instance(_ONE, 2, 1, ((1.0, 1.0),), ()),
+    "allowed must have one row per user": lambda: Instance(
+        _ONE, 2, 1, ((1.0, 1.0),), (0.5,), allowed=()
+    ),
+    "allowed[0] must have num_channels entries": lambda: Instance(
+        _ONE, 2, 1, ((1.0, 1.0),), (0.5,), allowed=((True,),)
+    ),
+    "channel index -1 out of range": lambda: success_probability(
+        0, -1, _PAIR, InterferenceGraph.from_edges(2, [(0, 1)])
+    ),
+    "channel index -2 out of range": lambda: log_interference(
+        0, -2, _PAIR, InterferenceGraph.from_edges(2, [(0, 1)])
+    ),
+    "need at least one position": lambda: graph_from_positions(np.zeros((0, 2)), 1.0),
+    "num_users must be at least 1": lambda: build_regular_graph(0, 0),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_NETWORK_INPUT_FAULTS))
+def test_network_input_checks_name_the_fault(message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _NETWORK_INPUT_FAULTS[message]()
+
+
 def test_validate_profile_flags_wrong_set_size():
     g = InterferenceGraph.from_edges(2, [(0, 1)])
     inst = Instance(g, 3, 2, ((1.0, 1.0, 1.0),) * 2, (0.5, 0.5))
@@ -162,8 +198,8 @@ _PER_USER_PRICERS = {
     "drm.nep_violation(estimates)": lambda n, prof, inst: drm.nep_violation(
         n, prof, inst, _ESTIMATES
     ),
-    "best_response_drm": best_response_drm,
-    "best_response_drm(estimates)": lambda n, prof, inst: best_response_drm(
+    "drm.channel_scores": drm.channel_scores,
+    "drm.channel_scores(estimates)": lambda n, prof, inst: drm.channel_scores(
         n, prof, inst, _ESTIMATES
     ),
     "total_expected_rate": total_expected_rate,
@@ -374,7 +410,7 @@ def test_each_public_name_is_declared_in_one_module_all():
         "EstimationError", "EstimatorConfig", "ExperimentConfig", "Instance",
         "InterferenceGraph", "PopulationEvent", "Strategy", "StrategyProfile",
         "Trajectory", "UpdateMechanism", "__version__", "allocation_profile",
-        "best_response_drm", "br_potential", "brute_force_best_response",
+        "br_potential", "brute_force_best_response",
         "build_instance_and_events", "build_regular_graph", "channel_load",
         "cooperative_utility", "default_gibbs_instance", "delta_lower_bound",
         "drm_initial_profile", "efficiency_bound", "efficiency_sweep",

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from spectrumshare import (
     InterferenceGraph,
     Strategy,
     allocation_profile,
-    best_response_drm,
     brute_force_best_response,
     empirical_visit_distribution,
     exact_potential,
@@ -23,6 +24,7 @@ from spectrumshare import (
     is_nep_fairness,
     make_profile,
 )
+from spectrumshare.drm import channel_scores, top_channels
 from spectrumshare.errors import CapacityError, DegenerateInstanceError
 from spectrumshare.oracle import GRID_CAPACITY, ORACLE_CAPACITY
 
@@ -122,6 +124,39 @@ def test_oracle_rejects_all_zero_utilities():
         exhaustive_sum_log_rate(inst)
 
 
+def test_sum_log_oracle_skips_allocations_on_a_zero_utility_channel():
+    # user 0 has nothing on channel 0: every allocation putting it there scores -inf
+    g = InterferenceGraph.from_edges(3, [(0, 1), (1, 2)])
+    inst = Instance(g, 2, 1, ((0.0, 1.0), (1.0, 2.0), (3.0, 1.0)), (0.5,) * 3)
+    result = exhaustive_sum_log_rate(inst)
+    values = {
+        alloc: exact_potential(allocation_profile(alloc, inst), inst)
+        for alloc in itertools.product(range(2), repeat=3)
+    }
+    assert all(v == -math.inf for alloc, v in values.items() if alloc[0] == 0)
+    assert result.best_value == pytest.approx(max(values.values()), abs=1e-12)
+    assert result.best_allocations == tuple(
+        alloc for alloc, v in values.items() if v >= result.best_value - 1e-9
+    )
+
+
+_ORACLE_INPUT_FAULTS = {
+    "beta must be finite": lambda: gibbs_stationary(two_user_instance(), math.inf),
+    "every joint profile has objective -inf": lambda: gibbs_stationary(
+        Instance(InterferenceGraph(1, ((),)), 2, 1, ((0.0, 0.0),), (0.5,)), 1.0
+    ),
+    "burn_in must be nonnegative": lambda: empirical_visit_distribution(
+        SimpleNamespace(profiles=["a"]), burn_in=-1
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_ORACLE_INPUT_FAULTS))
+def test_oracle_input_checks_name_the_fault(message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _ORACLE_INPUT_FAULTS[message]()
+
+
 def test_drm_nep_enumeration_hand_case():
     inst = two_user_instance()
     neps = exhaustive_drm_nep_enumeration(inst)
@@ -164,8 +199,9 @@ def test_brute_force_best_response_matches_closed_form():
         inst = random_drm_instance(rng, max_users=6, max_channels=4)
         prof = random_drm_profile(inst, rng)
         user = int(rng.integers(inst.num_users))
-        assert brute_force_best_response(user, prof, inst) == best_response_drm(
-            user, prof, inst
+        scores = channel_scores(user, prof, inst)
+        assert brute_force_best_response(user, prof, inst) == top_channels(
+            scores, inst.channels_per_user
         )
 
 

@@ -77,7 +77,7 @@ class _CheckedStep(_BestResponse):
         for n in range(instance.num_users):
             valid = min(len(window), self.ref_slots - self.ref_valid_from[n])
             want = estimate_success_probability(n, window[len(window) - valid :])
-            assert self._estimates[n] == want.tolist(), (t, n)
+            assert self._estimates[n].tolist() == want.tolist(), (t, n)
         self.checked += 1
 
     def decide(self, n, profile, instance, rng, prices):
