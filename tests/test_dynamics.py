@@ -1,6 +1,8 @@
 """Update mechanisms, trajectories, replay, annealing, slot simulation."""
 
+import copy
 import hashlib
+import json
 import math
 import re
 
@@ -716,6 +718,95 @@ def test_piecewise_nbrf_runs_reproduce_recorded_trajectories(name):
     assert traj.termination == "converged"
     assert traj.instances[-1].num_users == 36
     assert digest.hexdigest() == PIECEWISE_NBRF_DIGESTS[name]
+
+
+# The generator a run is handed is left where the run's own draws end, whatever
+# the run does inside: slot batches, activations and sampler draws, across
+# population events. The digests pin the caller's generator state afterwards.
+def _rng_digest(rng):
+    return hashlib.sha256(json.dumps(rng.bit_generator.state, sort_keys=True).encode()).hexdigest()
+
+
+def _path(users):
+    graph = InterferenceGraph.from_edges(users, [(n, n + 1) for n in range(users - 1)])
+    return Instance(graph, 2, 1, tuple((1.0 + n % 3, 2.0) for n in range(users)), (1.0,) * users)
+
+
+def _caller_rng_run(name, rng):
+    if name == "drm-exact-backoff":
+        inst, events, mechanism = _exact_case("backoff")
+        return run_br_drm(inst, mechanism, max_iters=150, rng=rng, events=events)
+    if name == "drm-estimator-event":
+        inst, events, _ = _exact_case("event-masked")
+        return run_br_drm(
+            inst, UpdateMechanism.probabilistic(0.4), EstimatorConfig(window=30, slots_per_update=12),
+            max_iters=70, rng=rng, events=events,
+        )
+    if name == "nbrf-fixed-probabilistic":
+        return run_nbrf(
+            _path(5), UpdateMechanism.probabilistic(0.5), CoolingSchedule.fixed(1.0),
+            max_iters=400, rng=rng,
+        )
+    inst, events = _path(6), [PopulationEvent(60, _path(9))]
+    return run_nbrf(
+        inst, UpdateMechanism.backoff(), CoolingSchedule.logarithmic(1.0), max_iters=200,
+        rng=rng, freeze_beta=4.0, events=events,
+    )
+
+
+CALLER_RNG_DIGESTS = {
+    "drm-exact-backoff": "7c708e6bac362dcc0fb97b6ded308be23feeedc19ba2361bab67782929aebf06",
+    "drm-estimator-event": "a36320c67cc67db4313d9f80a3ff3b4afc642a39d87020997853c1b8e6eaec90",
+    "nbrf-fixed-probabilistic": "d7ebbdcc023fb47fe0322309ab382c5ae6db78f4829560885ba4222900f3bc2c",
+    "nbrf-log-backoff-event": "f023c423bf26fc3bebbb149a70de850f4fa4dfe8b79aae24792aeefaf81b3ae6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLER_RNG_DIGESTS))
+def test_runs_leave_the_caller_rng_after_their_draws(name):
+    rng = np.random.default_rng(31)
+    traj = _caller_rng_run(name, rng)
+    assert len(traj) > 40
+    assert _rng_digest(rng) == CALLER_RNG_DIGESTS[name]
+
+
+class _Stop(Exception):
+    pass
+
+
+class _StoppingNBRF(dynamics._NoisyBestResponse):
+    """NBRF's step that raises after the first sampler draw of updating time `stop`, or records
+    the generator state there and goes on."""
+
+    def __init__(self, stop, raises):
+        super().__init__(CoolingSchedule.fixed(1.0), None)
+        self.stop, self.raises, self.t, self.state = stop, raises, 0, None
+
+    def prepare(self, t, profile, instance, rng):
+        super().prepare(t, profile, instance, rng)
+        self.t = t
+
+    def decide(self, n, profile, instance, rng, prices):
+        play = super().decide(n, profile, instance, rng, prices)
+        if self.t == self.stop and self.state is None:
+            if self.raises:
+                raise _Stop
+            self.state = copy.deepcopy(rng).bit_generator.state
+        return play
+
+
+STOPPED_RUN_DIGEST = "ab337a6e31363352ec41cde51916374289eab9d41d64cb3391e5c04cd19c22f3"
+
+
+def test_a_run_that_raises_leaves_the_caller_rng_after_its_draws():
+    mechanism = UpdateMechanism.probabilistic(0.5)
+    reference = _StoppingNBRF(137, raises=False)
+    dynamics._play(_path(5), mechanism, np.random.default_rng(37), 300, None, (), fairness, reference)
+    rng = np.random.default_rng(37)
+    with pytest.raises(_Stop):
+        dynamics._play(_path(5), mechanism, rng, 300, None, (), fairness, _StoppingNBRF(137, True))
+    assert rng.bit_generator.state == reference.state
+    assert _rng_digest(rng) == STOPPED_RUN_DIGEST
 
 
 def test_estimate_success_probability_counts_idle_slots():
