@@ -128,17 +128,15 @@ def select_active(
         draws = rng.random(n_users).tolist()
         if len(probs) == 1:
             q = probs[0]
-            return tuple(n for n, d in enumerate(draws) if d < q)
+            return tuple([n for n, d in enumerate(draws) if d < q])
         return tuple(n for n, (d, q) in enumerate(zip(draws, probs)) if d < q)
     draws = rng.random(n_users) * mechanism.backoff_bound
     # each edge has one loser: the higher draw, or on a tie the higher index;
     # the winners are the users that lose on none of their edges
     low, high = graph.edge_array
-    low_wins = draws[low] <= draws[high]
-    lost = np.zeros(n_users, dtype=bool)
-    lost[high[low_wins]] = True
-    lost[low[~low_wins]] = True
-    return tuple(np.flatnonzero(~lost).tolist())
+    won = np.ones(n_users, dtype=bool)
+    won[np.where(draws[low] <= draws[high], high, low)] = False
+    return tuple(np.flatnonzero(won).tolist())
 
 
 @dataclass(frozen=True)
@@ -359,6 +357,52 @@ def nbrf_initial_profile(instance: Instance) -> StrategyProfile:
 
 
 _SETTLE = object()
+_BLOCK = 512  # doubles per pre-drawn block: above a 4-user step's ~5, below an 800-user activation
+
+
+class _BlockStream:
+    """One run's random() calls, served in their order from blocks pre-drawn from its generator.
+
+    Generator.random takes one double of the bit generator per value, whatever the call's size,
+    so block slices are the values direct calls would get. A request larger than a block, and
+    the first small request after one (an estimator run's activation), go to the generator
+    directly. rewind(), and reading bit_generator, leave the generator where direct calls would.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._block, self._pos, self._saved = rng, np.empty(0), 0, None
+        self._after_large = False
+
+    def random(self, size=None):
+        count = 1 if size is None else math.prod(size) if isinstance(size, tuple) else size
+        block, start = self._block, self._pos
+        if 0 <= count <= len(block) - start:
+            self._pos = end = start + count
+            if size is None:
+                return block.item(start)
+            out = block[start:end]
+        elif 0 <= count <= _BLOCK and not self._after_large:
+            # the rest of this block, then the head of a new one
+            rest, self._saved = block[start:], self._rng.bit_generator.state
+            self._block = block = self._rng.random(_BLOCK)
+            self._pos = count - len(rest)
+            out = np.concatenate((rest, block[: self._pos]))
+        else:
+            self.rewind()
+            self._after_large = count > _BLOCK
+            return self._rng.random(size)
+        return out.item(0) if size is None else out if type(size) is int else out.reshape(size)
+
+    def rewind(self) -> None:
+        if self._saved is not None:
+            self._rng.bit_generator.state = self._saved
+            self._rng.random(self._pos)
+            self._block, self._pos, self._saved = self._block[:0], 0, None
+
+    @property
+    def bit_generator(self):
+        self.rewind()
+        return self._rng.bit_generator
 
 
 def _play(
@@ -383,11 +427,11 @@ def _play(
     at once. Once num_users updating times pass without a play (a quiet pass)
     and no event is pending, step.confirm decides at each further quiet
     updating time, from the at_nep flag just recorded, whether the run has
-    converged.
+    converged. All draws go through a _BlockStream, rewound when the run ends or raises.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = _BlockStream(rng if rng is not None else np.random.default_rng(0))
     if initial_profile is None:
         initial_profile = step.extend((), instance)
     pending = sorted(events, key=lambda e: e.at_iter)
@@ -402,38 +446,41 @@ def _play(
     prepare, decide, prices = step.prepare, step.decide, recorder.prices
     quiet_run = 0
     settled: set[int] = set()
-    for t in range(1, max_iters + 1):
-        while pending and pending[0].at_iter == t:
-            instance = pending.pop(0).instance
-            profile = recorder.canonical(step.extend(profile, instance))
-            quiet_run = 0
-            settled.clear()
-        prepare(t, profile, instance, rng)
-        active = select_active(mechanism, instance.graph, rng, step=t - 1)
-        plays: dict[int, Strategy] = {}
-        for n in active:
-            if n in settled:
-                continue
-            play = decide(n, profile, instance, rng, prices)
-            if play is _SETTLE:
-                settled.add(n)
-            elif play is not None:
-                plays[n] = play
-        if plays:
-            # one copy; the movers' neighbors leave `settled`: their verdicts read the moved plays
-            moved = list(profile)
-            for n, play in plays.items():
-                moved[n] = play
-                if settled:
-                    settled.difference_update(instance.graph.adjacency[n])
-            profile = recorder.canonical(tuple(moved))
-            quiet_run = 0
-        else:
-            quiet_run += 1
-        at_nep = recorder.record(active, profile, instance)
-        if quiet_run >= instance.num_users and not pending and step.confirm(at_nep):
-            return recorder.build(t, "converged")
-    return recorder.build(None, "max-iters")
+    try:
+        for t in range(1, max_iters + 1):
+            while pending and pending[0].at_iter == t:
+                instance = pending.pop(0).instance
+                profile = recorder.canonical(step.extend(profile, instance))
+                quiet_run = 0
+                settled.clear()
+            prepare(t, profile, instance, rng)
+            active = select_active(mechanism, instance.graph, rng, step=t - 1)
+            plays: dict[int, Strategy] = {}
+            for n in active:
+                if n in settled:
+                    continue
+                play = decide(n, profile, instance, rng, prices)
+                if play is _SETTLE:
+                    settled.add(n)
+                elif play is not None:
+                    plays[n] = play
+            if plays:
+                # one copy; the movers' neighbors leave `settled`: their verdicts read moved plays
+                moved = list(profile)
+                for n, play in plays.items():
+                    moved[n] = play
+                    if settled:
+                        settled.difference_update(instance.graph.adjacency[n])
+                profile = recorder.canonical(tuple(moved))
+                quiet_run = 0
+            else:
+                quiet_run += 1
+            at_nep = recorder.record(active, profile, instance)
+            if quiet_run >= instance.num_users and not pending and step.confirm(at_nep):
+                return recorder.build(t, "converged")
+        return recorder.build(None, "max-iters")
+    finally:
+        rng.rewind()
 
 
 def run_br_drm(
@@ -648,7 +695,7 @@ class _NoisyBestResponse:
         # before consuming rng draws, so the stream stays reproducible.
         try:
             if self._memo:
-                key = (n, tuple(profile[i] for i in instance.graph.adjacency[n]))
+                key = (n, tuple(map(profile.__getitem__, instance.graph.adjacency[n])))
                 table = self._draws.get(key)
                 if table is None:
                     table = self._draws[key] = noisy_br_table(
@@ -659,8 +706,8 @@ class _NoisyBestResponse:
             action = draw_action(table, rng)
         except DegenerateInstanceError:
             return None
-        # by value: the initial plays and an old degree's grid are other objects
-        return action if action != profile[n] else None
+        # grid plays are shared; by value: the initial plays and an old degree's grid are others
+        return None if action is profile[n] or action == profile[n] else action
 
     def confirm(self, at_nep: bool) -> bool:
         return self._frozen and at_nep

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectrumshare import (
     CoolingSchedule,
@@ -807,6 +809,54 @@ def test_a_run_that_raises_leaves_the_caller_rng_after_its_draws():
         dynamics._play(_path(5), mechanism, rng, 300, None, (), fairness, _StoppingNBRF(137, True))
     assert rng.bit_generator.state == reference.state
     assert _rng_digest(rng) == STOPPED_RUN_DIGEST
+
+
+_SMALL_REQUESTS = st.one_of(
+    st.none(), st.just(0), st.just(()), st.integers(1, 40), st.integers(1, 40).map(np.int64),
+    st.tuples(st.integers(0, 6), st.integers(0, 90)),
+    st.integers(dynamics._BLOCK - 2, dynamics._BLOCK),
+)
+_LARGE_REQUESTS = st.one_of(
+    st.integers(dynamics._BLOCK + 1, 3 * dynamics._BLOCK),
+    st.tuples(st.integers(2, 5), st.integers(dynamics._BLOCK // 2 + 1, dynamics._BLOCK)),
+)
+_REQUESTS = st.lists(
+    st.one_of(
+        _SMALL_REQUESTS.map(lambda r: [r]),
+        _LARGE_REQUESTS.map(lambda r: [r]),
+        st.tuples(_LARGE_REQUESTS, _SMALL_REQUESTS, _SMALL_REQUESTS).map(list),
+    ),
+    max_size=30,
+).map(lambda runs: [r for run in runs for r in run])
+
+
+def _state_text(bit_generator):
+    return json.dumps(bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    requests=_REQUESTS,
+    kind=st.sampled_from([np.random.PCG64, np.random.MT19937]),
+    seed=st.integers(0, 2**32 - 1),
+    cut=st.integers(0, 90),
+)
+def test_block_stream_serves_what_direct_calls_would(requests, kind, seed, cut):
+    """Values bit for bit, the generator's state after a rewind, and a deep copy taken
+    anywhere (mid-block too) continuing as the original does."""
+    direct = np.random.Generator(kind(seed))
+    stream = dynamics._BlockStream(np.random.Generator(kind(seed)))
+    cut = min(cut, len(requests))
+    want = [direct.random(size) for size in requests]
+    got = [stream.random(size) for size in requests[:cut]]
+    twin = copy.deepcopy(stream)
+    got += [stream.random(size) for size in requests[cut:]]
+    for served, expected in [(got, want), ([twin.random(size) for size in requests[cut:]], want[cut:])]:
+        for value, reference in zip(served, expected):
+            assert type(value) is type(reference) and np.shape(value) == np.shape(reference)
+            assert np.asarray(value).tobytes() == np.asarray(reference).tobytes()
+    assert _state_text(stream.bit_generator) == _state_text(direct.bit_generator)
+    assert _state_text(twin.bit_generator) == _state_text(direct.bit_generator)
 
 
 def test_estimate_success_probability_counts_idle_slots():
