@@ -17,6 +17,7 @@ from .harness import (
     gibbs_check,
     list_presets,
     load_config,
+    load_preset,
     oracle_optimum,
     oracle_summary,
     run_experiment,
@@ -81,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gibbs_p.add_argument(
         "--config",
         default=None,
-        help="optional config whose instance replaces the built-in two-user demo",
+        help="optional config whose final population replaces the built-in two-user demo",
     )
     return parser
 
@@ -187,7 +188,7 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def _cmd_cycle_demo(args: argparse.Namespace) -> int:
-    config = load_config("cycle-demo")
+    config = ExperimentConfig.from_dict(load_preset("cycle-demo"))
     result = run_experiment(config, out_dir=args.out)
     traj = result.trajectories[0]
     assert traj is not None
@@ -201,13 +202,10 @@ def _cmd_cycle_demo(args: argparse.Namespace) -> int:
         )
         rates_txt = ", ".join(f"{r:.4g}" for r in rates)
         print(f"{index:>4}  {mover:>5}  {profile_txt:<30}  {rates_txt}")
-    if traj.termination == "cycle-detected":
-        print(
-            f"profile revisited: cycle of length {traj.cycle_length} "
-            f"despite every move strictly improving the mover's rate"
-        )
-    else:
-        print(f"termination: {traj.termination}")
+    print(
+        f"profile revisited: cycle of length {traj.cycle_length} "
+        f"despite every move strictly improving the mover's rate"
+    )
     if args.out is not None:
         print(f"wrote trajectory.csv, aggregate.csv, manifest.json to {args.out}")
     return 0
@@ -216,9 +214,10 @@ def _cmd_cycle_demo(args: argparse.Namespace) -> int:
 def _cmd_gibbs_check(args: argparse.Namespace) -> int:
     if args.config is not None:
         config = load_config(args.config)
-        instance, _ = build_instance_and_events(
+        instance, events = build_instance_and_events(
             config.instance_spec, config.events_spec
         )
+        instance = events[-1].instance if events else instance
     else:
         instance = default_gibbs_instance()
     report = gibbs_check(

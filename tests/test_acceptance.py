@@ -5,12 +5,9 @@ where the guarantee includes a time budget, asserts the wall clock too.
 Seeds are pinned so every run checks the same ground.
 """
 
-import hashlib
-import json
 import math
 import time
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +42,7 @@ from spectrumshare import (
     total_expected_rate,
 )
 
+import golden
 from conftest import (
     random_drm_instance,
     random_drm_profile,
@@ -340,21 +338,22 @@ def test_slot_simulator_tracks_expected_rates():
 
 def test_presets_reproduce_byte_identical_outputs(tmp_path):
     """Rerunning any preset with its stored seed writes byte-identical
-    trajectory, aggregate, and manifest files, and their SHA-256 digests
-    match the ones recorded in preset_digests.json. A change that means to
-    alter a preset's outputs records the new digests there."""
-    golden = json.loads((Path(__file__).parent / "preset_digests.json").read_text())
-    assert sorted(golden) == list_presets()
+    trajectory, aggregate, and manifest files, and their digests and trials'
+    fingerprints match the preset's entry in golden.json. A change that means
+    to alter a preset's outputs rewrites the store with `python tests/golden.py`."""
     for name in list_presets():
-        config = load_config(name)
         dir_a = tmp_path / name / "a"
         dir_b = tmp_path / name / "b"
-        run_experiment(config, out_dir=dir_a)
-        run_experiment(config, out_dir=dir_b)
-        for fname in ("trajectory.csv", "aggregate.csv", "manifest.json"):
-            data = (dir_a / fname).read_bytes()
-            assert data == (dir_b / fname).read_bytes(), (name, fname)
-            assert hashlib.sha256(data).hexdigest() == golden[name][fname], (
-                name,
-                fname,
-            )
+        entry = golden.preset_entry(name, dir_a)
+        run_experiment(load_config(name), out_dir=dir_b)
+        for fname in golden.OUTPUTS:
+            assert (dir_a / fname).read_bytes() == (dir_b / fname).read_bytes(), (name, fname)
+        assert entry == golden.stored(name), name
+
+
+def test_golden_store_has_one_entry_per_pinned_run_and_preset():
+    pinned = [*golden.RUNS, *list_presets()]
+    assert len(set(pinned)) == len(pinned)
+    stored = {key.split(" ")[0] for key in golden.load()}
+    assert sorted(set(pinned) - stored) == [], "pinned without an entry"
+    assert sorted(stored - set(pinned)) == [], "entries without a pinned run or preset"

@@ -31,13 +31,16 @@ def test_readme_cli_lines_parse_and_their_run_configs_check():
 
 
 def test_run_preset_to_directory(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["run", "--config", "cycle-demo", "--out", str(out)])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "cycle-detected" in captured.out
-    for name in ("trajectory.csv", "aggregate.csv", "manifest.json"):
-        assert (out / name).is_file()
+    # every trial of the sparse preset converges at updating time 11
+    runs = (("cycle-demo", "cycle-detected"), ("fig2-small-drm-sparse", "converged at step 11"))
+    for preset, summary in runs:
+        out = tmp_path / preset
+        code = main(["run", "--config", preset, "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert summary in captured.out
+        for name in ("trajectory.csv", "aggregate.csv", "manifest.json"):
+            assert (out / name).is_file()
 
 
 def test_run_overrides_seed_trials_and_iters(tmp_path):
@@ -173,12 +176,18 @@ def test_oracle_of_a_growing_population_prices_its_final_stage(tmp_path, capsys)
     assert payload == dict(oref, num_optimizers=payload["num_optimizers"])
 
 
-def test_cycle_demo_prints_cycle(capsys):
-    code = main(["cycle-demo"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "cycle of length 4" in out
-    assert "strictly improving" in out
+def test_cycle_demo_prints_cycle(tmp_path, monkeypatch, capsys):
+    # the packaged preset, not a file of that name in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cycle-demo").write_text("{not json")
+    for flags in ([], ["--out", "out"]):
+        code = main(["cycle-demo", *flags])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "cycle of length 4" in out
+        assert "strictly improving" in out
+    assert "wrote trajectory.csv, aggregate.csv, manifest.json to out" in out
+    assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
@@ -220,9 +229,13 @@ def test_efficiency_table(tmp_path, capsys):
 
 
 def test_efficiency_rejects_garbage_lists(capsys):
-    code = main(["efficiency", "--channels", "2,x", "--degrees", "1"])
-    assert code == 2
-    assert "comma-separated" in capsys.readouterr().err
+    for flags, message in (
+        (["--channels", "2,x"], "comma-separated"),
+        (["--channels", ","], "must be nonempty"),
+    ):
+        code = main(["efficiency", *flags, "--degrees", "1"])
+        assert code == 2
+        assert message in capsys.readouterr().err
     code = main(["efficiency", "--trials", "0"])
     assert code == 2
     assert "trials must be at least 1" in capsys.readouterr().err
@@ -236,7 +249,7 @@ def test_efficiency_rejects_garbage_lists(capsys):
         assert "Traceback" not in err
 
 
-def test_gibbs_check_smoke(capsys):
+def test_gibbs_check_smoke(tmp_path, capsys):
     code = main(["gibbs-check", "--steps", "3000", "--burn-in", "200", "--seed", "1"])
     assert code == 0
     out = capsys.readouterr().out
@@ -245,9 +258,23 @@ def test_gibbs_check_smoke(capsys):
     for flags in (["--beta", "-1"], ["--update-prob", "0"], ["--steps", "0"], ["--seed", "-1"]):
         assert main(["gibbs-check", *flags]) == 2
         assert "error:" in capsys.readouterr().err
-    # a preset's instance replaces the two-user demo
-    assert main(["gibbs-check", "--config", "fig5-small-nbrf-sparse", "--steps", "300"]) == 0
-    assert "total-variation" in capsys.readouterr().out
+    # a config's instance replaces the two-user demo: a growing population's final stage,
+    # 5 users whose 6,912 profiles fit the enumeration
+    growing = dict(load_preset("fig5-small-nbrf"), events=[{"at_iter": 10, "num_users": 5}])
+    growing["instance"] = {
+        "kind": "geometric", "num_users": 3, "num_channels": 2, "channels_per_user": 1,
+        "region_radius": 2.0, "interference_radius": 2.0, "graph_seed": 1,
+        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+        "caps": {"kind": "constant", "value": 1.0},
+    }
+    path = tmp_path / "growing.json"
+    path.write_text(json.dumps(growing))
+    for config, users in (("fig5-small-nbrf-sparse", 10), (str(path), 5)):
+        assert main(["gibbs-check", "--config", config, "--steps", "300"]) == 0
+        out = capsys.readouterr().out
+        assert "total-variation" in out
+        profiles = [line for line in out.splitlines() if line.startswith("  (ch ")]
+        assert profiles and all(line.count("(ch ") == users for line in profiles)
     # two channels per user lie outside the fairness game and the oracle
     for command, message in (
         ("gibbs-check", "error: the fairness game requires channels_per_user == 1"),

@@ -1,7 +1,6 @@
 """Update mechanisms, trajectories, replay, annealing, slot simulation."""
 
 import copy
-import hashlib
 import json
 import math
 import re
@@ -42,8 +41,8 @@ from spectrumshare import (
 from spectrumshare import dynamics, fairness
 from spectrumshare.dynamics import _draw_slots
 from spectrumshare.errors import EstimationError
-from spectrumshare.harness import build_instance_and_events
 
+import golden
 from conftest import random_drm_instance, random_graph
 
 CYCLE_RATES = (1.0, 1.25)
@@ -530,285 +529,39 @@ def test_estimator_driven_run_settles_on_equilibrium():
     assert is_nep_drm(traj.profiles[-1], inst).is_nep
 
 
-# Every preset runs window == slots_per_update == 100 with flushing, so the
-# preset digests miss partial windows, windows shorter than one batch, and
-# windows that outlive a neighbor's switch. These digests pin those runs.
-WINDOW_SHAPE_DIGESTS = {
-    (70, 30, True): "1ea3c223cab437abde91cc1ba36a18a3b95d89a87c6ed6fa8a5ccb06758a9154",
-    (50, 80, True): "99bddcda36f62475e9d1fb4e939157c151d2f7f775484e3586220542252a50c3",
-    (100, 100, False): "ade165e7b0416f75dc53b3a88b9d99ae18b31259b541e63ee83a20e679e9fa0f",
-}
+# The pinned runs live in golden.py; each case reruns one and compares its
+# lines with tests/golden.json, which `python tests/golden.py` rewrites.
+def _assert_pinned(name):
+    assert golden.entry(name) == golden.stored(name)
 
 
-@pytest.mark.parametrize("window,slots,flush", sorted(WINDOW_SHAPE_DIGESTS))
-def test_estimator_window_shapes_reproduce_recorded_trajectories(window, slots, flush):
-    spec = {
-        "kind": "geometric", "num_users": 14, "num_channels": 4,
-        "channels_per_user": 2, "region_radius": 4.0, "interference_radius": 2.0,
-        "graph_seed": 3,
-        "utilities": {"kind": "uniform", "low": 50.0, "high": 150.0},
-        "caps": {"kind": "explicit", "values": [0.7, 0.3] * 9},
-    }
-    inst, events = build_instance_and_events(spec, [{"at_iter": 25, "num_users": 18}])
-    traj = run_br_drm(
-        inst, UpdateMechanism.backoff(),
-        EstimatorConfig(window, slots, flush_on_neighbor_update=flush),
-        max_iters=60, rng=np.random.default_rng(11), events=events,
-    )
-    digest = hashlib.sha256()
-    for profile, potential in zip(traj.profiles, traj.potentials):
-        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
-        digest.update(potential.hex().encode())
-    assert len(traj) == 61 and traj.instances[-1].num_users == 18
-    assert digest.hexdigest() == WINDOW_SHAPE_DIGESTS[(window, slots, flush)]
+def _pinned_group(group):
+    """One parametrised test over the registered runs named `group/...`."""
+    @pytest.mark.parametrize("case", golden.cases(group))
+    def test(case):
+        _assert_pinned(f"{group}/{case}")
+
+    return test
 
 
-# Every preset and window-shape digest runs unmasked; this one pins an
-# estimator run with a channel mask, two channels per user, equal utilities
-# (so every ranking is decided by the estimates and their ties) and a
-# mid-run population event.
-MASKED_ESTIMATOR_DIGEST = "f5077d61089dcab05d9987444ced4b48a71bf540a2ea34dbe43bf4218a74d579"
+test_estimator_window_shapes_reproduce_recorded_trajectories = _pinned_group("window")
+test_exact_runs_reproduce_recorded_trajectories = _pinned_group("exact")
+test_frozen_nbrf_runs_reproduce_recorded_trajectories = _pinned_group("frozen-nbrf")
+test_piecewise_nbrf_runs_reproduce_recorded_trajectories = _pinned_group("piecewise-nbrf")
+test_runs_leave_the_caller_rng_after_their_draws = _pinned_group("caller-rng")
 
 
 def test_masked_estimator_run_reproduces_recorded_trajectory():
-    spec = {
-        "kind": "geometric", "num_users": 16, "num_channels": 5,
-        "channels_per_user": 2, "region_radius": 4.0, "interference_radius": 2.0,
-        "graph_seed": 7,
-        "utilities": {"kind": "constant", "value": 100.0},
-        "caps": {"kind": "explicit", "values": [0.6, 0.3, 0.45] * 7},
-        "allowed": [[(n + k) % 4 != 0 for k in range(5)] for n in range(21)],
-    }
-    inst, events = build_instance_and_events(spec, [{"at_iter": 30, "num_users": 21}])
-    traj = run_br_drm(
-        inst, UpdateMechanism.backoff(), EstimatorConfig(window=40, slots_per_update=20),
-        max_iters=70, rng=np.random.default_rng(5), events=events,
-    )
-    digest = hashlib.sha256()
-    for profile, potential in zip(traj.profiles, traj.potentials):
-        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
-        digest.update(potential.hex().encode())
-    assert len(traj) == 71 and traj.instances[-1].num_users == 21
-    assert digest.hexdigest() == MASKED_ESTIMATOR_DIGEST
-
-
-# Exact-mode runs in which settled users are active again and again: users
-# with no improving switch under backoff, neighbors that switch together under
-# probabilistic 0.9, a round-robin sweep, and a mid-run population event with
-# two channels per user and a channel mask. The digests pin these runs.
-def _exact_case(name):
-    spec = {
-        "kind": "geometric", "num_users": 40, "num_channels": 5,
-        "channels_per_user": 1, "region_radius": 6.0, "interference_radius": 2.0,
-        "graph_seed": 5,
-        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
-    }
-    events_spec = []
-    mechanism = {
-        "backoff": UpdateMechanism.backoff(),
-        "probabilistic": UpdateMechanism.probabilistic(0.9),
-        "sweep": UpdateMechanism.sweep_sequential(),
-        "event-masked": UpdateMechanism.backoff(),
-    }[name]
-    if name == "event-masked":
-        spec.update(num_users=30, num_channels=4, channels_per_user=2)
-        spec["allowed"] = [[(n + k) % 3 != 0 for k in range(4)] for n in range(42)]
-        events_spec = [{"at_iter": 40, "num_users": 42}]
-    final = events_spec[-1]["num_users"] if events_spec else spec["num_users"]
-    spec["caps"] = {"kind": "explicit", "values": [(0.6, 0.3, 0.45)[n % 3] for n in range(final)]}
-    inst, events = build_instance_and_events(spec, events_spec)
-    return inst, events, mechanism
-
-
-EXACT_RUN_DIGESTS = {
-    "backoff": "768ad26e65e84161601aa3f83af71fa2c69d9118791664a134c90cd4ed5b20ad",
-    "probabilistic": "74d426e02ae20f6dd1eedf51d04c1747bc4a1124210c41eeb9e8ae11cfdf84c8",
-    "sweep": "f27bb5a6582c220a6ba426bc5ecb78027f914b359d5c72872ed6908c310159e7",
-    "event-masked": "d11d6a55087f31230632321428255ad2a1864488dcceb6043618ac81e3c5aec1",
-}
-
-
-@pytest.mark.parametrize("name", sorted(EXACT_RUN_DIGESTS))
-def test_exact_runs_reproduce_recorded_trajectories(name):
-    inst, events, mechanism = _exact_case(name)
-    traj = run_br_drm(
-        inst, mechanism, max_iters=150, rng=np.random.default_rng(17), events=events
-    )
-    digest = hashlib.sha256(f"{traj.termination} {traj.converged_at}".encode())
-    for profile, potential, rates in zip(traj.profiles, traj.potentials, traj.rates):
-        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
-        digest.update(potential.hex().encode())
-        digest.update(repr([r.hex() for r in rates]).encode())
-    assert traj.termination == "converged"
-    assert traj.instances[-1].num_users == (42 if events else 40)
-    assert digest.hexdigest() == EXACT_RUN_DIGESTS[name]
-
-
-# Annealed NBRF that freezes at updating time 21 (beta = log t reaches 3)
-# and gains six users at 45, inside the frozen phase, under each mechanism.
-# Frozen users play their sticky best action; the digests pin these runs.
-FROZEN_NBRF_DIGESTS = {
-    "backoff": "547d51722c23b1b22259958e3d98e9737fee1932efd9fa6dd56b6c28a8e9cbbc",
-    "probabilistic": "1a247e5445d8df4ee1eb88ed3dd16313cb78c8456a4465d5dc77c995cd616816",
-    "sweep": "a55a76db175c71b58d56a5e9064d069f1c42e07d4a5333aac919df7f4a9bafb4",
-}
-
-
-@pytest.mark.parametrize("name", ["backoff", "probabilistic", "sweep"])
-def test_frozen_nbrf_runs_reproduce_recorded_trajectories(name):
-    spec = {
-        "kind": "geometric", "num_users": 30, "num_channels": 4,
-        "channels_per_user": 1, "region_radius": 5.0, "interference_radius": 2.0,
-        "graph_seed": 9,
-        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
-        "caps": {"kind": "constant", "value": 0.5},
-    }
-    inst, events = build_instance_and_events(spec, [{"at_iter": 45, "num_users": 36}])
-    mechanism = {
-        "backoff": UpdateMechanism.backoff(),
-        "probabilistic": UpdateMechanism.probabilistic(0.9),
-        "sweep": UpdateMechanism.sweep_sequential(),
-    }[name]
-    traj = run_nbrf(
-        inst, mechanism, CoolingSchedule.logarithmic(1.0), max_iters=300,
-        rng=np.random.default_rng(23), freeze_beta=3.0, events=events,
-    )
-    digest = hashlib.sha256(f"{traj.termination} {traj.converged_at}".encode())
-    for profile, potential, rates in zip(traj.profiles, traj.potentials, traj.rates):
-        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
-        digest.update(potential.hex().encode())
-        digest.update(repr([r.hex() for r in rates]).encode())
-    assert traj.termination == "converged"
-    assert traj.instances[-1].num_users == 36
-    assert digest.hexdigest() == FROZEN_NBRF_DIGESTS[name]
-
-
-# NBRF under a piecewise-constant schedule, whose beta holds for whole levels,
-# so the sampler's memo hits: level 3 spans updating times 26-115, six users
-# arrive at 40 inside it, and the run freezes at 116 (beta 4). The digests pin
-# these runs, active sets included.
-PIECEWISE_NBRF_DIGESTS = {
-    "backoff": "4f7d7c0f1cd13530aef031f41ac5983c708a883082e275fac386e5deba916c64",
-    "sweep": "67c940e3a3ccfc0ff5f0adcac310d3ede195e08ee0d8412738424cf068c1a0d3",
-}
-
-
-@pytest.mark.parametrize("name", sorted(PIECEWISE_NBRF_DIGESTS))
-def test_piecewise_nbrf_runs_reproduce_recorded_trajectories(name):
-    spec = {
-        "kind": "geometric", "num_users": 30, "num_channels": 4,
-        "channels_per_user": 1, "region_radius": 5.0, "interference_radius": 1.5,
-        "graph_seed": 9,
-        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
-        "caps": {"kind": "constant", "value": 0.5},
-    }
-    inst, events = build_instance_and_events(spec, [{"at_iter": 40, "num_users": 36}])
-    mechanism = {
-        "backoff": UpdateMechanism.backoff(),
-        "sweep": UpdateMechanism.sweep_sequential(),
-    }[name]
-    traj = run_nbrf(
-        inst, mechanism, CoolingSchedule.piecewise_constant(1.5), max_iters=400,
-        rng=np.random.default_rng(29), freeze_beta=4.0, events=events,
-    )
-    digest = hashlib.sha256(f"{traj.termination} {traj.converged_at}".encode())
-    digest.update(repr(traj.active_sets).encode())
-    for profile, potential, rates in zip(traj.profiles, traj.potentials, traj.rates):
-        digest.update(repr([(s.channels, s.attempt_prob) for s in profile]).encode())
-        digest.update(potential.hex().encode())
-        digest.update(repr([r.hex() for r in rates]).encode())
-    assert traj.termination == "converged"
-    assert traj.instances[-1].num_users == 36
-    assert digest.hexdigest() == PIECEWISE_NBRF_DIGESTS[name]
-
-
-# The generator a run is handed is left where the run's own draws end, whatever
-# the run does inside: slot batches, activations and sampler draws, across
-# population events. The digests pin the caller's generator state afterwards.
-def _rng_digest(rng):
-    return hashlib.sha256(json.dumps(rng.bit_generator.state, sort_keys=True).encode()).hexdigest()
-
-
-def _path(users):
-    graph = InterferenceGraph.from_edges(users, [(n, n + 1) for n in range(users - 1)])
-    return Instance(graph, 2, 1, tuple((1.0 + n % 3, 2.0) for n in range(users)), (1.0,) * users)
-
-
-def _caller_rng_run(name, rng):
-    if name == "drm-exact-backoff":
-        inst, events, mechanism = _exact_case("backoff")
-        return run_br_drm(inst, mechanism, max_iters=150, rng=rng, events=events)
-    if name == "drm-estimator-event":
-        inst, events, _ = _exact_case("event-masked")
-        return run_br_drm(
-            inst, UpdateMechanism.probabilistic(0.4), EstimatorConfig(window=30, slots_per_update=12),
-            max_iters=70, rng=rng, events=events,
-        )
-    if name == "nbrf-fixed-probabilistic":
-        return run_nbrf(
-            _path(5), UpdateMechanism.probabilistic(0.5), CoolingSchedule.fixed(1.0),
-            max_iters=400, rng=rng,
-        )
-    inst, events = _path(6), [PopulationEvent(60, _path(9))]
-    return run_nbrf(
-        inst, UpdateMechanism.backoff(), CoolingSchedule.logarithmic(1.0), max_iters=200,
-        rng=rng, freeze_beta=4.0, events=events,
-    )
-
-
-CALLER_RNG_DIGESTS = {
-    "drm-exact-backoff": "7c708e6bac362dcc0fb97b6ded308be23feeedc19ba2361bab67782929aebf06",
-    "drm-estimator-event": "a36320c67cc67db4313d9f80a3ff3b4afc642a39d87020997853c1b8e6eaec90",
-    "nbrf-fixed-probabilistic": "d7ebbdcc023fb47fe0322309ab382c5ae6db78f4829560885ba4222900f3bc2c",
-    "nbrf-log-backoff-event": "f023c423bf26fc3bebbb149a70de850f4fa4dfe8b79aae24792aeefaf81b3ae6",
-}
-
-
-@pytest.mark.parametrize("name", sorted(CALLER_RNG_DIGESTS))
-def test_runs_leave_the_caller_rng_after_their_draws(name):
-    rng = np.random.default_rng(31)
-    traj = _caller_rng_run(name, rng)
-    assert len(traj) > 40
-    assert _rng_digest(rng) == CALLER_RNG_DIGESTS[name]
-
-
-class _Stop(Exception):
-    pass
-
-
-class _StoppingNBRF(dynamics._NoisyBestResponse):
-    """NBRF's step that raises after the first sampler draw of updating time `stop`, or records
-    the generator state there and goes on."""
-
-    def __init__(self, stop, raises):
-        super().__init__(CoolingSchedule.fixed(1.0), None)
-        self.stop, self.raises, self.t, self.state = stop, raises, 0, None
-
-    def prepare(self, t, profile, instance, rng):
-        super().prepare(t, profile, instance, rng)
-        self.t = t
-
-    def decide(self, n, profile, instance, rng, prices):
-        play = super().decide(n, profile, instance, rng, prices)
-        if self.t == self.stop and self.state is None:
-            if self.raises:
-                raise _Stop
-            self.state = copy.deepcopy(rng).bit_generator.state
-        return play
-
-
-STOPPED_RUN_DIGEST = "ab337a6e31363352ec41cde51916374289eab9d41d64cb3391e5c04cd19c22f3"
+    _assert_pinned("masked-estimator")
 
 
 def test_a_run_that_raises_leaves_the_caller_rng_after_its_draws():
-    mechanism = UpdateMechanism.probabilistic(0.5)
-    reference = _StoppingNBRF(137, raises=False)
-    dynamics._play(_path(5), mechanism, np.random.default_rng(37), 300, None, (), fairness, reference)
+    reference = golden._StoppingNBRF(137, raises=False)
+    golden.stopped_run(np.random.default_rng(37), reference)
     rng = np.random.default_rng(37)
-    with pytest.raises(_Stop):
-        dynamics._play(_path(5), mechanism, rng, 300, None, (), fairness, _StoppingNBRF(137, True))
+    golden.stopped_run(rng, golden._StoppingNBRF(137, raises=True))
     assert rng.bit_generator.state == reference.state
-    assert _rng_digest(rng) == STOPPED_RUN_DIGEST
+    _assert_pinned("stopped-run")
 
 
 _SMALL_REQUESTS = st.one_of(
