@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -11,9 +12,9 @@ from typing import Optional, Sequence
 from .errors import CapacityError, ConfigError
 from .harness import (
     ExperimentConfig,
-    build_instance_and_events,
     default_gibbs_instance,
     efficiency_sweep,
+    final_population,
     gibbs_check,
     list_presets,
     load_config,
@@ -87,18 +88,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The `run` command's config with its overrides, checked by the key table."""
+    raw = dict(load_config(args.config).raw)
+    for key in ("seed", "trials", "max_iters"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    return ExperimentConfig.from_dict(raw)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    raw = dict(config.raw)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        raw["seed"] = args.seed
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.max_iters is not None:
-        raw["max_iters"] = args.max_iters
-    config = ExperimentConfig.from_dict(raw)
+    config = _run_config(args)
     result = run_experiment(config, out_dir=args.out)
     for entry in result.manifest["per_trial"]:
         bits = [f"trial {entry['trial']}:"]
@@ -127,11 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    instance, events = build_instance_and_events(
-        config.instance_spec, config.events_spec
-    )
-    result = oracle_optimum(events[-1].instance if events else instance)
+    result = oracle_optimum(final_population(load_config(args.config)))
     payload = dict(oracle_summary(result), num_optimizers=len(result.best_allocations))
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
@@ -151,38 +147,21 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
     if not channels or not degrees:
         raise ConfigError("--channels and --degrees must be nonempty")
     rows = efficiency_sweep(channels, degrees, trials=args.trials, seed=args.seed)
-    header = ["channels", "degree", "eta", "min_ratio", "mean_ratio", "note"]
-    print(" ".join(f"{h:>10}" for h in header[:5]) + "  note")
-    for row in rows:
-        if row["eta"] is None:
-            print(
-                f"{row['num_channels']:>10} {row['degree']:>10} "
-                + " ".join(f"{'-':>10}" for _ in range(3))
-                + f"  {row['note']}"
-            )
-        else:
-            print(
-                f"{row['num_channels']:>10} {row['degree']:>10} "
-                f"{row['eta']:>10.6f} {row['min_ratio']:>10.6f} "
-                f"{row['mean_ratio']:>10.6f}"
-            )
-    if args.out is not None:
-        import csv as _csv
+    columns = ("eta", "min_ratio", "mean_ratio")  # None on an inadmissible row
 
+    def cells(row: dict, spec: str) -> list[str]:
+        ratios = ("" if row[key] is None else format(row[key], spec) for key in columns)
+        return [str(row["num_channels"]), str(row["degree"]), *ratios]
+
+    print(" ".join(f"{h:>10}" for h in ("channels", "degree", *columns)) + "  note")
+    for row in rows:
+        line = " ".join(f"{cell or '-':>10}" for cell in cells(row, ".6f"))
+        print(f"{line}  {row['note']}".rstrip())
+    if args.out is not None:
         with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["num_channels"],
-                        row["degree"],
-                        "" if row["eta"] is None else f"{row['eta']:.17g}",
-                        "" if row["min_ratio"] is None else f"{row['min_ratio']:.17g}",
-                        "" if row["mean_ratio"] is None else f"{row['mean_ratio']:.17g}",
-                        row["note"],
-                    ]
-                )
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["channels", "degree", *columns, "note"])
+            writer.writerows(cells(row, ".17g") + [row["note"]] for row in rows)
         print(f"wrote {args.out}")
     return 0
 
@@ -212,14 +191,9 @@ def _cmd_cycle_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_gibbs_check(args: argparse.Namespace) -> int:
+    instance = default_gibbs_instance()
     if args.config is not None:
-        config = load_config(args.config)
-        instance, events = build_instance_and_events(
-            config.instance_spec, config.events_spec
-        )
-        instance = events[-1].instance if events else instance
-    else:
-        instance = default_gibbs_instance()
+        instance = final_population(load_config(args.config))
     report = gibbs_check(
         instance,
         beta=args.beta,
@@ -255,12 +229,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # ConfigError subclasses ValueError, and CapacityError RuntimeError
+        return 2 if isinstance(exc, (ConfigError, CapacityError)) else 1
 
 
 if __name__ == "__main__":

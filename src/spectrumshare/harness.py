@@ -541,9 +541,7 @@ def run_experiment(
     trial can be reproduced in isolation. Output files never contain
     timestamps or absolute paths; identical configs produce identical bytes.
     """
-    instance, events = build_instance_and_events(
-        config.instance_spec, config.events_spec
-    )
+    instance, events = build_instance_and_events(config.instance_spec, config.events_spec)
     final = events[-1].instance if events else instance
     final_users = final.num_users
     if config.mechanism is not None and len(config.mechanism.update_probs) not in (1, final_users):
@@ -584,6 +582,12 @@ def run_experiment(
     if out_dir is not None:
         _write_outputs(result, Path(out_dir))
     return result
+
+
+def final_population(config: ExperimentConfig) -> Instance:
+    """The config's instance after its last population event."""
+    instance, events = build_instance_and_events(config.instance_spec, config.events_spec)
+    return events[-1].instance if events else instance
 
 
 def oracle_optimum(instance: Instance) -> OracleResult:
@@ -631,15 +635,13 @@ def _build_manifest(
         entry["final_sum_log_rate"] = sum_log_rate(rates)
         per_trial.append(entry)
     delta_mode = None
-    if config.algorithm == "nbrf" and config.schedule is not None:
-        if config.schedule.kind in ("logarithmic", "piecewise-constant"):
-            try:
-                bound = delta_lower_bound(final)
-                delta_mode = (
-                    "sufficient" if config.schedule.delta >= bound else "heuristic"
-                )
-            except ValueError:
-                delta_mode = "heuristic"
+    # only nbrf reads a schedule
+    if config.schedule is not None and config.schedule.kind != "fixed-beta":
+        try:
+            bound = delta_lower_bound(final)
+            delta_mode = "sufficient" if config.schedule.delta >= bound else "heuristic"
+        except ValueError:
+            delta_mode = "heuristic"
     manifest: dict[str, Any] = {
         "algorithm": config.algorithm,
         "config": config.raw,
@@ -858,13 +860,17 @@ def load_preset(name: str) -> dict:
 
 
 def load_config(path_or_preset: Union[str, Path]) -> ExperimentConfig:
-    """Load a config from a JSON file path or a named built-in preset."""
+    """Load a config from a preset name or a JSON file path.
+
+    A str naming a preset is always the packaged preset, even beside a file
+    of that name; `./name` reads the file. Any other argument that is no
+    file is reported as an unknown preset.
+    """
     path = Path(path_or_preset)
-    if path.is_file():
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    else:
-        raw = load_preset(str(path_or_preset))
+    if path_or_preset in list_presets() or not path.is_file():
+        return ExperimentConfig.from_dict(load_preset(str(path_or_preset)))
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return ExperimentConfig.from_dict(raw)

@@ -80,12 +80,10 @@ def exhaustive_sum_log_rate(instance: Instance) -> OracleResult:
     num_channels ** num_users channel assignments. Assignments whose
     objective is minus infinity for every user's choice cannot be ranked,
     so a user whose utilities are all zero raises DegenerateInstanceError.
-    A masked instance (`allowed` set) is a ValueError.
+    An instance outside the fairness game (more than one channel per user,
+    or a channel mask) is a ValueError.
     """
-    if instance.channels_per_user != 1:
-        raise ValueError("oracle requires single-channel selection")
-    if instance.allowed is not None:
-        raise ValueError("the sum-log-rate oracle takes no channel mask (allowed)")
+    _require_single_channel(instance)
     n_users = instance.num_users
     total, allocs = _joint(
         [range(instance.num_channels)] * n_users, ORACLE_CAPACITY, "allocations"
@@ -107,10 +105,7 @@ def exhaustive_sum_log_rate(instance: Instance) -> OracleResult:
     best_value = -math.inf
     best: list[tuple[tuple[int, ...], float]] = []
     for alloc in allocs:
-        counts = [
-            sum(1 for i in adjacency[n] if alloc[i] == alloc[n])
-            for n in range(n_users)
-        ]
+        counts = [sum(1 for i in adjacency[n] if alloc[i] == alloc[n]) for n in range(n_users)]
         value = 0.0
         for n in range(n_users):
             term = log_u[n][alloc[n]] + log_attempt[counts[n]]

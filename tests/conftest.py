@@ -4,7 +4,6 @@ Everything is driven by explicit numpy Generators so each test pins its own
 seed; nothing here reads global random state.
 """
 
-import numpy as np
 from hypothesis import settings
 
 from spectrumshare import Instance, InterferenceGraph, make_profile

@@ -10,8 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from spectrumshare import ExperimentConfig, load_config, load_preset, run_experiment
-from spectrumshare.cli import _build_parser, main
+from spectrumshare import load_config, load_preset, run_experiment
+from spectrumshare.cli import _build_parser, _run_config, main
 
 
 def test_readme_cli_lines_parse_and_their_run_configs_check():
@@ -23,11 +23,8 @@ def test_readme_cli_lines_parse_and_their_run_configs_check():
     parser = _build_parser()
     for words in lines:
         args = parser.parse_args(words[1:])
-        if args.command == "run":  # _cmd_run's overrides
-            raw = dict(load_config(args.config).raw)
-            overrides = {"seed": args.seed, "trials": args.trials, "max_iters": args.max_iters}
-            raw.update((key, value) for key, value in overrides.items() if value is not None)
-            ExperimentConfig.from_dict(raw)
+        if args.command == "run":
+            _run_config(args)
 
 
 def test_run_preset_to_directory(tmp_path, capsys):
@@ -120,9 +117,32 @@ def test_run_invalid_config_file_exits_2(tmp_path, capsys):
 
 
 def test_run_negative_seed_exits_2(capsys):
-    code = main(["run", "--config", "cycle-demo", "--seed", "-1"])
-    assert code == 2
-    assert "--seed" in capsys.readouterr().err
+    # the overrides are checked by the config's key table, which names the key
+    for flag, value, key in (
+        ("--seed", "-1", "config.seed"),
+        ("--trials", "0", "config.trials"),
+        ("--max-iters", "-1", "config.max_iters"),
+    ):
+        assert main(["run", "--config", "cycle-demo", flag, value]) == 2
+        assert f"error: {key} must be at least" in capsys.readouterr().err
+
+
+def test_a_preset_name_means_the_packaged_preset_beside_a_file_of_that_name(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    for name in ("fig2-small-drm", "fig5-small-nbrf-sparse"):
+        (tmp_path / name).write_text("{not json")
+    for argv in (
+        ["run", "--config", "fig2-small-drm", "--trials", "1", "--max-iters", "3"],
+        ["oracle", "--config", "fig2-small-drm"],
+        ["gibbs-check", "--config", "fig5-small-nbrf-sparse", "--steps", "300"],
+    ):
+        assert main(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    # a path spelled with a directory reads the file
+    assert main(["run", "--config", "./fig2-small-drm"]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_run_unwritable_out_exits_1(tmp_path, capsys):
@@ -278,7 +298,7 @@ def test_gibbs_check_smoke(tmp_path, capsys):
     # two channels per user lie outside the fairness game and the oracle
     for command, message in (
         ("gibbs-check", "error: the fairness game requires channels_per_user == 1"),
-        ("oracle", "error: config.instance: oracle requires single-channel selection"),
+        ("oracle", "error: config.instance: the fairness game requires channels_per_user == 1"),
     ):
         assert main([command, "--config", "cycle-demo"]) == 2
         assert message in capsys.readouterr().err

@@ -16,13 +16,10 @@ from spectrumshare import (
     Instance,
     InterferenceGraph,
     PopulationEvent,
-    Strategy,
     UpdateMechanism,
-    br_potential,
     build_regular_graph,
     drm_initial_profile,
     estimate_success_probability,
-    exact_potential,
     is_nep_drm,
     is_nep_fairness,
     make_profile,

@@ -63,7 +63,7 @@ def test_domain_errors_surface_before_any_trial(monkeypatch):
     with pytest.raises(CapacityError):
         run_experiment(ExperimentConfig.from_dict(too_big))
     for preset, message in (
-        ("fig2-small-drm", "oracle requires single-channel selection"),
+        ("fig2-small-drm", "the fairness game requires channels_per_user == 1"),
         ("fig5-small-nbrf", "channels_per_user must be 1 for nbrf"),
     ):
         raw = load_preset(preset)
