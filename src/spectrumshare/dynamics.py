@@ -181,27 +181,24 @@ class PopulationEvent:
             raise ValueError(f"at_iter must be an integer of at least 1, not {at_iter!r}")
 
 
+# What an event's instance must keep, on its prefix over the previous users
+_KEPT_BY_EVENTS = (
+    ("num_channels", "population event must keep num_channels"),
+    ("channels_per_user", "population event must keep channels_per_user"),
+    ("utilities", "population event must keep existing utilities"),
+    ("caps", "population event must keep existing caps"),
+    ("allowed", "population event must keep existing channel masks"),
+    ("graph", "population event must keep interference among existing users"),
+)
+
+
 def _check_extension(old: Instance, new: Instance) -> None:
     if new.num_users <= old.num_users:
         raise ValueError("population event must add at least one user")
-    if new.num_channels != old.num_channels:
-        raise ValueError("population event must keep num_channels")
-    if new.channels_per_user != old.channels_per_user:
-        raise ValueError("population event must keep channels_per_user")
-    keep = old.num_users
-    if new.utilities[:keep] != old.utilities:
-        raise ValueError("population event must keep existing utilities")
-    if new.caps[:keep] != old.caps:
-        raise ValueError("population event must keep existing caps")
-    if (old.allowed is None) != (new.allowed is None) or (
-        old.allowed is not None and new.allowed[:keep] != old.allowed
-    ):
-        raise ValueError("population event must keep existing channel masks")
-    for n in range(keep):
-        old_nbrs = old.graph.adjacency[n]
-        new_nbrs = tuple(r for r in new.graph.adjacency[n] if r < keep)
-        if old_nbrs != new_nbrs:
-            raise ValueError("population event must keep interference among existing users")
+    kept = new.prefix(old.num_users)
+    for name, message in _KEPT_BY_EVENTS:
+        if getattr(kept, name) != getattr(old, name):
+            raise ValueError(message)
 
 
 @dataclass

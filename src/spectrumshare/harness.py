@@ -18,7 +18,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fairness
 # is_nep_drm and is_nep_fairness are unused; perfbench/tracing.py patches them
 from .drm import efficiency_bound, is_nep_drm, naive_expected_rate
 from .dynamics import (
@@ -321,10 +321,10 @@ def build_instance_and_events(
     """Materialize the instance (and any population events) from config specs.
 
     The generator RNG is seeded by instance.graph_seed alone, so the instance
-    is identical across trials; trial seeds only drive the dynamics. With
-    population events, positions and utilities for the final population are
-    drawn up front and earlier stages use prefixes, which keeps each stage an
-    extension of the previous one.
+    is identical across trials; trial seeds only drive the dynamics. The
+    final population is built once; the initial instance and each event's
+    instance are its prefixes (Instance.prefix), so each stage extends the
+    previous one.
     """
     path = "config.instance"
     spec = _read(instance_spec, "instance", path)
@@ -357,26 +357,17 @@ def build_instance_and_events(
             raise ConfigError(f"{path} radii must be positive and finite")
         positions = drop_in_disc(rng, final_users, region)
 
+    utilities = utility_spec["values"]
     if utility_spec["kind"] == "constant":
-        value = utility_spec["value"]
-        utilities = tuple((value,) * num_channels for _ in range(final_users))
+        utilities = ((utility_spec["value"],) * num_channels,) * final_users
     elif utility_spec["kind"] == "uniform":
         low, high = utility_spec["low"], utility_spec["high"]
         if not high > low:
             raise ConfigError(f"{path}.utilities.high must exceed {path}.utilities.low")
         utilities = rng.uniform(low, high, size=(final_users, num_channels)).tolist()
-    else:
-        utilities = utility_spec["values"]
-        if len(utilities) != final_users or any(len(row) != num_channels for row in utilities):
-            raise ConfigError(
-                f"{path}.utilities.values must be a {final_users} x {num_channels} matrix"
-            )
+    caps = cap_spec["values"]
     if cap_spec["kind"] == "constant":
         caps = (cap_spec["value"],) * final_users
-    else:
-        caps = cap_spec["values"]
-        if len(caps) != final_users:
-            raise ConfigError(f"{path}.caps.values must list {final_users} entries")
     allowed = spec["allowed"]
     if allowed is not None and (
         len(allowed) != final_users
@@ -391,33 +382,19 @@ def build_instance_and_events(
             f"{path}.allowed must be a {final_users} x {num_channels} "
             "mask of true/false or 0/1 entries"
         )
-
-    def stage_instance(n: int) -> Instance:
-        # graph builders and Instance both report bad specs as ValueError
-        try:
-            if kind == "geometric":
-                graph = graph_from_positions(positions[:n], reach)
-            elif kind == "regular":
-                graph = build_regular_graph(n, spec["degree"])
-            else:
-                graph = InterferenceGraph.from_edges(n, spec["edges"])
-            return Instance(
-                graph=graph,
-                num_channels=num_channels,
-                channels_per_user=spec["channels_per_user"],
-                utilities=utilities[:n],
-                caps=caps[:n],
-                allowed=allowed[:n] if allowed is not None else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-
-    initial = stage_instance(stages[0])
-    events = tuple(
-        PopulationEvent(at_iter, stage_instance(n))
-        for at_iter, n in zip(event_iters, stages[1:])
-    )
-    return initial, events
+    # graph builders and Instance both report bad specs as ValueError
+    try:
+        if kind == "geometric":
+            graph = graph_from_positions(positions, reach)
+        elif kind == "regular":
+            graph = build_regular_graph(final_users, spec["degree"])
+        else:
+            graph = InterferenceGraph.from_edges(final_users, spec["edges"])
+        final = Instance(graph, num_channels, spec["channels_per_user"], utilities, caps, allowed)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    events = tuple(PopulationEvent(at, final.prefix(n)) for at, n in zip(event_iters, stages[1:]))
+    return final.prefix(stages[0]), events
 
 
 @dataclass
@@ -488,8 +465,10 @@ def _trial_runner(
         return lambda rng: run_br_drm(
             instance, config.mechanism, config.estimator, config.max_iters, rng, events=events
         )
-    if instance.channels_per_user != 1:
-        raise ConfigError("config.instance.channels_per_user must be 1 for nbrf")
+    try:
+        fairness._require_single_channel(instance)
+    except ValueError as exc:
+        raise ConfigError(f"config.instance: {exc}") from exc
     return lambda rng: run_nbrf(
         instance,
         config.mechanism,
@@ -787,10 +766,8 @@ def efficiency_sweep(
     per-user rates over the closed-form naive rate, and the guaranteed bound.
     Inadmissible pairs get a note row instead.
     """
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    base = {"algorithm": "br-drm", "trials": trials, "seed": seed}
+    _read(dict(base, instance={}), "config", "config", "br-drm")  # even if no pair runs
     if min(channel_counts, default=1) < 1 or min(degrees, default=0) < 0:
         raise ConfigError("channel counts must be at least 1 and degrees nonnegative")
     rows = []
@@ -813,12 +790,10 @@ def efficiency_sweep(
                 rows.append(row)
                 continue
             config = ExperimentConfig.from_dict(
-                {
-                    "algorithm": "br-drm",
-                    "trials": trials,
-                    "seed": seed,
-                    "max_iters": 500,  # at seed 0, 4 channels at degree 23 take 398 steps
-                    "instance": {
+                dict(
+                    base,
+                    max_iters=500,  # at seed 0, 4 channels at degree 23 take 398 steps
+                    instance={
                         "kind": "regular",
                         "num_users": 2 * group,
                         "degree": degree,
@@ -826,7 +801,7 @@ def efficiency_sweep(
                         "utilities": {"kind": "constant", "value": 1.0},
                         "caps": {"kind": "constant", "value": num_channels / group},
                     },
-                }
+                )
             )
             result = run_experiment(config)
             naive = naive_expected_rate(0, result.instance, degree)

@@ -13,7 +13,8 @@ Indexing is 0-based throughout, including all serialized output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import add
 from typing import Iterable, Optional, Sequence
@@ -248,6 +249,19 @@ class Instance:
 
     def allowed_channels(self, user: int) -> tuple[int, ...]:
         return self.channel_choices[user]
+
+    def prefix(self, num_users: int) -> "Instance":
+        """Users 0..num_users-1 and the graph they induce; self when that is every user."""
+        if num_users == self.num_users:
+            return self
+        adjacency = tuple(a[: bisect_left(a, num_users)] for a in self.graph.adjacency[:num_users])
+        return replace(
+            self,
+            graph=InterferenceGraph(num_users, adjacency),
+            utilities=self.utilities[:num_users],
+            caps=self.caps[:num_users],
+            allowed=None if self.allowed is None else self.allowed[:num_users],
+        )
 
 
 def validate_profile(profile: StrategyProfile, instance: Instance) -> None:

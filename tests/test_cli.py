@@ -258,10 +258,10 @@ def test_efficiency_rejects_garbage_lists(capsys):
         assert message in capsys.readouterr().err
     code = main(["efficiency", "--trials", "0"])
     assert code == 2
-    assert "trials must be at least 1" in capsys.readouterr().err
+    assert "config.trials must be at least 1" in capsys.readouterr().err
     code = main(["efficiency", "--seed", "-1"])
     assert code == 2
-    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert "config.seed must be at least 0" in capsys.readouterr().err
     for flags in (["--channels", "0"], ["--channels", "2,-1"], ["--degrees", "-1"]):
         assert main(["efficiency", *flags, "--trials", "1"]) == 2
         err = capsys.readouterr().err

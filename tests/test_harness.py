@@ -21,6 +21,7 @@ from spectrumshare import (
     efficiency_bound,
     efficiency_sweep,
     gibbs_check,
+    graph_from_positions,
     list_presets,
     load_config,
     load_preset,
@@ -62,13 +63,13 @@ def test_domain_errors_surface_before_any_trial(monkeypatch):
     too_big = dict(load_preset("fig3-dynamic-drm"), oracle_reference=True)  # 8^40 allocations
     with pytest.raises(CapacityError):
         run_experiment(ExperimentConfig.from_dict(too_big))
-    for preset, message in (
-        ("fig2-small-drm", "the fairness game requires channels_per_user == 1"),
-        ("fig5-small-nbrf", "channels_per_user must be 1 for nbrf"),
-    ):
-        raw = load_preset(preset)
+    # the oracle (fig2) and the nbrf trials (fig5, without the oracle) name the fault alike
+    for preset, oracle in (("fig2-small-drm", True), ("fig5-small-nbrf", False)):
+        raw = dict(load_preset(preset), oracle_reference=oracle)
         raw["instance"]["channels_per_user"] = 2
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(
+            "config.instance: the fairness game requires channels_per_user == 1"
+        )):
             run_experiment(ExperimentConfig.from_dict(raw))
     with pytest.raises(ConfigError, match="the fairness game requires channels_per_user == 1"):
         gibbs_check(build_instance_and_events(load_preset("cycle-demo")["instance"])[0], 1.0, 10, 0)
@@ -170,12 +171,15 @@ def test_config_rejections():
         build_instance_and_events(BASE["instance"], [{"at_iter": 5, "num_users": 3}])
     instance_faults = (
         ("utilities", {"kind": "uniform", "low": 2.0, "high": 2.0}, "utilities.high must exceed"),
-        ("utilities", {"kind": "explicit", "values": [[1.0, 1.0]]}, "must be a 2 x 2 matrix"),
-        ("utilities", {"kind": "explicit", "values": [[1.0], [1.0]]}, "must be a 2 x 2 matrix"),
-        ("caps", {"kind": "explicit", "values": [0.5]}, "caps.values must list 2 entries"),
+        ("utilities", {"kind": "explicit", "values": [[1.0, 1.0]]},
+         "config.instance: utilities must have one row per user"),
+        ("utilities", {"kind": "explicit", "values": [[1.0], [1.0]]},
+         "config.instance: utilities[0] must have num_channels entries"),
+        ("caps", {"kind": "explicit", "values": [0.5]},
+         "config.instance: caps must have one entry per user"),
     )
     for key, section, message in instance_faults:
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             build_instance_and_events(dict(BASE["instance"], **{key: section}))
     with pytest.raises(ConfigError, match="trials must be 1 for better-response-replay"):
         ExperimentConfig.from_dict(dict(load_preset("cycle-demo"), trials=2))
@@ -332,6 +336,22 @@ def test_dynamic_stage_specs_validated():
             spec,
             [{"at_iter": 20, "num_users": 8}, {"at_iter": 10, "num_users": 9}],
         )
+
+
+def test_a_growing_population_builds_one_graph(monkeypatch):
+    calls = []
+
+    def counted(positions, radius):
+        calls.append(len(positions))
+        return graph_from_positions(positions, radius)
+
+    monkeypatch.setattr(harness, "graph_from_positions", counted)
+    raw = load_preset("fig3-dynamic-drm")
+    initial, events = build_instance_and_events(raw["instance"], raw["events"])
+    final = events[-1].instance
+    assert calls == [final.num_users]
+    assert len(events) == 2 and initial == final.prefix(initial.num_users)
+    assert events[0].instance == final.prefix(events[0].instance.num_users)
 
 
 def test_per_user_update_probs_cover_the_final_population():

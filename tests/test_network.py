@@ -1,5 +1,6 @@
 """Graph, strategy, and closed-form rate primitives."""
 
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -112,6 +113,31 @@ def test_allowed_mask_validation():
     )
     assert inst.allowed_channels(0) == (0, 2)
     assert inst.allowed_channels(1) == (0, 1, 2)
+
+
+def test_instance_prefix_keeps_the_first_users_and_the_graph_they_induce():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        plain = random_drm_instance(rng)
+        k, users = plain.num_channels, plain.num_users
+        mask = tuple(
+            tuple((rng.permutation(k) < rng.integers(plain.channels_per_user, k + 1)).tolist())
+            for _ in range(users)
+        )
+        for inst in (plain, dataclasses.replace(plain, allowed=mask)):
+            assert inst.prefix(users) is inst
+            for m in range(1, users):
+                cut = inst.prefix(m)
+                assert (cut.num_users, cut.num_channels) == (m, k)
+                assert cut.channels_per_user == inst.channels_per_user
+                assert cut.utilities == inst.utilities[:m]
+                assert cut.caps == inst.caps[:m]
+                assert cut.allowed == (None if inst.allowed is None else mask[:m])
+                assert cut.graph.adjacency == tuple(
+                    tuple(r for r in nbrs if r < m) for nbrs in inst.graph.adjacency[:m]
+                )
+                for j in range(1, m + 1):
+                    assert cut.prefix(j) == inst.prefix(j)
 
 
 _ONE = InterferenceGraph(1, ((),))
@@ -293,6 +319,12 @@ def _scalar_position_graph(positions, radius):
     return InterferenceGraph.from_edges(len(positions), edges)
 
 
+def _induced(graph, n):
+    """The graph over users 0..n-1, cut from `graph` by Instance.prefix."""
+    users = graph.num_users
+    return Instance(graph, 1, 1, ((1.0,),) * users, (0.5,) * users).prefix(n).graph
+
+
 def test_graph_from_positions_equals_the_pair_loop():
     rng = np.random.default_rng(8)
     cases = [
@@ -354,8 +386,12 @@ def point_sets(draw):
 @example((np.array([[0.0, 0.0], [3.0, 4.0], [4.0, 3.0], [7.0, 0.0]]) + 1e7, 5.0))
 @example((np.array([[0.0, 10.0], [1e-7, 10.0 - 1e-7], [10.0, 0.0]]), 2e-7))  # capped cells
 def test_graph_from_positions_matches_the_pair_loop_on_adversarial_points(case):
+    # and its prefixes: a growing population's stages are cut from its final graph
     positions, radius = case
-    assert graph_from_positions(positions, radius) == _scalar_position_graph(positions, radius)
+    graph = graph_from_positions(positions, radius)
+    assert graph == _scalar_position_graph(positions, radius)
+    for n in {1, (len(positions) + 1) // 2, len(positions) - 1} - {0}:
+        assert _induced(graph, n) == _scalar_position_graph(positions[:n], radius)
 
 
 def test_graph_from_positions_carries_candidates_across_chunks(monkeypatch):
