@@ -51,7 +51,6 @@ from .network import success_probability  # unused; perfbench/tracing.py patches
 __all__ = [
     "UpdateMechanism",
     "EstimatorConfig",
-    "PopulationEvent",
     "Trajectory",
     "select_active",
     "run_br_drm",
@@ -160,45 +159,6 @@ class EstimatorConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, not {value!r}")
-
-
-@dataclass(frozen=True)
-class PopulationEvent:
-    """Mid-run arrival of extra users, described by the enlarged instance.
-
-    The new instance must extend the previous one: identical channel counts,
-    utilities, caps, and induced interference among the existing users, with
-    the newcomers appended at the end. Takes effect at the start of updating
-    time `at_iter`.
-    """
-
-    at_iter: int
-    instance: Instance
-
-    def __post_init__(self) -> None:
-        at_iter = self.at_iter
-        if isinstance(at_iter, bool) or not isinstance(at_iter, (int, np.integer)) or at_iter < 1:
-            raise ValueError(f"at_iter must be an integer of at least 1, not {at_iter!r}")
-
-
-# What an event's instance must keep, on its prefix over the previous users
-_KEPT_BY_EVENTS = (
-    ("num_channels", "population event must keep num_channels"),
-    ("channels_per_user", "population event must keep channels_per_user"),
-    ("utilities", "population event must keep existing utilities"),
-    ("caps", "population event must keep existing caps"),
-    ("allowed", "population event must keep existing channel masks"),
-    ("graph", "population event must keep interference among existing users"),
-)
-
-
-def _check_extension(old: Instance, new: Instance) -> None:
-    if new.num_users <= old.num_users:
-        raise ValueError("population event must add at least one user")
-    kept = new.prefix(old.num_users)
-    for name, message in _KEPT_BY_EVENTS:
-        if getattr(kept, name) != getattr(old, name):
-            raise ValueError(message)
 
 
 @dataclass
@@ -312,7 +272,7 @@ class _Recorder:
     def prices(self, n: int, profile: StrategyProfile, instance: Instance) -> dict:
         """User n's prices as keywords of the game's rules: its channel_load and, in the fairness
         game, its action table's values, priced on first demand. Empty (the rules price directly)
-        unless `profile` on `instance` was derived last: not after an event or a memo revisit."""
+        unless `profile` on `instance` was derived last: not after a new stage or a memo revisit."""
         if profile is not self._last[0] or instance is not self._last[1]:
             return {}
         prices = self._prices[n]
@@ -402,42 +362,55 @@ class _BlockStream:
         return self._rng.bit_generator
 
 
+def _stages(instance: Instance, arrivals: Optional[Sequence[int]]) -> list[tuple[int, Instance]]:
+    """(start, stage) pairs: updating time 0 and each distinct positive arrival time, each with
+    the prefix of `instance` that holds the users arrived by then."""
+    if arrivals is None:
+        return [(0, instance)]
+    if len(arrivals) != instance.num_users:
+        raise ValueError(f"arrivals must have one entry per user, not {len(arrivals)}")
+    for n, at in enumerate(arrivals):
+        if isinstance(at, bool) or not isinstance(at, (int, np.integer)):
+            raise ValueError(f"arrivals[{n}] must be an integer, not {at!r}")
+        if n and at < arrivals[n - 1]:
+            raise ValueError(f"arrivals must not decrease, but arrivals[{n}] < arrivals[{n - 1}]")
+    if arrivals[0] != 0:
+        raise ValueError(f"arrivals[0] must be 0, not {arrivals[0]!r}")
+    counts = {int(at): n + 1 for n, at in enumerate(arrivals)}  # users arrived by each time
+    return [(at, instance.prefix(count)) for at, count in counts.items()]
+
+
 def _play(
     instance: Instance,
     mechanism: UpdateMechanism,
     rng: Optional[np.random.Generator],
     max_iters: int,
     initial_profile: Optional[StrategyProfile],
-    events: Sequence[PopulationEvent],
+    arrivals: Optional[Sequence[int]],
     game,
     step,
 ) -> Trajectory:
     """The learning loop of both games: `step` holds one game's rule, `game` its module.
 
-    Each updating time t applies the events due (step.extend grows the
-    profile), calls step.prepare, and asks step.decide of every active user
-    that is not settled, in ascending order, against the pre-step profile and
+    `instance` is the whole population and arrivals[n] the updating time at which user n joins
+    (None: all at 0). Each updating time t starts the stage whose users arrive at t, if any
+    (step.extend grows the profile), calls step.prepare, and asks step.decide of every active
+    user that is not settled, in ascending order, against the pre-step profile and
     the recorder's `prices`. The answer is a play, None to keep the current
     one, or _SETTLE to keep it and be skipped until a neighbor moves or users
     arrive; a step settles a user only when its decision reads no rng and no
     plays beyond the user's neighborhood. All plays of an updating time apply
     at once. Once num_users updating times pass without a play (a quiet pass)
-    and no event is pending, step.confirm decides at each further quiet
+    and no arrival is pending, step.confirm decides at each further quiet
     updating time, from the at_nep flag just recorded, whether the run has
     converged. All draws go through a _BlockStream, rewound when the run ends or raises.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
+    (_, instance), *pending = _stages(instance, arrivals)
     rng = _BlockStream(rng if rng is not None else np.random.default_rng(0))
     if initial_profile is None:
         initial_profile = step.extend((), instance)
-    pending = sorted(events, key=lambda e: e.at_iter)
-    grown = instance
-    for i, event in enumerate(pending):
-        if i and event.at_iter == pending[i - 1].at_iter:
-            raise ValueError(f"duplicate population event at updating time {event.at_iter}")
-        _check_extension(grown, event.instance)
-        grown = event.instance
     recorder = _Recorder(game)
     profile = recorder.start(initial_profile, instance)
     prepare, decide, prices = step.prepare, step.decide, recorder.prices
@@ -445,8 +418,8 @@ def _play(
     settled: set[int] = set()
     try:
         for t in range(1, max_iters + 1):
-            while pending and pending[0].at_iter == t:
-                instance = pending.pop(0).instance
+            if pending and pending[0][0] == t:
+                instance = pending.pop(0)[1]
                 profile = recorder.canonical(step.extend(profile, instance))
                 quiet_run = 0
                 settled.clear()
@@ -488,7 +461,7 @@ def run_br_drm(
     rng: Optional[np.random.Generator] = None,
     *,
     initial_profile: Optional[StrategyProfile] = None,
-    events: Sequence[PopulationEvent] = (),
+    arrivals: Optional[Sequence[int]] = None,
 ) -> Trajectory:
     """Best-response play for the rate-maximization game, run by _play.
 
@@ -503,7 +476,7 @@ def run_br_drm(
     convergence.
     """
     step = _BestResponse(estimator_config)
-    return _play(instance, mechanism, rng, max_iters, initial_profile, events, drm, step)
+    return _play(instance, mechanism, rng, max_iters, initial_profile, arrivals, drm, step)
 
 
 class _BestResponse:
@@ -538,7 +511,7 @@ class _BestResponse:
         elif config.flush_on_neighbor_update:
             # a list, never a tuple: arr[()] = x would write every entry
             self._valid_from[[r for n in switched for r in instance.graph.adjacency[n]]] = self._slots
-        layout = self._layout  # profiles are interned: a switch or an event makes a new object
+        layout = self._layout  # profiles are interned: a switch or a new stage makes a new object
         if not (layout and layout.profile is profile and layout.instance is instance):
             layout = self._layout = _SlotLayout(profile, instance)
         # slots that would fall out of the window need only their coins, drawn in bounded chunks
@@ -634,7 +607,7 @@ def run_nbrf(
     *,
     freeze_beta: Optional[float] = None,
     initial_profile: Optional[StrategyProfile] = None,
-    events: Sequence[PopulationEvent] = (),
+    arrivals: Optional[Sequence[int]] = None,
 ) -> Trajectory:
     """Noisy best response for the fairness game under a cooling schedule, run by _play.
 
@@ -649,7 +622,7 @@ def run_nbrf(
     if freeze_beta is not None and not math.isfinite(freeze_beta):
         raise ValueError("freeze_beta must be finite; None never freezes")
     step = _NoisyBestResponse(schedule, freeze_beta)
-    return _play(instance, mechanism, rng, max_iters, initial_profile, events, fairness, step)
+    return _play(instance, mechanism, rng, max_iters, initial_profile, arrivals, fairness, step)
 
 
 class _NoisyBestResponse:
@@ -660,7 +633,7 @@ class _NoisyBestResponse:
         # A user's noisy_br_table depends only on beta and its neighbors' plays, so while
         # beta(t) holds still the tables are kept per (user, neighbors' plays) and cleared when
         # it moves. A logarithmic beta(t) never holds still, so it builds each table afresh.
-        # Events keep every entry valid: users keep their utilities, new neighbors lengthen keys.
+        # Arrivals keep every entry valid: users keep their utilities, new neighbors lengthen keys.
         self._memo = schedule.kind != "logarithmic"
         self._draws: dict[tuple, tuple] = {}
         self._beta: Optional[float] = None

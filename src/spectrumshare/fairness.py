@@ -152,8 +152,8 @@ class _ActionTable(NamedTuple):
 def _action_table(user: int, instance: Instance) -> _ActionTable:
     """The user's action table, built on first use and kept on the instance.
 
-    An Instance is frozen, so no table can go stale on it; a population event
-    brings a new Instance, which starts without tables.
+    An Instance is frozen, so no table can go stale on it; each stage of a
+    growing population is its own Instance (a kept prefix) with its own tables.
     """
     tables = instance.__dict__.get("_fair_action_tables")
     if tables is None:

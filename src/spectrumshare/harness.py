@@ -23,7 +23,6 @@ from . import __version__, fairness
 from .drm import efficiency_bound, is_nep_drm, naive_expected_rate
 from .dynamics import (
     EstimatorConfig,
-    PopulationEvent,
     Trajectory,
     UpdateMechanism,
     run_better_response_replay,
@@ -317,31 +316,29 @@ class ExperimentConfig:
 
 def build_instance_and_events(
     instance_spec: dict, events_spec: Sequence[dict] = ()
-) -> tuple[Instance, tuple[PopulationEvent, ...]]:
-    """Materialize the instance (and any population events) from config specs.
+) -> tuple[Instance, Optional[tuple[int, ...]]]:
+    """The config's whole population and each user's arrival time (None without events).
 
     The generator RNG is seeded by instance.graph_seed alone, so the instance
     is identical across trials; trial seeds only drive the dynamics. The
-    final population is built once; the initial instance and each event's
-    instance are its prefixes (Instance.prefix), so each stage extends the
-    previous one.
+    population is built once: users present from the start arrive at 0, and
+    each event's newcomers at its at_iter, which the learning driver turns
+    into stages that are prefixes of the population (Instance.prefix).
     """
     path = "config.instance"
     spec = _read(instance_spec, "instance", path)
     kind, num_channels = spec["kind"], spec["num_channels"]
-    stages = [spec["num_users"]]
-    event_iters = []
+    arrivals = [0] * spec["num_users"]
     for i, event in enumerate(events_spec):
         epath = f"config.events[{i}]"
         event = _read(event, "event", epath)
         at_iter, stage_users = event["at_iter"], event["num_users"]
-        if stage_users <= stages[-1]:
+        if stage_users <= len(arrivals):
             raise ConfigError(f"{epath}.num_users must exceed the previous stage")
-        if event_iters and at_iter <= event_iters[-1]:
+        if i and at_iter <= arrivals[-1]:
             raise ConfigError(f"{epath}.at_iter must exceed the previous event")
-        stages.append(stage_users)
-        event_iters.append(at_iter)
-    final_users = stages[-1]
+        arrivals += [at_iter] * (stage_users - len(arrivals))
+    final_users = len(arrivals)
     if events_spec and kind != "geometric":
         raise ConfigError("config.events requires a geometric instance")
     utility_spec = _read(spec["utilities"], "utilities", f"{path}.utilities")
@@ -393,8 +390,7 @@ def build_instance_and_events(
         final = Instance(graph, num_channels, spec["channels_per_user"], utilities, caps, allowed)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    events = tuple(PopulationEvent(at, final.prefix(n)) for at, n in zip(event_iters, stages[1:]))
-    return final.prefix(stages[0]), events
+    return final, tuple(arrivals) if events_spec else None
 
 
 @dataclass
@@ -423,7 +419,7 @@ def _channel_set_str(channels: Sequence[int]) -> str:
 
 
 def _trial_runner(
-    config: ExperimentConfig, instance: Instance, events: tuple[PopulationEvent, ...]
+    config: ExperimentConfig, instance: Instance, arrivals: Optional[tuple[int, ...]]
 ) -> Callable[[np.random.Generator], Any]:
     """One trial as a function of its generator; the setup all trials share runs once.
 
@@ -463,7 +459,7 @@ def _trial_runner(
         return replay_trial
     if config.algorithm == "br-drm":
         return lambda rng: run_br_drm(
-            instance, config.mechanism, config.estimator, config.max_iters, rng, events=events
+            instance, config.mechanism, config.estimator, config.max_iters, rng, arrivals=arrivals
         )
     try:
         fairness._require_single_channel(instance)
@@ -476,7 +472,7 @@ def _trial_runner(
         config.max_iters,
         rng,
         freeze_beta=config.freeze_beta,
-        events=events,
+        arrivals=arrivals,
     )
 
 
@@ -520,14 +516,13 @@ def run_experiment(
     trial can be reproduced in isolation. Output files never contain
     timestamps or absolute paths; identical configs produce identical bytes.
     """
-    instance, events = build_instance_and_events(config.instance_spec, config.events_spec)
-    final = events[-1].instance if events else instance
-    final_users = final.num_users
-    if config.mechanism is not None and len(config.mechanism.update_probs) not in (1, final_users):
-        raise ConfigError(f"config.mechanism.update_probs must list 1 or {final_users} entries")
-    run_trial = _trial_runner(config, instance, events)
+    instance, arrivals = build_instance_and_events(config.instance_spec, config.events_spec)
+    users = instance.num_users
+    if config.mechanism is not None and len(config.mechanism.update_probs) not in (1, users):
+        raise ConfigError(f"config.mechanism.update_probs must list 1 or {users} entries")
+    run_trial = _trial_runner(config, instance, arrivals)
     # before the trials: an instance the oracle cannot take fails the run up front
-    oracle_ref = oracle_optimum(final) if config.oracle_reference else None
+    oracle_ref = oracle_optimum(instance) if config.oracle_reference else None
     outcomes = [run_trial(_trial_rng(config.seed, trial)) for trial in range(config.trials)]
     trajectories: list[Optional[Trajectory]] = outcomes
     naive_rates: Optional[list[tuple[float, ...]]] = None
@@ -548,7 +543,7 @@ def run_experiment(
     else:
         aggregate_rows = _aggregate(trajectories)
 
-    manifest = _build_manifest(config, final, trajectories, naive_rates, oracle_ref)
+    manifest = _build_manifest(config, instance, trajectories, naive_rates, oracle_ref)
     result = ExperimentResult(
         config=config,
         instance=instance,
@@ -565,8 +560,7 @@ def run_experiment(
 
 def final_population(config: ExperimentConfig) -> Instance:
     """The config's instance after its last population event."""
-    instance, events = build_instance_and_events(config.instance_spec, config.events_spec)
-    return events[-1].instance if events else instance
+    return build_instance_and_events(config.instance_spec, config.events_spec)[0]
 
 
 def oracle_optimum(instance: Instance) -> OracleResult:

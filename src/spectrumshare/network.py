@@ -199,6 +199,8 @@ class Instance:
 
     def __post_init__(self) -> None:
         n_users = self.graph.num_users
+        if n_users < 1:
+            raise ValueError("an instance needs at least one user")
         if self.num_channels < 1:
             raise ValueError("num_channels must be at least 1")
         if not 1 <= self.channels_per_user <= self.num_channels:
@@ -251,17 +253,21 @@ class Instance:
         return self.channel_choices[user]
 
     def prefix(self, num_users: int) -> "Instance":
-        """Users 0..num_users-1 and the graph they induce; self when that is every user."""
+        """Users 0..num_users-1 and the graph they induce; self when that is every user. Each
+        prefix is built on first use and kept on this instance, so repeated calls share it."""
         if num_users == self.num_users:
             return self
-        adjacency = tuple(a[: bisect_left(a, num_users)] for a in self.graph.adjacency[:num_users])
-        return replace(
-            self,
-            graph=InterferenceGraph(num_users, adjacency),
-            utilities=self.utilities[:num_users],
-            caps=self.caps[:num_users],
-            allowed=None if self.allowed is None else self.allowed[:num_users],
-        )
+        kept = self.__dict__.setdefault("_prefixes", {})
+        if num_users not in kept:
+            adjacency = (a[: bisect_left(a, num_users)] for a in self.graph.adjacency[:num_users])
+            kept[num_users] = replace(
+                self,
+                graph=InterferenceGraph(num_users, tuple(adjacency)),
+                utilities=self.utilities[:num_users],
+                caps=self.caps[:num_users],
+                allowed=None if self.allowed is None else self.allowed[:num_users],
+            )
+        return kept[num_users]
 
 
 def validate_profile(profile: StrategyProfile, instance: Instance) -> None:

@@ -31,7 +31,6 @@ from spectrumshare import (
     ExperimentConfig,
     Instance,
     InterferenceGraph,
-    PopulationEvent,
     UpdateMechanism,
     list_presets,
     load_preset,
@@ -120,11 +119,11 @@ def _window_shape(window, slots, flush, rng):
         "utilities": {"kind": "uniform", "low": 50.0, "high": 150.0},
         "caps": {"kind": "explicit", "values": [0.7, 0.3] * 9},
     }
-    inst, events = build_instance_and_events(spec, [{"at_iter": 25, "num_users": 18}])
+    inst, arrivals = build_instance_and_events(spec, [{"at_iter": 25, "num_users": 18}])
     return run_br_drm(
         inst, UpdateMechanism.backoff(),
         EstimatorConfig(window, slots, flush_on_neighbor_update=flush),
-        max_iters=60, rng=rng, events=events,
+        max_iters=60, rng=rng, arrivals=arrivals,
     )
 
 
@@ -140,10 +139,10 @@ def _masked_estimator(rng):
         "caps": {"kind": "explicit", "values": [0.6, 0.3, 0.45] * 7},
         "allowed": [[(n + k) % 4 != 0 for k in range(5)] for n in range(21)],
     }
-    inst, events = build_instance_and_events(spec, [{"at_iter": 30, "num_users": 21}])
+    inst, arrivals = build_instance_and_events(spec, [{"at_iter": 30, "num_users": 21}])
     return run_br_drm(
         inst, UpdateMechanism.backoff(), EstimatorConfig(window=40, slots_per_update=20),
-        max_iters=70, rng=rng, events=events,
+        max_iters=70, rng=rng, arrivals=arrivals,
     )
 
 
@@ -173,20 +172,20 @@ def _exact_case(name):
         events_spec = [{"at_iter": 40, "num_users": 42}]
     final = events_spec[-1]["num_users"] if events_spec else spec["num_users"]
     spec["caps"] = {"kind": "explicit", "values": [(0.6, 0.3, 0.45)[n % 3] for n in range(final)]}
-    inst, events = build_instance_and_events(spec, events_spec)
-    return inst, events, mechanism
+    inst, arrivals = build_instance_and_events(spec, events_spec)
+    return inst, arrivals, mechanism
 
 
 def _exact(name, rng):
-    inst, events, mechanism = _exact_case(name)
-    return run_br_drm(inst, mechanism, max_iters=150, rng=rng, events=events)
+    inst, arrivals, mechanism = _exact_case(name)
+    return run_br_drm(inst, mechanism, max_iters=150, rng=rng, arrivals=arrivals)
 
 
 def _estimator_event(rng):
-    inst, events, _ = _exact_case("event-masked")
+    inst, arrivals, _ = _exact_case("event-masked")
     return run_br_drm(
         inst, UpdateMechanism.probabilistic(0.4), EstimatorConfig(window=30, slots_per_update=12),
-        max_iters=70, rng=rng, events=events,
+        max_iters=70, rng=rng, arrivals=arrivals,
     )
 
 
@@ -211,10 +210,10 @@ def _annealed_nbrf(kind, name, rng):
         "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
         "caps": {"kind": "constant", "value": 0.5},
     }
-    inst, events = build_instance_and_events(spec, [{"at_iter": arrival, "num_users": 36}])
+    inst, arrivals = build_instance_and_events(spec, [{"at_iter": arrival, "num_users": 36}])
     return run_nbrf(
         inst, _MECHANISMS[name], schedule, max_iters=max_iters, rng=rng,
-        freeze_beta=freeze_beta, events=events,
+        freeze_beta=freeze_beta, arrivals=arrivals,
     )
 
 
@@ -252,7 +251,7 @@ def stopped_run(rng, step):
     """Fixed-heat NBRF on a 5-user path under `step`, a _StoppingNBRF at updating time 137."""
     mechanism = UpdateMechanism.probabilistic(0.5)
     with pytest.raises(_Stop) if step.raises else nullcontext():
-        dynamics._play(_path(5), mechanism, rng, 300, None, (), fairness, step)
+        dynamics._play(_path(5), mechanism, rng, 300, None, None, fairness, step)
 
 
 # name: (seed, run on a generator of that seed). An entry pins the run's
@@ -284,8 +283,8 @@ RUNS = {
         max_iters=400, rng=rng,
     )),
     "caller-rng/nbrf-log-backoff-event": (31, lambda rng: run_nbrf(
-        _path(6), UpdateMechanism.backoff(), CoolingSchedule.logarithmic(1.0), max_iters=200,
-        rng=rng, freeze_beta=4.0, events=[PopulationEvent(60, _path(9))],
+        _path(9), UpdateMechanism.backoff(), CoolingSchedule.logarithmic(1.0), max_iters=200,
+        rng=rng, freeze_beta=4.0, arrivals=[0] * 6 + [60] * 3,
     )),
     "stopped-run": (37, lambda rng: stopped_run(rng, _StoppingNBRF(137, raises=True))),
 }

@@ -15,7 +15,6 @@ from spectrumshare import (
     EstimatorConfig,
     Instance,
     InterferenceGraph,
-    PopulationEvent,
     UpdateMechanism,
     build_regular_graph,
     drm_initial_profile,
@@ -273,18 +272,16 @@ def _pair():
     )
 
 
-def _grown_pair(num_channels=2, channels_per_user=1, caps=(0.5,) * 3, allowed=None):
-    """_pair with a third user; each argument can break the extension rule."""
-    extra = (0.0,) * (num_channels - 2)
-    utilities = ((2.0, 1.0) + extra, (1.0, 3.0) + extra, (2.0, 2.0) + extra)
-    graph = InterferenceGraph.from_edges(3, [(0, 1), (1, 2)])
-    return Instance(graph, num_channels, channels_per_user, utilities, caps, allowed)
+def grown_instance():
+    """_pair with a third user, a neighbor of user 1."""
+    g = InterferenceGraph.from_edges(3, [(0, 1), (1, 2)])
+    return Instance(g, 2, 1, ((2.0, 1.0), (1.0, 3.0), (2.0, 2.0)), (0.5,) * 3)
 
 
-def _grow_pair(*events, max_iters=10):
+def _grow_pair(arrivals=None, max_iters=10):
     return run_br_drm(
-        _pair(), UpdateMechanism.sweep_sequential(), max_iters=max_iters,
-        rng=np.random.default_rng(0), events=events,
+        grown_instance(), UpdateMechanism.sweep_sequential(), max_iters=max_iters,
+        rng=np.random.default_rng(0), arrivals=arrivals,
     )
 
 
@@ -293,22 +290,11 @@ _DYNAMICS_INPUT_FAULTS = {
         UpdateMechanism.probabilistic([0.5, 0.5]), build_regular_graph(3, 2),
         np.random.default_rng(0),
     ),
-    "population event must keep num_channels": lambda: _grow_pair(
-        PopulationEvent(2, _grown_pair(num_channels=3))
-    ),
-    "population event must keep channels_per_user": lambda: _grow_pair(
-        PopulationEvent(2, _grown_pair(channels_per_user=2))
-    ),
-    "population event must keep existing caps": lambda: _grow_pair(
-        PopulationEvent(2, _grown_pair(caps=(0.4, 0.5, 0.5)))
-    ),
-    "population event must keep existing channel masks": lambda: _grow_pair(
-        PopulationEvent(2, _grown_pair(allowed=((True, True),) * 3))
-    ),
+    "arrivals must have one entry per user, not 2": lambda: _grow_pair([0, 2]),
+    "arrivals[2] must be an integer, not 2.5": lambda: _grow_pair([0, 0, 2.5]),
+    "arrivals must not decrease, but arrivals[2] < arrivals[1]": lambda: _grow_pair([0, 3, 2]),
+    "arrivals[0] must be 0, not 1": lambda: _grow_pair([1, 1, 2]),
     "max_iters must be nonnegative": lambda: _grow_pair(max_iters=-1),
-    "duplicate population event at updating time 2": lambda: _grow_pair(
-        PopulationEvent(2, _grown_pair()), PopulationEvent(2, _grown_pair())
-    ),
     "move 1: user index 5 out of range": lambda: run_better_response_replay(
         cycle_instance(), make_profile([[0, 1], [1, 2]], [0.5, 0.5]), [(5, (2, 3))]
     ),
@@ -396,38 +382,33 @@ def test_run_nbrf_freezes_into_equilibrium():
     assert is_nep_fairness(traj.profiles[-1], inst).is_nep
 
 
-def _nbrf_play(schedule, memo, instance, events, seed):
+def _nbrf_play(schedule, memo, instance, arrivals, seed):
     """run_nbrf's loop with the sampler memo on or off; the trajectory, the step and the rng."""
     step = dynamics._NoisyBestResponse(schedule, None)
     step._memo = memo
     rng = np.random.default_rng(seed)
     traj = dynamics._play(
-        instance, UpdateMechanism.probabilistic(0.5), rng, 150, None, events, fairness, step
+        instance, UpdateMechanism.probabilistic(0.5), rng, 150, None, arrivals, fairness, step
     )
     return traj, step, rng
 
 
 @pytest.mark.parametrize(
     "schedule",
-    # piecewise levels 1, 2, 3, 4, 5 start at t = 1, 3.7, 11.1, 31.2, 85.8: the event is inside 4
+    # piecewise levels 1, 2, 3, 4, 5 start at t = 1, 3.7, 11.1, 31.2, 85.8: the arrival is inside 4
     [CoolingSchedule.fixed(1.7), CoolingSchedule.piecewise_constant(1.0)],
     ids=["fixed-beta", "piecewise-constant"],
 )
 def test_run_nbrf_memo_matches_the_unmemoized_run(schedule):
     """The memoized tables draw what tables built afresh draw, across level changes and an
-    event: the same columns, termination and final rng state."""
-    small = Instance(
-        InterferenceGraph.from_edges(3, [(0, 1), (1, 2)]),
-        2, 1, ((2.0, 1.0), (1.0, 3.0), (2.0, 2.0)), (1.0,) * 3,
-    )
+    arrival: the same columns, termination and final rng state."""
     grown = Instance(
         InterferenceGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
-        2, 1, small.utilities + ((1.0, 1.5),), (1.0,) * 4,
+        2, 1, ((2.0, 1.0), (1.0, 3.0), (2.0, 2.0), (1.0, 1.5)), (1.0,) * 4,
     )
-    events = [PopulationEvent(50, grown)]
     for seed in range(4):
         (direct, _, direct_rng), (memoized, step, memo_rng) = (
-            _nbrf_play(schedule, memo, small, events, seed) for memo in (False, True)
+            _nbrf_play(schedule, memo, grown, [0, 0, 0, 50], seed) for memo in (False, True)
         )
         assert step._draws  # the memo served the run
         for column in ("active_sets", "profiles", "potentials", "rates", "at_nep"):
@@ -453,64 +434,30 @@ def test_run_nbrf_deterministic_per_seed():
     assert runs[0].active_sets == runs[1].active_sets
 
 
-def grown_instance():
-    g = InterferenceGraph.from_edges(3, [(0, 1), (1, 2)])
-    return Instance(g, 2, 1, ((2.0, 1.0), (1.0, 3.0), (2.0, 2.0)), (0.5,) * 3)
-
-
 def test_population_event_extension_checks():
-    small = Instance(
-        InterferenceGraph.from_edges(2, [(0, 1)]), 2, 1,
-        ((2.0, 1.0), (1.0, 3.0)), (0.5, 0.5),
-    )
-    PopulationEvent(5, grown_instance())  # valid construction
-    PopulationEvent(np.int64(5), grown_instance())
-    # the loop fires an event at the integer time t == at_iter, so these never would
-    for bad in (0, 2.5, 3.0, math.nan, math.inf, True, "3", None):
-        with pytest.raises(ValueError, match="at_iter"):
-            PopulationEvent(bad, grown_instance())
-    traj = run_br_drm(
-        small, UpdateMechanism.sweep_sequential(), max_iters=20,
-        rng=np.random.default_rng(0),
-        events=[PopulationEvent(4, grown_instance())],
-    )
-    assert traj.instances[0].num_users == 2
-    assert traj.instances[-1].num_users == 3
-    # the profile grows with the instance and stays valid
-    assert len(traj.profiles[-1]) == 3
-
-
-def test_population_event_rejects_inconsistent_growth():
-    small = Instance(
-        InterferenceGraph.from_edges(2, [(0, 1)]), 2, 1,
-        ((2.0, 1.0), (1.0, 3.0)), (0.5, 0.5),
-    )
-    # prefix utilities must be preserved
-    bad = Instance(
-        InterferenceGraph.from_edges(3, [(0, 1), (1, 2)]), 2, 1,
-        ((9.0, 1.0), (1.0, 3.0), (2.0, 2.0)), (0.5,) * 3,
-    )
-    with pytest.raises(ValueError):
-        run_br_drm(
-            small, UpdateMechanism.sweep_sequential(), max_iters=10,
-            rng=np.random.default_rng(0), events=[PopulationEvent(2, bad)],
+    """A population event is an arrival time: the run grows by kept prefixes of the whole
+    population, and only integer times start a stage, numpy's included."""
+    inst = grown_instance()
+    for at in (4, np.int64(4)):
+        traj = run_br_drm(
+            inst, UpdateMechanism.sweep_sequential(), max_iters=20,
+            rng=np.random.default_rng(0), arrivals=[0, 0, at],
         )
-    # the induced subgraph on the original users must be unchanged
-    bad = Instance(
-        InterferenceGraph.from_edges(3, [(1, 2)]), 2, 1,
-        ((2.0, 1.0), (1.0, 3.0), (2.0, 2.0)), (0.5,) * 3,
-    )
-    with pytest.raises(ValueError):
-        run_br_drm(
-            small, UpdateMechanism.sweep_sequential(), max_iters=10,
-            rng=np.random.default_rng(0), events=[PopulationEvent(2, bad)],
-        )
-    # shrinking is not an extension
-    with pytest.raises(ValueError):
-        run_br_drm(
-            grown_instance(), UpdateMechanism.sweep_sequential(), max_iters=10,
-            rng=np.random.default_rng(0), events=[PopulationEvent(2, small)],
-        )
+        assert traj.instances[0] is traj.instances[3] is inst.prefix(2)
+        assert traj.instances[4] is traj.instances[-1] is inst
+        # the profile grows with the instance and stays valid
+        assert len(traj.profiles[3]) == 2 and len(traj.profiles[-1]) == 3
+    # everyone present from the start is the run without arrivals
+    assert _grow_pair([0, 0, 0]).profiles == _grow_pair().profiles
+    # the loop starts a stage at the integer time t == arrival, so these never would; each
+    # fault raises before the run draws
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for bad in (2.5, 3.0, math.nan, math.inf, True, "3", None):
+        message = f"arrivals[2] must be an integer, not {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_br_drm(inst, UpdateMechanism.backoff(), rng=rng, arrivals=[0, 0, bad])
+    assert rng.bit_generator.state == state
 
 
 def test_estimator_driven_run_settles_on_equilibrium():

@@ -16,7 +16,6 @@ from spectrumshare import (
     EstimatorConfig,
     Instance,
     InterferenceGraph,
-    PopulationEvent,
     Strategy,
     UpdateMechanism,
     drm,
@@ -72,8 +71,8 @@ def _cases(draw):
                  small.caps[n])
         for n in range(users)
     )
-    events = [PopulationEvent(draw(st.integers(1, 12)), instance(total))] if arrivals else []
-    return small, start, events
+    joins = [0] * users + [draw(st.integers(1, 12))] * arrivals if arrivals else None
+    return instance(total), start, joins
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -86,12 +85,12 @@ def _cases(draw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_array_verdicts_equal_the_scalar_rule(case, window, slots, flush, mechanism, seed):
-    instance, start, events = case
+    instance, start, joins = case
     mech = UpdateMechanism.backoff() if mechanism == "backoff" else (
         UpdateMechanism.probabilistic(0.7)
     )
     step = _OracleStep(EstimatorConfig(window, slots, flush_on_neighbor_update=flush))
-    _play(instance, mech, np.random.default_rng(seed), 12, start, events, drm, step)
+    _play(instance, mech, np.random.default_rng(seed), 12, start, joins, drm, step)
 
 
 def test_rounding_ties_keep_and_real_gains_switch():

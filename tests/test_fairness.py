@@ -28,7 +28,7 @@ from spectrumshare import (
     run_nbrf,
     sample_noisy_br,
 )
-from spectrumshare import PopulationEvent, fairness
+from spectrumshare import fairness
 from spectrumshare.errors import DegenerateInstanceError
 from spectrumshare.fairness import LOG_FLOAT_MAX, _action_grid, best_fair_action
 from spectrumshare.harness import default_gibbs_instance
@@ -468,9 +468,10 @@ def test_sampler_tables_are_rebuilt_when_a_population_event_changes_a_degree():
     assert len(fairness.noisy_br_table(1, after, grown, 0.0)[0]) == 2 * 3
     # and a run through the event draws from both
     traj = run_nbrf(
-        small, UpdateMechanism.probabilistic(1.0), CoolingSchedule.fixed(0.7),
-        max_iters=40, rng=np.random.default_rng(61), events=[PopulationEvent(20, grown)],
+        grown, UpdateMechanism.probabilistic(1.0), CoolingSchedule.fixed(0.7),
+        max_iters=40, rng=np.random.default_rng(61), arrivals=[0, 0, 20],
     )
+    assert traj.instances[0] == small and len(traj.profiles[0]) == 2
     assert traj.instances[-1] is grown and len(traj.profiles[-1]) == 3
 
 

@@ -323,12 +323,13 @@ def test_dynamic_stage_specs_validated():
         "caps": {"kind": "constant", "value": 0.5},
     }
     events = [{"at_iter": 10, "num_users": 8}, {"at_iter": 20, "num_users": 9}]
-    inst, evs = build_instance_and_events(spec, events)
-    assert inst.num_users == 6
-    assert [e.at_iter for e in evs] == [10, 20]
-    assert [e.instance.num_users for e in evs] == [8, 9]
-    # prefix consistency across stages
-    assert evs[1].instance.utilities[:8] == evs[0].instance.utilities
+    inst, arrivals = build_instance_and_events(spec, events)
+    assert inst.num_users == 9
+    assert arrivals == (0,) * 6 + (10, 10, 20)
+    assert build_instance_and_events(spec)[1] is None
+    fig3 = load_preset("fig3-dynamic-drm")
+    _, arrivals = build_instance_and_events(fig3["instance"], fig3["events"])
+    assert arrivals == (0,) * 40 + (100,) * 8 + (200,) * 12
     with pytest.raises(ConfigError):
         build_instance_and_events(spec, [{"at_iter": 10, "num_users": 5}])
     with pytest.raises(ConfigError):
@@ -347,11 +348,14 @@ def test_a_growing_population_builds_one_graph(monkeypatch):
 
     monkeypatch.setattr(harness, "graph_from_positions", counted)
     raw = load_preset("fig3-dynamic-drm")
-    initial, events = build_instance_and_events(raw["instance"], raw["events"])
-    final = events[-1].instance
-    assert calls == [final.num_users]
-    assert len(events) == 2 and initial == final.prefix(initial.num_users)
-    assert events[0].instance == final.prefix(events[0].instance.num_users)
+    population, _ = build_instance_and_events(raw["instance"], raw["events"])
+    assert calls == [population.num_users] == [60]
+    # each prefix is built once and kept, so every trial runs on the same stage objects
+    assert population.prefix(48) is population.prefix(48)
+    result = run_experiment(ExperimentConfig.from_dict(dict(raw, trials=2)))
+    first, second = result.trajectories
+    for start, users in ((0, 40), (100, 48), (200, 60)):
+        assert first.instances[start] is second.instances[start] is result.instance.prefix(users)
 
 
 def test_per_user_update_probs_cover_the_final_population():
@@ -548,8 +552,8 @@ def test_run_experiment_multi_channel_sets_use_pipes(tmp_path):
 def test_delta_mode_is_priced_on_the_final_population():
     # fig6 grows from 40 to 50 users: the 40-user bound is 210.30, the 50-user one 262.87
     raw = dict(load_preset("fig6-dynamic-nbrf"), trials=1, max_iters=1)
-    instance, events = build_instance_and_events(raw["instance"], raw["events"])
-    assert delta_lower_bound(instance) < 230 < delta_lower_bound(events[-1].instance) < 263
+    population, _ = build_instance_and_events(raw["instance"], raw["events"])
+    assert delta_lower_bound(population.prefix(40)) < 230 < delta_lower_bound(population) < 263
     for delta, mode in ((230.0, "heuristic"), (263.0, "sufficient")):
         raw["schedule"] = {"kind": "logarithmic", "delta": delta}
         manifest = run_experiment(ExperimentConfig.from_dict(raw)).manifest

@@ -167,7 +167,7 @@ def test_runs_with_population_events_match_full_checks(seed, graph_seed, game, m
         "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
         "caps": {"kind": "constant", "value": 0.5},
     }
-    inst, events = build_instance_and_events(
+    inst, arrivals = build_instance_and_events(
         spec, [{"at_iter": 6, "num_users": 10}, {"at_iter": 15, "num_users": 13}]
     )
     mech = {
@@ -177,10 +177,10 @@ def test_runs_with_population_events_match_full_checks(seed, graph_seed, game, m
     }[mechanism]
     rng = np.random.default_rng(seed)
     if game == "drm":
-        traj = run_br_drm(inst, mech, max_iters=60, rng=rng, events=events)
+        traj = run_br_drm(inst, mech, max_iters=60, rng=rng, arrivals=arrivals)
     else:
         traj = run_nbrf(
             inst, mech, CoolingSchedule.logarithmic(1.0), max_iters=60, rng=rng,
-            freeze_beta=2.5, events=events,
+            freeze_beta=2.5, arrivals=arrivals,
         )
     _assert_matches_full_checks(traj, game)

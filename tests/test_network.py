@@ -148,6 +148,9 @@ _NETWORK_INPUT_FAULTS = {
     "channel indices must be nonnegative": lambda: Strategy((-1,), 0.5),
     "channel_sets and attempt_probs must have equal length": lambda: make_profile([[0]], [0.5, 0.5]),
     "num_channels must be at least 1": lambda: Instance(_ONE, 0, 1, ((),), (0.5,)),
+    "an instance needs at least one user": lambda: Instance(
+        InterferenceGraph(0, ()), 1, 1, (), ()
+    ),
     "utilities must have one row per user": lambda: Instance(_ONE, 2, 1, (), (0.5,)),
     "utilities[0] must have num_channels entries": lambda: Instance(_ONE, 2, 1, ((1.0,),), (0.5,)),
     "utilities[0] must be finite and nonnegative": lambda: Instance(
@@ -444,7 +447,7 @@ def test_each_public_name_is_declared_in_one_module_all():
     assert sorted(spectrumshare.__all__) == [
         "CapacityError", "ConfigError", "CoolingSchedule", "DegenerateInstanceError",
         "EstimationError", "EstimatorConfig", "ExperimentConfig", "Instance",
-        "InterferenceGraph", "PopulationEvent", "Strategy", "StrategyProfile",
+        "InterferenceGraph", "Strategy", "StrategyProfile",
         "Trajectory", "UpdateMechanism", "__version__", "allocation_profile",
         "br_potential", "brute_force_best_response",
         "build_instance_and_events", "build_regular_graph", "channel_load",

@@ -101,9 +101,9 @@ def _geometric(graph_seed, users, channels, picks, events_spec=()):
     return build_instance_and_events(spec, list(events_spec))
 
 
-def _checked_run(inst, events, config, mechanism, seed, max_iters, forced=frozenset()):
+def _checked_run(inst, joins, config, mechanism, seed, max_iters, forced=frozenset()):
     step = _CheckedStep(config, forced)
-    traj = _play(inst, mechanism, np.random.default_rng(seed), max_iters, None, events, drm, step)
+    traj = _play(inst, mechanism, np.random.default_rng(seed), max_iters, None, joins, drm, step)
     assert step.checked == len(traj) - 1
     return traj, step
 
@@ -126,23 +126,23 @@ def test_batched_estimates_equal_the_single_user_reference(
 ):
     events_spec = [{"at_iter": 8, "num_users": users + arrivals}] if arrivals else []
     picks = 1 + graph_seed % (channels - 1)
-    inst, events = _geometric(graph_seed, users, channels, picks, events_spec)
+    inst, joins = _geometric(graph_seed, users, channels, picks, events_spec)
     mech = {
         "backoff": UpdateMechanism.backoff(),
         "probabilistic": UpdateMechanism.probabilistic(0.6),
         "sweep": UpdateMechanism.sweep_sequential(),
     }[mechanism]
     config = EstimatorConfig(window, slots, flush_on_neighbor_update=flush)
-    _checked_run(inst, events, config, mech, seed, 14, forced)
+    _checked_run(inst, joins, config, mech, seed, 14, forced)
 
 
 def test_slot_layout_is_rebuilt_after_switches_and_events():
     # a layout kept across a switch or an event would draw the old plays'
     # busy masks, which the reference's fresh layouts would not match
-    inst, events = _geometric(5, 8, 3, 1, [{"at_iter": 12, "num_users": 11}])
+    inst, joins = _geometric(5, 8, 3, 1, [{"at_iter": 12, "num_users": 11}])
     config = EstimatorConfig(window=6, slots_per_update=4)
     traj, step = _checked_run(
-        inst, events, config, UpdateMechanism.backoff(), 3, 24, forced=frozenset({3, 7, 16})
+        inst, joins, config, UpdateMechanism.backoff(), 3, 24, forced=frozenset({3, 7, 16})
     )
     assert traj.instances[-1].num_users == 11
     # one layout per run of updating times with the same plays, not one per batch

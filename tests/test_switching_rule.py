@@ -102,15 +102,16 @@ def _drm_same_play(play, report, instance):
 
 @pytest.mark.parametrize("name", ["backoff", "probabilistic", "masked", "two-channels"])
 def test_exact_br_drm_moves_by_nep_violation(name):
-    (inst, events), mechanism = _drm_case(name)
+    (inst, arrivals), mechanism = _drm_case(name)
     rng = np.random.default_rng(3)
-    # start every user on its lowest allowed channels, far from equilibrium
+    # start every user present from the start (30) on its lowest allowed channels, far from
+    # equilibrium
     start = tuple(
         Strategy(inst.allowed_channels(n)[: inst.channels_per_user], inst.caps[n])
-        for n in range(inst.num_users)
+        for n in range(30)
     )
     traj = run_br_drm(
-        inst, mechanism, max_iters=300, rng=rng, initial_profile=start, events=events
+        inst, mechanism, max_iters=300, rng=rng, initial_profile=start, arrivals=arrivals
     )
     assert traj.termination == "converged"
     _assert_moves_by_the_rule(traj, drm.nep_violation, _drm_same_play)
