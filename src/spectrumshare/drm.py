@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .network import (
     NEP_REL_TOL,
     NO_LOAD,
@@ -94,12 +96,15 @@ def potential_term(
     mult = _neg_log1m(instance.caps[user])
     inner = 0.0
     for k in profile[user].channels:
-        u = instance.utilities[user][k]
-        log_u = math.log(u) if u > 0.0 else -math.inf
-        inner += log_u - 0.5 * load.get(k, NO_LOAD)[2]
+        inner += log_utility(instance.utilities[user][k]) - 0.5 * load.get(k, NO_LOAD)[2]
     if mult == math.inf and inner == 0.0:
         return 0.0  # 0 * inf: the user contributes nothing
     return mult * inner
+
+
+def log_utility(u: float) -> float:
+    """log(u) with libm's floats, -inf at a zero utility: a potential term's log."""
+    return math.log(u) if u > 0.0 else -math.inf
 
 
 def is_nep_drm(profile: StrategyProfile, instance: Instance) -> NepReport:
@@ -122,8 +127,8 @@ def nep_violation(
     top_channels. A switch counts when the best set's score total beats the
     current one's by more than NEP_REL_TOL relative to the larger total. The
     report holds the best set at the current attempt probability and the
-    exact rate gain, both rates priced from one channel_load (`load`, if given). Exact BR-DRM
-    plays it; estimator mode plays its array form, with success_estimates its reference.
+    exact rate gain, both rates priced from one channel_load (`load`, if given). BR-DRM plays
+    its array form, `switches`, in both modes; this is that form's reference.
     """
     scores = channel_scores(user, profile, instance, success_estimates, load)
     strat = profile[user]
@@ -138,6 +143,31 @@ def nep_violation(
     utils, p = instance.utilities[user], strat.attempt_prob
     gain = rate_from_load(p, utils, br_set, load) - rate_from_load(p, utils, strat.channels, load)
     return NepReport(False, user, Strategy(br_set, p), gain)
+
+
+def switches(
+    utilities: np.ndarray, clearances: np.ndarray, current: np.ndarray, masked=None
+) -> list:
+    """Each row's nep_violation verdict: its best channel set, or None when it keeps its play.
+
+    Rows are users: utilities and clearances (exact or estimated) are (users, channels),
+    `current` their channel sets (users, channels_per_user) and `masked`, if given, the
+    channels each may not select. The floats are nep_violation's: masked scores are -inf after
+    the product (-inf * 0 is nan), ties go to the lowest channel and totals add left to right.
+    """
+    scores = utilities * clearances
+    if masked is not None:
+        scores[masked] = -np.inf
+    rows, picks = np.arange(len(scores)), current.shape[1]
+    best = scores.argmax(axis=1)[:, None] if picks == 1 else (  # argmax: the first maximum
+        np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :picks], axis=1))
+    best_total, current_total = np.zeros((2, len(scores)))
+    for j in range(picks):  # column by column, as left_sum adds
+        best_total += scores[rows, best[:, j]]
+        current_total += scores[rows, current[:, j]]
+    gains = best_total - current_total > NEP_REL_TOL * np.maximum(best_total, current_total)
+    switch = (gains & (best != current).any(axis=1)).tolist()
+    return [tuple(chans) if s else None for s, chans in zip(switch, best.tolist())]
 
 
 def efficiency_bound(num_channels: int, degree: int) -> float:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import is_not
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -34,11 +36,11 @@ from .fairness import (
 # perfbench/tracing.py patches them
 from .fairness import cooperative_utility, noisy_br_distribution, sample_noisy_br
 from .network import (
-    NEP_REL_TOL,
     Instance,
     InterferenceGraph,
     Strategy,
     StrategyProfile,
+    _neg_log1m,
     channel_load,
     left_sum,
     rate_from_load,
@@ -190,31 +192,22 @@ class Trajectory:
 class _Recorder:
     """Appends to the trajectory's columns, de-duplicating repeated snapshots.
 
-    A user's rate, potential term and equilibrium verdict read only its own
-    and its neighbors' plays, so a new profile reprices only the users it
-    touched, re-summing the terms left to right (the float of the game's full
-    potential). Touched users' verdicts go stale; the profile is off
-    equilibrium while the last violator found is untouched, and otherwise the
-    stale users are checked in index order up to the first violator. Each
-    user's `prices` are kept until it is touched.
+    Each distinct profile is derived once, by the game's subclass: its potential (the terms
+    summed left to right, the float of the game's full potential), its users' rates and its
+    at_nep flag. A revisit reuses them. A user's rate, potential term and verdict read only its
+    own and its neighbors' plays, so a new profile reprices only the users it touched: in
+    arrays for the rate game (_RateRecorder), one user at a time for the fairness game
+    (_FairRecorder).
     """
 
-    def __init__(self, game):
-        self._game = game  # the drm or fairness module
+    def __init__(self):
         self.trajectory = Trajectory([], [], [], [], [], [])
         self._interned: dict[StrategyProfile, StrategyProfile] = {}
         self._active_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         # keyed by id: recorded profiles stay alive in the trajectory, and
         # interned ones are equal exactly when they are the same object
         self._derived: dict[int, tuple[float, tuple[float, ...], bool]] = {}
-        # the last derived profile's per-user terms, rates, prices, unchecked
-        # users and violator (a revisit hits _derived)
-        self._last: tuple[StrategyProfile, Optional[Instance]] = ((), None)
-        self._terms: list[float] = []
-        self._rates: list[float] = []
-        self._prices: list[dict] = []
-        self._stale: set[int] = set()
-        self._violator: Optional[int] = None
+        self._last: tuple[StrategyProfile, Optional[Instance]] = ((), None)  # priced last
 
     def canonical(self, profile: StrategyProfile) -> StrategyProfile:
         return self._interned.setdefault(profile, profile)
@@ -240,6 +233,142 @@ class _Recorder:
         traj.at_nep.append(derived[2])
         return derived[2]
 
+    def build(
+        self, converged_at: Optional[int], termination: str, cycle_length: Optional[int] = None
+    ) -> Trajectory:
+        traj = self.trajectory
+        traj.converged_at, traj.termination, traj.cycle_length = (
+            converged_at, termination, cycle_length
+        )
+        return traj
+
+
+class _RateRecorder(_Recorder):
+    """The rate game's recorder, priced in arrays over the rows a profile change touches.
+
+    Row n of `clearance` and `suffered` (users, channels) holds user n's channel_load
+    clearance and log-interference, NO_LOAD's where no neighbor plays. A new profile resets the
+    rows of its movers and their neighbors to 1.0 and 0.0, then multiplies in each neighbor's
+    1 - p and adds its -log1p(-p) on its channels in one ufunc.at pass each, which applies them
+    in index order: per row in adjacency order, so every cell is channel_load's float. The same
+    rows give the users' rates, br_potential terms and verdicts (drm.switches on the exact
+    clearances); at_nep holds while no user's verdict is a switch. `switches` follows any
+    profile it is asked about, so a revisit or a new stage gets its own verdicts.
+    """
+
+    def _stage(self, instance: Instance) -> None:
+        """The instance's arrays, every user's row unpriced."""
+        n_users, per_user, num_channels = (
+            instance.num_users, instance.channels_per_user, instance.num_channels
+        )
+        self._utilities = np.array(instance.utilities)
+        self._masked = None if instance.allowed is None else ~np.array(instance.allowed)
+        self._mult = np.array([_neg_log1m(cap) for cap in instance.caps])
+        # (user, neighbor) pairs by user; the edges run ascending by lower end, so a stable
+        # sort by user keeps each user's neighbors ascending: adjacency order
+        low, high = instance.graph.edge_array
+        users, nbrs = np.concatenate((high, low)), np.concatenate((low, high))
+        order = np.argsort(users, kind="stable")
+        self._owners, self._adjacent = users[order], nbrs[order]
+        self._first = np.arange(0, n_users * num_channels, num_channels)[:, None]  # row n's cell 0
+        self._channels = np.zeros((n_users, per_user), dtype=np.intp)
+        self._plays = np.zeros((n_users, 3))  # p, 1 - p and -log1p(-p), as channel_load prices
+        self._log_u = np.zeros((n_users, per_user))
+        self._clearance = np.ones((n_users, num_channels))
+        self._suffered = np.zeros((n_users, num_channels))
+        self._rates: list[float] = [0.0] * n_users  # a list: untouched users' floats are shared
+        self._terms = np.zeros(n_users + 1)  # a leading 0.0: cumsum adds as left_sum does
+        self._switches: list = [None] * n_users
+        self._violators = 0
+
+    def switches(self, profile: StrategyProfile, instance: Instance) -> list:
+        """Each user's drm.nep_violation channel set at `profile`, or None where it keeps."""
+        self._follow(profile, instance)
+        return self._switches
+
+    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple, bool]:
+        self._follow(profile, instance)
+        with np.errstate(invalid="ignore"):  # inf + -inf terms: nan, as left_sum gives
+            potential = float(np.cumsum(self._terms)[-1])
+        return potential, tuple(self._rates), self._violators == 0
+
+    def _follow(self, profile: StrategyProfile, instance: Instance) -> None:
+        last, last_instance = self._last
+        if profile is last and instance is last_instance:
+            return
+        if instance is not last_instance:
+            self._stage(instance)
+            moved = list(range(instance.num_users))
+        else:
+            moved = list(compress(count(), map(is_not, profile, last)))  # new play objects
+        self._last = (profile, instance)
+        if not moved:
+            return
+        plays = [profile[n] for n in moved]
+        self._channels[moved] = [s.channels for s in plays]
+        self._plays[moved] = [
+            (s.attempt_prob, 1.0 - s.attempt_prob, _neg_log1m(s.attempt_prob)) for s in plays
+        ]
+        self._log_u[moved] = [
+            [drm.log_utility(instance.utilities[n][k]) for k in s.channels]
+            for n, s in zip(moved, plays)
+        ]
+        touched = np.zeros(instance.num_users, dtype=bool)
+        touched[moved] = True
+        touched[self._adjacent[touched[self._owners]]] = True  # and the movers' neighbors
+        self._price(touched)
+
+    def _price(self, touched: np.ndarray) -> None:
+        """Rebuild the touched users' rows, then their rates, potential terms and verdicts."""
+        rows, pairs = np.flatnonzero(touched), touched[self._owners]
+        nbrs = self._adjacent[pairs]
+        cells = self._first[self._owners[pairs]] + self._channels[nbrs]
+        self._clearance[rows], self._suffered[rows] = 1.0, 0.0
+        clearance, suffered = self._clearance.reshape(-1), self._suffered.reshape(-1)
+        plays = self._plays[nbrs]
+        np.multiply.at(clearance, cells, plays[:, 1:2])
+        np.add.at(suffered, cells, plays[:, 2:])
+        current = self._channels[rows]
+        cells = self._first[rows] + current
+        probs, utilities = self._plays[rows, 0], self._utilities.reshape(-1)[cells]
+        clear, lost, log_u = clearance[cells], suffered[cells], self._log_u[rows]
+        rates, inner = np.zeros((2, len(rows)))
+        for j in range(current.shape[1]):  # from 0.0, as rate_from_load and potential_term add
+            rates += probs * utilities[:, j] * clear[:, j]
+            inner += log_u[:, j] - 0.5 * lost[:, j]
+        # a multiplier (0, inf] times 0.0 is 0.0, and inf * 0.0 is 0.0 by potential_term's rule
+        self._terms[rows + 1] = np.multiply(
+            self._mult[rows], inner, out=np.zeros(len(rows)), where=inner != 0.0
+        )
+        verdicts = drm.switches(
+            self._utilities[rows], self._clearance[rows], current,
+            None if self._masked is None else self._masked[rows],
+        )
+        old, rate_list = self._switches, self._rates
+        for n, rate, verdict in zip(rows.tolist(), rates.tolist(), verdicts):
+            self._violators += (verdict is not None) - (old[n] is not None)
+            old[n], rate_list[n] = verdict, rate
+
+
+class _FairRecorder(_Recorder):
+    """The fairness game's recorder, priced one touched user at a time.
+
+    Touched users' verdicts go stale; the profile is off equilibrium while the
+    last violator found is untouched, and otherwise the stale users are checked
+    in index order up to the first violator. Each user's `prices` are kept
+    until it is touched.
+    """
+
+    def __init__(self):
+        super().__init__()
+        # the last derived profile's per-user terms, rates, prices, unchecked
+        # users and violator (a revisit hits _derived)
+        self._terms: list[float] = []
+        self._rates: list[float] = []
+        self._prices: list[dict] = []
+        self._stale: set[int] = set()
+        self._violator: Optional[int] = None
+
     def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple, bool]:
         last, last_instance = self._last
         if instance is last_instance:
@@ -254,14 +383,13 @@ class _Recorder:
             self._prices = [{}] * len(users)
             self._stale, self._violator = set(users), None
         self._last = (profile, instance)
-        drm_term = drm.potential_term if self._game is drm else None
         for n in users:
             strat, load = profile[n], channel_load(n, profile, instance.graph)
             rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
-            term = drm_term(n, profile, instance, load) if drm_term else fairness._log_rate(rate)
-            self._rates[n], self._terms[n], self._prices[n] = rate, term, {"load": load}
+            self._rates[n], self._terms[n] = rate, fairness._log_rate(rate)
+            self._prices[n] = {"load": load}
         if self._violator is None:
-            check = self._game.nep_violation
+            check = fairness.nep_violation
             for n in sorted(self._stale):
                 self._stale.discard(n)
                 if check(n, profile, instance, **self.prices(n, profile, instance)) is not None:
@@ -270,24 +398,15 @@ class _Recorder:
         return left_sum(self._terms), tuple(self._rates), self._violator is None
 
     def prices(self, n: int, profile: StrategyProfile, instance: Instance) -> dict:
-        """User n's prices as keywords of the game's rules: its channel_load and, in the fairness
-        game, its action table's values, priced on first demand. Empty (the rules price directly)
-        unless `profile` on `instance` was derived last: not after a new stage or a memo revisit."""
+        """User n's prices as keywords of the fairness rules: its channel_load and its action
+        table's values, priced on first demand. Empty (the rules price directly) unless
+        `profile` on `instance` was derived last: not after a new stage or a memo revisit."""
         if profile is not self._last[0] or instance is not self._last[1]:
             return {}
         prices = self._prices[n]
-        if "values" not in prices and self._game is fairness:
+        if "values" not in prices:
             _, prices["values"] = fairness._priced(n, profile, instance, prices["load"])
         return prices
-
-    def build(
-        self, converged_at: Optional[int], termination: str, cycle_length: Optional[int] = None
-    ) -> Trajectory:
-        traj = self.trajectory
-        traj.converged_at, traj.termination, traj.cycle_length = (
-            converged_at, termination, cycle_length
-        )
-        return traj
 
 
 def drm_initial_profile(instance: Instance) -> StrategyProfile:
@@ -393,14 +512,15 @@ def _play(
     """The learning loop of both games: `step` holds one game's rule, `game` its module.
 
     `instance` is the whole population and arrivals[n] the updating time at which user n joins
-    (None: all at 0). Each updating time t starts the stage whose users arrive at t, if any
+    (None: all at 0). The game's recorder (_RateRecorder or _FairRecorder) records each
+    updating time. Each updating time t starts the stage whose users arrive at t, if any
     (step.extend grows the profile), calls step.prepare, and asks step.decide of every active
-    user that is not settled, in ascending order, against the pre-step profile and
-    the recorder's `prices`. The answer is a play, None to keep the current
-    one, or _SETTLE to keep it and be skipped until a neighbor moves or users
-    arrive; a step settles a user only when its decision reads no rng and no
-    plays beyond the user's neighborhood. All plays of an updating time apply
-    at once. Once num_users updating times pass without a play (a quiet pass)
+    user that is not settled, in ascending order, against the pre-step profile and the
+    recorder: the rate game's verdicts, the fairness game's prices. The answer is a play, None
+    to keep the current one, or _SETTLE to keep it and be skipped until a neighbor moves or
+    users arrive; a step settles a user only when its decision reads no rng and no plays
+    beyond the user's neighborhood (exact BR-DRM and frozen NBRF). All plays of an updating
+    time apply at once. Once num_users updating times pass without a play (a quiet pass)
     and no arrival is pending, step.confirm decides at each further quiet
     updating time, from the at_nep flag just recorded, whether the run has
     converged. All draws go through a _BlockStream, rewound when the run ends or raises.
@@ -411,9 +531,9 @@ def _play(
     rng = _BlockStream(rng if rng is not None else np.random.default_rng(0))
     if initial_profile is None:
         initial_profile = step.extend((), instance)
-    recorder = _Recorder(game)
+    recorder = _RateRecorder() if game is drm else _FairRecorder()
     profile = recorder.start(initial_profile, instance)
-    prepare, decide, prices = step.prepare, step.decide, recorder.prices
+    prepare, decide = step.prepare, step.decide
     quiet_run = 0
     settled: set[int] = set()
     try:
@@ -429,7 +549,7 @@ def _play(
             for n in active:
                 if n in settled:
                     continue
-                play = decide(n, profile, instance, rng, prices)
+                play = decide(n, profile, instance, rng, recorder)
                 if play is _SETTLE:
                     settled.add(n)
                 elif play is not None:
@@ -465,22 +585,24 @@ def run_br_drm(
 ) -> Trajectory:
     """Best-response play for the rate-maximization game, run by _play.
 
-    Each active user plays drm.nep_violation's improving channel set, if any,
-    at its cap: from exact clearances, or from windowed estimates per
-    estimator_config, all users' verdicts in one array pass per slot batch.
-    The rule is is_nep_drm's, so ties and near-ties keep the current set and
-    exact-mode runs cannot oscillate between tied sets. Exact mode settles a
-    user with no improving switch and converges after a quiet pass at a
-    profile recorded at_nep. Estimator mode keeps such a user, since its
-    estimates move with every slot batch, and takes the quiet pass itself as
-    convergence.
+    Each active user plays drm.nep_violation's improving channel set, if any, at its cap.
+    Both modes decide through its one array form, drm.switches: exact mode reads the verdicts
+    the recorder derives from its clearance rows (repriced only where a switch touched them),
+    estimator mode scores all users' windowed estimates per estimator_config once per slot
+    batch. The rule is is_nep_drm's, so ties and near-ties keep the current set and
+    exact-mode runs cannot oscillate between tied sets. Exact mode settles a user with no
+    improving switch, since its verdict holds until a neighbor moves, and converges after a
+    quiet pass at a profile recorded at_nep. Estimator mode keeps such a user, since its
+    estimates move with every slot batch, and takes the quiet pass itself as convergence.
     """
     step = _BestResponse(estimator_config)
     return _play(instance, mechanism, rng, max_iters, initial_profile, arrivals, drm, step)
 
 
 class _BestResponse:
-    """BR-DRM's step; in estimator mode it also keeps the slot window and its estimates."""
+    """BR-DRM's step. In exact mode it plays the rate recorder's verdicts at the pre-step
+    profile; in estimator mode it keeps the slot window, its estimates and drm.switches'
+    verdicts on them, renewed once per updating time."""
 
     def __init__(self, estimator_config: Optional[EstimatorConfig]):
         self._config = estimator_config
@@ -524,33 +646,19 @@ class _BestResponse:
         # all users at once (valid_from changes only here); n's valid slots are the newest
         valid = np.minimum(len(window), self._slots - self._valid_from)
         self._estimates = _clearances(window, valid).T
-        self._proposals = self._switches(self._estimates, layout.channels)
+        self._proposals = drm.switches(
+            self._utilities, self._estimates, layout.channels, self._masked)
 
-    def _switches(self, estimates: np.ndarray, current: np.ndarray) -> list:
-        """Each user's drm.nep_violation verdict (channel set or None) on its estimates, in the
-        same floats: masked scores -inf after the product (-inf * 0 is nan), left-to-right sums."""
-        scores = self._utilities * estimates
-        if self._masked is not None:
-            scores[self._masked] = -np.inf
-        rows, picks = np.arange(len(scores)), current.shape[1]
-        best = scores.argmax(axis=1)[:, None] if picks == 1 else (  # argmax: the first maximum
-            np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :picks], axis=1))
-        best_total, current_total = np.zeros((2, len(scores)))
-        for j in range(picks):  # column by column, as left_sum adds
-            best_total += scores[rows, best[:, j]]
-            current_total += scores[rows, current[:, j]]
-        gains = best_total - current_total > NEP_REL_TOL * np.maximum(best_total, current_total)
-        switch = (gains & (best != current).any(axis=1)).tolist()
-        return [tuple(chans) if s else None for s, chans in zip(switch, best.tolist())]
-
-    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, prices):
-        if self._config is not None:
-            channels = self._proposals[n]
+    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, recorder):
+        if self._config is None:
+            # a keeper's verdict holds until a neighbor moves: it settles
+            channels = recorder.switches(profile, instance)[n]
+            if channels is None:
+                return _SETTLE
         else:
-            report = drm.nep_violation(n, profile, instance, **prices(n, profile, instance))
-            channels = None if report is None else report.deviation.channels
-        if channels is None:
-            return None if self._config is not None else _SETTLE
+            channels = self._proposals[n]
+            if channels is None:
+                return None
         self._switched.append(n)
         return Strategy(channels, instance.caps[n])
 
@@ -570,7 +678,7 @@ def run_better_response_replay(
     move raises with the offending step index. The replay stops early when a
     profile repeats, reporting the cycle length.
     """
-    recorder = _Recorder(drm)
+    recorder = _RateRecorder()
     profile = recorder.start(initial_profile, instance)
     seen = {profile: 0}
     for step_index, (user, new_channels) in enumerate(move_sequence, start=1):
@@ -652,10 +760,11 @@ class _NoisyBestResponse:
             self._beta = beta
         self._frozen = self._freeze_beta is not None and beta >= self._freeze_beta
 
-    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, prices):
+    def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, recorder):
         if self._frozen:
             # reads no rng and only local plays, so a keeper settles
-            report = fairness.nep_violation(n, profile, instance, **prices(n, profile, instance))
+            prices = recorder.prices(n, profile, instance)
+            report = fairness.nep_violation(n, profile, instance, **prices)
             return _SETTLE if report is None else report.deviation
         # At beta = 0 the sampler is uniform over the whole grid, so a
         # user can land on attempt probability 1.0 next to a neighbor and
@@ -669,10 +778,10 @@ class _NoisyBestResponse:
                 table = self._draws.get(key)
                 if table is None:
                     table = self._draws[key] = noisy_br_table(
-                        n, profile, instance, self._beta, **prices(n, profile, instance))
+                        n, profile, instance, self._beta, **recorder.prices(n, profile, instance))
             else:
                 table = noisy_br_table(
-                    n, profile, instance, self._beta, **prices(n, profile, instance))
+                    n, profile, instance, self._beta, **recorder.prices(n, profile, instance))
             action = draw_action(table, rng)
         except DegenerateInstanceError:
             return None

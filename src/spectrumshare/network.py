@@ -257,6 +257,8 @@ class Instance:
         prefix is built on first use and kept on this instance, so repeated calls share it."""
         if num_users == self.num_users:
             return self
+        if not 1 <= num_users < self.num_users:
+            raise ValueError(f"prefix size {num_users} must lie in 1..{self.num_users}")
         kept = self.__dict__.setdefault("_prefixes", {})
         if num_users not in kept:
             adjacency = (a[: bisect_left(a, num_users)] for a in self.graph.adjacency[:num_users])

@@ -140,6 +140,13 @@ def test_instance_prefix_keeps_the_first_users_and_the_graph_they_induce():
                     assert cut.prefix(j) == inst.prefix(j)
 
 
+@pytest.mark.parametrize("size", [0, -1, 4])
+def test_instance_prefix_names_a_size_out_of_range(size):
+    inst = Instance(InterferenceGraph(3, ((),) * 3), 1, 1, ((1.0,),) * 3, (0.5,) * 3)
+    with pytest.raises(ValueError, match=re.escape(f"prefix size {size} must lie in 1..3")):
+        inst.prefix(size)
+
+
 _ONE = InterferenceGraph(1, ((),))
 _PAIR = make_profile([[0], [0]], [0.5, 0.5])
 _NETWORK_INPUT_FAULTS = {
