@@ -45,14 +45,13 @@ def channel_scores(
     profile: StrategyProfile,
     instance: Instance,
     success_estimates: Optional[Sequence[float]] = None,
-    load: Optional[dict] = None,
 ) -> dict[int, float]:
     """Utility times clearance probability for each of the user's allowed channels.
 
-    Clearance is the exact closed form (from `load`, if given) or success_estimates[k] if given.
+    Clearance is the exact closed form, or success_estimates[k] if given.
     """
     if success_estimates is None:
-        load = channel_load(user, profile, instance.graph) if load is None else load  # index check
+        load = channel_load(user, profile, instance.graph)  # checks the index
         utils = instance.utilities[user]
         return {
             k: utils[k] * load.get(k, NO_LOAD)[1] for k in instance.allowed_channels(user)
@@ -88,11 +87,9 @@ def br_potential(profile: StrategyProfile, instance: Instance) -> float:
     return left_sum(potential_term(n, profile, instance) for n in range(len(profile)))
 
 
-def potential_term(
-    user: int, profile: StrategyProfile, instance: Instance, load: Optional[dict] = None
-) -> float:
-    """The user's br_potential term, 0 where it reads 0 * inf; `load` is its channel_load."""
-    load = channel_load(user, profile, instance.graph) if load is None else load
+def potential_term(user: int, profile: StrategyProfile, instance: Instance) -> float:
+    """The user's br_potential term, 0 where it reads 0 * inf."""
+    load = channel_load(user, profile, instance.graph)
     mult = _neg_log1m(instance.caps[user])
     inner = 0.0
     for k in profile[user].channels:
@@ -119,7 +116,6 @@ def nep_violation(
     profile: StrategyProfile,
     instance: Instance,
     success_estimates: Optional[Sequence[float]] = None,
-    load: Optional[dict] = None,
 ) -> Optional[NepReport]:
     """The user's improving switch, or None when it has none; the rule BR-DRM plays by.
 
@@ -127,10 +123,10 @@ def nep_violation(
     top_channels. A switch counts when the best set's score total beats the
     current one's by more than NEP_REL_TOL relative to the larger total. The
     report holds the best set at the current attempt probability and the
-    exact rate gain, both rates priced from one channel_load (`load`, if given). BR-DRM plays
-    its array form, `switches`, in both modes; this is that form's reference.
+    exact rate gain, both rates priced from one channel_load. BR-DRM plays its array form,
+    `switches`, in both modes; this is that form's reference.
     """
-    scores = channel_scores(user, profile, instance, success_estimates, load)
+    scores = channel_scores(user, profile, instance, success_estimates)
     strat = profile[user]
     br_set = top_channels(scores, instance.channels_per_user)
     if br_set == strat.channels:
@@ -139,7 +135,7 @@ def nep_violation(
     best = left_sum(scores[k] for k in br_set)
     if not best - current > NEP_REL_TOL * max(best, current):
         return None
-    load = channel_load(user, profile, instance.graph) if load is None else load
+    load = channel_load(user, profile, instance.graph)
     utils, p = instance.utilities[user], strat.attempt_prob
     gain = rate_from_load(p, utils, br_set, load) - rate_from_load(p, utils, strat.channels, load)
     return NepReport(False, user, Strategy(br_set, p), gain)
@@ -159,8 +155,7 @@ def switches(
     if masked is not None:
         scores[masked] = -np.inf
     rows, picks = np.arange(len(scores)), current.shape[1]
-    best = scores.argmax(axis=1)[:, None] if picks == 1 else (  # argmax: the first maximum
-        np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :picks], axis=1))
+    best = _best_sets(scores, picks)
     best_total, current_total = np.zeros((2, len(scores)))
     for j in range(picks):  # column by column, as left_sum adds
         best_total += scores[rows, best[:, j]]
@@ -168,6 +163,13 @@ def switches(
     gains = best_total - current_total > NEP_REL_TOL * np.maximum(best_total, current_total)
     switch = (gains & (best != current).any(axis=1)).tolist()
     return [tuple(chans) if s else None for s, chans in zip(switch, best.tolist())]
+
+
+def _best_sets(scores: np.ndarray, picks: int) -> np.ndarray:
+    """top_channels of every row of `scores` at once; a -inf score (masked) is picked last."""
+    if picks == 1:
+        return scores.argmax(axis=1)[:, None]  # the first maximum
+    return np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :picks], axis=1)
 
 
 def efficiency_bound(num_channels: int, degree: int) -> float:

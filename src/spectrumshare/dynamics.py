@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import drm, fairness
-from .drm import br_potential, is_nep_drm, top_channels
+from .drm import br_potential, is_nep_drm
 from .errors import DegenerateInstanceError, EstimationError
 from .fairness import (
     CoolingSchedule,
@@ -192,12 +192,12 @@ class Trajectory:
 class _Recorder:
     """Appends to the trajectory's columns, de-duplicating repeated snapshots.
 
-    Each distinct profile is derived once, by the game's subclass: its potential (the terms
-    summed left to right, the float of the game's full potential), its users' rates and its
-    at_nep flag. A revisit reuses them. A user's rate, potential term and verdict read only its
-    own and its neighbors' plays, so a new profile reprices only the users it touched: in
-    arrays for the rate game (_RateRecorder), one user at a time for the fairness game
-    (_FairRecorder).
+    Each distinct profile is derived once: its potential (the terms summed left to right, the
+    float of the game's full potential), its users' rates and its at_nep flag; a revisit reuses
+    them. The recorder follows any profile it is asked about: a new stage reprices every user,
+    otherwise _price reprices the users whose play object changed and their neighbors, and
+    judges each or unchecks it for _judge. A verdict is the game's nep_violation move, or None;
+    at_nep checks unchecked users in index order until one violates.
     """
 
     def __init__(self):
@@ -207,7 +207,7 @@ class _Recorder:
         # keyed by id: recorded profiles stay alive in the trajectory, and
         # interned ones are equal exactly when they are the same object
         self._derived: dict[int, tuple[float, tuple[float, ...], bool]] = {}
-        self._last: tuple[StrategyProfile, Optional[Instance]] = ((), None)  # priced last
+        self._last: tuple[StrategyProfile, Optional[Instance]] = ((), None)  # followed last
 
     def canonical(self, profile: StrategyProfile) -> StrategyProfile:
         return self._interned.setdefault(profile, profile)
@@ -242,18 +242,52 @@ class _Recorder:
         )
         return traj
 
+    def verdict(self, n: int, profile: StrategyProfile, instance: Instance):
+        """User n's verdict at `profile` on `instance`."""
+        self._follow(profile, instance)
+        return self._check(n) if n in self._unchecked else self._verdicts[n]
+
+    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple, bool]:
+        self._follow(profile, instance)
+        if not self._violators:
+            for n in sorted(self._unchecked):
+                if self._check(n) is not None:
+                    break
+        return self._potential(), tuple(self._rates), self._violators == 0
+
+    def _follow(self, profile: StrategyProfile, instance: Instance) -> None:
+        last, last_instance = self._last
+        if profile is last and instance is last_instance:
+            return
+        self._last = (profile, instance)
+        if instance is not last_instance:
+            n_users = instance.num_users
+            self._rates: list[float] = [0.0] * n_users  # a list: untouched users' floats are shared
+            self._verdicts, self._unchecked, self._violators = [None] * n_users, set(), 0
+            self._stage(instance)
+            moved = list(range(n_users))
+        else:
+            moved = list(compress(count(), map(is_not, profile, last)))  # new play objects
+        if moved:
+            self._price(moved)
+
+    def _check(self, n: int):
+        self._unchecked.discard(n)
+        verdict = self._verdicts[n] = self._judge(n)
+        self._violators += verdict is not None
+        return verdict
+
 
 class _RateRecorder(_Recorder):
     """The rate game's recorder, priced in arrays over the rows a profile change touches.
 
     Row n of `clearance` and `suffered` (users, channels) holds user n's channel_load
-    clearance and log-interference, NO_LOAD's where no neighbor plays. A new profile resets the
-    rows of its movers and their neighbors to 1.0 and 0.0, then multiplies in each neighbor's
+    clearance and log-interference, NO_LOAD's where no neighbor plays. Repricing resets the
+    rows of the movers and their neighbors to 1.0 and 0.0, then multiplies in each neighbor's
     1 - p and adds its -log1p(-p) on its channels in one ufunc.at pass each, which applies them
     in index order: per row in adjacency order, so every cell is channel_load's float. The same
-    rows give the users' rates, br_potential terms and verdicts (drm.switches on the exact
-    clearances); at_nep holds while no user's verdict is a switch. `switches` follows any
-    profile it is asked about, so a revisit or a new stage gets its own verdicts.
+    rows give the users' rates, br_potential terms and verdicts (channel sets, or None), all
+    judged at once by drm.switches on the exact clearances.
     """
 
     def _stage(self, instance: Instance) -> None:
@@ -276,34 +310,15 @@ class _RateRecorder(_Recorder):
         self._log_u = np.zeros((n_users, per_user))
         self._clearance = np.ones((n_users, num_channels))
         self._suffered = np.zeros((n_users, num_channels))
-        self._rates: list[float] = [0.0] * n_users  # a list: untouched users' floats are shared
         self._terms = np.zeros(n_users + 1)  # a leading 0.0: cumsum adds as left_sum does
-        self._switches: list = [None] * n_users
-        self._violators = 0
 
-    def switches(self, profile: StrategyProfile, instance: Instance) -> list:
-        """Each user's drm.nep_violation channel set at `profile`, or None where it keeps."""
-        self._follow(profile, instance)
-        return self._switches
-
-    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple, bool]:
-        self._follow(profile, instance)
+    def _potential(self) -> float:
         with np.errstate(invalid="ignore"):  # inf + -inf terms: nan, as left_sum gives
-            potential = float(np.cumsum(self._terms)[-1])
-        return potential, tuple(self._rates), self._violators == 0
+            return float(np.cumsum(self._terms)[-1])
 
-    def _follow(self, profile: StrategyProfile, instance: Instance) -> None:
-        last, last_instance = self._last
-        if profile is last and instance is last_instance:
-            return
-        if instance is not last_instance:
-            self._stage(instance)
-            moved = list(range(instance.num_users))
-        else:
-            moved = list(compress(count(), map(is_not, profile, last)))  # new play objects
-        self._last = (profile, instance)
-        if not moved:
-            return
+    def _price(self, moved: list[int]) -> None:
+        """Take in the movers' plays, then reprice their and their neighbors' rows and verdicts."""
+        profile, instance = self._last
         plays = [profile[n] for n in moved]
         self._channels[moved] = [s.channels for s in plays]
         self._plays[moved] = [
@@ -316,10 +331,6 @@ class _RateRecorder(_Recorder):
         touched = np.zeros(instance.num_users, dtype=bool)
         touched[moved] = True
         touched[self._adjacent[touched[self._owners]]] = True  # and the movers' neighbors
-        self._price(touched)
-
-    def _price(self, touched: np.ndarray) -> None:
-        """Rebuild the touched users' rows, then their rates, potential terms and verdicts."""
         rows, pairs = np.flatnonzero(touched), touched[self._owners]
         nbrs = self._adjacent[pairs]
         cells = self._first[self._owners[pairs]] + self._channels[nbrs]
@@ -344,65 +355,49 @@ class _RateRecorder(_Recorder):
             self._utilities[rows], self._clearance[rows], current,
             None if self._masked is None else self._masked[rows],
         )
-        old, rate_list = self._switches, self._rates
+        old, rate_list = self._verdicts, self._rates
         for n, rate, verdict in zip(rows.tolist(), rates.tolist(), verdicts):
             self._violators += (verdict is not None) - (old[n] is not None)
             old[n], rate_list[n] = verdict, rate
 
 
 class _FairRecorder(_Recorder):
-    """The fairness game's recorder, priced one touched user at a time.
+    """The fairness game's recorder, priced one user at a time.
 
-    Touched users' verdicts go stale; the profile is off equilibrium while the
-    last violator found is untouched, and otherwise the stale users are checked
-    in index order up to the first violator. Each user's `prices` are kept
-    until it is touched.
+    A user's prices are kept until it is repriced, which also unchecks it. Its potential term
+    is the log of the rate priced from them, and its verdict, judged on demand, the deviation
+    fairness.nep_violation reports on them.
     """
 
-    def __init__(self):
-        super().__init__()
-        # the last derived profile's per-user terms, rates, prices, unchecked
-        # users and violator (a revisit hits _derived)
-        self._terms: list[float] = []
-        self._rates: list[float] = []
-        self._prices: list[dict] = []
-        self._stale: set[int] = set()
-        self._violator: Optional[int] = None
+    def _stage(self, instance: Instance) -> None:
+        self._terms: list[float] = [0.0] * instance.num_users
+        self._prices: list[dict] = [{}] * instance.num_users
 
-    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple, bool]:
-        last, last_instance = self._last
-        if instance is last_instance:
-            moved = [n for n in range(len(profile)) if profile[n] is not last[n]]
-            users = set(moved).union(*(instance.graph.adjacency[n] for n in moved))
-            self._stale |= users
-            if self._violator in users:
-                self._violator = None
-        else:
-            users = range(instance.num_users)
-            self._terms, self._rates = [0.0] * len(users), [0.0] * len(users)
-            self._prices = [{}] * len(users)
-            self._stale, self._violator = set(users), None
-        self._last = (profile, instance)
+    def _potential(self) -> float:
+        return left_sum(self._terms)
+
+    def _price(self, moved: list[int]) -> None:
+        profile, instance = self._last
+        graph = instance.graph
+        users = set(moved).union(*(graph.adjacency[n] for n in moved))
         for n in users:
-            strat, load = profile[n], channel_load(n, profile, instance.graph)
+            strat, load = profile[n], channel_load(n, profile, graph)
             rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
             self._rates[n], self._terms[n] = rate, fairness._log_rate(rate)
             self._prices[n] = {"load": load}
-        if self._violator is None:
-            check = fairness.nep_violation
-            for n in sorted(self._stale):
-                self._stale.discard(n)
-                if check(n, profile, instance, **self.prices(n, profile, instance)) is not None:
-                    self._violator = n
-                    break
-        return left_sum(self._terms), tuple(self._rates), self._violator is None
+            self._violators -= self._verdicts[n] is not None
+            self._verdicts[n] = None
+        self._unchecked |= users
+
+    def _judge(self, n: int) -> Optional[Strategy]:
+        report = fairness.nep_violation(n, *self._last, **self.prices(n, *self._last))
+        return None if report is None else report.deviation
 
     def prices(self, n: int, profile: StrategyProfile, instance: Instance) -> dict:
-        """User n's prices as keywords of the fairness rules: its channel_load and its action
-        table's values, priced on first demand. Empty (the rules price directly) unless
-        `profile` on `instance` was derived last: not after a new stage or a memo revisit."""
-        if profile is not self._last[0] or instance is not self._last[1]:
-            return {}
+        """User n's prices at `profile` on `instance`, as keywords of the fairness rules: its
+        channel_load and its action table's values, priced on first demand."""
+        if profile is not self._last[0] or instance is not self._last[1]:  # asked at every draw
+            self._follow(profile, instance)
         prices = self._prices[n]
         if "values" not in prices:
             _, prices["values"] = fairness._priced(n, profile, instance, prices["load"])
@@ -411,13 +406,11 @@ class _FairRecorder(_Recorder):
 
 def drm_initial_profile(instance: Instance) -> StrategyProfile:
     """Each user claims its highest-utility allowed channels at its cap."""
-    strategies = []
-    for n in range(instance.num_users):
-        utils = instance.utilities[n]
-        by_utility = {k: utils[k] for k in instance.allowed_channels(n)}
-        chans = top_channels(by_utility, instance.channels_per_user)
-        strategies.append(Strategy(chans, instance.caps[n]))
-    return tuple(strategies)
+    utilities = np.array(instance.utilities)
+    if instance.allowed is not None:
+        utilities[~np.array(instance.allowed)] = -np.inf
+    picks = drm._best_sets(utilities, instance.channels_per_user).tolist()
+    return tuple(Strategy(tuple(chans), cap) for chans, cap in zip(picks, instance.caps))
 
 
 def nbrf_initial_profile(instance: Instance) -> StrategyProfile:
@@ -506,24 +499,23 @@ def _play(
     max_iters: int,
     initial_profile: Optional[StrategyProfile],
     arrivals: Optional[Sequence[int]],
-    game,
     step,
 ) -> Trajectory:
-    """The learning loop of both games: `step` holds one game's rule, `game` its module.
+    """The learning loop of both games: `step` holds one game's rule and names its recorder.
 
     `instance` is the whole population and arrivals[n] the updating time at which user n joins
-    (None: all at 0). The game's recorder (_RateRecorder or _FairRecorder) records each
-    updating time. Each updating time t starts the stage whose users arrive at t, if any
-    (step.extend grows the profile), calls step.prepare, and asks step.decide of every active
-    user that is not settled, in ascending order, against the pre-step profile and the
-    recorder: the rate game's verdicts, the fairness game's prices. The answer is a play, None
-    to keep the current one, or _SETTLE to keep it and be skipped until a neighbor moves or
-    users arrive; a step settles a user only when its decision reads no rng and no plays
-    beyond the user's neighborhood (exact BR-DRM and frozen NBRF). All plays of an updating
-    time apply at once. Once num_users updating times pass without a play (a quiet pass)
-    and no arrival is pending, step.confirm decides at each further quiet
-    updating time, from the at_nep flag just recorded, whether the run has
-    converged. All draws go through a _BlockStream, rewound when the run ends or raises.
+    (None: all at 0). A step.recorder (_RateRecorder or _FairRecorder) records each updating
+    time. Each updating time t starts the stage whose users arrive at t, if any (step.extend
+    grows the profile), calls step.prepare, and asks step.decide of every active user that is
+    not settled, in ascending order, against the pre-step profile and the recorder, which
+    follows that profile for its verdicts (and the fairness game's prices). The answer is a
+    play, None to keep the current one, or _SETTLE to keep it and be skipped until a neighbor
+    moves or users arrive; a step settles a user only when its decision reads no rng and no
+    plays beyond the user's neighborhood (exact BR-DRM and frozen NBRF). All plays of an
+    updating time apply at once. Once num_users updating times pass without a play (a quiet
+    pass) and no arrival is pending, step.confirm decides at each further quiet updating time,
+    from the at_nep flag just recorded, whether the run has converged. All draws go through a
+    _BlockStream, rewound when the run ends or raises.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -531,7 +523,7 @@ def _play(
     rng = _BlockStream(rng if rng is not None else np.random.default_rng(0))
     if initial_profile is None:
         initial_profile = step.extend((), instance)
-    recorder = _RateRecorder() if game is drm else _FairRecorder()
+    recorder = step.recorder()
     profile = recorder.start(initial_profile, instance)
     prepare, decide = step.prepare, step.decide
     quiet_run = 0
@@ -596,13 +588,15 @@ def run_br_drm(
     estimates move with every slot batch, and takes the quiet pass itself as convergence.
     """
     step = _BestResponse(estimator_config)
-    return _play(instance, mechanism, rng, max_iters, initial_profile, arrivals, drm, step)
+    return _play(instance, mechanism, rng, max_iters, initial_profile, arrivals, step)
 
 
 class _BestResponse:
     """BR-DRM's step. In exact mode it plays the rate recorder's verdicts at the pre-step
     profile; in estimator mode it keeps the slot window, its estimates and drm.switches'
     verdicts on them, renewed once per updating time."""
+
+    recorder = _RateRecorder
 
     def __init__(self, estimator_config: Optional[EstimatorConfig]):
         self._config = estimator_config
@@ -652,7 +646,7 @@ class _BestResponse:
     def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, recorder):
         if self._config is None:
             # a keeper's verdict holds until a neighbor moves: it settles
-            channels = recorder.switches(profile, instance)[n]
+            channels = recorder.verdict(n, profile, instance)
             if channels is None:
                 return _SETTLE
         else:
@@ -730,11 +724,13 @@ def run_nbrf(
     if freeze_beta is not None and not math.isfinite(freeze_beta):
         raise ValueError("freeze_beta must be finite; None never freezes")
     step = _NoisyBestResponse(schedule, freeze_beta)
-    return _play(instance, mechanism, rng, max_iters, initial_profile, arrivals, fairness, step)
+    return _play(instance, mechanism, rng, max_iters, initial_profile, arrivals, step)
 
 
 class _NoisyBestResponse:
     """NBRF's step: beta(t), the frozen flag, and the sampler's memo."""
+
+    recorder = _FairRecorder
 
     def __init__(self, schedule: CoolingSchedule, freeze_beta: Optional[float]):
         self._schedule, self._freeze_beta = schedule, freeze_beta
@@ -763,9 +759,8 @@ class _NoisyBestResponse:
     def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, recorder):
         if self._frozen:
             # reads no rng and only local plays, so a keeper settles
-            prices = recorder.prices(n, profile, instance)
-            report = fairness.nep_violation(n, profile, instance, **prices)
-            return _SETTLE if report is None else report.deviation
+            deviation = recorder.verdict(n, profile, instance)
+            return _SETTLE if deviation is None else deviation
         # At beta = 0 the sampler is uniform over the whole grid, so a
         # user can land on attempt probability 1.0 next to a neighbor and
         # leave some third user with no finite-value action at all.  Such

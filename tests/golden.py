@@ -38,7 +38,7 @@ from spectrumshare import (
     run_experiment,
     run_nbrf,
 )
-from spectrumshare import dynamics, fairness
+from spectrumshare import dynamics
 from spectrumshare.harness import build_instance_and_events
 
 STORE = Path(__file__).with_name("golden.json")
@@ -238,8 +238,8 @@ class _StoppingNBRF(dynamics._NoisyBestResponse):
         super().prepare(t, profile, instance, rng)
         self.t = t
 
-    def decide(self, n, profile, instance, rng, prices):
-        play = super().decide(n, profile, instance, rng, prices)
+    def decide(self, n, profile, instance, rng, recorder):
+        play = super().decide(n, profile, instance, rng, recorder)
         if self.t == self.stop and self.state is None:
             if self.raises:
                 raise _Stop
@@ -251,7 +251,7 @@ def stopped_run(rng, step):
     """Fixed-heat NBRF on a 5-user path under `step`, a _StoppingNBRF at updating time 137."""
     mechanism = UpdateMechanism.probabilistic(0.5)
     with pytest.raises(_Stop) if step.raises else nullcontext():
-        dynamics._play(_path(5), mechanism, rng, 300, None, None, fairness, step)
+        dynamics._play(_path(5), mechanism, rng, 300, None, None, step)
 
 
 # name: (seed, run on a generator of that seed). An entry pins the run's

@@ -34,7 +34,8 @@ from spectrumshare import (
     success_probability,
     total_expected_rate,
 )
-from spectrumshare import dynamics, fairness
+from spectrumshare import dynamics
+from spectrumshare.drm import top_channels
 from spectrumshare.dynamics import _draw_slots
 from spectrumshare.errors import EstimationError
 
@@ -204,6 +205,34 @@ def test_drm_initial_profile_prefers_high_utility():
     assert prof[0].channels == (1, 3)
     assert prof[1].channels == (0, 2)
     assert prof[0].attempt_prob == 0.5
+
+
+@st.composite
+def _masked_instances(draw):
+    """Edgeless instances with 1-3 channels per user, tied and zero utilities, and masks."""
+    users, channels = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    picks = draw(st.integers(1, min(3, channels)))
+    level = st.sampled_from([0.0, 0.0, 1.0, 2.0]) | st.floats(0.0, 4.0)
+    utilities = draw(st.lists(st.tuples(*[level] * channels), min_size=users, max_size=users))
+    allowed = None
+    if draw(st.booleans()):
+        masks = draw(st.lists(st.sets(st.integers(0, channels - 1), min_size=picks),
+                              min_size=users, max_size=users))
+        allowed = tuple(tuple(k in row for k in range(channels)) for row in masks)
+    caps = draw(st.lists(st.sampled_from([0.3, 0.5, 1.0]), min_size=users, max_size=users))
+    return Instance(InterferenceGraph(users, ((),) * users), channels, picks, utilities, caps,
+                    allowed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=_masked_instances())
+def test_drm_initial_profile_is_top_channels_over_allowed_utilities(inst):
+    prof = drm_initial_profile(inst)
+    for n in range(inst.num_users):
+        utils = {k: inst.utilities[n][k] for k in inst.allowed_channels(n)}
+        assert prof[n].channels == top_channels(utils, inst.channels_per_user), n
+        assert all(type(k) is int for k in prof[n].channels)
+        assert prof[n].attempt_prob == inst.caps[n]
 
 
 def test_nbrf_initial_profile_count_consistent():
@@ -388,7 +417,7 @@ def _nbrf_play(schedule, memo, instance, arrivals, seed):
     step._memo = memo
     rng = np.random.default_rng(seed)
     traj = dynamics._play(
-        instance, UpdateMechanism.probabilistic(0.5), rng, 150, None, arrivals, fairness, step
+        instance, UpdateMechanism.probabilistic(0.5), rng, 150, None, arrivals, step
     )
     return traj, step, rng
 

@@ -90,7 +90,7 @@ def test_array_verdicts_equal_the_scalar_rule(case, window, slots, flush, mechan
         UpdateMechanism.probabilistic(0.7)
     )
     step = _OracleStep(EstimatorConfig(window, slots, flush_on_neighbor_update=flush))
-    _play(instance, mech, np.random.default_rng(seed), 12, start, joins, drm, step)
+    _play(instance, mech, np.random.default_rng(seed), 12, start, joins, step)
 
 
 def test_rounding_ties_keep_and_real_gains_switch():

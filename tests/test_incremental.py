@@ -1,15 +1,16 @@
-"""The recorder's per-switch state agrees with the full sums and scans.
+"""The recorder's per-user state agrees with the full sums and scans.
 
-A run records each new profile's potential, rates and at_nep flag in one
-pass that reprices only the users a switch touched. The rate game keeps
-array rows (clearance and log-interference per channel, rate, potential term
-and verdict per user) and a count of violators; the fairness game re-checks
-the verdicts only of users touched since their last check and keeps each
-user's prices (channel_load and the action-table values) until the user is
-touched. These properties drive both through random switch sequences,
-revisits of earlier profiles and population events, and compare every entry
-with br_potential / exact_potential, the per-user closed-form rates, the
-is_nep_* scans, and the rows or prices with fresh closed forms, bit for bit.
+Both games record through one protocol. The recorder follows whatever profile
+it is asked about: a new stage reprices every user, and otherwise it reprices
+the users whose plays changed and their neighbors. Per user it keeps a rate, a
+potential term, a verdict (checked, or unchecked until asked for) and the
+game's prices: the rate game's clearance and log-interference rows, the
+fairness game's channel_load and action-table values. It also counts the
+violators among the checked users. These properties drive both games through
+random switch sequences, revisits of earlier profiles and population events.
+They compare every entry with br_potential / exact_potential, the per-user
+closed-form rates and the is_nep_* scans, and the recorder's state at any
+profile with fresh closed forms and the game's nep_violation, bit for bit.
 """
 
 import math
@@ -99,56 +100,55 @@ def _assert_matches_full_checks(traj, game):
         assert traj.at_nep[i] == full_check(profile, instance).is_nep, i
 
 
-def _assert_prices_are_fresh(recorder, profile, instance):
-    """The prices of the profile derived last equal fresh channel_load / _table_values; any
-    other profile (an event's before it is recorded, a revisit served from the memo) gets none."""
-    last, last_instance = recorder._last
-    for n in range(last_instance.num_users):
-        load = channel_load(n, last, last_instance.graph)
-        want = {"load": load}
-        want["values"] = fairness._table_values(fairness._action_table(n, last_instance), load)
-        assert recorder.prices(n, last, last_instance) == want, n
-        if profile is not last or instance is not last_instance:
-            assert recorder.prices(n, profile, instance) == {}, n
-
-
 def _bits(x):
     return float(x).hex()
+
+
+def _verdict(game, n, profile, instance):
+    """User n's verdict by its game's nep_violation: the rate game's channel set, the fairness
+    game's deviation, or None."""
+    report = (drm if game == "drm" else fairness).nep_violation(n, profile, instance)
+    if report is None:
+        return None
+    return report.deviation.channels if game == "drm" else report.deviation
 
 
 def _assert_rows_are_fresh(recorder, profile, instance):
     """The rate recorder's rows are those of `profile` on `instance`, bit for bit: each
     channel's clearance and log-interference are channel_load's (NO_LOAD's where no neighbor
-    plays it), each user's rate rate_from_load's, its potential term drm.potential_term's and
-    its verdict drm.nep_violation's channel set; the violator count is the scan's."""
-    assert recorder._last[0] is profile and recorder._last[1] is instance
-    violators = 0
+    plays it) and each user's potential term is drm.potential_term's."""
     for n in range(instance.num_users):
         load = channel_load(n, profile, instance.graph)
         for k in range(instance.num_channels):
             _, clearance, suffered = load.get(k, NO_LOAD)
             assert _bits(recorder._clearance[n, k]) == _bits(clearance), (n, k)
             assert _bits(recorder._suffered[n, k]) == _bits(suffered), (n, k)
-        strat = profile[n]
+        assert _bits(recorder._terms[n + 1]) == _bits(drm.potential_term(n, profile, instance)), n
+
+
+def _assert_priced(recorder, game, profile, instance, user):
+    """Asked for user's verdict at any profile (a revisit served from the memo, an event's
+    before it is recorded), the recorder answers as the game's nep_violation does and then
+    holds that profile's state: every user's rate_from_load, each checked verdict its game's
+    nep_violation's, a violator count of the checked violators, and the game's prices equal to
+    fresh closed forms (the rate rows; the fairness channel_load and _table_values)."""
+    assert recorder.verdict(user, profile, instance) == _verdict(game, user, profile, instance)
+    assert recorder._last[0] is profile and recorder._last[1] is instance
+    checked = [n for n in range(instance.num_users) if n not in recorder._unchecked]
+    assert user in checked
+    verdicts = [_verdict(game, n, profile, instance) for n in checked]
+    assert [recorder._verdicts[n] for n in checked] == verdicts
+    assert recorder._violators == sum(v is not None for v in verdicts)
+    for n in range(instance.num_users):
+        strat, load = profile[n], channel_load(n, profile, instance.graph)
         rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
         assert _bits(recorder._rates[n]) == _bits(rate), n
-        assert _bits(recorder._terms[n + 1]) == _bits(drm.potential_term(n, profile, instance)), n
-        report = drm.nep_violation(n, profile, instance)
-        assert recorder._switches[n] == (None if report is None else report.deviation.channels), n
-        violators += report is not None
-    assert recorder._violators == violators
-
-
-def _assert_priced(recorder, game, profile, instance):
-    """The rate game's rows are those of the profile priced last, and `switches` moves them to
-    any profile asked about (a revisit served from the memo, an event's before it is
-    recorded); the fairness game keeps prices as _assert_prices_are_fresh says."""
-    if game == "fairness":
-        _assert_prices_are_fresh(recorder, profile, instance)
-        return
-    _assert_rows_are_fresh(recorder, *recorder._last)
-    recorder.switches(profile, instance)
-    _assert_rows_are_fresh(recorder, profile, instance)
+        if game == "fairness":
+            assert _bits(recorder._terms[n]) == _bits(fairness._log_rate(rate)), n
+            values = fairness._table_values(fairness._action_table(n, instance), load)
+            assert recorder.prices(n, profile, instance) == {"load": load, "values": values}, n
+    if game == "drm":
+        _assert_rows_are_fresh(recorder, profile, instance)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -162,7 +162,7 @@ def test_recorder_and_at_nep_match_full_checks_on_random_switches(seed, ops, gam
     profile = tuple(_random_play(rng, game, n, instance) for n in range(instance.num_users))
     profile = recorder.canonical(profile)
     recorder.record((), profile, instance)
-    _assert_priced(recorder, game, profile, instance)
+    _assert_priced(recorder, game, profile, instance, seed % instance.num_users)
     history = [profile]  # profiles of the current stage, for revisits
     for op, draw in ops:
         active: tuple[int, ...] = ()
@@ -188,10 +188,11 @@ def test_recorder_and_at_nep_match_full_checks_on_random_switches(seed, ops, gam
             profile = profile + fresh
             history = []
         profile = recorder.canonical(profile)
+        user = draw % instance.num_users
         if op == "event" and draw % 2:
-            _assert_priced(recorder, game, profile, instance)  # priced before it is recorded
+            _assert_priced(recorder, game, profile, instance, user)  # before it is recorded
         recorder.record(active, profile, instance)
-        _assert_priced(recorder, game, profile, instance)
+        _assert_priced(recorder, game, profile, instance, user)
         history.append(profile)
     _assert_matches_full_checks(recorder.build(None, "max-iters"), game)
 
@@ -231,7 +232,7 @@ def test_runs_with_population_events_match_full_checks(seed, graph_seed, game, m
 
 
 class _RowCheckedStep(_BestResponse):
-    """Exact BR-DRM's step that checks the recorder's rows at every profile it decides on."""
+    """Exact BR-DRM's step that checks the recorder's state at every profile it decides on."""
 
     def __init__(self):
         super().__init__(None)
@@ -240,7 +241,7 @@ class _RowCheckedStep(_BestResponse):
     def decide(self, n, profile, instance, rng, recorder):
         play = super().decide(n, profile, instance, rng, recorder)
         if profile is not self.last:
-            _assert_rows_are_fresh(recorder, profile, instance)
+            _assert_priced(recorder, "drm", profile, instance, n)
             self.revisits += id(profile) in self.seen
             self.seen.add(id(profile))
             self.last = profile
@@ -291,7 +292,7 @@ def test_exact_rows_equal_the_closed_forms_bit_for_bit(case, mechanism, seed):
         "sweep": UpdateMechanism.sweep_sequential(),
     }[mechanism]
     step = _RowCheckedStep()
-    traj = _play(inst, mech, np.random.default_rng(seed), 14, start, arrivals, drm, step)
+    traj = _play(inst, mech, np.random.default_rng(seed), 14, start, arrivals, step)
     _assert_matches_full_checks(traj, "drm")
 
 
@@ -302,6 +303,6 @@ def test_exact_revisits_get_their_own_verdicts():
     inst = Instance(InterferenceGraph.from_edges(2, [(0, 1)]), 2, 1, ((1.0, 1.0),) * 2, (0.5,) * 2)
     step = _RowCheckedStep()
     traj = _play(inst, UpdateMechanism.probabilistic(1.0), np.random.default_rng(0), 14,
-                 make_profile([[0], [0]], [0.5, 0.5]), None, drm, step)
+                 make_profile([[0], [0]], [0.5, 0.5]), None, step)
     assert traj.termination == "max-iters" and len(set(map(id, traj.profiles))) == 2
     assert step.revisits == 12  # updating times 3..14

@@ -15,7 +15,6 @@ from spectrumshare import (
     InterferenceGraph,
     Strategy,
     UpdateMechanism,
-    drm,
     estimate_success_probability,
     run_br_drm,
 )
@@ -103,7 +102,7 @@ def _geometric(graph_seed, users, channels, picks, events_spec=()):
 
 def _checked_run(inst, joins, config, mechanism, seed, max_iters, forced=frozenset()):
     step = _CheckedStep(config, forced)
-    traj = _play(inst, mechanism, np.random.default_rng(seed), max_iters, None, joins, drm, step)
+    traj = _play(inst, mechanism, np.random.default_rng(seed), max_iters, None, joins, step)
     assert step.checked == len(traj) - 1
     return traj, step
 
