@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import is_not
+from operator import is_not, ne
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -196,8 +196,10 @@ class _Recorder:
     float of the game's full potential), its users' rates and its at_nep flag; a revisit reuses
     them. The recorder follows any profile it is asked about: a new stage reprices every user,
     otherwise _price reprices the users whose play object changed and their neighbors, and
-    judges each or unchecks it for _judge. A verdict is the game's nep_violation move, or None;
-    at_nep checks unchecked users in index order until one violates.
+    judges each or unchecks it for _judge. A verdict is the play of the game's deterministic
+    rule (nep_violation's move), or None to keep the current one; it is the only record of who
+    may move, since it holds until the user or a neighbor moves. at_nep checks unchecked users
+    in index order until one violates.
     """
 
     def __init__(self):
@@ -242,10 +244,17 @@ class _Recorder:
         )
         return traj
 
-    def verdict(self, n: int, profile: StrategyProfile, instance: Instance):
-        """User n's verdict at `profile` on `instance`."""
+    def moves(
+        self, active: Sequence[int], profile: StrategyProfile, instance: Instance
+    ) -> dict[int, Strategy]:
+        """{n: play} for each active user whose verdict at `profile` on `instance` moves."""
         self._follow(profile, instance)
-        return self._check(n) if n in self._unchecked else self._verdicts[n]
+        verdicts, unchecked, plays = self._verdicts, self._unchecked, {}
+        for n in active:
+            play = self._check(n) if n in unchecked else verdicts[n]
+            if play is not None:
+                plays[n] = play
+        return plays
 
     def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple, bool]:
         self._follow(profile, instance)
@@ -286,8 +295,8 @@ class _RateRecorder(_Recorder):
     rows of the movers and their neighbors to 1.0 and 0.0, then multiplies in each neighbor's
     1 - p and adds its -log1p(-p) on its channels in one ufunc.at pass each, which applies them
     in index order: per row in adjacency order, so every cell is channel_load's float. The same
-    rows give the users' rates, br_potential terms and verdicts (channel sets, or None), all
-    judged at once by drm.switches on the exact clearances.
+    rows give the users' rates, br_potential terms and verdicts, all judged at once by
+    drm.switches on the exact clearances: the improving channel set at the user's cap, or None.
     """
 
     def _stage(self, instance: Instance) -> None:
@@ -355,10 +364,11 @@ class _RateRecorder(_Recorder):
             self._utilities[rows], self._clearance[rows], current,
             None if self._masked is None else self._masked[rows],
         )
-        old, rate_list = self._verdicts, self._rates
-        for n, rate, verdict in zip(rows.tolist(), rates.tolist(), verdicts):
-            self._violators += (verdict is not None) - (old[n] is not None)
-            old[n], rate_list[n] = verdict, rate
+        old, rate_list, caps = self._verdicts, self._rates, instance.caps
+        for n, rate, channels in zip(rows.tolist(), rates.tolist(), verdicts):
+            self._violators += (channels is not None) - (old[n] is not None)
+            old[n] = None if channels is None else Strategy(channels, caps[n])
+            rate_list[n] = rate
 
 
 class _FairRecorder(_Recorder):
@@ -425,7 +435,6 @@ def nbrf_initial_profile(instance: Instance) -> StrategyProfile:
     return _NoisyBestResponse.extend((), instance)
 
 
-_SETTLE = object()
 _BLOCK = 512  # doubles per pre-drawn block: above a 4-user step's ~5, below an 800-user activation
 
 
@@ -506,16 +515,15 @@ def _play(
     `instance` is the whole population and arrivals[n] the updating time at which user n joins
     (None: all at 0). A step.recorder (_RateRecorder or _FairRecorder) records each updating
     time. Each updating time t starts the stage whose users arrive at t, if any (step.extend
-    grows the profile), calls step.prepare, and asks step.decide of every active user that is
-    not settled, in ascending order, against the pre-step profile and the recorder, which
-    follows that profile for its verdicts (and the fairness game's prices). The answer is a
-    play, None to keep the current one, or _SETTLE to keep it and be skipped until a neighbor
-    moves or users arrive; a step settles a user only when its decision reads no rng and no
-    plays beyond the user's neighborhood (exact BR-DRM and frozen NBRF). All plays of an
-    updating time apply at once. Once num_users updating times pass without a play (a quiet
-    pass) and no arrival is pending, step.confirm decides at each further quiet updating time,
-    from the at_nep flag just recorded, whether the run has converged. All draws go through a
-    _BlockStream, rewound when the run ends or raises.
+    grows the profile), and calls step.prepare, which says whether this time plays verdicts.
+    If it does (exact BR-DRM, frozen NBRF: rules that read no rng and only the user's
+    neighborhood), the active users whose recorded verdict at the pre-step profile is a play
+    make it, and the others keep theirs; otherwise step.decide answers each active user, in
+    ascending order, with a play or None to keep its own. All plays of an updating time apply
+    at once. Once num_users updating times pass without a play (a quiet pass) and no arrival
+    is pending, the run converges at the first quiet updating time from then on whose profile
+    is recorded at_nep, if it plays verdicts, or at once if step.quiet_converges. All draws
+    go through a _BlockStream, rewound when the run ends or raises.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -527,38 +535,34 @@ def _play(
     profile = recorder.start(initial_profile, instance)
     prepare, decide = step.prepare, step.decide
     quiet_run = 0
-    settled: set[int] = set()
     try:
         for t in range(1, max_iters + 1):
             if pending and pending[0][0] == t:
                 instance = pending.pop(0)[1]
                 profile = recorder.canonical(step.extend(profile, instance))
                 quiet_run = 0
-                settled.clear()
-            prepare(t, profile, instance, rng)
+            follows = prepare(t, profile, instance, rng)
             active = select_active(mechanism, instance.graph, rng, step=t - 1)
-            plays: dict[int, Strategy] = {}
-            for n in active:
-                if n in settled:
-                    continue
-                play = decide(n, profile, instance, rng, recorder)
-                if play is _SETTLE:
-                    settled.add(n)
-                elif play is not None:
-                    plays[n] = play
+            if follows:
+                plays = recorder.moves(active, profile, instance)
+            else:
+                plays = {}
+                for n in active:
+                    play = decide(n, profile, instance, rng, recorder)
+                    if play is not None:
+                        plays[n] = play
             if plays:
-                # one copy; the movers' neighbors leave `settled`: their verdicts read moved plays
-                moved = list(profile)
+                moved = list(profile)  # one copy
                 for n, play in plays.items():
                     moved[n] = play
-                    if settled:
-                        settled.difference_update(instance.graph.adjacency[n])
                 profile = recorder.canonical(tuple(moved))
                 quiet_run = 0
             else:
                 quiet_run += 1
             at_nep = recorder.record(active, profile, instance)
-            if quiet_run >= instance.num_users and not pending and step.confirm(at_nep):
+            if quiet_run >= instance.num_users and not pending and (
+                at_nep if follows else step.quiet_converges
+            ):
                 return recorder.build(t, "converged")
         return recorder.build(None, "max-iters")
     finally:
@@ -578,25 +582,25 @@ def run_br_drm(
     """Best-response play for the rate-maximization game, run by _play.
 
     Each active user plays drm.nep_violation's improving channel set, if any, at its cap.
-    Both modes decide through its one array form, drm.switches: exact mode reads the verdicts
+    Both modes decide through its one array form, drm.switches: exact mode plays the verdicts
     the recorder derives from its clearance rows (repriced only where a switch touched them),
     estimator mode scores all users' windowed estimates per estimator_config once per slot
     batch. The rule is is_nep_drm's, so ties and near-ties keep the current set and
-    exact-mode runs cannot oscillate between tied sets. Exact mode settles a user with no
-    improving switch, since its verdict holds until a neighbor moves, and converges after a
-    quiet pass at a profile recorded at_nep. Estimator mode keeps such a user, since its
-    estimates move with every slot batch, and takes the quiet pass itself as convergence.
+    exact-mode runs cannot oscillate between tied sets. Exact mode converges after a quiet
+    pass at a profile recorded at_nep; estimator mode, whose estimates move with every slot
+    batch, takes the quiet pass itself as convergence.
     """
     step = _BestResponse(estimator_config)
     return _play(instance, mechanism, rng, max_iters, initial_profile, arrivals, step)
 
 
 class _BestResponse:
-    """BR-DRM's step. In exact mode it plays the rate recorder's verdicts at the pre-step
-    profile; in estimator mode it keeps the slot window, its estimates and drm.switches'
-    verdicts on them, renewed once per updating time."""
+    """BR-DRM's step. In exact mode _play plays the rate recorder's verdicts at the pre-step
+    profile; in estimator mode the step keeps the slot window, its estimates and drm.switches'
+    verdicts on them, renewed once per updating time, and decide plays those."""
 
     recorder = _RateRecorder
+    quiet_converges = True
 
     def __init__(self, estimator_config: Optional[EstimatorConfig]):
         self._config = estimator_config
@@ -606,28 +610,30 @@ class _BestResponse:
         self._slots = 0  # slots simulated on the window's instance
         # the prepared profile's layout; clearances, (users, channels); each user's switch or None
         self._layout, self._estimates, self._proposals = None, None, []
-        self._switched: list[int] = []  # users that switched at the last updating time
 
     @staticmethod
     def extend(profile: StrategyProfile, instance: Instance) -> StrategyProfile:
         return profile + drm_initial_profile(instance)[len(profile) :]
 
-    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> None:
-        """Flush the last switchers' neighbors' windows, draw this time's slots, estimate."""
-        switched, self._switched = self._switched, []
-        config = self._config
+    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> bool:
+        """Flush the last switchers' neighbors' windows, draw this time's slots, estimate.
+        Returns whether this updating time plays the recorder's verdicts: in exact mode."""
+        config, layout = self._config, self._layout
         if config is None:
-            return
+            return True
         if instance is not self._instance:
             self._instance, self._slots = instance, 0
             self._window = np.zeros((0, instance.num_channels, instance.num_users), dtype=bool)
             self._valid_from = np.zeros(instance.num_users, dtype=np.int64)
             self._utilities = np.array(instance.utilities)
             self._masked = None if instance.allowed is None else ~np.array(instance.allowed)
-        elif config.flush_on_neighbor_update:
+        elif config.flush_on_neighbor_update and layout.profile is not profile:
+            # the last switchers changed their plays' values; an interned revisit may hold
+            # equal plays as other objects
+            switched = compress(count(), map(ne, profile, layout.profile))
             # a list, never a tuple: arr[()] = x would write every entry
             self._valid_from[[r for n in switched for r in instance.graph.adjacency[n]]] = self._slots
-        layout = self._layout  # profiles are interned: a switch or a new stage makes a new object
+        # profiles are interned: a switch or a new stage makes a new object
         if not (layout and layout.profile is profile and layout.instance is instance):
             layout = self._layout = _SlotLayout(profile, instance)
         # slots that would fall out of the window need only their coins, drawn in bounded chunks
@@ -642,22 +648,11 @@ class _BestResponse:
         self._estimates = _clearances(window, valid).T
         self._proposals = drm.switches(
             self._utilities, self._estimates, layout.channels, self._masked)
+        return False
 
     def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, recorder):
-        if self._config is None:
-            # a keeper's verdict holds until a neighbor moves: it settles
-            channels = recorder.verdict(n, profile, instance)
-            if channels is None:
-                return _SETTLE
-        else:
-            channels = self._proposals[n]
-            if channels is None:
-                return None
-        self._switched.append(n)
-        return Strategy(channels, instance.caps[n])
-
-    def confirm(self, at_nep: bool) -> bool:
-        return self._config is not None or at_nep
+        channels = self._proposals[n]
+        return None if channels is None else Strategy(channels, instance.caps[n])
 
 
 def run_better_response_replay(
@@ -715,8 +710,8 @@ def run_nbrf(
 
     Active users draw fresh (channel, probability) actions from their
     softmax distributions at beta(t). Once beta(t) reaches freeze_beta (if
-    given; it must be finite), active users stop exploring: each plays the
-    deviation fairness.nep_violation reports, or settles when there is none
+    given; it must be finite), active users stop exploring: _play plays the fair
+    recorder's verdicts, the deviation fairness.nep_violation reports or none
     (is_nep_fairness's rule), and the run converges after a quiet pass at a
     profile recorded at_nep. A masked instance (`allowed` set) is a ValueError.
     """
@@ -728,9 +723,11 @@ def run_nbrf(
 
 
 class _NoisyBestResponse:
-    """NBRF's step: beta(t), the frozen flag, and the sampler's memo."""
+    """NBRF's step: beta(t) and the sampler's memo. Frozen, _play plays the fair recorder's
+    verdicts; unfrozen, decide draws from the softmax, and the run never converges."""
 
     recorder = _FairRecorder
+    quiet_converges = False
 
     def __init__(self, schedule: CoolingSchedule, freeze_beta: Optional[float]):
         self._schedule, self._freeze_beta = schedule, freeze_beta
@@ -741,7 +738,6 @@ class _NoisyBestResponse:
         self._memo = schedule.kind != "logarithmic"
         self._draws: dict[tuple, tuple] = {}
         self._beta: Optional[float] = None
-        self._frozen = False
 
     @staticmethod
     def extend(profile: StrategyProfile, instance: Instance) -> StrategyProfile:
@@ -749,18 +745,15 @@ class _NoisyBestResponse:
         picks = [strat.channels[0] for strat in profile + drm_initial_profile(instance)[keep:]]
         return profile + allocation_profile(picks, instance)[keep:]
 
-    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> None:
+    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> bool:
+        """Set beta(t); returns whether it froze play, which then follows the verdicts."""
         beta = self._schedule.beta(t)
         if beta != self._beta:
             self._draws.clear()
             self._beta = beta
-        self._frozen = self._freeze_beta is not None and beta >= self._freeze_beta
+        return self._freeze_beta is not None and beta >= self._freeze_beta
 
     def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, recorder):
-        if self._frozen:
-            # reads no rng and only local plays, so a keeper settles
-            deviation = recorder.verdict(n, profile, instance)
-            return _SETTLE if deviation is None else deviation
         # At beta = 0 the sampler is uniform over the whole grid, so a
         # user can land on attempt probability 1.0 next to a neighbor and
         # leave some third user with no finite-value action at all.  Such
@@ -782,9 +775,6 @@ class _NoisyBestResponse:
             return None
         # grid plays are shared; by value: the initial plays and an old degree's grid are others
         return None if action is profile[n] or action == profile[n] else action
-
-    def confirm(self, at_nep: bool) -> bool:
-        return self._frozen and at_nep
 
 
 class _SlotLayout:

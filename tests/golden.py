@@ -153,10 +153,10 @@ _MECHANISMS = {
 }
 
 
-# Exact-mode runs in which settled users are active again and again: users
-# with no improving switch under backoff, neighbors that switch together under
-# probabilistic 0.9, a round-robin sweep, and a mid-run population event with
-# two channels per user and a channel mask.
+# Exact-mode runs in which users whose verdicts keep their plays are active
+# again and again: users with no improving switch under backoff, neighbors
+# that switch together under probabilistic 0.9, a round-robin sweep, and a
+# mid-run population event with two channels per user and a channel mask.
 def _exact_case(name):
     spec = {
         "kind": "geometric", "num_users": 40, "num_channels": 5,
@@ -235,8 +235,8 @@ class _StoppingNBRF(dynamics._NoisyBestResponse):
         self.stop, self.raises, self.t, self.state = stop, raises, 0, None
 
     def prepare(self, t, profile, instance, rng):
-        super().prepare(t, profile, instance, rng)
         self.t = t
+        return super().prepare(t, profile, instance, rng)
 
     def decide(self, n, profile, instance, rng, recorder):
         play = super().decide(n, profile, instance, rng, recorder)

@@ -30,12 +30,13 @@ class _OracleStep(_BestResponse):
     """BR-DRM's estimator step that checks every user's proposal after each prepare."""
 
     def prepare(self, t, profile, instance, rng):
-        super().prepare(t, profile, instance, rng)
+        follows = super().prepare(t, profile, instance, rng)
         assert len(self._proposals) == instance.num_users
         for n in range(instance.num_users):
             report = drm.nep_violation(n, profile, instance, self._estimates[n])
             want = None if report is None else report.deviation.channels
             assert self._proposals[n] == want, (t, n, self._estimates[n])
+        return follows
 
 
 @st.composite

@@ -3,14 +3,15 @@
 Both games record through one protocol. The recorder follows whatever profile
 it is asked about: a new stage reprices every user, and otherwise it reprices
 the users whose plays changed and their neighbors. Per user it keeps a rate, a
-potential term, a verdict (checked, or unchecked until asked for) and the
-game's prices: the rate game's clearance and log-interference rows, the
-fairness game's channel_load and action-table values. It also counts the
-violators among the checked users. These properties drive both games through
-random switch sequences, revisits of earlier profiles and population events.
-They compare every entry with br_potential / exact_potential, the per-user
-closed-form rates and the is_nep_* scans, and the recorder's state at any
-profile with fresh closed forms and the game's nep_violation, bit for bit.
+potential term, a verdict (the play the game's rule moves to, or none; checked,
+or unchecked until asked for) and the game's prices: the rate game's clearance
+and log-interference rows, the fairness game's channel_load and action-table
+values. It also counts the violators among the checked users. These properties
+drive both games through random switch sequences, revisits of earlier profiles
+and population events. They compare every entry with br_potential /
+exact_potential, the per-user closed-form rates and the is_nep_* scans, and
+the recorder's state at any profile with fresh closed forms and the game's
+nep_violation, bit for bit.
 """
 
 import math
@@ -105,12 +106,15 @@ def _bits(x):
 
 
 def _verdict(game, n, profile, instance):
-    """User n's verdict by its game's nep_violation: the rate game's channel set, the fairness
-    game's deviation, or None."""
+    """User n's verdict by its game's nep_violation: the rate game's channel set at the user's
+    cap (nep_violation prices it at the current attempt probability), the fairness game's
+    deviation, or None."""
     report = (drm if game == "drm" else fairness).nep_violation(n, profile, instance)
     if report is None:
         return None
-    return report.deviation.channels if game == "drm" else report.deviation
+    if game == "drm":
+        return Strategy(report.deviation.channels, instance.caps[n])
+    return report.deviation
 
 
 def _assert_rows_are_fresh(recorder, profile, instance):
@@ -127,15 +131,23 @@ def _assert_rows_are_fresh(recorder, profile, instance):
 
 
 def _assert_priced(recorder, game, profile, instance, user):
-    """Asked for user's verdict at any profile (a revisit served from the memo, an event's
-    before it is recorded), the recorder answers as the game's nep_violation does and then
-    holds that profile's state: every user's rate_from_load, each checked verdict its game's
-    nep_violation's, a violator count of the checked violators, and the game's prices equal to
-    fresh closed forms (the rate rows; the fairness channel_load and _table_values)."""
-    assert recorder.verdict(user, profile, instance) == _verdict(game, user, profile, instance)
+    """_assert_moves on the recorder's moves for `user` alone."""
+    moves = recorder.moves((user,), profile, instance)
+    _assert_moves(recorder, game, profile, instance, (user,), moves)
+
+
+def _assert_moves(recorder, game, profile, instance, active, moves):
+    """`moves`, the recorder's answer for `active` at any profile (a revisit served from the
+    memo, an event's before it is recorded), are the moving verdicts of the game's
+    nep_violation, and the recorder then holds that profile's state: every user's
+    rate_from_load, each checked verdict its game's nep_violation's, a violator count of the
+    checked violators, and the game's prices equal to fresh closed forms (the rate rows; the
+    fairness channel_load and _table_values)."""
+    want = {n: _verdict(game, n, profile, instance) for n in active}
+    assert moves == {n: play for n, play in want.items() if play is not None}
     assert recorder._last[0] is profile and recorder._last[1] is instance
     checked = [n for n in range(instance.num_users) if n not in recorder._unchecked]
-    assert user in checked
+    assert set(active) <= set(checked)
     verdicts = [_verdict(game, n, profile, instance) for n in checked]
     assert [recorder._verdicts[n] for n in checked] == verdicts
     assert recorder._violators == sum(v is not None for v in verdicts)
@@ -231,21 +243,33 @@ def test_runs_with_population_events_match_full_checks(seed, graph_seed, game, m
     _assert_matches_full_checks(traj, game)
 
 
-class _RowCheckedStep(_BestResponse):
-    """Exact BR-DRM's step that checks the recorder's state at every profile it decides on."""
+class _RowCheckedRecorder(_RateRecorder):
+    """The rate recorder, its state checked at every updating time whose verdicts exact BR-DRM
+    plays."""
 
     def __init__(self):
-        super().__init__(None)
-        self.seen, self.last, self.revisits = set(), None, 0
+        super().__init__()
+        self.seen, self.last, self.revisits, self.calls = set(), None, 0, 0
 
-    def decide(self, n, profile, instance, rng, recorder):
-        play = super().decide(n, profile, instance, rng, recorder)
+    def moves(self, active, profile, instance):
+        moves = super().moves(active, profile, instance)
+        _assert_moves(self, "drm", profile, instance, active, moves)
+        self.calls += 1
         if profile is not self.last:
-            _assert_priced(recorder, "drm", profile, instance, n)
             self.revisits += id(profile) in self.seen
             self.seen.add(id(profile))
             self.last = profile
-        return play
+        return moves
+
+
+def _row_checked_run(inst, mechanism, seed, start, arrivals):
+    """An exact BR-DRM run of 14 updating times on a _RowCheckedRecorder, which must have
+    answered at each of them."""
+    step, recorder = _BestResponse(None), _RowCheckedRecorder()
+    step.recorder = lambda: recorder
+    traj = _play(inst, mechanism, np.random.default_rng(seed), 14, start, arrivals, step)
+    assert recorder.calls == len(traj) - 1 > 0
+    return traj, recorder
 
 
 @st.composite
@@ -291,8 +315,7 @@ def test_exact_rows_equal_the_closed_forms_bit_for_bit(case, mechanism, seed):
         "backoff": UpdateMechanism.backoff(),
         "sweep": UpdateMechanism.sweep_sequential(),
     }[mechanism]
-    step = _RowCheckedStep()
-    traj = _play(inst, mech, np.random.default_rng(seed), 14, start, arrivals, step)
+    traj, _ = _row_checked_run(inst, mech, seed, start, arrivals)
     _assert_matches_full_checks(traj, "drm")
 
 
@@ -301,8 +324,7 @@ def test_exact_revisits_get_their_own_verdicts():
     # alternates between two profiles; each revisit is served from the memo, and its verdicts
     # must be its own, not those of the profile priced last
     inst = Instance(InterferenceGraph.from_edges(2, [(0, 1)]), 2, 1, ((1.0, 1.0),) * 2, (0.5,) * 2)
-    step = _RowCheckedStep()
-    traj = _play(inst, UpdateMechanism.probabilistic(1.0), np.random.default_rng(0), 14,
-                 make_profile([[0], [0]], [0.5, 0.5]), None, step)
+    traj, recorder = _row_checked_run(inst, UpdateMechanism.probabilistic(1.0), 0,
+                                      make_profile([[0], [0]], [0.5, 0.5]), None)
     assert traj.termination == "max-iters" and len(set(map(id, traj.profiles))) == 2
-    assert step.revisits == 12  # updating times 3..14
+    assert recorder.revisits == 12  # updating times 3..14

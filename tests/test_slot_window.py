@@ -55,7 +55,7 @@ class _CheckedStep(_BestResponse):
 
     def prepare(self, t, profile, instance, rng):
         config, ref_rng, layout = self._config, copy.deepcopy(rng), self._layout
-        super().prepare(t, profile, instance, rng)
+        follows = super().prepare(t, profile, instance, rng)
         self.t, self.layouts = t, self.layouts + (self._layout is not layout)
         self.new_plays += profile is not self.ref_profile or instance is not self.ref_instance
         if instance is not self.ref_instance:
@@ -78,11 +78,11 @@ class _CheckedStep(_BestResponse):
             want = estimate_success_probability(n, window[len(window) - valid :])
             assert self._estimates[n].tolist() == want.tolist(), (t, n)
         self.checked += 1
+        return follows
 
     def decide(self, n, profile, instance, rng, prices):
         play = super().decide(n, profile, instance, rng, prices)
         if play is None and self.t in self.forced:
-            self._switched.append(n)
             shifted = sorted((k + 1) % instance.num_channels for k in profile[n].channels)
             return Strategy(tuple(shifted), instance.caps[n])
         return play

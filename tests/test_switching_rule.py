@@ -25,6 +25,7 @@ from spectrumshare import (
 )
 from spectrumshare import drm, fairness
 from spectrumshare.drm import channel_scores, top_channels
+from spectrumshare.dynamics import _BestResponse, _NoisyBestResponse, _play
 from spectrumshare.fairness import best_fair_action
 from spectrumshare.harness import build_instance_and_events
 from spectrumshare.network import NEP_REL_TOL, NepReport, left_sum
@@ -138,6 +139,62 @@ def test_frozen_nbrf_moves_by_nep_violation(mechanism):
     _assert_moves_by_the_rule(
         traj, fairness.nep_violation, lambda play, report, _: play == report.deviation
     )
+
+
+class _ExactNoDecide(_BestResponse):
+    """Exact BR-DRM's step whose decide raises: _play plays the recorder's verdicts."""
+
+    def decide(self, *args):
+        raise AssertionError("exact BR-DRM asked decide")
+
+
+class _FrozenNoDecide(_NoisyBestResponse):
+    """NBRF's step whose decide raises once prepare reports the freeze, and counts its calls
+    before."""
+
+    def __init__(self, schedule, freeze_beta):
+        super().__init__(schedule, freeze_beta)
+        self.frozen, self.decided = False, 0
+
+    def prepare(self, t, profile, instance, rng):
+        self.frozen = super().prepare(t, profile, instance, rng)
+        return self.frozen
+
+    def decide(self, n, profile, instance, rng, recorder):
+        if self.frozen:
+            raise AssertionError("frozen NBRF asked decide")
+        self.decided += 1
+        return super().decide(n, profile, instance, rng, recorder)
+
+
+@pytest.mark.parametrize("name", ["backoff", "probabilistic", "masked"])
+def test_exact_br_drm_runs_to_convergence_without_decide(name):
+    (inst, arrivals), mechanism = _drm_case(name)
+    traj = _play(inst, mechanism, np.random.default_rng(5), 300, None, arrivals,
+                 _ExactNoDecide(None))
+    assert traj.termination == "converged"
+    assert len(set(map(id, traj.profiles))) > 2  # users moved by their verdicts
+
+
+@pytest.mark.parametrize("mechanism", ["backoff", "probabilistic"])
+def test_frozen_nbrf_runs_to_convergence_without_decide(mechanism):
+    spec = {
+        "kind": "geometric", "num_users": 30, "num_channels": 3,
+        "channels_per_user": 1, "region_radius": 5.0, "interference_radius": 2.0,
+        "graph_seed": 4,
+        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+        "caps": {"kind": "constant", "value": 0.5},
+    }
+    inst, _ = build_instance_and_events(spec, [])
+    mech = UpdateMechanism.backoff() if mechanism == "backoff" else (
+        UpdateMechanism.probabilistic(0.7))
+    # beta = log t reaches 2.0 at updating time 8: the first seven sample the softmax
+    schedule = CoolingSchedule.logarithmic(1.0)
+    step = _FrozenNoDecide(schedule, 2.0)
+    traj = _play(inst, mech, np.random.default_rng(6), 300, None, None, step)
+    assert traj.termination == "converged" and traj.converged_at > 8 and step.decided > 0
+    # and frozen play moved: some user switched by its verdict after the freeze
+    assert any(a is not b for a, b in zip(traj.profiles[7:], traj.profiles[8:]))
 
 
 def _masked(instance, rng):
