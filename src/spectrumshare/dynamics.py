@@ -195,11 +195,12 @@ class _Recorder:
     Each distinct profile is derived once: its potential (the terms summed left to right, the
     float of the game's full potential), its users' rates and its at_nep flag; a revisit reuses
     them. The recorder follows any profile it is asked about: a new stage reprices every user,
-    otherwise _price reprices the users whose play object changed and their neighbors, and
-    judges each or unchecks it for _judge. A verdict is the play of the game's deterministic
-    rule (nep_violation's move), or None to keep the current one; it is the only record of who
-    may move, since it holds until the user or a neighbor moves. at_nep checks unchecked users
-    in index order until one violates.
+    otherwise _price renews the rates and verdicts of the users whose play object changed and
+    of their neighbors (judging each, or unchecking it for _judge); prices that read only the
+    neighbors' plays need reloading only where a neighbor moved. A verdict is the play of
+    the game's deterministic rule (nep_violation's move), or None to keep the current one; it
+    is the only record of who may move, since it holds until the user or a neighbor moves.
+    at_nep checks unchecked users in index order until one violates.
     """
 
     def __init__(self):
@@ -374,33 +375,38 @@ class _RateRecorder(_Recorder):
 class _FairRecorder(_Recorder):
     """The fairness game's recorder, priced one user at a time.
 
-    A user's prices are kept until it is repriced, which also unchecks it. Its potential term
-    is the log of the rate priced from them, and its verdict, judged on demand, the deviation
-    fairness.nep_violation reports on them.
+    A user's prices are its channel_load and, once some rule asks, its action table's values.
+    A load reads only the neighbors' plays, so a user reloads (a fresh channel_load, values
+    dropped) when a neighbor moves, and every user at a new stage; a mover keeps its prices.
+    Repricing renews a user's rate and potential term, the log of that rate, and unchecks it;
+    its verdict, judged on demand, is the deviation fairness.nep_violation reports.
     """
 
     def _stage(self, instance: Instance) -> None:
         self._terms: list[float] = [0.0] * instance.num_users
-        self._prices: list[dict] = [{}] * instance.num_users
+        self._prices: list[Optional[dict]] = [None] * instance.num_users  # None: never priced
 
     def _potential(self) -> float:
         return left_sum(self._terms)
 
     def _price(self, moved: list[int]) -> None:
         profile, instance = self._last
-        graph = instance.graph
-        users = set(moved).union(*(graph.adjacency[n] for n in moved))
+        graph, prices = instance.graph, self._prices
+        reload = set().union(*(graph.adjacency[n] for n in moved))
+        users = reload.union(moved)
         for n in users:
-            strat, load = profile[n], channel_load(n, profile, graph)
+            if n in reload or prices[n] is None:
+                prices[n] = {"load": channel_load(n, profile, graph)}
+            strat, load = profile[n], prices[n]["load"]
             rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
             self._rates[n], self._terms[n] = rate, fairness._log_rate(rate)
-            self._prices[n] = {"load": load}
-            self._violators -= self._verdicts[n] is not None
-            self._verdicts[n] = None
+        verdicts = self._verdicts  # an unchecked user's verdict is stale and never read
+        self._violators -= sum(verdicts[n] is not None for n in users - self._unchecked)
         self._unchecked |= users
 
     def _judge(self, n: int) -> Optional[Strategy]:
-        report = fairness.nep_violation(n, *self._last, **self.prices(n, *self._last))
+        prices = self._valued(n)
+        report = fairness.nep_violation(n, *self._last, prices["load"], prices["values"])
         return None if report is None else report.deviation
 
     def prices(self, n: int, profile: StrategyProfile, instance: Instance) -> dict:
@@ -408,9 +414,13 @@ class _FairRecorder(_Recorder):
         channel_load and its action table's values, priced on first demand."""
         if profile is not self._last[0] or instance is not self._last[1]:  # asked at every draw
             self._follow(profile, instance)
+        return self._valued(n)
+
+    def _valued(self, n: int) -> dict:
+        """User n's prices at the followed profile, its values priced on first demand."""
         prices = self._prices[n]
         if "values" not in prices:
-            _, prices["values"] = fairness._priced(n, profile, instance, prices["load"])
+            _, prices["values"] = fairness._priced(n, *self._last, prices["load"])
         return prices
 
 

@@ -6,12 +6,13 @@ the users whose plays changed and their neighbors. Per user it keeps a rate, a
 potential term, a verdict (the play the game's rule moves to, or none; checked,
 or unchecked until asked for) and the game's prices: the rate game's clearance
 and log-interference rows, the fairness game's channel_load and action-table
-values. It also counts the violators among the checked users. These properties
-drive both games through random switch sequences, revisits of earlier profiles
-and population events. They compare every entry with br_potential /
-exact_potential, the per-user closed-form rates and the is_nep_* scans, and
-the recorder's state at any profile with fresh closed forms and the game's
-nep_violation, bit for bit.
+values, the latter reloaded only where a neighbor moved. It also counts the
+violators among the checked users. These properties drive both games through
+random switch sequences, revisits of earlier profiles and population events.
+They compare every entry with br_potential / exact_potential, the per-user
+closed-form rates and the is_nep_* scans, and the recorder's state at any
+profile with fresh closed forms and the game's nep_violation, bit for bit. A
+counted case pins which fairness users reload.
 """
 
 import math
@@ -37,7 +38,7 @@ from spectrumshare import (
     run_nbrf,
     total_expected_rate,
 )
-from spectrumshare import drm, fairness
+from spectrumshare import drm, dynamics, fairness
 from spectrumshare.dynamics import _BestResponse, _FairRecorder, _play, _RateRecorder
 from spectrumshare.harness import build_instance_and_events
 from spectrumshare.network import NO_LOAD, rate_from_load
@@ -328,3 +329,62 @@ def test_exact_revisits_get_their_own_verdicts():
                                       make_profile([[0], [0]], [0.5, 0.5]), None)
     assert traj.termination == "max-iters" and len(set(map(id, traj.profiles))) == 2
     assert recorder.revisits == 12  # updating times 3..14
+
+
+def test_fair_recorder_reloads_only_where_a_neighbor_moved(monkeypatch):
+    # a path 0-1-2-3-4 and an isolated user 5; user 6 arrives beside 4 at the second stage
+    final = Instance(
+        InterferenceGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 6)]),
+        2, 1, ((1.0, 2.0),) * 7, (0.5,) * 7,
+    )
+    loaded, valued = [], []  # the users whose channel_load / action-table values were priced
+
+    def counted_load(n, profile, graph):
+        loaded.append(n)
+        return channel_load(n, profile, graph)
+
+    table_values = fairness._table_values
+
+    def counted_values(table, load):
+        valued.append(table)
+        return table_values(table, load)
+
+    monkeypatch.setattr(dynamics, "channel_load", counted_load)
+    monkeypatch.setattr(fairness, "_table_values", counted_values)
+    recorder = _FairRecorder()
+
+    def follow(profile, instance, moved):
+        """Record `profile` and ask every user's move. Returns the users that reloaded,
+        those whose values were priced, and those that kept their prices dict."""
+        before = list(getattr(recorder, "_prices", ()))
+        kept_values = {n: prices["values"] for n, prices in enumerate(before)}
+        loaded.clear()
+        valued.clear()
+        profile = recorder.canonical(profile)
+        recorder.record(moved, profile, instance)
+        kept = [n for n, prices in enumerate(before) if recorder._prices[n] is prices]
+        for n in kept:
+            assert recorder._prices[n]["values"] is kept_values[n], n
+        users = tuple(range(instance.num_users))
+        moves = recorder.moves(users, profile, instance)
+        tables = {id(fairness._action_table(n, instance)): n for n in users}
+        priced = sorted(loaded), sorted(tables[id(table)] for table in valued)
+        _assert_moves(recorder, "fairness", profile, instance, users, moves)
+        return profile, priced, kept
+
+    first = final.prefix(6)
+    profile, priced, _ = follow(make_profile([[0]] * 6, [0.5] * 6), first, ())
+    assert priced == ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5])
+    # two non-adjacent movers: only their neighbors reload, and the movers keep their prices
+    moved = replace_strategy(replace_strategy(profile, 1, Strategy((1,), 0.5)), 3,
+                             Strategy((1,), 0.5))
+    profile, priced, kept = follow(moved, first, (1, 3))
+    assert priced == ([0, 2, 4], [0, 2, 4]) and kept == [1, 3, 5]
+    # two adjacent movers: both reload
+    moved = replace_strategy(replace_strategy(profile, 2, Strategy((1,), 1.0 / 3)), 3,
+                             Strategy((0,), 0.5))
+    profile, priced, kept = follow(moved, first, (2, 3))
+    assert priced == ([1, 2, 3, 4], [1, 2, 3, 4]) and kept == [0, 5]
+    # a new stage: every user reloads, the isolated user and those that did not move included
+    profile, priced, kept = follow(profile + (Strategy((1,), 0.5),), final, ())
+    assert priced == ([0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6]) and kept == []
