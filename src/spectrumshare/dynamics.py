@@ -14,7 +14,8 @@ neighbors' strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, count
 from operator import is_not, ne
 from typing import Optional, Sequence, Union
@@ -32,17 +33,14 @@ from .fairness import (
     is_nep_fairness,
     noisy_br_table,
 )
-# unused, as are br_potential, exact_potential, is_nep_drm and is_nep_fairness;
-# perfbench/tracing.py patches them
+# unused, as are is_nep_drm and is_nep_fairness; perfbench/tracing.py patches them
 from .fairness import cooperative_utility, noisy_br_distribution, sample_noisy_br
 from .network import (
     Instance,
     InterferenceGraph,
     Strategy,
     StrategyProfile,
-    _neg_log1m,
     channel_load,
-    left_sum,
     rate_from_load,
     replace_strategy,
     total_expected_rate,
@@ -167,20 +165,20 @@ class EstimatorConfig:
 class Trajectory:
     """Recorded run: one entry per updating time plus the initial state.
 
-    Entry 0 is the initial profile with an empty active set. `potentials`
-    holds the run's audit scalar (best-response potential for rate
-    maximization, sum of log rates for the fairness loops); `at_nep` says
-    whether each entry's profile is an equilibrium, as the game's is_nep_*
-    would. termination is "converged", "max-iters", or "cycle-detected";
-    cycle_length is set only for replays that revisited a profile.
+    Entry 0 is the initial profile with an empty active set. `at_nep` says whether each entry's
+    profile is an equilibrium, as the game's is_nep_* would. `potentials`, the audit scalar that
+    no run reads, is priced on first read by the closed form named `_potential` (br_potential,
+    or the fairness game's exact_potential) once per distinct profile. termination is
+    "converged", "max-iters", or "cycle-detected"; cycle_length is set only for replays that
+    revisited a profile.
     """
 
     active_sets: list[tuple[int, ...]]
     profiles: list[StrategyProfile]
-    potentials: list[float]
     rates: list[tuple[float, ...]]
     instances: list[Instance]
     at_nep: list[bool]
+    _potential: str = field(repr=False, compare=False)
     converged_at: Optional[int] = None
     termination: str = "max-iters"
     cycle_length: Optional[int] = None
@@ -188,28 +186,37 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.profiles)
 
+    @cached_property
+    def potentials(self) -> list[float]:
+        # looked up when read, so that a patch of the module's closed form applies
+        closed_form, memo = globals()[self._potential], {}
+        for profile, instance in zip(self.profiles, self.instances):
+            if id(profile) not in memo:  # recorded profiles are interned, as _Recorder keys them
+                memo[id(profile)] = closed_form(profile, instance)
+        return [memo[id(profile)] for profile in self.profiles]
+
 
 class _Recorder:
     """Appends to the trajectory's columns, de-duplicating repeated snapshots.
 
-    Each distinct profile is derived once: its potential (the terms summed left to right, the
-    float of the game's full potential), its users' rates and its at_nep flag; a revisit reuses
+    Each distinct profile is derived once: its users' rates and its at_nep flag; a revisit reuses
     them. The recorder follows any profile it is asked about: a new stage reprices every user,
     otherwise _price renews the rates and verdicts of the users whose play object changed and
     of their neighbors (judging each, or unchecking it for _judge); prices that read only the
     neighbors' plays need reloading only where a neighbor moved. A verdict is the play of
     the game's deterministic rule (nep_violation's move), or None to keep the current one; it
     is the only record of who may move, since it holds until the user or a neighbor moves.
-    at_nep checks unchecked users in index order until one violates.
+    at_nep checks unchecked users in index order until one violates. Each game's recorder
+    names its potential's closed form, `potential`, for the trajectory to price when read.
     """
 
     def __init__(self):
-        self.trajectory = Trajectory([], [], [], [], [], [])
+        self.trajectory = Trajectory([], [], [], [], [], self.potential)
         self._interned: dict[StrategyProfile, StrategyProfile] = {}
         self._active_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         # keyed by id: recorded profiles stay alive in the trajectory, and
         # interned ones are equal exactly when they are the same object
-        self._derived: dict[int, tuple[float, tuple[float, ...], bool]] = {}
+        self._derived: dict[int, tuple[tuple[float, ...], bool]] = {}
         self._last: tuple[StrategyProfile, Optional[Instance]] = ((), None)  # followed last
 
     def canonical(self, profile: StrategyProfile) -> StrategyProfile:
@@ -230,11 +237,10 @@ class _Recorder:
         traj = self.trajectory
         traj.active_sets.append(self._active_interned.setdefault(active, active))
         traj.profiles.append(profile)
-        traj.potentials.append(derived[0])
-        traj.rates.append(derived[1])
+        traj.rates.append(derived[0])
         traj.instances.append(instance)
-        traj.at_nep.append(derived[2])
-        return derived[2]
+        traj.at_nep.append(derived[1])
+        return derived[1]
 
     def build(
         self, converged_at: Optional[int], termination: str, cycle_length: Optional[int] = None
@@ -257,13 +263,13 @@ class _Recorder:
                 plays[n] = play
         return plays
 
-    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[float, tuple, bool]:
+    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[tuple, bool]:
         self._follow(profile, instance)
         if not self._violators:
             for n in sorted(self._unchecked):
                 if self._check(n) is not None:
                     break
-        return self._potential(), tuple(self._rates), self._violators == 0
+        return tuple(self._rates), self._violators == 0
 
     def _follow(self, profile: StrategyProfile, instance: Instance) -> None:
         last, last_instance = self._last
@@ -291,14 +297,15 @@ class _Recorder:
 class _RateRecorder(_Recorder):
     """The rate game's recorder, priced in arrays over the rows a profile change touches.
 
-    Row n of `clearance` and `suffered` (users, channels) holds user n's channel_load
-    clearance and log-interference, NO_LOAD's where no neighbor plays. Repricing resets the
-    rows of the movers and their neighbors to 1.0 and 0.0, then multiplies in each neighbor's
-    1 - p and adds its -log1p(-p) on its channels in one ufunc.at pass each, which applies them
-    in index order: per row in adjacency order, so every cell is channel_load's float. The same
-    rows give the users' rates, br_potential terms and verdicts, all judged at once by
-    drm.switches on the exact clearances: the improving channel set at the user's cap, or None.
+    Row n of `clearance` (users, channels) holds user n's channel_load clearance, NO_LOAD's
+    where no neighbor plays. Repricing resets the rows of the movers and their neighbors to 1.0,
+    then multiplies in each neighbor's 1 - p on its channels in one ufunc.at pass, which applies
+    them in index order: per row in adjacency order, so every cell is channel_load's float. The
+    same rows give the users' rates and verdicts, all judged at once by drm.switches on the
+    exact clearances: the improving channel set at the user's cap, or None.
     """
+
+    potential = "br_potential"
 
     def _stage(self, instance: Instance) -> None:
         """The instance's arrays, every user's row unpriced."""
@@ -307,7 +314,6 @@ class _RateRecorder(_Recorder):
         )
         self._utilities = np.array(instance.utilities)
         self._masked = None if instance.allowed is None else ~np.array(instance.allowed)
-        self._mult = np.array([_neg_log1m(cap) for cap in instance.caps])
         # (user, neighbor) pairs by user; the edges run ascending by lower end, so a stable
         # sort by user keeps each user's neighbors ascending: adjacency order
         low, high = instance.graph.edge_array
@@ -316,51 +322,30 @@ class _RateRecorder(_Recorder):
         self._owners, self._adjacent = users[order], nbrs[order]
         self._first = np.arange(0, n_users * num_channels, num_channels)[:, None]  # row n's cell 0
         self._channels = np.zeros((n_users, per_user), dtype=np.intp)
-        self._plays = np.zeros((n_users, 3))  # p, 1 - p and -log1p(-p), as channel_load prices
-        self._log_u = np.zeros((n_users, per_user))
+        self._plays = np.zeros((n_users, 2))  # p and 1 - p, as channel_load prices
         self._clearance = np.ones((n_users, num_channels))
-        self._suffered = np.zeros((n_users, num_channels))
-        self._terms = np.zeros(n_users + 1)  # a leading 0.0: cumsum adds as left_sum does
-
-    def _potential(self) -> float:
-        with np.errstate(invalid="ignore"):  # inf + -inf terms: nan, as left_sum gives
-            return float(np.cumsum(self._terms)[-1])
 
     def _price(self, moved: list[int]) -> None:
         """Take in the movers' plays, then reprice their and their neighbors' rows and verdicts."""
         profile, instance = self._last
         plays = [profile[n] for n in moved]
         self._channels[moved] = [s.channels for s in plays]
-        self._plays[moved] = [
-            (s.attempt_prob, 1.0 - s.attempt_prob, _neg_log1m(s.attempt_prob)) for s in plays
-        ]
-        self._log_u[moved] = [
-            [drm.log_utility(instance.utilities[n][k]) for k in s.channels]
-            for n, s in zip(moved, plays)
-        ]
+        self._plays[moved] = [(s.attempt_prob, 1.0 - s.attempt_prob) for s in plays]
         touched = np.zeros(instance.num_users, dtype=bool)
         touched[moved] = True
         touched[self._adjacent[touched[self._owners]]] = True  # and the movers' neighbors
         rows, pairs = np.flatnonzero(touched), touched[self._owners]
         nbrs = self._adjacent[pairs]
         cells = self._first[self._owners[pairs]] + self._channels[nbrs]
-        self._clearance[rows], self._suffered[rows] = 1.0, 0.0
-        clearance, suffered = self._clearance.reshape(-1), self._suffered.reshape(-1)
-        plays = self._plays[nbrs]
-        np.multiply.at(clearance, cells, plays[:, 1:2])
-        np.add.at(suffered, cells, plays[:, 2:])
+        self._clearance[rows] = 1.0
+        clearance = self._clearance.reshape(-1)
+        np.multiply.at(clearance, cells, self._plays[nbrs, 1:])
         current = self._channels[rows]
         cells = self._first[rows] + current
         probs, utilities = self._plays[rows, 0], self._utilities.reshape(-1)[cells]
-        clear, lost, log_u = clearance[cells], suffered[cells], self._log_u[rows]
-        rates, inner = np.zeros((2, len(rows)))
-        for j in range(current.shape[1]):  # from 0.0, as rate_from_load and potential_term add
+        clear, rates = clearance[cells], np.zeros(len(rows))
+        for j in range(current.shape[1]):  # from 0.0, as rate_from_load adds
             rates += probs * utilities[:, j] * clear[:, j]
-            inner += log_u[:, j] - 0.5 * lost[:, j]
-        # a multiplier (0, inf] times 0.0 is 0.0, and inf * 0.0 is 0.0 by potential_term's rule
-        self._terms[rows + 1] = np.multiply(
-            self._mult[rows], inner, out=np.zeros(len(rows)), where=inner != 0.0
-        )
         verdicts = drm.switches(
             self._utilities[rows], self._clearance[rows], current,
             None if self._masked is None else self._masked[rows],
@@ -378,16 +363,14 @@ class _FairRecorder(_Recorder):
     A user's prices are its channel_load and, once some rule asks, its action table's values.
     A load reads only the neighbors' plays, so a user reloads (a fresh channel_load, values
     dropped) when a neighbor moves, and every user at a new stage; a mover keeps its prices.
-    Repricing renews a user's rate and potential term, the log of that rate, and unchecks it;
-    its verdict, judged on demand, is the deviation fairness.nep_violation reports.
+    Repricing renews a user's rate and unchecks it; its verdict, judged on demand, is the
+    deviation fairness.nep_violation reports.
     """
 
-    def _stage(self, instance: Instance) -> None:
-        self._terms: list[float] = [0.0] * instance.num_users
-        self._prices: list[Optional[dict]] = [None] * instance.num_users  # None: never priced
+    potential = "exact_potential"
 
-    def _potential(self) -> float:
-        return left_sum(self._terms)
+    def _stage(self, instance: Instance) -> None:
+        self._prices: list[Optional[dict]] = [None] * instance.num_users  # None: never priced
 
     def _price(self, moved: list[int]) -> None:
         profile, instance = self._last
@@ -397,9 +380,9 @@ class _FairRecorder(_Recorder):
         for n in users:
             if n in reload or prices[n] is None:
                 prices[n] = {"load": channel_load(n, profile, graph)}
-            strat, load = profile[n], prices[n]["load"]
-            rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
-            self._rates[n], self._terms[n] = rate, fairness._log_rate(rate)
+            strat = profile[n]
+            self._rates[n] = rate_from_load(
+                strat.attempt_prob, instance.utilities[n], strat.channels, prices[n]["load"])
         verdicts = self._verdicts  # an unchecked user's verdict is stale and never read
         self._violators -= sum(verdicts[n] is not None for n in users - self._unchecked)
         self._unchecked |= users

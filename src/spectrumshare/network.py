@@ -371,7 +371,11 @@ def graph_from_positions(
     and only points in the same or adjacent cells are compared: O(N * degree)
     time, bounded temporaries and no all-pairs scan. A pair a < b is linked
     exactly when np.hypot(*(positions[a] - positions[b])) <= interference_radius.
+    Positions of any other shape than (N, 2) are a ValueError.
     """
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError(f"positions must have shape (N, 2), not {positions.shape}")
     num_users = len(positions)
     if num_users < 1:
         raise ValueError("need at least one position")

@@ -3,16 +3,18 @@
 Both games record through one protocol. The recorder follows whatever profile
 it is asked about: a new stage reprices every user, and otherwise it reprices
 the users whose plays changed and their neighbors. Per user it keeps a rate, a
-potential term, a verdict (the play the game's rule moves to, or none; checked,
-or unchecked until asked for) and the game's prices: the rate game's clearance
-and log-interference rows, the fairness game's channel_load and action-table
-values, the latter reloaded only where a neighbor moved. It also counts the
-violators among the checked users. These properties drive both games through
-random switch sequences, revisits of earlier profiles and population events.
-They compare every entry with br_potential / exact_potential, the per-user
-closed-form rates and the is_nep_* scans, and the recorder's state at any
-profile with fresh closed forms and the game's nep_violation, bit for bit. A
-counted case pins which fairness users reload.
+verdict (the play the game's rule moves to, or none; checked, or unchecked until
+asked for) and the game's prices: the rate game's clearance rows, the fairness
+game's channel_load and action-table values, the latter reloaded only where a
+neighbor moved. It also counts the violators among the checked users. It prices
+no potential: a trajectory reads its potentials from the game's closed form on
+first read. These properties drive both games through random switch sequences,
+revisits of earlier profiles and population events. They compare every entry's
+rates and at_nep flag with the per-user closed-form rates and the is_nep_*
+scans, its potential with the game's br_potential / exact_potential (which
+catches a recorder wired to the other game's closed form), and the recorder's
+state at any profile with fresh closed forms and the game's nep_violation, bit
+for bit. A counted case pins which fairness users reload.
 """
 
 import math
@@ -23,6 +25,8 @@ from hypothesis import strategies as st
 
 from spectrumshare import (
     CoolingSchedule,
+    EstimatorConfig,
+    ExperimentConfig,
     Instance,
     InterferenceGraph,
     Strategy,
@@ -32,9 +36,11 @@ from spectrumshare import (
     is_nep_drm,
     is_nep_fairness,
     channel_load,
+    load_preset,
     make_profile,
     replace_strategy,
     run_br_drm,
+    run_experiment,
     run_nbrf,
     total_expected_rate,
 )
@@ -91,6 +97,7 @@ def _random_play(rng, game, user, instance):
 
 
 def _assert_matches_full_checks(traj, game):
+    """Every entry's potential, rates and at_nep flag are its game's closed forms and scan."""
     _, full_potential, full_check = GAMES[game]
     for i, (profile, instance) in enumerate(zip(traj.profiles, traj.instances)):
         potential = full_potential(profile, instance)
@@ -120,15 +127,12 @@ def _verdict(game, n, profile, instance):
 
 def _assert_rows_are_fresh(recorder, profile, instance):
     """The rate recorder's rows are those of `profile` on `instance`, bit for bit: each
-    channel's clearance and log-interference are channel_load's (NO_LOAD's where no neighbor
-    plays it) and each user's potential term is drm.potential_term's."""
+    channel's clearance is channel_load's (NO_LOAD's where no neighbor plays it)."""
     for n in range(instance.num_users):
         load = channel_load(n, profile, instance.graph)
         for k in range(instance.num_channels):
-            _, clearance, suffered = load.get(k, NO_LOAD)
+            _, clearance, _ = load.get(k, NO_LOAD)
             assert _bits(recorder._clearance[n, k]) == _bits(clearance), (n, k)
-            assert _bits(recorder._suffered[n, k]) == _bits(suffered), (n, k)
-        assert _bits(recorder._terms[n + 1]) == _bits(drm.potential_term(n, profile, instance)), n
 
 
 def _assert_priced(recorder, game, profile, instance, user):
@@ -157,7 +161,6 @@ def _assert_moves(recorder, game, profile, instance, active, moves):
         rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
         assert _bits(recorder._rates[n]) == _bits(rate), n
         if game == "fairness":
-            assert _bits(recorder._terms[n]) == _bits(fairness._log_rate(rate)), n
             values = fairness._table_values(fairness._action_table(n, instance), load)
             assert recorder.prices(n, profile, instance) == {"load": load, "values": values}, n
     if game == "drm":
@@ -388,3 +391,55 @@ def test_fair_recorder_reloads_only_where_a_neighbor_moved(monkeypatch):
     # a new stage: every user reloads, the isolated user and those that did not move included
     profile, priced, kept = follow(profile + (Strategy((1,), 0.5),), final, ())
     assert priced == ([0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6]) and kept == []
+
+
+def test_runs_price_no_potential_and_a_trajectory_prices_each_profile_once(monkeypatch):
+    """No run (exact and estimator BR-DRM, frozen NBRF with an arrival and revisits, the
+    cycle-demo replay through run_experiment) calls a potential closed form. The first read of
+    `potentials` calls the game's once per distinct profile and gives every entry its closed
+    form, bit for bit; a second read calls nothing."""
+    calls = []
+    for name in ("br_potential", "exact_potential"):
+
+        def counted(profile, instance, name=name, closed_form=getattr(dynamics, name)):
+            calls.append((name, id(profile)))
+            return closed_form(profile, instance)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    spec = {
+        "kind": "geometric", "num_users": 8, "num_channels": 3, "channels_per_user": 2,
+        "region_radius": 3.0, "interference_radius": 2.0, "graph_seed": 0,
+        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+        "caps": {"kind": "constant", "value": 0.5},
+    }
+    grown, arrivals = build_instance_and_events(spec, [{"at_iter": 6, "num_users": 10}])
+    path = Instance(InterferenceGraph.from_edges(3, [(0, 1), (1, 2)]), 2, 1, ((1.0, 2.0),) * 3,
+                    (0.5,) * 3)
+    frozen = run_nbrf(path, UpdateMechanism.probabilistic(0.5), CoolingSchedule.logarithmic(1.0),
+                      max_iters=60, rng=np.random.default_rng(0), freeze_beta=3.0,
+                      arrivals=[0, 0, 8])
+    ids = [id(profile) for profile in frozen.profiles]
+    assert frozen.termination == "converged" and len(set(map(id, frozen.instances))) == 2
+    assert any(ids[t] != ids[t - 1] and ids[t] in ids[: t - 1] for t in range(1, len(ids)))
+    runs = [
+        (run_br_drm(grown, UpdateMechanism.backoff(), None, 40, np.random.default_rng(1),
+                    arrivals=arrivals), "br_potential"),
+        (run_br_drm(grown, UpdateMechanism.backoff(), EstimatorConfig(20, 20), 40,
+                    np.random.default_rng(1), arrivals=arrivals), "br_potential"),
+        (frozen, "exact_potential"),
+        (run_experiment(ExperimentConfig.from_dict(load_preset("cycle-demo"))).trajectories[0],
+         "br_potential"),
+    ]
+    assert calls == []
+    for traj, name in runs:
+        distinct = list(dict.fromkeys(map(id, traj.profiles)))
+        assert len(distinct) < len(traj)
+        potentials = traj.potentials
+        assert calls == [(name, key) for key in distinct]
+        reference = {"br_potential": br_potential, "exact_potential": exact_potential}[name]
+        assert [value.hex() for value in potentials] == [
+            reference(profile, instance).hex()
+            for profile, instance in zip(traj.profiles, traj.instances)
+        ]
+        calls.clear()
+        assert traj.potentials is potentials and calls == []

@@ -177,6 +177,12 @@ _NETWORK_INPUT_FAULTS = {
         0, -2, _PAIR, InterferenceGraph.from_edges(2, [(0, 1)])
     ),
     "need at least one position": lambda: graph_from_positions(np.zeros((0, 2)), 1.0),
+    # a third coordinate would be dropped silently, linking these two points at radius 1
+    "positions must have shape (N, 2), not (2, 3)": lambda: graph_from_positions(
+        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 100.0]]), 1.0
+    ),
+    "positions must have shape (N, 2), not (4,)": lambda: graph_from_positions(np.zeros(4), 1.0),
+    "positions must have shape (N, 2), not (1, 3)": lambda: graph_from_positions([[0, 0, 0]], 1.0),
     "num_users must be at least 1": lambda: build_regular_graph(0, 0),
 }
 
@@ -309,6 +315,7 @@ def test_graph_from_positions_threshold():
     assert edges(g) == ((0, 1),)
     g = graph_from_positions(pos, 5.0)
     assert edges(g) == ((0, 1), (0, 2))
+    assert graph_from_positions(pos.tolist(), 5.0) == g
     # a NaN radius or coordinate would compare False and isolate users silently
     with pytest.raises(ValueError, match="interference_radius"):
         graph_from_positions(np.zeros((3, 2)), math.nan)
