@@ -116,7 +116,8 @@ def select_active(
     rng: np.random.Generator,
     step: int = 0,
 ) -> tuple[int, ...]:
-    """Active users for one updating time, ascending. `step` drives the sweep."""
+    """Active users for one updating time, ascending. `step` drives the sweep. Backoff picks each
+    edge's loser by arithmetic on the comparison of its draws, with no branch over the edges."""
     n_users = graph.num_users
     if mechanism.kind == "sweep-sequential":
         return (step % n_users,)
@@ -134,7 +135,7 @@ def select_active(
     # the winners are the users that lose on none of their edges
     low, high = graph.edge_array
     won = np.ones(n_users, dtype=bool)
-    won[np.where(draws[low] <= draws[high], high, low)] = False
+    won[high + (low - high) * (draws[low] > draws[high])] = False
     return tuple(np.flatnonzero(won).tolist())
 
 
@@ -256,6 +257,8 @@ class _Recorder:
     ) -> dict[int, Strategy]:
         """{n: play} for each active user whose verdict at `profile` on `instance` moves."""
         self._follow(profile, instance)
+        if not self._violators and not self._unchecked:  # every verdict is None
+            return {}
         verdicts, unchecked, plays = self._verdicts, self._unchecked, {}
         for n in active:
             play = self._check(n) if n in unchecked else verdicts[n]

@@ -63,8 +63,10 @@ class InterferenceGraph:
 
     adjacency[n] is the sorted tuple of neighbors of user n. The relation is
     symmetric and irreflexive: simultaneous same-channel transmissions by two
-    adjacent users destroy both. edge_array, its one array view, is built
-    from adjacency on first use and kept on this object.
+    adjacent users destroy both. Construction and from_edges check all of this;
+    graph_from_positions and Instance.prefix, whose adjacencies hold it as built,
+    skip the check. edge_array, its one array view, is built from adjacency on
+    first use and kept on this object.
     """
 
     num_users: int
@@ -97,6 +99,13 @@ class InterferenceGraph:
             nbrs[a].add(b)
             nbrs[b].add(a)
         return cls(num_users, tuple(tuple(sorted(s)) for s in nbrs))
+
+    @classmethod
+    def _built(cls, num_users: int, adjacency: tuple[tuple[int, ...], ...]) -> "InterferenceGraph":
+        """The graph of an adjacency valid by construction, without __post_init__'s check."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(num_users=num_users, adjacency=adjacency)
+        return graph
 
     def degree(self, user: int) -> int:
         return len(self.adjacency[user])
@@ -205,16 +214,15 @@ class Instance:
             raise ValueError("num_channels must be at least 1")
         if not 1 <= self.channels_per_user <= self.num_channels:
             raise ValueError("channels_per_user must lie in [1, num_channels]")
-        utils = tuple(tuple(float(u) for u in row) for row in self.utilities)
+        utils = tuple(tuple(map(float, row)) for row in self.utilities)
         object.__setattr__(self, "utilities", utils)
         if len(utils) != n_users:
             raise ValueError("utilities must have one row per user")
         for n, row in enumerate(utils):
             if len(row) != self.num_channels:
                 raise ValueError(f"utilities[{n}] must have num_channels entries")
-            for u in row:
-                if not math.isfinite(u) or u < 0.0:
-                    raise ValueError(f"utilities[{n}] must be finite and nonnegative")
+            if not all(map(math.isfinite, row)) or min(row) < 0.0:
+                raise ValueError(f"utilities[{n}] must be finite and nonnegative")
         caps = tuple(float(c) for c in self.caps)
         object.__setattr__(self, "caps", caps)
         if len(caps) != n_users:
@@ -264,7 +272,7 @@ class Instance:
             adjacency = (a[: bisect_left(a, num_users)] for a in self.graph.adjacency[:num_users])
             kept[num_users] = replace(
                 self,
-                graph=InterferenceGraph(num_users, tuple(adjacency)),
+                graph=InterferenceGraph._built(num_users, tuple(adjacency)),
                 utilities=self.utilities[:num_users],
                 caps=self.caps[:num_users],
                 allowed=None if self.allowed is None else self.allowed[:num_users],
@@ -371,7 +379,8 @@ def graph_from_positions(
     and only points in the same or adjacent cells are compared: O(N * degree)
     time, bounded temporaries and no all-pairs scan. A pair a < b is linked
     exactly when np.hypot(*(positions[a] - positions[b])) <= interference_radius.
-    Positions of any other shape than (N, 2) are a ValueError.
+    Positions of any other shape than (N, 2) are a ValueError. The adjacency is
+    valid as built, so the graph skips InterferenceGraph's check.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -384,7 +393,9 @@ def graph_from_positions(
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
     corner = positions.min(axis=0)
-    extent = float((positions.max(axis=0) - corner).max())
+    # past the float range, a spread overflows to inf: one cell, or a pair rightly left unlinked
+    with np.errstate(over="ignore"):
+        extent = float((positions.max(axis=0) - corner).max())
     # With at most 2^20 cells per axis, rounding moves a cell coordinate by
     # less than 1e-9 of a cell, so the 1e-6 margin keeps every pair in range
     # in the same or adjacent cells. Width 0 (all points coincide) and inf
@@ -418,16 +429,17 @@ def graph_from_positions(
         run = np.searchsorted(ends, candidate, side="right")
         p, q = owner[run], order[shift[run] + candidate]
         a, b = np.minimum(p, q), np.maximum(p, q)
-        offsets = positions[a] - positions[b]
-        close = np.hypot(offsets[:, 0], offsets[:, 1]) <= interference_radius
+        with np.errstate(over="ignore"):  # an inf distance passes every finite radius
+            offsets = positions[a] - positions[b]
+            close = np.hypot(offsets[:, 0], offsets[:, 1]) <= interference_radius
         found.append(np.stack((a[close], b[close])))
-    low, high = np.concatenate(found, axis=1)
-    user, neighbor = np.concatenate((low, high)), np.concatenate((high, low))
-    by_user = np.lexsort((neighbor, user))
-    neighbors = neighbor[by_user].tolist()
-    bounds = np.searchsorted(user[by_user], np.arange(num_users + 1)).tolist()
+    low, high = np.concatenate(found, axis=1).astype(np.int64)  # keys below N^2 fit at any N
+    # each (user, neighbor) pair once as one key, so sorting the keys sorts by user, then neighbor
+    keys = np.sort(np.concatenate((low * num_users + high, high * num_users + low)))
+    neighbors = (keys % num_users).tolist()
+    bounds = np.searchsorted(keys, np.arange(num_users + 1, dtype=np.int64) * num_users).tolist()
     adjacency = tuple(tuple(neighbors[s:e]) for s, e in zip(bounds, bounds[1:]))
-    return InterferenceGraph(num_users, adjacency)
+    return InterferenceGraph._built(num_users, adjacency)
 
 
 def build_regular_graph(num_users: int, degree: int) -> InterferenceGraph:

@@ -1,12 +1,15 @@
 """Graph, strategy, and closed-form rate primitives."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib
 import math
 import pkgutil
 import re
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from spectrumshare import (
     total_expected_rate,
     validate_profile,
 )
+from spectrumshare.harness import ExperimentConfig, final_population, load_preset
 from spectrumshare.network import drop_in_disc
 
 from conftest import random_drm_instance, random_drm_profile
@@ -411,6 +415,32 @@ def test_graph_from_positions_matches_the_pair_loop_on_adversarial_points(case):
         assert _induced(graph, n) == _scalar_position_graph(positions[:n], radius)
 
 
+@settings(max_examples=75, deadline=None)
+@given(point_sets(), st.sampled_from((2, 7, 64, network._PAIR_CHUNK)))
+def test_built_graphs_pass_the_check_they_skip(case, chunk):
+    # graph_from_positions and Instance.prefix build their graphs without the constructor's
+    # check; rebuilding each one through the constructor runs it, and must give the same graph
+    positions, radius = case
+    with mock.patch.object(network, "_PAIR_CHUNK", chunk):  # pairs cross chunks
+        graph = graph_from_positions(positions, radius)
+    users = graph.num_users
+    inst = Instance(graph, 1, 1, ((1.0,),) * users, (0.5,) * users)
+    for m in range(1, users + 1):  # prefix(users) is the instance, with the built graph
+        cut = inst.prefix(m).graph
+        assert InterferenceGraph(cut.num_users, cut.adjacency) == cut
+
+
+def test_graph_from_positions_leaves_pairs_past_the_float_range_unlinked():
+    # their distances overflow to inf, beyond every finite radius, and the extent means one cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graph = graph_from_positions(np.array([[-1.5e308, 0.0], [1.5e308, 0.0], [1.5e308, 1.0]]), 2.0)
+        assert edges(graph) == ((1, 2),)
+        raw = load_preset("fig3-dynamic-drm")
+        raw["instance"]["region_radius"] = 1e308
+        assert edges(final_population(ExperimentConfig.from_dict(raw)).graph) == ()
+
+
 def test_graph_from_positions_carries_candidates_across_chunks(monkeypatch):
     monkeypatch.setattr(network, "_PAIR_CHUNK", 3)
     rng = np.random.default_rng(5)
@@ -478,6 +508,47 @@ def test_each_public_name_is_declared_in_one_module_all():
         "simulate_naive_policy", "simulate_slot", "simulate_slots",
         "success_probability", "total_expected_rate", "validate_profile",
     ]
+
+
+# numpy's transcendental functions: their SIMD kernels (AVX-512 on x86) may round otherwise
+# than Python's math does, so a float they make could depend on the CPU
+NUMPY_TRANSCENDENTALS = {
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "logaddexp", "logaddexp2",
+    "power", "float_power", "cbrt", "hypot", "sin", "cos", "tan", "arcsin", "arccos",
+    "arctan", "arctan2", "sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh",
+}
+# (module, function, numpy name) -> why its floats do not depend on the CPU
+TRANSCENDENTALS_ALLOWED = {
+    ("network", "drop_in_disc", "cos"): "numpy has no SIMD kernel for float64 cos; matched "
+    "math.cos on 10^6 angles with the AVX-512 kernels on",
+    ("network", "drop_in_disc", "sin"): "as cos",
+    ("network", "graph_from_positions", "hypot"): "numpy calls the C library's hypot, with no "
+    "SIMD kernel; it is only compared with the radius, and a digest pins a 10^4-user graph",
+}
+
+
+def _numpy_transcendentals(node, module, where="<module>"):
+    """(module, enclosing function, name) for each numpy transcendental that `node` names."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _numpy_transcendentals(child, module, child.name)
+            continue
+        if isinstance(child, ast.ImportFrom) and child.module == "numpy":
+            yield from ((module, where, a.name) for a in child.names
+                        if a.name in NUMPY_TRANSCENDENTALS)
+        if (isinstance(child, ast.Attribute) and child.attr in NUMPY_TRANSCENDENTALS
+                and isinstance(child.value, ast.Name) and child.value.id in ("np", "numpy")):
+            yield module, where, child.attr
+        yield from _numpy_transcendentals(child, module, where)
+
+
+def test_src_calls_no_numpy_transcendental_without_a_reason():
+    # every output float comes from IEEE arithmetic or from math, so outputs do not depend on
+    # the CPU that numpy dispatches its kernels for
+    found = set()
+    for path in Path(spectrumshare.__file__).parent.glob("*.py"):
+        found.update(_numpy_transcendentals(ast.parse(path.read_text()), path.stem))
+    assert found == set(TRANSCENDENTALS_ALLOWED)
 
 
 def test_readme_quick_tour_runs():
