@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count
-from operator import is_not, ne
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -42,7 +40,6 @@ from .network import (
     StrategyProfile,
     channel_load,
     rate_from_load,
-    replace_strategy,
     total_expected_rate,
     validate_profile,
 )
@@ -192,56 +189,78 @@ class Trajectory:
         # looked up when read, so that a patch of the module's closed form applies
         closed_form, memo = globals()[self._potential], {}
         for profile, instance in zip(self.profiles, self.instances):
-            if id(profile) not in memo:  # recorded profiles are interned, as _Recorder keys them
+            if id(profile) not in memo:  # the recorder records one object per profile value
                 memo[id(profile)] = closed_form(profile, instance)
         return [memo[id(profile)] for profile in self.profiles]
 
 
 class _Recorder:
-    """Appends to the trajectory's columns, de-duplicating repeated snapshots.
+    """Appends to the trajectory's columns, one entry per updating time, from the loop's moves.
 
-    Each distinct profile is derived once: its users' rates and its at_nep flag; a revisit reuses
-    them. The recorder follows any profile it is asked about: a new stage reprices every user,
-    otherwise _price renews the rates and verdicts of the users whose play object changed and
-    of their neighbors (judging each, or unchecking it for _judge); prices that read only the
-    neighbors' plays need reloading only where a neighbor moved. A verdict is the play of
-    the game's deterministic rule (nep_violation's move), or None to keep the current one; it
-    is the only record of who may move, since it holds until the user or a neighbor moves.
-    at_nep checks unchecked users in index order until one violates. Each game's recorder
-    names its potential's closed form, `potential`, for the trajectory to price when read.
+    The recorder holds the current profile: `stage` takes up a population stage and `play` one
+    updating time's plays {n: play}, each a change of value. Both queue their users, whom _price
+    renews with their neighbors only when asked: by `moves`, the fairness `prices`, or the
+    `record` of a profile not seen before (judging each, or unchecking it for _judge). Each
+    distinct profile, keyed by value, keeps its recorded object, rates and at_nep flag, which a
+    revisit records again. A verdict is the play of the game's deterministic rule (nep_violation's
+    move), or None to keep the current one; it is the only record of who may move, since it holds
+    until the user or a neighbor moves. at_nep checks unchecked users in index order until one
+    violates. Each game's recorder names its potential's closed form, `potential`, for the
+    trajectory to price when read.
     """
 
     def __init__(self):
         self.trajectory = Trajectory([], [], [], [], [], self.potential)
-        self._interned: dict[StrategyProfile, StrategyProfile] = {}
         self._active_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # keyed by id: recorded profiles stay alive in the trajectory, and
-        # interned ones are equal exactly when they are the same object
-        self._derived: dict[int, tuple[tuple[float, ...], bool]] = {}
-        self._last: tuple[StrategyProfile, Optional[Instance]] = ((), None)  # followed last
+        # [recorded object, rates, at_nep] per distinct profile
+        self._entries: dict[StrategyProfile, list] = {}
+        self._entry: Optional[list] = None  # the current profile's, once recorded
 
-    def canonical(self, profile: StrategyProfile) -> StrategyProfile:
-        return self._interned.setdefault(profile, profile)
-
-    def start(self, profile: StrategyProfile, instance: Instance) -> StrategyProfile:
-        """Check the initial profile, record it as entry 0, and return it canonical."""
+    def start(self, profile: StrategyProfile, instance: Instance) -> None:
+        """Check the initial profile, stage it and record it as entry 0."""
         validate_profile(profile, instance)
-        profile = self.canonical(profile)
-        self.record((), profile, instance)
-        return profile
+        self.stage(profile, instance)
+        self.record(())
 
-    def record(self, active: tuple[int, ...], profile: StrategyProfile, instance: Instance) -> bool:
-        """Append one entry; returns its at_nep flag."""
-        derived = self._derived.get(id(profile))
-        if derived is None:
-            derived = self._derived[id(profile)] = self._derive(profile, instance)
+    def stage(self, profile: StrategyProfile, instance: Instance) -> None:
+        """Take up `profile` on a new stage `instance`, every user queued for pricing."""
+        n_users = instance.num_users
+        self.profile, self.instance, self._entry = profile, instance, None
+        self._rates: list[float] = [0.0] * n_users  # a list: untouched users' floats are shared
+        self._verdicts, self._unchecked, self._violators = [None] * n_users, set(), 0
+        self._queued = set(range(n_users))
+        self._stage(instance)
+
+    def play(self, plays: dict[int, Strategy]) -> None:
+        """Apply one updating time's plays, each a change of the user's play's value."""
+        moved = list(self.profile)
+        for n, play in plays.items():
+            moved[n] = play
+        self.profile, self._entry = tuple(moved), None
+        self._queued.update(plays)
+
+    def record(self, active: tuple[int, ...]) -> bool:
+        """Append one entry for the current profile; returns its at_nep flag."""
+        entry = self._entry
+        if entry is None:
+            # one lookup, one hash of the profile: a new entry is completed in place
+            entry = self._entries.setdefault(self.profile, [self.profile])
+            if len(entry) == 1:
+                self._reprice()
+                if not self._violators:
+                    for n in sorted(self._unchecked):
+                        if self._check(n) is not None:
+                            break
+                entry += (tuple(self._rates), self._violators == 0)
+            self._entry, self.profile = entry, entry[0]
+        profile, rates, at_nep = entry
         traj = self.trajectory
         traj.active_sets.append(self._active_interned.setdefault(active, active))
         traj.profiles.append(profile)
-        traj.rates.append(derived[0])
-        traj.instances.append(instance)
-        traj.at_nep.append(derived[1])
-        return derived[1]
+        traj.rates.append(rates)
+        traj.instances.append(self.instance)
+        traj.at_nep.append(at_nep)
+        return at_nep
 
     def build(
         self, converged_at: Optional[int], termination: str, cycle_length: Optional[int] = None
@@ -252,11 +271,9 @@ class _Recorder:
         )
         return traj
 
-    def moves(
-        self, active: Sequence[int], profile: StrategyProfile, instance: Instance
-    ) -> dict[int, Strategy]:
-        """{n: play} for each active user whose verdict at `profile` on `instance` moves."""
-        self._follow(profile, instance)
+    def moves(self, active: Sequence[int]) -> dict[int, Strategy]:
+        """{n: play} for each active user whose verdict at the current profile moves."""
+        self._reprice()
         if not self._violators and not self._unchecked:  # every verdict is None
             return {}
         verdicts, unchecked, plays = self._verdicts, self._unchecked, {}
@@ -266,29 +283,10 @@ class _Recorder:
                 plays[n] = play
         return plays
 
-    def _derive(self, profile: StrategyProfile, instance: Instance) -> tuple[tuple, bool]:
-        self._follow(profile, instance)
-        if not self._violators:
-            for n in sorted(self._unchecked):
-                if self._check(n) is not None:
-                    break
-        return tuple(self._rates), self._violators == 0
-
-    def _follow(self, profile: StrategyProfile, instance: Instance) -> None:
-        last, last_instance = self._last
-        if profile is last and instance is last_instance:
-            return
-        self._last = (profile, instance)
-        if instance is not last_instance:
-            n_users = instance.num_users
-            self._rates: list[float] = [0.0] * n_users  # a list: untouched users' floats are shared
-            self._verdicts, self._unchecked, self._violators = [None] * n_users, set(), 0
-            self._stage(instance)
-            moved = list(range(n_users))
-        else:
-            moved = list(compress(count(), map(is_not, profile, last)))  # new play objects
-        if moved:
-            self._price(moved)
+    def _reprice(self) -> None:
+        if self._queued:
+            self._price(list(self._queued))
+            self._queued.clear()
 
     def _check(self, n: int):
         self._unchecked.discard(n)
@@ -330,7 +328,7 @@ class _RateRecorder(_Recorder):
 
     def _price(self, moved: list[int]) -> None:
         """Take in the movers' plays, then reprice their and their neighbors' rows and verdicts."""
-        profile, instance = self._last
+        profile, instance = self.profile, self.instance
         plays = [profile[n] for n in moved]
         self._channels[moved] = [s.channels for s in plays]
         self._plays[moved] = [(s.attempt_prob, 1.0 - s.attempt_prob) for s in plays]
@@ -376,7 +374,7 @@ class _FairRecorder(_Recorder):
         self._prices: list[Optional[dict]] = [None] * instance.num_users  # None: never priced
 
     def _price(self, moved: list[int]) -> None:
-        profile, instance = self._last
+        profile, instance = self.profile, self.instance
         graph, prices = instance.graph, self._prices
         reload = set().union(*(graph.adjacency[n] for n in moved))
         users = reload.union(moved)
@@ -391,22 +389,18 @@ class _FairRecorder(_Recorder):
         self._unchecked |= users
 
     def _judge(self, n: int) -> Optional[Strategy]:
-        prices = self._valued(n)
-        report = fairness.nep_violation(n, *self._last, prices["load"], prices["values"])
+        prices = self.prices(n)
+        report = fairness.nep_violation(n, self.profile, self.instance, prices["load"],
+                                        prices["values"])
         return None if report is None else report.deviation
 
-    def prices(self, n: int, profile: StrategyProfile, instance: Instance) -> dict:
-        """User n's prices at `profile` on `instance`, as keywords of the fairness rules: its
+    def prices(self, n: int) -> dict:
+        """User n's prices at the current profile, as keywords of the fairness rules: its
         channel_load and its action table's values, priced on first demand."""
-        if profile is not self._last[0] or instance is not self._last[1]:  # asked at every draw
-            self._follow(profile, instance)
-        return self._valued(n)
-
-    def _valued(self, n: int) -> dict:
-        """User n's prices at the followed profile, its values priced on first demand."""
+        self._reprice()
         prices = self._prices[n]
         if "values" not in prices:
-            _, prices["values"] = fairness._priced(n, *self._last, prices["load"])
+            _, prices["values"] = fairness._priced(n, self.profile, self.instance, prices["load"])
         return prices
 
 
@@ -509,17 +503,19 @@ def _play(
     """The learning loop of both games: `step` holds one game's rule and names its recorder.
 
     `instance` is the whole population and arrivals[n] the updating time at which user n joins
-    (None: all at 0). A step.recorder (_RateRecorder or _FairRecorder) records each updating
-    time. Each updating time t starts the stage whose users arrive at t, if any (step.extend
-    grows the profile), and calls step.prepare, which says whether this time plays verdicts.
+    (None: all at 0). A step.recorder (_RateRecorder or _FairRecorder) holds the current
+    profile and records each updating time. Each updating time t starts the stage whose users
+    arrive at t, if any (step.extend grows the profile, which the recorder stages), and calls
+    step.prepare with the last updating time's plays; it says whether this time plays verdicts.
     If it does (exact BR-DRM, frozen NBRF: rules that read no rng and only the user's
     neighborhood), the active users whose recorded verdict at the pre-step profile is a play
     make it, and the others keep theirs; otherwise step.decide answers each active user, in
-    ascending order, with a play or None to keep its own. All plays of an updating time apply
-    at once. Once num_users updating times pass without a play (a quiet pass) and no arrival
-    is pending, the run converges at the first quiet updating time from then on whose profile
-    is recorded at_nep, if it plays verdicts, or at once if step.quiet_converges. All draws
-    go through a _BlockStream, rewound when the run ends or raises.
+    ascending order, with a play or None to keep its own. All plays of an updating time, each a
+    change of value, go to the recorder at once. Once num_users updating times pass without a
+    play (a quiet pass) and no arrival is pending, the run converges at the first quiet updating
+    time from then on whose profile is recorded at_nep, if it plays verdicts, or at once if
+    step.quiet_converges. All draws go through a _BlockStream, rewound when the run ends or
+    raises.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -528,19 +524,20 @@ def _play(
     if initial_profile is None:
         initial_profile = step.extend((), instance)
     recorder = step.recorder()
-    profile = recorder.start(initial_profile, instance)
+    recorder.start(initial_profile, instance)
     prepare, decide = step.prepare, step.decide
-    quiet_run = 0
+    quiet_run, plays = 0, {}
     try:
         for t in range(1, max_iters + 1):
             if pending and pending[0][0] == t:
                 instance = pending.pop(0)[1]
-                profile = recorder.canonical(step.extend(profile, instance))
+                recorder.stage(step.extend(recorder.profile, instance), instance)
                 quiet_run = 0
-            follows = prepare(t, profile, instance, rng)
+            profile = recorder.profile
+            follows = prepare(t, profile, instance, rng, plays)
             active = select_active(mechanism, instance.graph, rng, step=t - 1)
             if follows:
-                plays = recorder.moves(active, profile, instance)
+                plays = recorder.moves(active)
             else:
                 plays = {}
                 for n in active:
@@ -548,14 +545,11 @@ def _play(
                     if play is not None:
                         plays[n] = play
             if plays:
-                moved = list(profile)  # one copy
-                for n, play in plays.items():
-                    moved[n] = play
-                profile = recorder.canonical(tuple(moved))
+                recorder.play(plays)
                 quiet_run = 0
             else:
                 quiet_run += 1
-            at_nep = recorder.record(active, profile, instance)
+            at_nep = recorder.record(active)
             if quiet_run >= instance.num_users and not pending and (
                 at_nep if follows else step.quiet_converges
             ):
@@ -611,9 +605,10 @@ class _BestResponse:
     def extend(profile: StrategyProfile, instance: Instance) -> StrategyProfile:
         return profile + drm_initial_profile(instance)[len(profile) :]
 
-    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> bool:
-        """Flush the last switchers' neighbors' windows, draw this time's slots, estimate.
-        Returns whether this updating time plays the recorder's verdicts: in exact mode."""
+    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng, moved) -> bool:
+        """Flush the windows of the neighbors of `moved`, the last updating time's plays, draw
+        this time's slots, estimate. Returns whether this updating time plays the recorder's
+        verdicts: in exact mode."""
         config, layout = self._config, self._layout
         if config is None:
             return True
@@ -623,13 +618,10 @@ class _BestResponse:
             self._valid_from = np.zeros(instance.num_users, dtype=np.int64)
             self._utilities = np.array(instance.utilities)
             self._masked = None if instance.allowed is None else ~np.array(instance.allowed)
-        elif config.flush_on_neighbor_update and layout.profile is not profile:
-            # the last switchers changed their plays' values; an interned revisit may hold
-            # equal plays as other objects
-            switched = compress(count(), map(ne, profile, layout.profile))
+        elif config.flush_on_neighbor_update:
             # a list, never a tuple: arr[()] = x would write every entry
-            self._valid_from[[r for n in switched for r in instance.graph.adjacency[n]]] = self._slots
-        # profiles are interned: a switch or a new stage makes a new object
+            self._valid_from[[r for n in moved for r in instance.graph.adjacency[n]]] = self._slots
+        # the recorder shares one object per profile value: a play or a new stage makes a new one
         if not (layout and layout.profile is profile and layout.instance is instance):
             layout = self._layout = _SlotLayout(profile, instance)
         # slots that would fall out of the window need only their coins, drawn in bounded chunks
@@ -659,34 +651,32 @@ def run_better_response_replay(
     """Apply a scripted sequence of strictly improving channel switches.
 
     Each move is (user, new channel set) and must strictly increase that
-    user's expected rate against the then-current profile; a non-improving
-    move raises with the offending step index. The replay stops early when a
-    profile repeats, reporting the cycle length.
+    user's expected rate against the then-current profile; a move that is
+    out of range, invalid or non-improving raises with its step index. The
+    replay stops early when a profile repeats, reporting the cycle length.
     """
     recorder = _RateRecorder()
-    profile = recorder.start(initial_profile, instance)
-    seen = {profile: 0}
+    recorder.start(initial_profile, instance)
+    seen = {recorder.profile: 0}
     for step_index, (user, new_channels) in enumerate(move_sequence, start=1):
-        if not 0 <= user < instance.num_users:
-            raise ValueError(f"move {step_index}: user index {user} out of range")
-        chans = tuple(sorted(int(k) for k in new_channels))
-        before = total_expected_rate(user, profile, instance)
-        candidate = replace_strategy(
-            profile, user, Strategy(chans, profile[user].attempt_prob)
-        )
-        validate_profile(candidate, instance)
-        after = total_expected_rate(user, candidate, instance)
-        if not after > before:
-            raise ValueError(
-                f"move {step_index}: switching user {user} to {chans} does not "
-                f"strictly improve its rate ({before!r} -> {after!r})"
-            )
-        profile = recorder.canonical(candidate)
-        recorder.record((user,), profile, instance)
+        profile = recorder.profile
+        try:
+            if not 0 <= user < instance.num_users:
+                raise ValueError(f"user index {user} out of range")
+            chans = tuple(sorted(int(k) for k in new_channels))
+            recorder.play({user: Strategy(chans, profile[user].attempt_prob)})
+            validate_profile(recorder.profile, instance)
+            before = total_expected_rate(user, profile, instance)
+            after = total_expected_rate(user, recorder.profile, instance)
+            if not after > before:
+                raise ValueError(f"switching user {user} to {chans} does not strictly improve "
+                                 f"its rate ({before!r} -> {after!r})")
+        except ValueError as error:
+            raise ValueError(f"move {step_index}: {error}") from error
+        recorder.record((user,))
+        profile = recorder.profile
         if profile in seen:
-            return recorder.build(
-                None, "cycle-detected", cycle_length=step_index - seen[profile]
-            )
+            return recorder.build(None, "cycle-detected", cycle_length=step_index - seen[profile])
         seen[profile] = step_index
     return recorder.build(None, "max-iters")
 
@@ -741,7 +731,7 @@ class _NoisyBestResponse:
         picks = [strat.channels[0] for strat in profile + drm_initial_profile(instance)[keep:]]
         return profile + allocation_profile(picks, instance)[keep:]
 
-    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng) -> bool:
+    def prepare(self, t, profile: StrategyProfile, instance: Instance, rng, moved) -> bool:
         """Set beta(t); returns whether it froze play, which then follows the verdicts."""
         beta = self._schedule.beta(t)
         if beta != self._beta:
@@ -762,10 +752,10 @@ class _NoisyBestResponse:
                 table = self._draws.get(key)
                 if table is None:
                     table = self._draws[key] = noisy_br_table(
-                        n, profile, instance, self._beta, **recorder.prices(n, profile, instance))
+                        n, profile, instance, self._beta, **recorder.prices(n))
             else:
                 table = noisy_br_table(
-                    n, profile, instance, self._beta, **recorder.prices(n, profile, instance))
+                    n, profile, instance, self._beta, **recorder.prices(n))
             action = draw_action(table, rng)
         except DegenerateInstanceError:
             return None

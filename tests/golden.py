@@ -234,9 +234,9 @@ class _StoppingNBRF(dynamics._NoisyBestResponse):
         super().__init__(CoolingSchedule.fixed(1.0), None)
         self.stop, self.raises, self.t, self.state = stop, raises, 0, None
 
-    def prepare(self, t, profile, instance, rng):
+    def prepare(self, t, profile, instance, rng, moved):
         self.t = t
-        return super().prepare(t, profile, instance, rng)
+        return super().prepare(t, profile, instance, rng, moved)
 
     def decide(self, n, profile, instance, rng, recorder):
         play = super().decide(n, profile, instance, rng, recorder)

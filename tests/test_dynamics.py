@@ -314,6 +314,17 @@ def _grow_pair(arrivals=None, max_iters=10):
     )
 
 
+def _replay_second_move(channels):
+    """A replay on two adjacent users and three channels whose first move improves user 1 and
+    whose second moves user 0 to `channels`."""
+    inst = Instance(
+        InterferenceGraph.from_edges(2, [(0, 1)]), 3, 1, ((1.0, 2.0, 3.0),) * 2, (0.5, 0.5)
+    )
+    return run_better_response_replay(
+        inst, make_profile([[0], [0]], [0.5, 0.5]), [(1, [2]), (0, channels)]
+    )
+
+
 _DYNAMICS_INPUT_FAULTS = {
     "per-user update_probs must cover every user": lambda: select_active(
         UpdateMechanism.probabilistic([0.5, 0.5]), build_regular_graph(3, 2),
@@ -327,6 +338,10 @@ _DYNAMICS_INPUT_FAULTS = {
     "move 1: user index 5 out of range": lambda: run_better_response_replay(
         cycle_instance(), make_profile([[0, 1], [1, 2]], [0.5, 0.5]), [(5, (2, 3))]
     ),
+    "move 2: user 0 selects out-of-range channel 7": lambda: _replay_second_move([7]),
+    "move 2: channels must be sorted and distinct": lambda: _replay_second_move([1, 1]),
+    "move 2: user 0 selects 0 channels, expected 1": lambda: _replay_second_move([]),
+    "move 2: channel indices must be nonnegative": lambda: _replay_second_move([-1]),
     "num_slots must be nonnegative": lambda: simulate_slots(
         make_profile([[0], [1]], [0.5, 0.5]), _pair(), -1, np.random.default_rng(0)
     ),

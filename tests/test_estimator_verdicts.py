@@ -29,8 +29,8 @@ UTILITY_LEVELS = (0.0, 0.1, 0.2, 0.3, 0.6, 0.9, 1.0)
 class _OracleStep(_BestResponse):
     """BR-DRM's estimator step that checks every user's proposal after each prepare."""
 
-    def prepare(self, t, profile, instance, rng):
-        follows = super().prepare(t, profile, instance, rng)
+    def prepare(self, t, profile, instance, rng, moved):
+        follows = super().prepare(t, profile, instance, rng, moved)
         assert len(self._proposals) == instance.num_users
         for n in range(instance.num_users):
             report = drm.nep_violation(n, profile, instance, self._estimates[n])
@@ -104,7 +104,7 @@ def test_rounding_ties_keep_and_real_gains_switch():
     )
     start = tuple(Strategy(chans, 0.5) for chans in ((1, 2, 3), (0, 1, 2), (0, 1, 3), (0, 1, 2)))
     step = _OracleStep(EstimatorConfig(3, 2))
-    step.prepare(1, start, instance, np.random.default_rng(0))
+    step.prepare(1, start, instance, np.random.default_rng(0), {})
     # user 0's best set (0, 1, 2) totals (0.1 + 0.2) + 0.3, one rounding step
     # above its current (0.2 + 0.3) + 0.1: within NEP_REL_TOL, so it keeps;
     # user 2's scores all tie; user 3's tie at the cut goes to the lower channel

@@ -1,8 +1,11 @@
 """The recorder's per-user state agrees with the full sums and scans.
 
-Both games record through one protocol. The recorder follows whatever profile
-it is asked about: a new stage reprices every user, and otherwise it reprices
-the users whose plays changed and their neighbors. Per user it keeps a rate, a
+Both games record through one protocol. The recorder holds the current profile
+and takes the loop's moves: `stage` starts a population stage and `play` one
+updating time's plays, each a change of value. It queues their users and
+reprices them and their neighbors only when asked: for moves, for the fairness
+prices, or to record a profile not seen before; a revisit reuses the rates,
+at_nep flag and object recorded for that profile. Per user it keeps a rate, a
 verdict (the play the game's rule moves to, or none; checked, or unchecked until
 asked for) and the game's prices: the rate game's clearance rows, the fairness
 game's channel_load and action-table values, the latter reloaded only where a
@@ -14,12 +17,14 @@ rates and at_nep flag with the per-user closed-form rates and the is_nep_*
 scans, its potential with the game's br_potential / exact_potential (which
 catches a recorder wired to the other game's closed form), and the recorder's
 state at any profile with fresh closed forms and the game's nep_violation, bit
-for bit. A counted case pins which fairness users reload.
+for bit. Counted cases pin which fairness users reload and that pricing waits
+for demand, and checked runs of both games that every play changes a value.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +50,9 @@ from spectrumshare import (
     total_expected_rate,
 )
 from spectrumshare import drm, dynamics, fairness
-from spectrumshare.dynamics import _BestResponse, _FairRecorder, _play, _RateRecorder
+from spectrumshare.dynamics import (
+    _BestResponse, _FairRecorder, _NoisyBestResponse, _play, _RateRecorder,
+)
 from spectrumshare.harness import build_instance_and_events
 from spectrumshare.network import NO_LOAD, rate_from_load
 
@@ -137,20 +144,20 @@ def _assert_rows_are_fresh(recorder, profile, instance):
 
 def _assert_priced(recorder, game, profile, instance, user):
     """_assert_moves on the recorder's moves for `user` alone."""
-    moves = recorder.moves((user,), profile, instance)
+    moves = recorder.moves((user,))
     _assert_moves(recorder, game, profile, instance, (user,), moves)
 
 
 def _assert_moves(recorder, game, profile, instance, active, moves):
-    """`moves`, the recorder's answer for `active` at any profile (a revisit served from the
-    memo, an event's before it is recorded), are the moving verdicts of the game's
-    nep_violation, and the recorder then holds that profile's state: every user's
-    rate_from_load, each checked verdict its game's nep_violation's, a violator count of the
-    checked violators, and the game's prices equal to fresh closed forms (the rate rows; the
-    fairness channel_load and _table_values)."""
+    """`moves`, the recorder's answer for `active` at any profile it holds (a revisit served
+    from the memo, an event's before it is recorded), are the moving verdicts of the game's
+    nep_violation at `profile` on `instance`, and the recorder then holds that profile's state:
+    every user's rate_from_load, each checked verdict its game's nep_violation's, a violator
+    count of the checked violators, and the game's prices equal to fresh closed forms (the rate
+    rows; the fairness channel_load and _table_values)."""
     want = {n: _verdict(game, n, profile, instance) for n in active}
     assert moves == {n: play for n, play in want.items() if play is not None}
-    assert recorder._last[0] is profile and recorder._last[1] is instance
+    assert recorder.profile == profile and recorder.instance is instance
     checked = [n for n in range(instance.num_users) if n not in recorder._unchecked]
     assert set(active) <= set(checked)
     verdicts = [_verdict(game, n, profile, instance) for n in checked]
@@ -162,7 +169,7 @@ def _assert_moves(recorder, game, profile, instance, active, moves):
         assert _bits(recorder._rates[n]) == _bits(rate), n
         if game == "fairness":
             values = fairness._table_values(fairness._action_table(n, instance), load)
-            assert recorder.prices(n, profile, instance) == {"load": load, "values": values}, n
+            assert recorder.prices(n) == {"load": load, "values": values}, n
     if game == "drm":
         _assert_rows_are_fresh(recorder, profile, instance)
 
@@ -176,39 +183,48 @@ def test_recorder_and_at_nep_match_full_checks_on_random_switches(seed, ops, gam
     instance = stages.pop(0)
     recorder = recorder_class()
     profile = tuple(_random_play(rng, game, n, instance) for n in range(instance.num_users))
-    profile = recorder.canonical(profile)
-    recorder.record((), profile, instance)
+    recorder.start(profile, instance)
     _assert_priced(recorder, game, profile, instance, seed % instance.num_users)
     history = [profile]  # profiles of the current stage, for revisits
     for op, draw in ops:
         active: tuple[int, ...] = ()
+        moved, revisited = profile, None
         if op == "switch":
             active = tuple(sorted({draw % instance.num_users, (draw // 7) % instance.num_users}))
             for n in active:
-                profile = replace_strategy(profile, n, _random_play(rng, game, n, instance))
+                moved = replace_strategy(moved, n, _random_play(rng, game, n, instance))
         elif op == "improve":
             report = full_check(profile, instance)
             if not report.is_nep:
                 active = (report.violating_user,)
-                profile = replace_strategy(profile, active[0], report.deviation)
+                moved = replace_strategy(profile, active[0], report.deviation)
         elif op == "revisit":
-            # an equal copy, which interning maps back to the recorded object
-            old = history[draw % len(history)]
-            profile = tuple(Strategy(s.channels, s.attempt_prob) for s in old)
+            # equal copies of the plays, which the recorder maps back to the recorded object
+            revisited = history[draw % len(history)]
+            moved = tuple(Strategy(s.channels, s.attempt_prob) for s in revisited)
         elif op == "event" and stages:
             instance = stages.pop(0)
             fresh = tuple(
                 _random_play(rng, game, n, instance)
                 for n in range(len(profile), instance.num_users)
             )
-            profile = profile + fresh
+            moved = profile = profile + fresh
+            recorder.stage(profile, instance)
             history = []
-        profile = recorder.canonical(profile)
+        plays = {n: play for n, play in enumerate(moved) if play != profile[n]}
+        if plays:
+            recorder.play(plays)
+            profile = moved
         user = draw % instance.num_users
         if op == "event" and draw % 2:
             _assert_priced(recorder, game, profile, instance, user)  # before it is recorded
-        recorder.record(active, profile, instance)
-        _assert_priced(recorder, game, profile, instance, user)
+        recorder.record(active)
+        assert recorder.profile == profile
+        if revisited is not None:
+            assert recorder.profile is revisited
+        profile = recorder.profile
+        if draw % 5:  # otherwise the queued movers carry over into the next record
+            _assert_priced(recorder, game, profile, instance, user)
         history.append(profile)
     _assert_matches_full_checks(recorder.build(None, "max-iters"), game)
 
@@ -255,9 +271,10 @@ class _RowCheckedRecorder(_RateRecorder):
         super().__init__()
         self.seen, self.last, self.revisits, self.calls = set(), None, 0, 0
 
-    def moves(self, active, profile, instance):
-        moves = super().moves(active, profile, instance)
-        _assert_moves(self, "drm", profile, instance, active, moves)
+    def moves(self, active):
+        moves = super().moves(active)
+        profile = self.profile
+        _assert_moves(self, "drm", profile, self.instance, active, moves)
         self.calls += 1
         if profile is not self.last:
             self.revisits += id(profile) in self.seen
@@ -334,6 +351,71 @@ def test_exact_revisits_get_their_own_verdicts():
     assert recorder.revisits == 12  # updating times 3..14
 
 
+class _ChangeChecked:
+    """A recorder mixin that asserts every play it is handed changes its user's play by value,
+    as the recorder and the estimator's window flush take it to, and counts them."""
+
+    plays = 0
+
+    def play(self, plays):
+        for n, play in plays.items():
+            assert play != self.profile[n], (n, play, self.profile[n])
+        self.plays += len(plays)
+        super().play(plays)
+
+
+@pytest.mark.parametrize("run", ["exact", "estimator", "unfrozen", "frozen"])
+def test_every_play_changes_its_users_play_by_value(run):
+    spec = {
+        "kind": "geometric", "num_users": 8, "num_channels": 3,
+        "channels_per_user": 2 if run in ("exact", "estimator") else 1,
+        "region_radius": 3.0, "interference_radius": 2.0, "graph_seed": 3,
+        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+        "caps": {"kind": "constant", "value": 0.5},
+    }
+    inst, arrivals = build_instance_and_events(spec, [{"at_iter": 6, "num_users": 10}])
+    step = {
+        "exact": lambda: _BestResponse(None),
+        "estimator": lambda: _BestResponse(EstimatorConfig(20, 20)),
+        "unfrozen": lambda: _NoisyBestResponse(CoolingSchedule.fixed(1.0), None),
+        # frozen from the first updating time, so every play is a verdict
+        "frozen": lambda: _NoisyBestResponse(CoolingSchedule.fixed(1.0), 1.0),
+    }[run]()
+    base = _RateRecorder if run in ("exact", "estimator") else _FairRecorder
+    recorder = type("Checked", (_ChangeChecked, base), {})()
+    step.recorder = lambda: recorder
+    traj = _play(inst, UpdateMechanism.probabilistic(0.6), np.random.default_rng(2), 200, None,
+                 arrivals, step)
+    assert recorder.plays > 0 and traj.instances[-1] is not traj.instances[0]
+
+
+def test_fair_recorder_prices_only_when_asked(monkeypatch):
+    # a fixed-heat chain on a 4-user path: the sampler's memo serves most draws and most
+    # switches revisit a recorded profile, so neither asks for prices
+    inst = Instance(InterferenceGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 2, 1,
+                    ((1.0, 2.0), (2.0, 1.0), (1.0, 1.5), (2.0, 2.0)), (0.5,) * 4)
+    calls = {"price": 0, "table": 0}
+    price, table = _FairRecorder._price, dynamics.noisy_br_table
+
+    def counted_price(self, moved):
+        calls["price"] += 1
+        return price(self, moved)
+
+    def counted_table(*args, **kwargs):
+        calls["table"] += 1
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(_FairRecorder, "_price", counted_price)
+    monkeypatch.setattr(dynamics, "noisy_br_table", counted_table)
+    traj = run_nbrf(inst, UpdateMechanism.probabilistic(0.3), CoolingSchedule.fixed(1.0), 3000,
+                    np.random.default_rng(0))
+    distinct, stages = len(set(map(id, traj.profiles))), len(set(map(id, traj.instances)))
+    switches = sum(traj.profiles[t] is not traj.profiles[t - 1] for t in range(1, len(traj)))
+    # a recorder that repriced at every play would price once per switch
+    assert distinct + calls["table"] < switches
+    assert calls["price"] <= distinct + stages + calls["table"]
+
+
 def test_fair_recorder_reloads_only_where_a_neighbor_moved(monkeypatch):
     # a path 0-1-2-3-4 and an isolated user 5; user 6 arrives beside 4 at the second stage
     final = Instance(
@@ -357,23 +439,27 @@ def test_fair_recorder_reloads_only_where_a_neighbor_moved(monkeypatch):
     recorder = _FairRecorder()
 
     def follow(profile, instance, moved):
-        """Record `profile` and ask every user's move. Returns the users that reloaded,
+        """Stage `profile` on a new `instance`, or play its plays of the users in `moved`; record
+        it and ask every user's move. Returns the recorded profile, the users that reloaded and
         those whose values were priced, and those that kept their prices dict."""
         before = list(getattr(recorder, "_prices", ()))
         kept_values = {n: prices["values"] for n, prices in enumerate(before)}
         loaded.clear()
         valued.clear()
-        profile = recorder.canonical(profile)
-        recorder.record(moved, profile, instance)
+        if getattr(recorder, "instance", None) is instance:
+            recorder.play({n: profile[n] for n in moved})
+        else:
+            recorder.stage(profile, instance)
+        recorder.record(moved)
         kept = [n for n, prices in enumerate(before) if recorder._prices[n] is prices]
         for n in kept:
             assert recorder._prices[n]["values"] is kept_values[n], n
         users = tuple(range(instance.num_users))
-        moves = recorder.moves(users, profile, instance)
+        moves = recorder.moves(users)
         tables = {id(fairness._action_table(n, instance)): n for n in users}
         priced = sorted(loaded), sorted(tables[id(table)] for table in valued)
         _assert_moves(recorder, "fairness", profile, instance, users, moves)
-        return profile, priced, kept
+        return recorder.profile, priced, kept
 
     first = final.prefix(6)
     profile, priced, _ = follow(make_profile([[0]] * 6, [0.5] * 6), first, ())

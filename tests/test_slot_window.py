@@ -53,9 +53,9 @@ class _CheckedStep(_BestResponse):
         self.ref_instance, self.ref_profile = None, None
         self.checked = self.switches = self.layouts = self.new_plays = 0
 
-    def prepare(self, t, profile, instance, rng):
+    def prepare(self, t, profile, instance, rng, moved):
         config, ref_rng, layout = self._config, copy.deepcopy(rng), self._layout
-        follows = super().prepare(t, profile, instance, rng)
+        follows = super().prepare(t, profile, instance, rng, moved)
         self.t, self.layouts = t, self.layouts + (self._layout is not layout)
         self.new_plays += profile is not self.ref_profile or instance is not self.ref_instance
         if instance is not self.ref_instance:
@@ -63,9 +63,9 @@ class _CheckedStep(_BestResponse):
             self.ref_window = np.zeros((0, instance.num_users, instance.num_channels), bool)
             self.ref_valid_from = [0] * instance.num_users
         else:
-            moved = [n for n in range(instance.num_users) if profile[n] != self.ref_profile[n]]
-            self.switches += len(moved)
-            for n in moved if config.flush_on_neighbor_update else ():
+            changed = [n for n in range(instance.num_users) if profile[n] != self.ref_profile[n]]
+            self.switches += len(changed)
+            for n in changed if config.flush_on_neighbor_update else ():
                 for r in instance.graph.adjacency[n]:
                     self.ref_valid_from[r] = self.ref_slots
         self.ref_profile = profile

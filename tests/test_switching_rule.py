@@ -156,8 +156,8 @@ class _FrozenNoDecide(_NoisyBestResponse):
         super().__init__(schedule, freeze_beta)
         self.frozen, self.decided = False, 0
 
-    def prepare(self, t, profile, instance, rng):
-        self.frozen = super().prepare(t, profile, instance, rng)
+    def prepare(self, t, profile, instance, rng, moved):
+        self.frozen = super().prepare(t, profile, instance, rng, moved)
         return self.frozen
 
     def decide(self, n, profile, instance, rng, recorder):
