@@ -140,12 +140,12 @@ def select_active(
 class EstimatorConfig:
     """Windowed clearance estimation driven by simulated slots.
 
-    Before each updating time, slots_per_update fresh slots are simulated
-    under the current profile and appended to a shared window of the most
-    recent `window` slots. A user estimates its clearance on a channel as the
-    fraction of its valid window slots in which no neighbor transmitted
-    there. When flush_on_neighbor_update is set, a strategy change by any
-    neighbor invalidates the user's older observations.
+    Before each updating time, slots_per_update fresh slots are simulated under the current
+    profile and appended to a shared window of the most recent `window` slots. A user estimates
+    its clearance on a channel as the fraction of its valid window slots in which no neighbor
+    transmitted there. When flush_on_neighbor_update is set, a strategy change by any neighbor
+    invalidates the user's older observations. The window is kept as busy counts per batch of
+    min(slots_per_update, window) slots, so its memory grows with the batches, not the slots.
     """
 
     window: int = 100
@@ -587,7 +587,8 @@ def run_br_drm(
 class _BestResponse:
     """BR-DRM's step. In exact mode _play plays the rate recorder's verdicts at the pre-step
     profile; in estimator mode the step keeps the slot window, its estimates and drm.switches'
-    verdicts on them, renewed once per updating time, and decide plays those."""
+    verdicts on them, renewed once per updating time, and decide plays those. The window keeps
+    busy counts per slot batch, with running sums, and a flush records the user's batch index."""
 
     recorder = _RateRecorder
     quiet_converges = True
@@ -595,9 +596,6 @@ class _BestResponse:
     def __init__(self, estimator_config: Optional[EstimatorConfig]):
         self._config = estimator_config
         self._instance: Optional[Instance] = None  # the window's instance
-        self._window = np.zeros((0, 0, 0), dtype=bool)  # busy masks, (slots, channels, users)
-        self._valid_from = np.zeros(0, dtype=np.int64)
-        self._slots = 0  # slots simulated on the window's instance
         # the prepared profile's layout; clearances, (users, channels); each user's switch or None
         self._layout, self._estimates, self._proposals = None, None, []
 
@@ -613,27 +611,46 @@ class _BestResponse:
         if config is None:
             return True
         if instance is not self._instance:
-            self._instance, self._slots = instance, 0
-            self._window = np.zeros((0, instance.num_channels, instance.num_users), dtype=bool)
-            self._valid_from = np.zeros(instance.num_users, dtype=np.int64)
+            # batches drawn on the instance; the window's batches, oldest first, as busy counts
+            self._instance, self._batches, self._counts = instance, 0, []
+            self._flushed = np.zeros(instance.num_users, dtype=np.int64)  # batch at last flush
+            # busy slots per (channel, user) in the whole window, and among the user's valid ones
+            self._sums = np.zeros((2, instance.num_channels, instance.num_users), dtype=np.int64)
             self._utilities = np.array(instance.utilities)
             self._masked = None if instance.allowed is None else ~np.array(instance.allowed)
         elif config.flush_on_neighbor_update:
             # a list, never a tuple: arr[()] = x would write every entry
-            self._valid_from[[r for n in moved for r in instance.graph.adjacency[n]]] = self._slots
+            flushed = [r for n in moved for r in instance.graph.adjacency[n]]
+            self._flushed[flushed], self._sums[1, :, flushed] = self._batches, 0
         # the recorder shares one object per profile value: a play or a new stage makes a new one
         if not (layout and layout.profile is profile and layout.instance is instance):
             layout = self._layout = _SlotLayout(profile, instance)
         # slots that would fall out of the window need only their coins, drawn in bounded chunks
-        skip, chunk = config.slots_per_update - config.window, max(1, 2**16 // instance.num_users)
+        window, drawn = config.window, min(config.slots_per_update, config.window)
+        skip, chunk = config.slots_per_update - window, max(1, 2**16 // instance.num_users)
         for start in range(0, skip, chunk):
             rng.random((min(chunk, skip - start), instance.num_users))
-        busy = layout.draw(min(config.slots_per_update, config.window), rng)[1]
-        window = self._window = np.concatenate((self._window, busy))[-config.window :]
-        self._slots += config.slots_per_update
-        # all users at once (valid_from changes only here); n's valid slots are the newest
-        valid = np.minimum(len(window), self._slots - self._valid_from)
-        self._estimates = _clearances(window, valid).T
+        hits, tail = layout.draw(drawn, rng)[1], window % drawn
+        # the batch's busy counts and, if the window can end inside it, its newest `tail` slots'
+        counts = np.zeros((2 if tail else 1, layout.member.size), np.int64)
+        counts[0, layout.columns] = hits.sum(axis=0)
+        if tail:
+            counts[1, layout.columns] = hits[drawn - tail :].sum(axis=0)
+        # ceil(window / drawn) batches are kept; one that reaches past the window's far end adds
+        # only its tail to `whole`, and each user's valid ones add to `busy`
+        (whole, busy), kept = self._sums, self._counts
+        if len(kept) == -(-window // drawn):
+            whole -= kept.pop(0)[-1]
+        if tail and len(kept) == window // drawn:
+            whole -= kept[0][0] - kept[0][1]
+        kept.append(counts.reshape(len(counts), *busy.shape))
+        self._sums += kept[-1][0]
+        # n's valid slots are the newest min(window, b * drawn), b batches after its last flush
+        self._batches += 1
+        span = (self._batches - self._flushed) * drawn
+        np.copyto(busy, whole, where=span >= window)
+        valid = np.minimum(window, span)
+        self._estimates = ((valid - busy) / valid).T
         self._proposals = drm.switches(
             self._utilities, self._estimates, layout.channels, self._masked)
         return False
@@ -789,11 +806,9 @@ class _SlotLayout:
         self.spread[talkers[:, None], np.searchsorted(self.columns, keys)] = 1.0
 
     def draw(self, num_slots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Transmit coins (slots, users) and busy masks (slots, channels, users)."""
+        """Transmit coins (slots, users) and hits (slots, columns): some neighbor transmitted."""
         transmitted = rng.random((num_slots, len(self.probs))) < self.probs
-        busy = np.zeros((num_slots, self.member.size), dtype=bool)
-        busy[:, self.columns] = transmitted.astype(np.float32) @ self.spread > 0.5
-        return transmitted, busy.reshape(num_slots, *self.member.shape)
+        return transmitted, transmitted.astype(np.float32) @ self.spread > 0.5
 
 
 def _draw_slots(
@@ -803,10 +818,13 @@ def _draw_slots(
     """Transmit, success and neighbor-busy masks for num_slots slots, from `layout` if given.
 
     Shapes are (slots, users) and (slots, users, channels), views of (slots, channels, users)
-    arrays. One rng.random((S, N)) call draws the stream of S calls of rng.random(N).
+    masks expanded from the layout's hits. One rng.random((S, N)) draws S rng.random(N) calls.
     """
     layout = layout or _SlotLayout(profile, instance)
-    transmitted, busy = layout.draw(num_slots, rng)
+    transmitted, hits = layout.draw(num_slots, rng)
+    busy = np.zeros((num_slots, layout.member.size), dtype=bool)
+    busy[:, layout.columns] = hits
+    busy = busy.reshape(num_slots, *layout.member.shape)
     success = layout.member & transmitted[:, None, :] & ~busy
     return transmitted, success.transpose(0, 2, 1), busy.transpose(0, 2, 1)
 
@@ -877,18 +895,15 @@ def simulate_naive_policy(
 def estimate_success_probability(user: int, busy: np.ndarray) -> np.ndarray:
     """Per-channel fraction of slots in which no neighbor of `user` transmitted.
 
-    busy holds neighbor-busy masks shaped (slots, users, channels), as
-    _draw_slots returns them; the result has one entry per channel.
+    busy holds neighbor-busy masks (slots, users, channels), as _draw_slots returns them. Each
+    channel's entry is (valid - count) / valid slots, the quotient BR-DRM's estimator takes.
     """
+    busy = np.asarray(busy, dtype=bool)
+    if busy.ndim != 3:
+        raise ValueError(f"busy must have shape (slots, users, channels), not {busy.shape}")
     if len(busy) == 0:
         raise EstimationError("cannot estimate from an empty window")
     if not 0 <= user < busy.shape[1]:
         raise ValueError(f"user index {user} out of range")
-    return _clearances(busy[:, user, :, None], len(busy))[:, 0]
-
-
-def _clearances(window: np.ndarray, valid) -> np.ndarray:
-    """Per (channel, user), the fraction of the user's newest valid[n] slots of `window` (busy
-    masks, (slots, channels, users)) with no neighbor on air: the one window estimator."""
-    recent = np.arange(len(window))[:, None] >= len(window) - valid
-    return (valid - np.logical_and(window, recent[:, None, :]).sum(axis=0, dtype=np.int64)) / valid
+    valid, count = len(busy), busy[:, user].sum(axis=0, dtype=np.int64)
+    return (valid - count) / valid

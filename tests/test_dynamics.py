@@ -614,6 +614,19 @@ def test_estimate_success_probability_counts_idle_slots():
             estimate_success_probability(user, busy)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (4, 2, 2, 1), (4,), ()])
+def test_estimate_success_probability_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=rf"busy must have shape \(slots, users, channels\), "
+                                         rf"not {re.escape(str(shape))}"):
+        estimate_success_probability(0, np.zeros(shape, dtype=bool))
+
+
+def test_estimate_success_probability_reads_nested_lists():
+    busy = [[[False, True], [True, True]], [[False, False], [True, False]]]
+    assert estimate_success_probability(0, busy).tolist() == [1.0, 0.5]
+    assert estimate_success_probability(1, busy).tolist() == [0.0, 0.5]
+
+
 def test_draw_slots_matches_slot_by_slot_stream():
     inst = cycle_instance()
     prof = make_profile([[0, 1], [1, 2]], [0.6, 0.4])

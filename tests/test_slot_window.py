@@ -16,6 +16,7 @@ from spectrumshare import (
     Strategy,
     UpdateMechanism,
     estimate_success_probability,
+    load_preset,
     run_br_drm,
 )
 from spectrumshare.dynamics import _BestResponse, _draw_slots, _play, _SlotLayout
@@ -165,6 +166,36 @@ def test_oversized_batches_draw_skipped_coins_in_bounded_memory():
     one_shot = np.random.default_rng(8)
     one_shot.random((2 * 10**6, 3))
     assert rng.bit_generator.state == one_shot.bit_generator.state
+
+
+@pytest.mark.parametrize("window", [250, 60])
+def test_windows_across_batches_equal_the_reference_at_fig3_scale(window):
+    # 250 slots end inside the third-newest batch of 100; a window of 60 draws 60 of each
+    # batch's 100 slots and only the coins of the other 40. The run passes the first arrival.
+    fig3 = load_preset("fig3-dynamic-drm")
+    inst, joins = build_instance_and_events(fig3["instance"], fig3["events"])
+    config = EstimatorConfig(window, slots_per_update=100, flush_on_neighbor_update=True)
+    traj, step = _checked_run(inst, joins, config, UpdateMechanism.backoff(1.0), 4, 112)
+    assert traj.instances[-1].num_users == 48 and step.switches > 0
+
+
+def test_long_windows_keep_batch_counts_not_slot_masks():
+    fig3 = load_preset("fig3-dynamic-drm")
+    inst, _ = build_instance_and_events(dict(fig3["instance"], num_users=60))
+    config, updates = EstimatorConfig(window=10**6, slots_per_update=100), 48
+    tracemalloc.start()
+    try:
+        traj = run_br_drm(
+            inst, UpdateMechanism.backoff(1.0), config, updates, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == updates + 1
+    # per-slot masks of the window alone would hold this many bytes by the last updating time,
+    # and a copy of them while it grows; a batch's counts take eight bytes per (channel, user)
+    # where its 100 slots' masks take 100
+    masks = updates * config.slots_per_update * inst.num_channels * inst.num_users
+    assert peak < masks / 4
 
 
 def _dense_layout(profile, instance):
