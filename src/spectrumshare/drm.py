@@ -212,14 +212,12 @@ def naive_expected_rate(user: int, instance: Instance, degree: int) -> float:
     k = instance.num_channels
     if group % k != 0:
         raise ValueError(f"(degree+1)={group} must be a multiple of num_channels={k}")
-    for n in range(instance.num_users):
-        if instance.graph.degree(n) != degree:
-            raise ValueError("instance graph is not degree-regular")
-    flat = [u for row in instance.utilities for u in row]
-    if any(u != flat[0] for u in flat):
+    if any(len(nbrs) != degree for nbrs in instance.graph.adjacency):
+        raise ValueError("instance graph is not degree-regular")
+    utilities = instance.arrays[0]
+    if (utilities != utilities[0, 0]).any():
         raise ValueError("instance utilities are not all equal")
     attempt = k / group
     if any(abs(cap - attempt) > 1e-12 for cap in instance.caps):
         raise ValueError("instance caps must all equal num_channels/(degree+1)")
-    utility = instance.utilities[user][0]
-    return utility * attempt * (1.0 - 1.0 / group) ** degree
+    return instance.utilities[user][0] * attempt * (1.0 - 1.0 / group) ** degree

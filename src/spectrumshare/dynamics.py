@@ -38,6 +38,7 @@ from .network import (
     InterferenceGraph,
     Strategy,
     StrategyProfile,
+    _require_int,
     channel_load,
     rate_from_load,
     total_expected_rate,
@@ -298,59 +299,46 @@ class _Recorder:
 class _RateRecorder(_Recorder):
     """The rate game's recorder, priced in arrays over the rows a profile change touches.
 
-    Row n of `clearance` (users, channels) holds user n's channel_load clearance, NO_LOAD's
-    where no neighbor plays. Repricing resets the rows of the movers and their neighbors to 1.0,
-    then multiplies in each neighbor's 1 - p on its channels in one ufunc.at pass, which applies
-    them in index order: per row in adjacency order, so every cell is channel_load's float. The
-    same rows give the users' rates and verdicts, all judged at once by drm.switches on the
-    exact clearances: the improving channel set at the user's cap, or None.
+    It keeps the users' channels, plays and clearances; row n of `clearance` (users, channels)
+    holds user n's channel_load clearance, NO_LOAD's where no neighbor plays. Repricing resets the
+    rows of the movers and their neighbors to 1.0, then multiplies in each neighbor's 1 - p on its
+    channels in one ufunc.at pass over the graph's pairs, in adjacency order, so every cell is
+    channel_load's float. The same rows and the instance's arrays give the users' rates and
+    verdicts, judged at once by drm.switches: the improving channel set at the user's cap, or None.
     """
 
     potential = "br_potential"
 
     def _stage(self, instance: Instance) -> None:
-        """The instance's arrays, every user's row unpriced."""
-        n_users, per_user, num_channels = (
-            instance.num_users, instance.channels_per_user, instance.num_channels
-        )
-        self._utilities = np.array(instance.utilities)
-        self._masked = None if instance.allowed is None else ~np.array(instance.allowed)
-        # (user, neighbor) pairs by user; the edges run ascending by lower end, so a stable
-        # sort by user keeps each user's neighbors ascending: adjacency order
-        low, high = instance.graph.edge_array
-        users, nbrs = np.concatenate((high, low)), np.concatenate((low, high))
-        order = np.argsort(users, kind="stable")
-        self._owners, self._adjacent = users[order], nbrs[order]
-        self._first = np.arange(0, n_users * num_channels, num_channels)[:, None]  # row n's cell 0
-        self._channels = np.zeros((n_users, per_user), dtype=np.intp)
-        self._plays = np.zeros((n_users, 2))  # p and 1 - p, as channel_load prices
-        self._clearance = np.ones((n_users, num_channels))
+        """Every user's rows, unpriced."""
+        self._channels = np.zeros((instance.num_users, instance.channels_per_user), dtype=np.intp)
+        self._plays = np.zeros((instance.num_users, 2))  # p and 1 - p, as channel_load prices
+        self._clearance = np.ones((instance.num_users, instance.num_channels))
 
     def _price(self, moved: list[int]) -> None:
         """Take in the movers' plays, then reprice their and their neighbors' rows and verdicts."""
         profile, instance = self.profile, self.instance
+        (owners, adjacent), (utilities, masked) = instance.graph.pairs, instance.arrays
         plays = [profile[n] for n in moved]
         self._channels[moved] = [s.channels for s in plays]
         self._plays[moved] = [(s.attempt_prob, 1.0 - s.attempt_prob) for s in plays]
         touched = np.zeros(instance.num_users, dtype=bool)
         touched[moved] = True
-        touched[self._adjacent[touched[self._owners]]] = True  # and the movers' neighbors
-        rows, pairs = np.flatnonzero(touched), touched[self._owners]
-        nbrs = self._adjacent[pairs]
-        cells = self._first[self._owners[pairs]] + self._channels[nbrs]
+        touched[adjacent[touched[owners]]] = True  # and the movers' neighbors
+        rows, pairs = np.flatnonzero(touched), touched[owners]
+        nbrs = adjacent[pairs]
+        cells = owners[pairs][:, None] * instance.num_channels + self._channels[nbrs]  # flat rows
         self._clearance[rows] = 1.0
         clearance = self._clearance.reshape(-1)
         np.multiply.at(clearance, cells, self._plays[nbrs, 1:])
         current = self._channels[rows]
-        cells = self._first[rows] + current
-        probs, utilities = self._plays[rows, 0], self._utilities.reshape(-1)[cells]
+        cells = rows[:, None] * instance.num_channels + current
+        probs, played = self._plays[rows, 0], utilities.reshape(-1)[cells]
         clear, rates = clearance[cells], np.zeros(len(rows))
         for j in range(current.shape[1]):  # from 0.0, as rate_from_load adds
-            rates += probs * utilities[:, j] * clear[:, j]
-        verdicts = drm.switches(
-            self._utilities[rows], self._clearance[rows], current,
-            None if self._masked is None else self._masked[rows],
-        )
+            rates += probs * played[:, j] * clear[:, j]
+        verdicts = drm.switches(utilities[rows], self._clearance[rows], current,
+                                None if masked is None else masked[rows])
         old, rate_list, caps = self._verdicts, self._rates, instance.caps
         for n, rate, channels in zip(rows.tolist(), rates.tolist(), verdicts):
             self._violators += (channels is not None) - (old[n] is not None)
@@ -406,10 +394,9 @@ class _FairRecorder(_Recorder):
 
 def drm_initial_profile(instance: Instance) -> StrategyProfile:
     """Each user claims its highest-utility allowed channels at its cap."""
-    utilities = np.array(instance.utilities)
-    if instance.allowed is not None:
-        utilities[~np.array(instance.allowed)] = -np.inf
-    picks = drm._best_sets(utilities, instance.channels_per_user).tolist()
+    utilities, masked = instance.arrays
+    scores = utilities if masked is None else np.where(masked, -np.inf, utilities)
+    picks = drm._best_sets(scores, instance.channels_per_user).tolist()
     return tuple(Strategy(tuple(chans), cap) for chans, cap in zip(picks, instance.caps))
 
 
@@ -481,8 +468,7 @@ def _stages(instance: Instance, arrivals: Optional[Sequence[int]]) -> list[tuple
     if len(arrivals) != instance.num_users:
         raise ValueError(f"arrivals must have one entry per user, not {len(arrivals)}")
     for n, at in enumerate(arrivals):
-        if isinstance(at, bool) or not isinstance(at, (int, np.integer)):
-            raise ValueError(f"arrivals[{n}] must be an integer, not {at!r}")
+        _require_int(f"arrivals[{n}]", at)
         if n and at < arrivals[n - 1]:
             raise ValueError(f"arrivals must not decrease, but arrivals[{n}] < arrivals[{n - 1}]")
     if arrivals[0] != 0:
@@ -616,8 +602,6 @@ class _BestResponse:
             self._flushed = np.zeros(instance.num_users, dtype=np.int64)  # batch at last flush
             # busy slots per (channel, user) in the whole window, and among the user's valid ones
             self._sums = np.zeros((2, instance.num_channels, instance.num_users), dtype=np.int64)
-            self._utilities = np.array(instance.utilities)
-            self._masked = None if instance.allowed is None else ~np.array(instance.allowed)
         elif config.flush_on_neighbor_update:
             # a list, never a tuple: arr[()] = x would write every entry
             flushed = [r for n in moved for r in instance.graph.adjacency[n]]
@@ -651,8 +635,8 @@ class _BestResponse:
         np.copyto(busy, whole, where=span >= window)
         valid = np.minimum(window, span)
         self._estimates = ((valid - busy) / valid).T
-        self._proposals = drm.switches(
-            self._utilities, self._estimates, layout.channels, self._masked)
+        utilities, masked = instance.arrays
+        self._proposals = drm.switches(utilities, self._estimates, layout.channels, masked)
         return False
 
     def decide(self, n: int, profile: StrategyProfile, instance: Instance, rng, recorder):
@@ -784,9 +768,9 @@ class _SlotLayout:
     """One profile's plays on one instance: member[k, n] when n plays k, channels[n], probs[n].
 
     columns lists, ascending as k*N + n, the (channel, user) pairs that some neighbor plays, and
-    spread[r, c] = 1.0 when r is such a neighbor of column c; both come from the edge list taken
-    in both directions. (S, N) transmit coins @ spread counts each slot's transmitting neighbors
-    per pair exactly (float32 sums of <= N ones).
+    spread[r, c] = 1.0 when r is such a neighbor of column c; both come from the graph's pairs,
+    each neighbor a talker to its user. (S, N) transmit coins @ spread counts each slot's
+    transmitting neighbors per pair exactly (float32 sums of <= N ones).
     """
 
     def __init__(self, profile: StrategyProfile, instance: Instance):
@@ -797,8 +781,7 @@ class _SlotLayout:
         self.member = np.zeros((instance.num_channels, n_users), dtype=bool)
         self.member[chans, np.arange(n_users)[:, None]] = True
         self.probs = np.array([strat.attempt_prob for strat in profile])
-        low, high = instance.graph.edge_array
-        talkers, listeners = np.concatenate((low, high)), np.concatenate((high, low))
+        listeners, talkers = instance.graph.pairs
         keys = chans[talkers] * n_users + listeners[:, None]  # (2 * edges, channels_per_user)
         # not np.unique: its first call imports numpy.ma, which costs 1.7 MB of peak RSS
         self.columns = np.flatnonzero(np.bincount(keys.ravel(), minlength=self.member.size))

@@ -155,9 +155,7 @@ def _action_table(user: int, instance: Instance) -> _ActionTable:
     An Instance is frozen, so no table can go stale on it; each stage of a
     growing population is its own Instance (a kept prefix) with its own tables.
     """
-    tables = instance.__dict__.get("_fair_action_tables")
-    if tables is None:
-        tables = instance.__dict__["_fair_action_tables"] = {}
+    tables = instance.__dict__.setdefault("_fair_action_tables", {})
     table = tables.get(user)
     if table is None:
         degree = instance.graph.degree(user)
@@ -327,12 +325,10 @@ def delta_lower_bound(instance: Instance) -> float:
     evaluated on the instance. Schedules with a larger delta are conservative
     ("sufficient" in the run manifest); smaller ones are heuristic.
     """
-    flat = [u for row in instance.utilities for u in row]
-    if any(u <= 0.0 for u in flat):
+    utilities, max_deg = instance.arrays[0], instance.graph.max_degree
+    max_u, min_u = float(utilities.max()), float(utilities.min())
+    if not min_u > 0.0:
         raise ValueError("all utilities must be strictly positive")
-    max_deg = instance.graph.max_degree
-    max_u = max(flat)
-    min_u = min(flat)
     return instance.num_users * (
         math.log(max_u) - math.log(min_u / (max_deg + 1)) + max_deg * math.log(2.0)
     )

@@ -57,6 +57,16 @@ def _neg_log1m(p: float) -> float:
     return -math.log1p(-p)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class InterferenceGraph:
     """Undirected interference relation over users 0..num_users-1.
@@ -65,14 +75,15 @@ class InterferenceGraph:
     symmetric and irreflexive: simultaneous same-channel transmissions by two
     adjacent users destroy both. Construction and from_edges check all of this;
     graph_from_positions and Instance.prefix, whose adjacencies hold it as built,
-    skip the check. edge_array, its one array view, is built from adjacency on
-    first use and kept on this object.
+    skip the check. Its array form, `pairs` and the `edge_array` taken from them,
+    is built on first use, kept on this object and read-only.
     """
 
     num_users: int
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _require_int("num_users", self.num_users)
         if self.num_users < 0:
             raise ValueError("num_users must be nonnegative")
         if len(self.adjacency) != self.num_users:
@@ -115,12 +126,18 @@ class InterferenceGraph:
         return max(map(len, self.adjacency), default=0)
 
     @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every (user, neighbor) pair as intp arrays, by user, then neighbor: adjacency order."""
+        users = np.repeat(np.arange(self.num_users, dtype=np.intp), [len(a) for a in self.adjacency])
+        neighbors = np.array([r for nbrs in self.adjacency for r in nbrs], dtype=np.intp)
+        return _read_only(users), _read_only(neighbors)
+
+    @cached_property
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """Each edge once, as (lower endpoint, higher endpoint) intp arrays, by lower endpoint."""
-        low = np.repeat(np.arange(self.num_users, dtype=np.intp), [len(a) for a in self.adjacency])
-        high = np.array([r for nbrs in self.adjacency for r in nbrs], dtype=np.intp)
-        keep = low < high
-        return low[keep], high[keep]
+        users, neighbors = self.pairs
+        keep = users < neighbors
+        return _read_only(users[keep]), _read_only(neighbors[keep])
 
 
 @dataclass(frozen=True)
@@ -194,9 +211,9 @@ class Instance:
 
     utilities[n][k] is user n's collision-free rate on channel k (Mbps).
     caps[n] bounds user n's attempt probability; the rate-maximization game
-    always plays at the cap. channels_per_user is the number of channels each
-    user must select. allowed, when present, masks which channels each user
-    may select.
+    always plays at the cap. Each user selects channels_per_user channels
+    among those `allowed`, when present, permits. `arrays`, its array form,
+    is built on first use, kept on this instance and read-only.
     """
 
     graph: InterferenceGraph
@@ -210,6 +227,8 @@ class Instance:
         n_users = self.graph.num_users
         if n_users < 1:
             raise ValueError("an instance needs at least one user")
+        _require_int("num_channels", self.num_channels)
+        _require_int("channels_per_user", self.channels_per_user)
         if self.num_channels < 1:
             raise ValueError("num_channels must be at least 1")
         if not 1 <= self.channels_per_user <= self.num_channels:
@@ -260,9 +279,16 @@ class Instance:
     def allowed_channels(self, user: int) -> tuple[int, ...]:
         return self.channel_choices[user]
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(utilities, masked): the (users, channels) utility floats and ~allowed, None unmasked."""
+        masked = None if self.allowed is None else _read_only(~np.array(self.allowed))
+        return _read_only(np.array(self.utilities)), masked
+
     def prefix(self, num_users: int) -> "Instance":
         """Users 0..num_users-1 and the graph they induce; self when that is every user. Each
         prefix is built on first use and kept on this instance, so repeated calls share it."""
+        _require_int("prefix size", num_users)
         if num_users == self.num_users:
             return self
         if not 1 <= num_users < self.num_users:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .drm import is_nep_drm
+from .drm import is_nep_drm, log_utility
 from .errors import CapacityError, DegenerateInstanceError
 from .fairness import (
     _action_grid, _require_single_channel, _softmax, exact_potential, is_nep_fairness
@@ -92,10 +92,7 @@ def exhaustive_sum_log_rate(instance: Instance) -> OracleResult:
         if max(instance.utilities[n]) <= 0.0:
             raise DegenerateInstanceError(f"user {n} has no channel with positive utility")
 
-    log_u = [
-        [math.log(u) if u > 0.0 else -math.inf for u in row]
-        for row in instance.utilities
-    ]
+    log_u = [list(map(log_utility, row)) for row in instance.utilities]
     max_degree = instance.graph.max_degree
     # log p and log(1 - p) at p = 1/(count+1), indexed by neighbor count
     log_attempt = [-math.log(r + 1) for r in range(max_degree + 1)]

@@ -24,6 +24,7 @@ from spectrumshare import (
     success_probability,
     total_expected_rate,
 )
+from spectrumshare import drm
 from spectrumshare.drm import channel_scores, top_channels
 
 from conftest import random_drm_instance, random_drm_profile
@@ -82,6 +83,17 @@ def test_br_potential_hand_value():
     # log 2 each, so log2*(log2 - log2/2) + log2*(log4 - log2/2)
     want = math.log(2) * (math.log(2) / 2) + math.log(2) * (1.5 * math.log(2))
     assert br_potential(prof, inst) == pytest.approx(want, rel=1e-12)
+
+
+def test_potential_term_reads_zero_times_inf_as_zero():
+    # user 0 at cap 1 has an infinite multiplier, and log utility 1 minus no interference on a
+    # channel no neighbor selects is 0.0: its term is 0, not nan, and the potential stays finite
+    g = InterferenceGraph.from_edges(2, [(0, 1)])
+    inst = Instance(g, 2, 1, ((1.0, 3.0), (2.0, 2.0)), (1.0, 0.5))
+    prof = make_profile([[0], [1]], [1.0, 0.5])
+    assert drm.potential_term(0, prof, inst) == 0.0
+    assert math.isfinite(br_potential(prof, inst))
+    assert br_potential(prof, inst) == 0.0 + drm.potential_term(1, prof, inst)
 
 
 def test_strict_best_response_switch_raises_potential():

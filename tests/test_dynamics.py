@@ -145,12 +145,20 @@ def test_graph_arrays_are_kept_per_graph_object():
     edges = [(0, 1), (1, 2), (0, 3)]
     graph, twin = InterferenceGraph.from_edges(4, edges), InterferenceGraph.from_edges(4, edges)
     assert graph == twin
-    arrays, twin_arrays = graph.edge_array, twin.edge_array
-    assert graph.edge_array is arrays
-    assert twin_arrays is not arrays and twin.edge_array is twin_arrays
-    assert all(np.array_equal(a, b) for a, b in zip(arrays, twin_arrays))
+    for name in ("pairs", "edge_array"):
+        arrays, twin_arrays = getattr(graph, name), getattr(twin, name)
+        assert getattr(graph, name) is arrays
+        assert twin_arrays is not arrays and getattr(twin, name) is twin_arrays
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, twin_arrays))
     assert graph.max_degree == 2 and twin.max_degree == 2
     assert graph == twin and hash(graph) == hash(twin)
+    # and the instance's: one utility array and one mask per instance object
+    utilities, allowed = ((1.0, 2.0),) * 4, ((True, False), (True, True)) * 2
+    inst, other = (Instance(graph, 2, 1, utilities, (0.5,) * 4, allowed) for _ in range(2))
+    arrays = inst.arrays
+    assert inst.arrays is arrays and other.arrays is not arrays and other.arrays is other.arrays
+    assert all(a is b for a, b in zip(inst.arrays, arrays))
+    assert inst == other and hash(inst) == hash(other)
 
 
 def test_sweep_mechanism_round_robin():

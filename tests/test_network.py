@@ -45,10 +45,20 @@ def edges(graph):
     return tuple(zip(*(a.tolist() for a in graph.edge_array)))
 
 
+def assert_array_form(graph):
+    """pairs is adjacency flattened, by user, then neighbor; edge_array is its users < neighbors part."""
+    flat = tuple((n, r) for n, nbrs in enumerate(graph.adjacency) for r in nbrs)
+    assert all(a.dtype == np.intp for a in graph.pairs + graph.edge_array)
+    assert tuple(zip(*(a.tolist() for a in graph.pairs))) == flat
+    assert edges(graph) == tuple((n, r) for n, r in flat if n < r)
+
+
 def test_graph_from_edges_symmetric_sorted():
     g = InterferenceGraph.from_edges(4, [(2, 0), (1, 2), (2, 3)])
     assert g.adjacency == ((2,), (2,), (0, 1, 3), (2,))
     assert edges(g) == ((0, 2), (1, 2), (2, 3))
+    assert_array_form(g)
+    assert [a.tolist() for a in g.pairs] == [[0, 1, 2, 2, 2, 3], [2, 2, 0, 1, 3, 2]]
     assert g.degree(2) == 3 and g.degree(0) == 1
 
 
@@ -142,19 +152,64 @@ def test_instance_prefix_keeps_the_first_users_and_the_graph_they_induce():
                 )
                 for j in range(1, m + 1):
                     assert cut.prefix(j) == inst.prefix(j)
+            assert inst.prefix(np.int64(users - 1)) is inst.prefix(users - 1)
 
 
-@pytest.mark.parametrize("size", [0, -1, 4])
+@pytest.mark.parametrize("size", [0, -1, 4, 2.0, True, np.float64(3.0)])
 def test_instance_prefix_names_a_size_out_of_range(size):
+    # a float or bool size is no size: 2.0 would reach the slices, True would pass for 1
     inst = Instance(InterferenceGraph(3, ((),) * 3), 1, 1, ((1.0,),) * 3, (0.5,) * 3)
-    with pytest.raises(ValueError, match=re.escape(f"prefix size {size} must lie in 1..3")):
+    message = f"prefix size {size} must lie in 1..3"
+    if not isinstance(size, int) or isinstance(size, bool):
+        message = f"prefix size must be an integer, not {size!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         inst.prefix(size)
+
+
+def test_instance_arrays_hold_the_utilities_and_mask_and_refuse_writes():
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        plain = random_drm_instance(rng)
+        k, users = plain.num_channels, plain.num_users
+        mask = tuple(
+            tuple((rng.permutation(k) < rng.integers(plain.channels_per_user, k + 1)).tolist())
+            for _ in range(users)
+        )
+        for inst in (plain, dataclasses.replace(plain, allowed=mask)):
+            utilities, masked = inst.arrays
+            assert utilities.dtype == float and np.array_equal(utilities, np.array(inst.utilities))
+            if inst.allowed is None:
+                assert masked is None
+            else:
+                assert np.array_equal(masked, ~np.array(mask))
+            for m in range(1, users):
+                cut_utilities, cut_masked = inst.prefix(m).arrays
+                assert np.array_equal(cut_utilities, utilities[:m])
+                assert cut_masked is None if masked is None else np.array_equal(cut_masked, masked[:m])
+            if masked is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    utilities[masked] = -np.inf  # drm_initial_profile's old in-place write
+            for array in (utilities, masked, *inst.graph.pairs, *inst.graph.edge_array):
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0
 
 
 _ONE = InterferenceGraph(1, ((),))
 _PAIR = make_profile([[0], [0]], [0.5, 0.5])
 _NETWORK_INPUT_FAULTS = {
     "num_users must be nonnegative": lambda: InterferenceGraph(-1, ()),
+    # counts that are no integers: each run would crash on them later, far from the cause
+    "num_users must be an integer, not 2.0": lambda: InterferenceGraph(2.0, ((1,), (0,))),
+    "num_users must be an integer, not True": lambda: InterferenceGraph(True, ((),)),
+    "num_channels must be an integer, not 2.0": lambda: Instance(_ONE, 2.0, 1, ((1.0, 1.0),), (0.5,)),
+    "num_channels must be an integer, not True": lambda: Instance(_ONE, True, 1, ((1.0,),), (0.5,)),
+    "channels_per_user must be an integer, not 1.0": lambda: Instance(
+        _ONE, 2, 1.0, ((1.0, 1.0),), (0.5,)
+    ),
+    "channels_per_user must be an integer, not True": lambda: Instance(
+        _ONE, 2, True, ((1.0, 1.0),), (0.5,)
+    ),
     "adjacency length must equal num_users": lambda: InterferenceGraph(2, ((),)),
     "channel indices must be nonnegative": lambda: Strategy((-1,), 0.5),
     "channel_sets and attempt_probs must have equal length": lambda: make_profile([[0]], [0.5, 0.5]),
@@ -428,6 +483,7 @@ def test_built_graphs_pass_the_check_they_skip(case, chunk):
     for m in range(1, users + 1):  # prefix(users) is the instance, with the built graph
         cut = inst.prefix(m).graph
         assert InterferenceGraph(cut.num_users, cut.adjacency) == cut
+        assert_array_form(cut)
 
 
 def test_graph_from_positions_leaves_pairs_past_the_float_range_unlinked():
@@ -469,6 +525,7 @@ def test_regular_graph_degrees():
         for degree in range(0, num_users, 1 if num_users % 2 == 0 else 2):
             g = build_regular_graph(num_users, degree)
             assert all(g.degree(n) == degree for n in range(num_users))
+            assert_array_form(g)
     with pytest.raises(ValueError):
         build_regular_graph(5, 5)
     with pytest.raises(ValueError):
