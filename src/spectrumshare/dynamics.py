@@ -349,47 +349,45 @@ class _RateRecorder(_Recorder):
 class _FairRecorder(_Recorder):
     """The fairness game's recorder, priced one user at a time.
 
-    A user's prices are its channel_load and, once some rule asks, its action table's values.
-    A load reads only the neighbors' plays, so a user reloads (a fresh channel_load, values
-    dropped) when a neighbor moves, and every user at a new stage; a mover keeps its prices.
-    Repricing renews a user's rate and unchecks it; its verdict, judged on demand, is the
-    deviation fairness.nep_violation reports.
+    A user keeps its channel_load and, once some rule asks, its priced record: fairness._priced's
+    (load, plays, values), which every fairness rule takes as its `prices`. A load reads only the
+    neighbors' plays, so a user reloads (a fresh channel_load, its record dropped) when a neighbor
+    moves, and every user at a new stage; a mover keeps both. Repricing renews a user's rate and
+    unchecks it; its verdict, judged on demand, is the deviation fairness.nep_violation reports.
     """
 
     potential = "exact_potential"
 
     def _stage(self, instance: Instance) -> None:
-        self._prices: list[Optional[dict]] = [None] * instance.num_users  # None: never priced
+        self._loads: list[Optional[dict]] = [None] * instance.num_users  # None: never loaded
+        self._prices: list[Optional[tuple]] = [None] * instance.num_users  # None: not priced
 
     def _price(self, moved: list[int]) -> None:
         profile, instance = self.profile, self.instance
-        graph, prices = instance.graph, self._prices
+        graph, loads = instance.graph, self._loads
         reload = set().union(*(graph.adjacency[n] for n in moved))
         users = reload.union(moved)
         for n in users:
-            if n in reload or prices[n] is None:
-                prices[n] = {"load": channel_load(n, profile, graph)}
+            if n in reload or loads[n] is None:
+                loads[n], self._prices[n] = channel_load(n, profile, graph), None
             strat = profile[n]
             self._rates[n] = rate_from_load(
-                strat.attempt_prob, instance.utilities[n], strat.channels, prices[n]["load"])
+                strat.attempt_prob, instance.utilities[n], strat.channels, loads[n])
         verdicts = self._verdicts  # an unchecked user's verdict is stale and never read
         self._violators -= sum(verdicts[n] is not None for n in users - self._unchecked)
         self._unchecked |= users
 
     def _judge(self, n: int) -> Optional[Strategy]:
-        prices = self.prices(n)
-        report = fairness.nep_violation(n, self.profile, self.instance, prices["load"],
-                                        prices["values"])
+        report = fairness.nep_violation(n, self.profile, self.instance, self.prices(n))
         return None if report is None else report.deviation
 
-    def prices(self, n: int) -> dict:
-        """User n's prices at the current profile, as keywords of the fairness rules: its
-        channel_load and its action table's values, priced on first demand."""
+    def prices(self, n: int) -> tuple:
+        """User n's priced record at the current profile, (load, plays, values), priced from its
+        kept load on first demand."""
         self._reprice()
-        prices = self._prices[n]
-        if "values" not in prices:
-            _, prices["values"] = fairness._priced(n, self.profile, self.instance, prices["load"])
-        return prices
+        if self._prices[n] is None:
+            self._prices[n] = fairness._priced(n, self.profile, self.instance, self._loads[n])
+        return self._prices[n]
 
 
 def drm_initial_profile(instance: Instance) -> StrategyProfile:
@@ -503,6 +501,7 @@ def _play(
     step.quiet_converges. All draws go through a _BlockStream, rewound when the run ends or
     raises.
     """
+    _require_int("max_iters", max_iters)
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     (_, instance), *pending = _stages(instance, arrivals)
@@ -753,10 +752,9 @@ class _NoisyBestResponse:
                 table = self._draws.get(key)
                 if table is None:
                     table = self._draws[key] = noisy_br_table(
-                        n, profile, instance, self._beta, **recorder.prices(n))
+                        n, profile, instance, self._beta, recorder.prices(n))
             else:
-                table = noisy_br_table(
-                    n, profile, instance, self._beta, **recorder.prices(n))
+                table = noisy_br_table(n, profile, instance, self._beta, recorder.prices(n))
             action = draw_action(table, rng)
         except DegenerateInstanceError:
             return None
@@ -831,6 +829,7 @@ def simulate_slots(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized slot batch; returns per-(user, channel) success and busy counts."""
+    _require_int("num_slots", num_slots)
     if num_slots < 0:
         raise ValueError("num_slots must be nonnegative")
     success_counts, busy_counts = np.zeros((2, instance.num_users, instance.num_channels), np.int64)
@@ -858,6 +857,7 @@ def simulate_naive_policy(
     """
     if not 0.0 <= attempt_prob <= 1.0:
         raise ValueError("attempt_prob must lie in [0, 1]")
+    _require_int("num_slots", num_slots)
     if num_slots < 0:
         raise ValueError("num_slots must be nonnegative")
     n_users = instance.num_users

@@ -139,13 +139,12 @@ class _ActionTable(NamedTuple):
     """One user's plays and the parts of their fair utilities that the profile cannot move.
 
     plays is the user's _action_grid, channel-major. lups[k] holds log(u_k * p)
-    for p = 1/r, r = 1..degree+1 (-inf where the product underflows to 0), or
-    is None when u_k <= 0 (every play on k is worthless); l1ps holds
-    log1p(-p) for r = 2..degree+1 (p = 1 has none).
+    for p = 1/r, r = 1..degree+1 (-inf where the product is 0: all of them when
+    u_k is 0); l1ps holds log1p(-p) for r = 2..degree+1 (p = 1 has none).
     """
 
     plays: tuple[Strategy, ...]
-    lups: tuple[Optional[tuple[float, ...]], ...]
+    lups: tuple[tuple[float, ...], ...]
     l1ps: tuple[float, ...]
 
 
@@ -163,8 +162,6 @@ def _action_table(user: int, instance: Instance) -> _ActionTable:
         probs = [play.attempt_prob for play in plays[: degree + 1]]
         lups = tuple(
             tuple(math.log(u * p) if u * p > 0.0 else -math.inf for p in probs)
-            if u > 0.0
-            else None
             for u in instance.utilities[user]
         )
         table = tables[user] = _ActionTable(plays, lups, tuple(math.log1p(-p) for p in probs[1:]))
@@ -176,45 +173,42 @@ def _table_values(table: _ActionTable, load: dict) -> list[float]:
 
     A play's value is lup - suffered + count * l1p. On a channel no neighbor
     selects that is lup itself (x - 0.0 + 0 * l1p == x, l1p < 0), p = 1
-    included; beside a neighbor p = 1 is worthless.
+    included; beside a neighbor p = 1 is worthless. A worthless lup stays -inf
+    (-inf - suffered + count * l1p, suffered in [0, inf], count finite).
     """
-    l1ps = table.l1ps
     values: list[float] = []
     for k, lups in enumerate(table.lups):
-        if lups is None:
-            values += [-math.inf] * (len(l1ps) + 1)
-            continue
-        load_k = load.get(k)
-        if load_k is None:
+        if k not in load:
             values += lups
-            continue
-        count, _, suffered = load_k
-        values.append(-math.inf)
-        values += [lup - suffered + count * l1p for lup, l1p in zip(lups[1:], l1ps)]
+        else:
+            count, _, suffered = load[k]
+            values.append(-math.inf)
+            values += [lup - suffered + count * l1p for lup, l1p in zip(lups[1:], table.l1ps)]
     return values
 
 
 def _priced(user: int, profile: StrategyProfile, instance: Instance, load=None) -> tuple:
-    """The user's channel_load (priced unless given) and its action table's values under it."""
+    """The user's priced record (load, plays, values): its channel_load (priced unless given),
+    its action table's plays and their values under that load. The fairness rules take it as
+    their `prices`."""
     _require_single_channel(instance)
     load = channel_load(user, profile, instance.graph) if load is None else load  # checks the index
-    return load, _table_values(_action_table(user, instance), load)
+    table = _action_table(user, instance)
+    return load, table.plays, _table_values(table, load)
 
 
 def best_fair_action(
-    user: int, profile: StrategyProfile, instance: Instance, load=None, values=None
+    user: int, profile: StrategyProfile, instance: Instance, prices=None
 ) -> tuple[Optional[Strategy], float, float]:
     """The first grid play of highest cooperative utility and its utility.
 
     Prices the user's action table, as the sampler does, and takes its first
     maximum in grid order. Also returns the utility of the user's current
     play, priced from the same channel_load. The best play is None (and its
-    utility -inf) when every grid play is worthless. `load`, `values`: its _priced pair, if known.
+    utility -inf) when every grid play is worthless. `prices`: its _priced record, if known.
     """
-    if values is None:
-        load, values = _priced(user, profile, instance, load)
+    load, plays, values = prices or _priced(user, profile, instance)
     best_value = max(values)
-    plays = _action_table(user, instance).plays
     best = None if best_value == -math.inf else plays[values.index(best_value)]
     k, p = profile[user].channels[0], profile[user].attempt_prob
     count, _, suffered = load.get(k, NO_LOAD)
@@ -249,23 +243,21 @@ def _softmax(values: list[float], beta: float, shift: float) -> list[float]:
 
 
 def noisy_br_table(
-    user: int, profile: StrategyProfile, instance: Instance, beta: float, load=None, values=None
+    user: int, profile: StrategyProfile, instance: Instance, beta: float, prices=None
 ) -> tuple[tuple[Strategy, ...], list[float], list[float]]:
     """The user's plays, their noisy_br_distribution probabilities and running sums, in grid order.
 
-    `load` and `values` as for best_fair_action. A zero-probability play repeats its
-    predecessor's running sum (x + 0.0 == x), so the supported plays carry the sums of a table
-    that holds only them.
+    `prices` as for best_fair_action. A zero-probability play repeats its predecessor's running
+    sum (x + 0.0 == x), so the supported plays carry the sums of a table that holds only them.
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError("beta must be finite and nonnegative")
-    if values is None:
-        _, values = _priced(user, profile, instance, load)
+    _, plays, values = prices or _priced(user, profile, instance)
     shift = max(values)
     if shift == -math.inf:
         raise DegenerateInstanceError(f"user {user} has utility -inf for every available action")
     probs = [1.0 / len(values)] * len(values) if beta == 0.0 else _softmax(values, beta, shift)
-    return _action_table(user, instance).plays, probs, list(itertools.accumulate(probs))
+    return plays, probs, list(itertools.accumulate(probs))
 
 
 def draw_action(table: tuple, rng: np.random.Generator) -> Strategy:
@@ -300,14 +292,14 @@ def is_nep_fairness(profile: StrategyProfile, instance: Instance) -> NepReport:
 
 
 def nep_violation(
-    user: int, profile: StrategyProfile, instance: Instance, load=None, values=None
+    user: int, profile: StrategyProfile, instance: Instance, prices=None
 ) -> Optional[NepReport]:
     """The user's best grid play if it gains more than NEP_REL_TOL (relative), else None.
 
     The grid holds the closed-form optimum 1/(count+1) of every channel.
-    Frozen NBRF plays by this rule. `load` and `values` as for best_fair_action.
+    Frozen NBRF plays by this rule. `prices` as for best_fair_action.
     """
-    best_action, best_value, current = best_fair_action(user, profile, instance, load, values)
+    best_action, best_value, current = best_fair_action(user, profile, instance, prices)
     if best_action is None:
         return None  # nothing the user does matters; cannot improve
     if current == -math.inf:

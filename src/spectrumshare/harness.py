@@ -36,6 +36,7 @@ from .network import (
     Instance,
     InterferenceGraph,
     StrategyProfile,
+    _require_int,
     build_regular_graph,
     drop_in_disc,
     graph_from_positions,
@@ -712,6 +713,11 @@ def gibbs_check(
     seed: int = 0,
 ) -> GibbsCheckReport:
     """Run a fixed-heat chain and measure its distance to the enumerated law."""
+    try:
+        for name, value in (("num_steps", num_steps), ("burn_in", burn_in), ("seed", seed)):
+            _require_int(name, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if num_steps < 1:
         raise ConfigError("gibbs check needs at least one post-burn-in step")
     if burn_in < 0:

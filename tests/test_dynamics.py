@@ -343,6 +343,10 @@ _DYNAMICS_INPUT_FAULTS = {
     "arrivals must not decrease, but arrivals[2] < arrivals[1]": lambda: _grow_pair([0, 3, 2]),
     "arrivals[0] must be 0, not 1": lambda: _grow_pair([1, 1, 2]),
     "max_iters must be nonnegative": lambda: _grow_pair(max_iters=-1),
+    "max_iters must be an integer, not True": lambda: _grow_pair(max_iters=True),
+    "max_iters must be an integer, not 2.5": lambda: run_nbrf(
+        _pair(), UpdateMechanism.sweep_sequential(), CoolingSchedule.fixed(1.0), max_iters=2.5
+    ),
     "move 1: user index 5 out of range": lambda: run_better_response_replay(
         cycle_instance(), make_profile([[0, 1], [1, 2]], [0.5, 0.5]), [(5, (2, 3))]
     ),
@@ -353,8 +357,14 @@ _DYNAMICS_INPUT_FAULTS = {
     "num_slots must be nonnegative": lambda: simulate_slots(
         make_profile([[0], [1]], [0.5, 0.5]), _pair(), -1, np.random.default_rng(0)
     ),
+    "num_slots must be an integer, not 2.5": lambda: simulate_slots(
+        make_profile([[0], [1]], [0.5, 0.5]), _pair(), 2.5, np.random.default_rng(0)
+    ),
     "attempt_prob must lie in [0, 1]": lambda: simulate_naive_policy(
         _pair(), 1.5, 10, np.random.default_rng(0)
+    ),
+    "num_slots must be an integer, not True": lambda: simulate_naive_policy(
+        _pair(), 0.5, True, np.random.default_rng(0)
     ),
 }
 
@@ -363,6 +373,13 @@ _DYNAMICS_INPUT_FAULTS = {
 def test_dynamics_input_checks_name_the_fault(message):
     with pytest.raises(ValueError, match=re.escape(message)):
         _DYNAMICS_INPUT_FAULTS[message]()
+
+
+def test_counts_take_numpy_integers():
+    assert len(_grow_pair(max_iters=np.int64(3))) == 4
+    profile, rng = make_profile([[0], [1]], [0.5, 0.5]), np.random.default_rng(0)
+    assert simulate_slots(profile, _pair(), np.int64(5), rng)[0].shape == (2, 2)
+    assert simulate_naive_policy(_pair(), 0.5, np.int64(5), rng).shape == (2,)
 
 
 def test_replay_without_a_repeat_ends_at_max_iters():

@@ -402,20 +402,19 @@ def test_draw_action_equals_the_reference_cumulative_table_draw(case, beta, seed
     degenerate user raises before any draw."""
     inst, prof = case
     for n in range(inst.num_users):
-        load, values = fairness._priced(n, prof, inst)
-        for prices in ({}, {"load": load, "values": values}):
+        for prices in (None, fairness._priced(n, prof, inst)):
             rng = np.random.default_rng(seed)
             state = rng.bit_generator.state
             try:
                 reference = _reference_cumulative_table(noisy_br_distribution(n, prof, inst, beta))
             except DegenerateInstanceError:
                 with pytest.raises(DegenerateInstanceError):
-                    fairness.noisy_br_table(n, prof, inst, beta, **prices)
+                    fairness.noisy_br_table(n, prof, inst, beta, prices)
                 with pytest.raises(DegenerateInstanceError):
                     sample_noisy_br(n, prof, inst, beta, rng)
                 assert rng.bit_generator.state == state
                 continue
-            table = fairness.noisy_br_table(n, prof, inst, beta, **prices)
+            table = fairness.noisy_br_table(n, prof, inst, beta, prices)
             oracle = np.random.default_rng(seed)
             for _ in range(4):
                 drawn = fairness.draw_action(table, rng)

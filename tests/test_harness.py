@@ -708,6 +708,18 @@ def test_gibbs_check_small_run():
     assert report.tv_distance < 0.2  # loose: short chain, exact law
     with pytest.raises(ConfigError):
         gibbs_check(default_gibbs_instance(), 1.0, 0, 0)
+    report = gibbs_check(default_gibbs_instance(), 1.0, np.int64(10), np.int64(2), seed=np.int64(0))
+    assert report.num_steps == 10 and report.burn_in == 2
+
+
+@pytest.mark.parametrize("field, counts", [
+    ("num_steps", (True, 0, 0)), ("num_steps", (2.5, 0, 0)), ("burn_in", (10, 1.0, 0)),
+    ("seed", (10, 0, True)), ("seed", (10, 0, np.float64(1.0))),
+])
+def test_gibbs_check_refuses_counts_that_are_not_integers(field, counts):
+    num_steps, burn_in, seed = counts
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, not "):
+        gibbs_check(default_gibbs_instance(), 1.0, num_steps, burn_in, seed=seed)
 
 
 def test_gibbs_check_refuses_an_oversized_law_before_running_the_chain(monkeypatch):

@@ -8,8 +8,8 @@ prices, or to record a profile not seen before; a revisit reuses the rates,
 at_nep flag and object recorded for that profile. Per user it keeps a rate, a
 verdict (the play the game's rule moves to, or none; checked, or unchecked until
 asked for) and the game's prices: the rate game's clearance rows, the fairness
-game's channel_load and action-table values, the latter reloaded only where a
-neighbor moved. It also counts the violators among the checked users. It prices
+game's channel_load and priced record (load, plays, values), both renewed only
+where a neighbor moved. It also counts the violators among the checked users. It prices
 no potential: a trajectory reads its potentials from the game's closed form on
 first read. These properties drive both games through random switch sequences,
 revisits of earlier profiles and population events. They compare every entry's
@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spectrumshare import (
@@ -154,7 +154,7 @@ def _assert_moves(recorder, game, profile, instance, active, moves):
     nep_violation at `profile` on `instance`, and the recorder then holds that profile's state:
     every user's rate_from_load, each checked verdict its game's nep_violation's, a violator
     count of the checked violators, and the game's prices equal to fresh closed forms (the rate
-    rows; the fairness channel_load and _table_values)."""
+    rows; the fairness _priced record)."""
     want = {n: _verdict(game, n, profile, instance) for n in active}
     assert moves == {n: play for n, play in want.items() if play is not None}
     assert recorder.profile == profile and recorder.instance is instance
@@ -168,8 +168,7 @@ def _assert_moves(recorder, game, profile, instance, active, moves):
         rate = rate_from_load(strat.attempt_prob, instance.utilities[n], strat.channels, load)
         assert _bits(recorder._rates[n]) == _bits(rate), n
         if game == "fairness":
-            values = fairness._table_values(fairness._action_table(n, instance), load)
-            assert recorder.prices(n) == {"load": load, "values": values}, n
+            assert recorder.prices(n) == fairness._priced(n, profile, instance), n
     if game == "drm":
         _assert_rows_are_fresh(recorder, profile, instance)
 
@@ -322,12 +321,24 @@ def _exact_cases(draw):
     return inst, start, arrivals if late else None
 
 
+def _order_case():
+    """User 0 and its three neighbors on channel 0, these at 0.35, 0.35 and 0.45: the product of
+    their 1 - p rounds otherwise when taken in the reverse of adjacency order."""
+    inst = Instance(InterferenceGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 2, 1,
+                    ((1.0, 1.0),) * 4, (0.5,) * 4)
+    profile = make_profile([[0]] * 4, [0.5, 0.35, 0.35, 0.45])
+    clears = [1.0 - play.attempt_prob for play in profile[1:]]
+    assert _bits(math.prod(clears)) != _bits(math.prod(reversed(clears)))
+    return inst, profile, None
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     case=_exact_cases(),
     mechanism=st.sampled_from(["everyone", "probabilistic", "backoff", "sweep"]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(case=_order_case(), mechanism="sweep", seed=0)
 def test_exact_rows_equal_the_closed_forms_bit_for_bit(case, mechanism, seed):
     inst, start, arrivals = case
     mech = {
@@ -441,9 +452,9 @@ def test_fair_recorder_reloads_only_where_a_neighbor_moved(monkeypatch):
     def follow(profile, instance, moved):
         """Stage `profile` on a new `instance`, or play its plays of the users in `moved`; record
         it and ask every user's move. Returns the recorded profile, the users that reloaded and
-        those whose values were priced, and those that kept their prices dict."""
-        before = list(getattr(recorder, "_prices", ()))
-        kept_values = {n: prices["values"] for n, prices in enumerate(before)}
+        those whose values were priced, and those that kept their load and priced record."""
+        loads = list(getattr(recorder, "_loads", ()))
+        prices = list(getattr(recorder, "_prices", ()))
         loaded.clear()
         valued.clear()
         if getattr(recorder, "instance", None) is instance:
@@ -451,9 +462,9 @@ def test_fair_recorder_reloads_only_where_a_neighbor_moved(monkeypatch):
         else:
             recorder.stage(profile, instance)
         recorder.record(moved)
-        kept = [n for n, prices in enumerate(before) if recorder._prices[n] is prices]
-        for n in kept:
-            assert recorder._prices[n]["values"] is kept_values[n], n
+        kept = [n for n, load in enumerate(loads) if recorder._loads[n] is load]
+        for n in range(len(loads)):
+            assert (recorder._prices[n] is prices[n]) == (n in kept), n
         users = tuple(range(instance.num_users))
         moves = recorder.moves(users)
         tables = {id(fairness._action_table(n, instance)): n for n in users}
@@ -477,6 +488,34 @@ def test_fair_recorder_reloads_only_where_a_neighbor_moved(monkeypatch):
     # a new stage: every user reloads, the isolated user and those that did not move included
     profile, priced, kept = follow(profile + (Strategy((1,), 0.5),), final, ())
     assert priced == ([0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6]) and kept == []
+
+
+def test_an_annealed_run_looks_up_each_action_table_once_per_priced_record(monkeypatch):
+    # the sampler (memoised on a piecewise-constant schedule) and the frozen rule both read the
+    # plays from the recorder's priced record, across an arrival before and one after freezing
+    calls = {"_priced": 0, "_action_table": 0}
+    for name in calls:
+
+        def counted(*args, name=name, original=getattr(fairness, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fairness, name, counted)
+    spec = {
+        "kind": "geometric", "num_users": 8, "num_channels": 3, "channels_per_user": 1,
+        "region_radius": 3.0, "interference_radius": 2.0, "graph_seed": 0,
+        "utilities": {"kind": "uniform", "low": 1.0, "high": 2.0},
+        "caps": {"kind": "constant", "value": 0.5},
+    }
+    inst, arrivals = build_instance_and_events(
+        spec, [{"at_iter": 8, "num_users": 10}, {"at_iter": 20, "num_users": 12}]
+    )
+    # beta is 1 until updating time 4, 2 until 12 and 3, frozen, from then on
+    traj = run_nbrf(inst, UpdateMechanism.probabilistic(0.5),
+                    CoolingSchedule.piecewise_constant(1.0), max_iters=80,
+                    rng=np.random.default_rng(0), freeze_beta=3.0, arrivals=arrivals)
+    assert len(set(map(id, traj.instances))) == 3
+    assert 0 < calls["_action_table"] <= calls["_priced"]
 
 
 def test_runs_price_no_potential_and_a_trajectory_prices_each_profile_once(monkeypatch):
